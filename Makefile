@@ -9,7 +9,7 @@ PY := PYTHONPATH=src python
         bench-concurrent-smoke bench-resume bench-distrib \
         bench-distrib-smoke bench-cluster bench-cluster-smoke \
         bench-extrapolation bench-extrapolation-smoke bench-fused \
-        bench-fused-smoke examples
+        bench-fused-smoke bench-e2e-smoke examples
 
 # Tier-1 verify: the full suite (what CI runs on main).
 test:
@@ -48,11 +48,12 @@ test-all:
 # CI entry points: `ci` on every change, `ci-full` on main.  The fast path
 # also smoke-runs the out-of-core kernels (equivalence gate at tiny n), the
 # concurrent-selection scheduler (serial==scheduled equivalence plus a
-# relaxed throughput gate at small n) and verifies the generated API
-# reference is current.
+# relaxed throughput gate at small n), the end-to-end Table VI workload
+# (every row checked against its expected answer) and verifies the
+# generated API reference is current.
 ci: test-fast bench-smoke bench-concurrent-smoke bench-distrib-smoke \
     bench-cluster-smoke bench-extrapolation-smoke bench-fused-smoke \
-    docs-api-check
+    bench-e2e-smoke docs-api-check
 
 ci-full: test-all docs-check
 
@@ -141,6 +142,12 @@ bench-fused:
 
 bench-fused-smoke:
 	$(PY) benchmarks/bench_fused_training.py --smoke
+
+# End-to-end Table VI reproduction on both repositories: the run fails
+# unless every row equals benchmarks/e2e/expected/paper-table6.json, so it
+# guards the encoder's noise bits from end to end (about 20 s).
+bench-e2e-smoke:
+	python3 benchmarks/e2e/run.py --workload paper-table6 --seed 1
 
 examples:
 	$(PY) -m pytest tests/integration/test_examples.py -q

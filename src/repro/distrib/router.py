@@ -34,6 +34,7 @@ Topology, tuning and failure semantics are documented in
 from __future__ import annotations
 
 import json
+import logging
 import socketserver
 import threading
 import time
@@ -51,6 +52,8 @@ from repro.utils.exceptions import (
     ReproError,
     WorkerLostError,
 )
+
+logger = logging.getLogger(__name__)
 
 #: Seconds between sweeps while draining a session's in-flight requests.
 _DRAIN_POLL = 0.05
@@ -303,6 +306,7 @@ class RouterFrontEnd:
         self._wire_seq = 0
         self._refresh_lock = threading.Lock()
         self._stopped = False
+        self._relay_errors = 0
 
         handles = supervisor.workers()
         versions = {
@@ -361,7 +365,12 @@ class RouterFrontEnd:
             try:
                 self._dispatch(link, payload)
             except Exception:  # noqa: BLE001 — a relay must never die
-                pass
+                with self._lock:
+                    self._relay_errors += 1
+                logger.exception(
+                    "relay from worker %r failed to dispatch wire id %r",
+                    link.name, payload.get("id"),
+                )
         link.dead = True
         self._on_link_down(link)
 
@@ -739,21 +748,8 @@ class RouterFrontEnd:
         request_id = message.get("id")
 
         def merged(replies) -> None:
-            with self._lock:
-                pending_by_worker: Dict[str, int] = {}
-                for (worker, _), _route in self._routes.items():
-                    pending_by_worker[worker] = (
-                        pending_by_worker.get(worker, 0) + 1
-                    )
             stats = {
-                "router": {
-                    "workers": len(self._supervisor.names),
-                    "zoo_version": self._version_key,
-                    "recovered": self.recovered_count,
-                    "pending_by_worker": pending_by_worker,
-                    "admission": self._admission.stats(),
-                    "supervisor": self._supervisor.stats(),
-                },
+                "router": self.stats(),
                 "workers": {
                     worker: (reply or {}).get("stats")
                     for worker, reply in sorted(replies.items())
@@ -953,6 +949,27 @@ class RouterFrontEnd:
             self._links.clear()
         for link in links:
             link.conn.close()
+
+    def stats(self) -> Dict[str, object]:
+        """Router-side counters: fleet, pending routes, admission, relay errors.
+
+        ``relay_errors`` counts worker events whose dispatch raised; the
+        relay logs each one and keeps reading.
+        """
+        with self._lock:
+            pending_by_worker: Dict[str, int] = {}
+            for (worker, _), _route in self._routes.items():
+                pending_by_worker[worker] = pending_by_worker.get(worker, 0) + 1
+            relay_errors = self._relay_errors
+        return {
+            "workers": len(self._supervisor.names),
+            "zoo_version": self._version_key,
+            "recovered": self.recovered_count,
+            "pending_by_worker": pending_by_worker,
+            "relay_errors": relay_errors,
+            "admission": self._admission.stats(),
+            "supervisor": self._supervisor.stats(),
+        }
 
     # ------------------------------------------------------------------ #
     @property

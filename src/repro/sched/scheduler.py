@@ -32,6 +32,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import itertools
+import logging
 import threading
 import time
 from dataclasses import dataclass
@@ -63,6 +64,8 @@ from repro.utils.exceptions import (
     RequestTimeoutError,
     SchedulerError,
 )
+
+logger = logging.getLogger(__name__)
 
 #: Request lifecycle states (``SelectionRequest.state``).
 QUEUED = "queued"
@@ -220,6 +223,7 @@ class EpochScheduler:
         self._results_restored = 0
         self._recalls_restored = 0
         self._journal_errors = 0
+        self._recover_skipped = 0
         self._arms_pruned = 0
         self._prunes_replayed = 0
         # Fused-training bookkeeping: per-geometry probe verdicts (True =
@@ -1262,7 +1266,11 @@ class EpochScheduler:
                         num_trends=int(entry.extrapolation["num_trends"]),
                     )
                 except (KeyError, TypeError, ValueError):
-                    continue  # unreadable mode record: leave it pending
+                    # Unreadable mode record: leave the journal pending.
+                    with self._lock:
+                        self._recover_skipped += 1
+                    logger.exception("recover skipped journal %s", entry.plan_key)
+                    continue
             try:
                 request = self.submit(
                     entry.target,
@@ -1273,6 +1281,9 @@ class EpochScheduler:
             except (SchedulerError, QueueFullError):
                 break  # closed or saturated: remaining journals stay pending
             except Exception:  # noqa: BLE001 — e.g. target gone from the suite
+                with self._lock:
+                    self._recover_skipped += 1
+                logger.exception("recover skipped journal %s", entry.plan_key)
                 continue
             recovered.append(request)
         return recovered
@@ -1322,5 +1333,6 @@ class EpochScheduler:
                     "recalls_restored": self._recalls_restored,
                     "prunes_replayed": self._prunes_replayed,
                     "journal_errors": self._journal_errors,
+                    "recover_skipped": self._recover_skipped,
                 }
         return report

@@ -19,6 +19,7 @@ encoder quality, reproducing the structure the paper exploits.
 from __future__ import annotations
 
 import threading
+import zlib
 from typing import Optional
 
 import numpy as np
@@ -27,6 +28,7 @@ from repro.data.domain import DomainSpace
 from repro.data.tasks import TaskSpec, generate_task
 from repro.nn.network import MLPClassifier
 from repro.utils.exceptions import ConfigurationError, DataError
+from repro.utils.rng import seeded_standard_normal
 from repro.zoo.catalog import ModelCatalogEntry
 
 #: Gain floor applied to concepts outside the model's domain: even a poorly
@@ -164,17 +166,16 @@ class PretrainedModel:
         Each row is hashed (together with a per-model key) into a seed for a
         small generator, so encoding the same sample twice yields the same
         representation — as a frozen real encoder would — while the noise
-        carries no information about the class signal.
+        carries no information about the class signal.  All rows are seeded
+        in one vectorised pass that is bitwise equal to a per-row
+        ``np.random.default_rng(seed).standard_normal``.
         """
-        import zlib
-
-        noise = np.empty(shape)
         rounded = np.round(features, decimals=8)
-        for row in range(shape[0]):
-            digest = zlib.crc32(rounded[row].tobytes()) ^ self._noise_key
-            row_rng = np.random.default_rng(digest & 0x7FFFFFFF)
-            noise[row] = row_rng.standard_normal(shape[1])
-        return noise
+        seeds = [
+            (zlib.crc32(row.tobytes()) ^ self._noise_key) & 0x7FFFFFFF
+            for row in rounded
+        ]
+        return seeded_standard_normal(np.array(seeds, dtype=np.int64), shape[1])
 
     # ------------------------------------------------------------------ #
     def source_head(self) -> MLPClassifier:

@@ -159,6 +159,33 @@ class TestRecoveryFiltering:
         scheduler.run_until_idle()
         scheduler.result(recovered[0], timeout=10)
 
+    def test_recover_counts_and_logs_journal_of_removed_target(
+        self, artifacts, fine_tuner, crashed_store, caplog
+    ):
+        store = PlanStore(crashed_store)
+        version = artifacts.version.key
+        orphan_key = f"plan:zoo={version}:fine_selection:k=5:gone:y"
+        store.journal(orphan_key).append(
+            "request",
+            {
+                "plan_key": orphan_key,
+                "target": "no-such-target",
+                "version_key": version,
+                "method": "fine_selection",
+                "top_k": TOP_K,
+                "schedule": [1, 1, 1],
+            },
+        )
+        assert len(pending_requests(store, version_key=version)) == 2
+        scheduler = make_scheduler(artifacts, PlanStore(crashed_store), fine_tuner)
+        with caplog.at_level("ERROR", logger="repro.sched.scheduler"):
+            recovered = scheduler.recover()
+        assert len(recovered) == 1
+        assert scheduler.stats()["persist"]["recover_skipped"] == 1
+        assert any(orphan_key in record.getMessage() for record in caplog.records)
+        scheduler.run_until_idle()
+        scheduler.result(recovered[0], timeout=10)
+
     def test_recover_skips_requests_already_live(
         self, artifacts, fine_tuner, crashed_store
     ):

@@ -1,5 +1,11 @@
 """Tests for repro.utils.rng."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -61,3 +67,28 @@ class TestStableHash:
 def test_spawn_rng_returns_generator():
     child = spawn_rng(np.random.default_rng(0), "child")
     assert isinstance(child, np.random.Generator)
+
+
+_SPAWN_SCRIPT = (
+    "import json, numpy as np; from repro.utils.rng import spawn_rng; "
+    "child = spawn_rng(np.random.default_rng(0), 'model', 3); "
+    "print(json.dumps(child.integers(0, 2**31, size=4).tolist()))"
+)
+
+
+def _spawn_draws_with_hashseed(hashseed: str) -> list:
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env = dict(os.environ, PYTHONHASHSEED=hashseed)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _SPAWN_SCRIPT],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(out.stdout)
+
+
+def test_spawn_rng_is_stable_across_processes():
+    assert _spawn_draws_with_hashseed("1") == _spawn_draws_with_hashseed("2")

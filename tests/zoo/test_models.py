@@ -1,9 +1,24 @@
 """Tests for repro.zoo.models.PretrainedModel."""
 
+import functools
+import zlib
+
 import numpy as np
 import pytest
 
 from repro.utils.exceptions import ConfigurationError, DataError
+from repro.zoo.hub import ModelHub
+
+
+def _deterministic_noise_loop(model, features, shape):
+    """Oracle for ``PretrainedModel._deterministic_noise``: one generator per row."""
+    noise = np.empty(shape)
+    rounded = np.round(features, decimals=8)
+    for row in range(shape[0]):
+        digest = zlib.crc32(rounded[row].tobytes()) ^ model._noise_key
+        row_rng = np.random.default_rng(digest & 0x7FFFFFFF)
+        noise[row] = row_rng.standard_normal(shape[1])
+    return noise
 
 
 class TestEncoder:
@@ -33,6 +48,23 @@ class TestEncoder:
         strong = nlp_hub_small.get("roberta-base")
         weak = nlp_hub_small.get("CAMeL-Lab/bert-base-arabic-camelbert-mix-did-nadi")
         assert strong.representation_noise < weak.representation_noise
+
+    def test_encode_matches_per_row_oracle_on_every_model(
+        self, nlp_suite_small, monkeypatch
+    ):
+        hub = ModelHub(nlp_suite_small, seed=0)
+        task = nlp_suite_small.task("mnli")
+        assert len(hub.model_names) >= 40
+        for name in hub.model_names:
+            model = hub.get(name)
+            assert model.representation_noise > 0
+            for split in (task.train, task.val, task.test):
+                got = model.encode(split.features)
+                with monkeypatch.context() as patch:
+                    oracle = functools.partial(_deterministic_noise_loop, model)
+                    patch.setattr(model, "_deterministic_noise", oracle)
+                    expected = model.encode(split.features)
+                assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), name
 
     def test_concept_gains_reflect_domain(self, nlp_hub_small):
         model = nlp_hub_small.get("bert-base-uncased")
