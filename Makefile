@@ -143,11 +143,13 @@ bench-fused:
 bench-fused-smoke:
 	$(PY) benchmarks/bench_fused_training.py --smoke
 
-# End-to-end Table VI reproduction on both repositories: the run fails
-# unless every row equals benchmarks/e2e/expected/paper-table6.json, so it
-# guards the encoder's noise bits from end to end (about 20 s).
+# End-to-end answers checked against benchmarks/e2e/expected/: the Table
+# VI reproduction on both repositories guards the encoder's noise bits
+# (about 20 s), and serve-hot checks every select answered over the wire,
+# which guards the memoised Eq. 5/6 trend lookups (about 30 s).
 bench-e2e-smoke:
 	python3 benchmarks/e2e/run.py --workload paper-table6 --seed 1
+	python3 benchmarks/e2e/run.py --workload serve-hot --seed 1
 
 examples:
 	$(PY) -m pytest tests/integration/test_examples.py -q

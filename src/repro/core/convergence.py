@@ -19,7 +19,7 @@ early stages when their predicted ceiling is clearly below a competitor's.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -152,6 +152,45 @@ class ConvergenceTrendMiner:
         """Convenience wrapper: mine trends at ``stage`` and apply Eq. 5/6."""
         trend_set = self.mine(model_name, curves, stage=stage)
         return trend_set.predict(current_val)
+
+
+#: Memo of mined trend sets keyed by ``(model, stage, num_trends)``; a
+#: ``None`` value records that the matrix holds no curves for the model.
+TrendTable = Dict[Tuple[str, int, int], Optional[TrendSet]]
+
+
+def lookup_trend_set(
+    table: TrendTable,
+    miner: ConvergenceTrendMiner,
+    matrix,
+    model_name: str,
+    *,
+    stage: int,
+    num_trends: Optional[int] = None,
+) -> Optional[TrendSet]:
+    """``model_name``'s trend set at ``stage``, mined at most once per ``table``.
+
+    :meth:`ConvergenceTrendMiner.mine` is a pure function of the matrix's
+    curves (its k-means reseeds on every call) and a performance matrix is
+    never mutated, so a table that lives exactly as long as its matrix
+    returns values bitwise equal to re-mining.  Returns ``None`` when the
+    matrix has no curves for the model.  Every caller gets the same
+    :class:`TrendSet` object, which none may mutate.  Concurrent fills of
+    one key write equal values, so a plain dict needs no lock.
+    """
+    key = (model_name, int(stage), int(num_trends or miner.num_trends))
+    try:
+        return table[key]
+    except KeyError:
+        pass
+    curves = matrix.curves_for_model(model_name)
+    trend_set = (
+        miner.mine(model_name, curves, stage=key[1], num_trends=key[2])
+        if curves
+        else None
+    )
+    table[key] = trend_set
+    return trend_set
 
 
 def random_trend_labels(

@@ -42,7 +42,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional
 
-from repro.core.convergence import ConvergenceTrendMiner
+from repro.core.convergence import (
+    ConvergenceTrendMiner,
+    TrendTable,
+    lookup_trend_set,
+)
 from repro.utils.exceptions import ConfigurationError
 from repro.zoo.finetune import LearningCurve
 
@@ -129,6 +133,11 @@ class CurveExtrapolator:
     Stateless with respect to any single request (bounds are pure
     functions of the performance matrix), so one extrapolator can serve
     many concurrent plans — mirroring :class:`~repro.core.plan.StagePolicy`.
+    Trend sets are looked up in ``trend_sets`` (see
+    :func:`~repro.core.convergence.lookup_trend_set`), mined with
+    ``config.num_trends`` trends; :class:`~repro.core.selection
+    .FineSelection` passes its own table so the Algorithm 1 filter and the
+    bound mine each ``(model, stage)`` once between them.
     """
 
     def __init__(
@@ -137,12 +146,14 @@ class CurveExtrapolator:
         *,
         config: Optional[ExtrapolationConfig] = None,
         trend_miner: Optional[ConvergenceTrendMiner] = None,
+        trend_sets: Optional[TrendTable] = None,
     ) -> None:
         self.matrix = matrix
         self.config = config or ExtrapolationConfig(enabled=True)
         self.trend_miner = trend_miner or ConvergenceTrendMiner(
             num_trends=self.config.num_trends
         )
+        self.trend_sets: TrendTable = {} if trend_sets is None else trend_sets
 
     def bound(
         self, model: str, observed_val: float, *, stage_epoch: int
@@ -162,7 +173,14 @@ class CurveExtrapolator:
                 predicted_final=float(observed_val),
                 upper_bound=float("inf"),
             )
-        trend_set = self.trend_miner.mine(model, curves, stage=stage_epoch)
+        trend_set = lookup_trend_set(
+            self.trend_sets,
+            self.trend_miner,
+            self.matrix,
+            model,
+            stage=stage_epoch,
+            num_trends=self.config.num_trends,
+        )
         predicted = float(trend_set.predict(observed_val))
         gain_cap = float(observed_val) + max_remaining_gain(curves, stage_epoch)
         ceiling = max(float(observed_val), min(predicted, gain_cap))

@@ -33,7 +33,11 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import FineSelectionConfig
-from repro.core.convergence import ConvergenceTrendMiner
+from repro.core.convergence import (
+    ConvergenceTrendMiner,
+    TrendTable,
+    lookup_trend_set,
+)
 from repro.core.extrapolation import CurveExtrapolator, ExtrapolationConfig
 from repro.core.performance import PerformanceMatrix
 from repro.core.plan import SelectionPlan, SessionView, StagePolicy, TrainStep
@@ -208,6 +212,15 @@ class FineSelection(_SelectionBase):
         #: per-request policy clone can override it without rebuilding the
         #: engine (mirrors the ``total_epochs`` budget override).
         self.extrapolation = extrapolation
+        #: Eq. 5/6 trend sets of this engine's matrix, mined once per
+        #: ``(model, stage, num_trends)`` and read by both the Algorithm 1
+        #: filter and the extrapolation bound.  Created here so the
+        #: scheduler's per-request ``copy.copy`` clones share it; a new
+        #: matrix means a new engine and so a new table.
+        self._trend_sets: TrendTable = {}
+        self._extrapolator_cache: Optional[
+            Tuple[ExtrapolationConfig, CurveExtrapolator]
+        ] = None
 
     # ------------------------------------------------------------------ #
     def stage_schedule(self) -> List[int]:
@@ -317,9 +330,15 @@ class FineSelection(_SelectionBase):
 
     def _extrapolator(self, config: ExtrapolationConfig) -> CurveExtrapolator:
         """Per-config extrapolator, cached so shared plans rebuild nothing."""
-        cached = getattr(self, "_extrapolator_cache", None)
+        cached = self._extrapolator_cache
         if cached is None or cached[0] is not config:
-            cached = (config, CurveExtrapolator(self.matrix, config=config))
+            extrapolator = CurveExtrapolator(
+                self.matrix,
+                config=config,
+                trend_miner=self.trend_miner,
+                trend_sets=self._trend_sets,
+            )
+            cached = (config, extrapolator)
             self._extrapolator_cache = cached
         return cached[1]
 
@@ -333,13 +352,18 @@ class FineSelection(_SelectionBase):
         """Eq. 5/6 prediction for every surviving candidate."""
         predictions: Dict[str, float] = {}
         for name in surviving:
-            curves = self.matrix.curves_for_model(name)
-            if not curves:
+            trend_set = lookup_trend_set(
+                self._trend_sets,
+                self.trend_miner,
+                self.matrix,
+                name,
+                stage=stage_number,
+            )
+            if trend_set is None:
                 # No offline convergence information (e.g. reduced matrix):
                 # fall back to the current validation accuracy.
                 predictions[name] = validations[name]
                 continue
-            trend_set = self.trend_miner.mine(name, curves, stage=stage_number)
             predictions[name] = trend_set.predict(validations[name])
         return predictions
 

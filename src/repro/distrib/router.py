@@ -47,6 +47,7 @@ from repro.distrib.wire import JsonLinesConnection
 from repro.serving import SocketLineWriter, error_payload
 from repro.utils.exceptions import (
     BudgetExhaustedError,
+    InternalError,
     QueueFullError,
     RateLimitError,
     ReproError,
@@ -364,15 +365,35 @@ class RouterFrontEnd:
                 break
             try:
                 self._dispatch(link, payload)
-            except Exception:  # noqa: BLE001 — a relay must never die
+            except Exception as error:  # noqa: BLE001 — a relay must never die
                 with self._lock:
                     self._relay_errors += 1
                 logger.exception(
                     "relay from worker %r failed to dispatch wire id %r",
                     link.name, payload.get("id"),
                 )
+                self._fail_relayed(link.name, payload.get("id"), error)
         link.dead = True
         self._on_link_down(link)
+
+    def _fail_relayed(self, worker: str, wire_id, error: Exception) -> None:
+        """Give the client of an undeliverable event its terminal event.
+
+        The route closes with a structured ``internal`` failure, and the
+        session forgets the wire id, so the worker's later events for the
+        request (its result included) are dropped instead of following
+        the ``failed`` event — the client sees exactly one terminal event.
+        """
+        with self._lock:
+            route = self._routes.get((worker, wire_id))
+            if route is None:
+                return
+            if route.session is not None:
+                route.session.wire_to_client.pop((worker, wire_id), None)
+        self._fail_route(route, InternalError(
+            f"internal: relaying {wire_id!r} from worker {worker!r} "
+            f"failed: {error!r}"
+        ))
 
     def _dispatch(self, link: _WorkerLink, payload: Dict[str, object]) -> None:
         wire_id = payload.get("id")
@@ -954,7 +975,8 @@ class RouterFrontEnd:
         """Router-side counters: fleet, pending routes, admission, relay errors.
 
         ``relay_errors`` counts worker events whose dispatch raised; the
-        relay logs each one and keeps reading.
+        relay logs each one, fails the client's request with the
+        ``internal`` error code and keeps reading.
         """
         with self._lock:
             pending_by_worker: Dict[str, int] = {}

@@ -60,6 +60,7 @@ from repro.sched.pool import PooledSessionView, SessionPool
 from repro.utils.exceptions import (
     BudgetExhaustedError,
     ConfigurationError,
+    InternalError,
     QueueFullError,
     RequestTimeoutError,
     SchedulerError,
@@ -218,6 +219,7 @@ class EpochScheduler:
         self._thread: Optional[threading.Thread] = None
         self._completed = 0
         self._failed = 0
+        self._internal_errors = 0
         self._rounds = 0
         self._epochs_replayed = 0
         self._results_restored = 0
@@ -478,7 +480,7 @@ class EpochScheduler:
             with self._lock:
                 if not self._queue and not self._active:
                     return
-            self._round()
+            self._guarded_round()
 
     def start(self) -> None:
         """Run the scheduling loop on a daemon background thread."""
@@ -532,7 +534,28 @@ class EpochScheduler:
                     return
                 if self._closed and not self._queue and not self._active:
                     return
+            self._guarded_round()
+
+    def _guarded_round(self) -> None:
+        """Run one round; a raised exception fails every pending request.
+
+        Nothing tells which requests a failed round left half-advanced, so
+        the loop cannot trust any of them to progress: each queued and
+        active request fails with :class:`~repro.utils.exceptions
+        .InternalError` (a ``SchedulerError``), the exception is logged and
+        counted as ``internal_errors``, and the loop goes on serving new
+        submissions.
+        """
+        try:
             self._round()
+        except Exception as error:  # noqa: BLE001 — the loop must not die
+            logger.exception("scheduling round failed")
+            with self._lock:
+                self._internal_errors += 1
+                doomed = self._queue + self._active
+                self._queue, self._active = [], []
+            for request in doomed:
+                self._fail(request, InternalError(f"internal: {error!r}"))
 
     # ------------------------------------------------------------------ #
     # one scheduling round
@@ -548,10 +571,13 @@ class EpochScheduler:
             finished = [
                 request for request in self._active if request.plan and request.plan.done
             ]
-            for request in finished:
-                self._active.remove(request)
         for request in finished:
+            # Stays active until finished, so a raising _finish leaves it
+            # (and every later one) for the round guard to fail.
             self._finish(request)
+            with self._lock:
+                if request in self._active:
+                    self._active.remove(request)
 
     def _admit(self) -> None:
         """Move queued requests into the active set and run their recalls.
@@ -1162,9 +1188,10 @@ class EpochScheduler:
             return True
 
     def _finish(self, request: SelectionRequest) -> None:
+        result = request.plan.two_phase_result()
         if not self._make_terminal(request):
             return
-        request.result = request.plan.two_phase_result()
+        request.result = result
         self._journal_append(
             request,
             "result",
@@ -1307,6 +1334,7 @@ class EpochScheduler:
                 "active": len(self._active),
                 "completed": self._completed,
                 "failed": self._failed,
+                "internal_errors": self._internal_errors,
                 "rounds": self._rounds,
                 "arms_pruned": self._arms_pruned,
                 "session_pool": self._pool.stats(),

@@ -53,6 +53,7 @@ _ERROR_CODES = {
     "RequestTimeoutError": "timeout",
     "RateLimitError": "rate_limited",
     "WorkerLostError": "worker_lost",
+    "InternalError": "internal",
 }
 
 #: Seconds between progress sweeps of the emitter thread.

@@ -58,6 +58,16 @@ class RateLimitError(SchedulerError):
     """
 
 
+class InternalError(SchedulerError):
+    """Raised on a request when a bug, not the request, stopped it.
+
+    The scheduler's round guard and the router's relay fail the requests
+    an unexpected exception touched with this error (structured code
+    ``internal``) instead of leaving them to wait forever; the original
+    exception is logged where it was caught.
+    """
+
+
 class WorkerLostError(SchedulerError):
     """Raised when a routed request's worker died and could not be replaced.
 

@@ -4,11 +4,13 @@ import threading
 
 import pytest
 
+from repro.core.batch import build_phase_engines
 from repro.core.pipeline import OfflineArtifacts, TwoPhaseSelector
 from repro.sched import EpochScheduler, SchedulerConfig
 from repro.utils.exceptions import (
     BudgetExhaustedError,
     ConfigurationError,
+    InternalError,
     QueueFullError,
     RequestTimeoutError,
     SchedulerError,
@@ -188,6 +190,42 @@ class TestBackgroundThread:
         with pytest.raises(RequestTimeoutError, match="still running"):
             scheduler.result(request, timeout=0.01)
         scheduler.run_until_idle()
+
+    def test_raising_round_fails_pending_and_keeps_serving(
+        self, artifacts, serial_results, fine_tuner
+    ):
+        recall, policy = build_phase_engines(artifacts, fine_tuner)
+        real_filter = policy.filter_stage
+        calls = []
+
+        def filter_fails_once(*args, **kwargs):
+            calls.append(args[0])
+            if len(calls) == 1:
+                raise RuntimeError("filter exploded")
+            return real_filter(*args, **kwargs)
+
+        policy.filter_stage = filter_fails_once
+        scheduler = EpochScheduler.for_artifacts(
+            artifacts,
+            recall=recall,
+            fine_selection=policy,
+            config=SchedulerConfig(max_concurrent=4, epoch_budget=4, max_queue=8),
+        )
+        doomed = [scheduler.submit(target) for target in ("mnli", "boolq")]
+        scheduler.start()
+        try:
+            for request in doomed:
+                with pytest.raises(InternalError, match="filter exploded"):
+                    scheduler.result(request, timeout=5)
+                assert request.state == "failed"
+            later = scheduler.submit("mnli")
+            result = scheduler.result(later, timeout=120)
+            assert result.selection.stages == serial_results["mnli"].selection.stages
+            stats = scheduler.stats()
+            assert stats["internal_errors"] == 1
+            assert stats["failed"] == 2 and stats["completed"] == 1
+        finally:
+            scheduler.close()
 
     def test_close_without_drain_fails_pending(self, artifacts):
         scheduler = make_scheduler(artifacts)
