@@ -5,7 +5,7 @@ PY := PYTHONPATH=src python
 .PHONY: test test-fast test-fault test-distrib test-extrapolation test-all \
         ci ci-full \
         docs-check docs-api docs-api-check bench-parallel bench-incremental \
-        bench-similarity bench-ooc bench-smoke bench-concurrent \
+        bench-ooc bench-smoke bench-concurrent \
         bench-concurrent-smoke bench-resume bench-distrib \
         bench-distrib-smoke bench-cluster bench-cluster-smoke \
         bench-extrapolation bench-extrapolation-smoke bench-fused \
@@ -76,9 +76,6 @@ bench-parallel:
 bench-incremental:
 	$(PY) benchmarks/bench_incremental_update.py --json-out benchmarks/bench_incremental_update.json
 
-bench-similarity:
-	$(PY) benchmarks/bench_similarity_scaling.py
-
 # Out-of-core offline phase: full n=5000 budgeted build (minutes) and the
 # seconds-long smoke tier CI runs on every change.
 bench-ooc:
@@ -113,10 +110,10 @@ bench-distrib:
 bench-distrib-smoke:
 	$(PY) benchmarks/bench_distributed_serving.py --smoke
 
-# Sub-quadratic clustering + ANN recall: the full run gates >= 5x over the
-# quadratic scan at n=5000 (identical labels) and measures IVF recall@k;
-# the smoke tier runs the same label-equivalence and recall-floor gates at
-# tiny n on every change.
+# Sub-quadratic clustering: the full run gates >= 5x over the quadratic
+# scan at n=5000 (identical labels); the smoke tier runs the same
+# label-equivalence gate and a relaxed speedup gate at tiny n on every
+# change.
 bench-cluster:
 	$(PY) benchmarks/bench_cluster_scaling.py --json-out benchmarks/bench_cluster_scaling.json
 
@@ -145,11 +142,15 @@ bench-fused-smoke:
 
 # End-to-end answers checked against benchmarks/e2e/expected/: the Table
 # VI reproduction on both repositories guards the encoder's noise bits
-# (about 20 s), and serve-hot checks every select answered over the wire,
-# which guards the memoised Eq. 5/6 trend lookups (about 30 s).
+# (about 20 s), serve-hot checks every select answered over the wire,
+# which guards the memoised Eq. 5/6 trend lookups (about 30 s), and
+# zoo-scale checks that out-of-core builds label like in-RAM ones and that
+# 48 chained refreshes end on the from-scratch Eq. 1 similarity, which
+# guards the one Eq. 1 writer and its sinks (about 13 s).
 bench-e2e-smoke:
 	python3 benchmarks/e2e/run.py --workload paper-table6 --seed 1
 	python3 benchmarks/e2e/run.py --workload serve-hot --seed 1
+	python3 benchmarks/e2e/run.py --workload zoo-scale --seed 1
 
 examples:
 	$(PY) -m pytest tests/integration/test_examples.py -q

@@ -1,23 +1,20 @@
-"""Benchmark: sub-quadratic offline clustering (nnchain) + ANN recall.
+"""Benchmark: sub-quadratic offline clustering (nnchain).
 
-Demonstrates the PR-8 claim end-to-end: the nearest-neighbor-chain
-agglomeration engine (``repro.cluster.nnchain``) produces labels
-identical to the quadratic-scan oracle while cutting the ``n = 5000``
-clustering step from minutes to ~1 second, and the IVF index
-(``repro.ann``) answers nearest-model queries with measured recall@k
-against the exact scan (and is bitwise-exact when every list is probed).
+Demonstrates that the nearest-neighbor-chain agglomeration engine
+(``repro.cluster.nnchain``) produces labels identical to the
+quadratic-scan oracle while cutting the ``n = 5000`` clustering step from
+minutes to ~1 second.
 
 Three tiers:
 
 * full (default): the equivalence gate (scan vs nnchain, bitwise labels
-  at ``n = 600``), the timed ``n = 5000`` head-to-head with a hard
-  ``>= 5x`` speedup gate, and the ANN recall sweep at ``n = 5000``.
-  Expect a couple of minutes — the quadratic scan *is* the cost being
-  measured.
+  at ``n = 600``) and the timed ``n = 5000`` head-to-head with a hard
+  ``>= 5x`` speedup gate.  Expect a couple of minutes — the quadratic
+  scan *is* the cost being measured.
 * ``--smoke``: the same gates at tiny sizes (equivalence at ``n = 200``,
-  a relaxed ``>= 2x`` timing sanity check at ``n = 800``, ANN recall
-  floor + exactness at ``n = 400``), seconds in total — this is what
-  ``make bench-cluster-smoke`` runs in CI on every change.
+  a relaxed ``>= 2x`` timing sanity check at ``n = 800``), seconds in
+  total — this is what ``make bench-cluster-smoke`` runs in CI on every
+  change.
 * ``--xl``: additionally times an nnchain-only build at ``n = 20000``
   (the scan would take hours there; nnchain finishes in well under a
   minute).
@@ -26,9 +23,8 @@ Run with::
 
     PYTHONPATH=src python benchmarks/bench_cluster_scaling.py [--smoke|--xl]
 
-Exits non-zero if nnchain labels diverge from the scan oracle, the
-speedup gate fails, full-probe ANN search is not exactly the exact scan,
-or recall at the default probe count falls below the floor.  Records are
+Exits non-zero if nnchain labels diverge from the scan oracle or the
+speedup gate fails.  Records are
 written as JSON (``--json-out``, default
 ``benchmarks/bench_cluster_scaling.json``) for the CI artifact upload.
 """
@@ -43,7 +39,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.ann import IVFIndex, exact_search, recall_at_k
 from repro.cluster.distance import pairwise_distances
 from repro.cluster.hierarchical import AgglomerativeClustering
 from repro.cluster.nnchain import NNChainClustering
@@ -55,12 +50,6 @@ NUM_CLUSTERS = 25
 FULL_SPEEDUP_GATE = 5.0
 #: Smoke-tier sanity gate at small n, where constant factors dominate.
 SMOKE_SPEEDUP_GATE = 2.0
-#: Recall floor at the default probe count (nlist // 4).  Measured
-#: recall on Gaussian model vectors is >= 0.9; the floor is deliberately
-#: loose so CI does not flake on k-means initialization.
-RECALL_FLOOR = 0.5
-RECALL_K = 10
-NUM_RECALL_QUERIES = 50
 
 
 def _distances(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -128,65 +117,12 @@ def run_xl_build(n: int) -> dict:
     }
 
 
-def run_ann_recall(n: int) -> dict:
-    """IVF recall@k vs the exact scan, plus the full-probe exactness gate."""
-    rng = np.random.default_rng(3)
-    vectors = rng.normal(size=(n, NUM_DATASETS))
-    queries = vectors[:NUM_RECALL_QUERIES] + 0.1 * rng.normal(
-        size=(min(NUM_RECALL_QUERIES, n), NUM_DATASETS)
-    )
-    started = time.perf_counter()
-    index = IVFIndex(vectors, seed=0)
-    build_seconds = time.perf_counter() - started
-
-    exact_exactness = True
-    started = time.perf_counter()
-    for query in queries:
-        ids, distances = index.search(query, RECALL_K, nprobe=index.nlist)
-        exact_ids, exact_d = exact_search(vectors, query, RECALL_K)
-        exact_exactness &= bool(np.array_equal(ids, exact_ids))
-        exact_exactness &= bool(np.array_equal(distances, exact_d))
-    full_probe_seconds = time.perf_counter() - started
-
-    sweep = {}
-    for nprobe in sorted({1, max(1, index.nlist // 8), index.nprobe, index.nlist}):
-        started = time.perf_counter()
-        value = recall_at_k(index, queries, RECALL_K, nprobe=nprobe)
-        elapsed = time.perf_counter() - started
-        sweep[str(nprobe)] = {
-            "recall": value,
-            "seconds_per_query": elapsed / len(queries),
-        }
-
-    started = time.perf_counter()
-    for query in queries:
-        exact_search(vectors, query, RECALL_K)
-    exact_seconds = time.perf_counter() - started
-
-    default_recall = sweep[str(index.nprobe)]["recall"]
-    return {
-        "n": n,
-        "d": NUM_DATASETS,
-        "k": RECALL_K,
-        "nlist": index.nlist,
-        "default_nprobe": index.nprobe,
-        "build_seconds": build_seconds,
-        "recall_by_nprobe": sweep,
-        "exact_seconds_per_query": exact_seconds / len(queries),
-        "full_probe_seconds_per_query": full_probe_seconds / len(queries),
-        "default_recall": default_recall,
-        "recall_floor": RECALL_FLOOR,
-        "full_probe_exact": exact_exactness,
-        "gate_passed": exact_exactness and default_recall >= RECALL_FLOOR,
-    }
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="tiny sizes, equivalence + recall gates only (the CI tier)",
+        help="tiny sizes, equivalence + relaxed speedup gates (the CI tier)",
     )
     parser.add_argument(
         "--xl",
@@ -206,16 +142,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.smoke:
-        equivalence_n, timed_n, ann_n, gate = 200, 800, 400, SMOKE_SPEEDUP_GATE
+        equivalence_n, timed_n, gate = 200, 800, SMOKE_SPEEDUP_GATE
     else:
-        equivalence_n, timed_n, ann_n, gate = 600, args.n, args.n, FULL_SPEEDUP_GATE
+        equivalence_n, timed_n, gate = 600, args.n, FULL_SPEEDUP_GATE
 
-    print(f"[1/3] equivalence: scan vs nnchain labels at n={equivalence_n} ...")
+    print(f"[1/2] equivalence: scan vs nnchain labels at n={equivalence_n} ...")
     equivalence = run_equivalence(equivalence_n)
     for name, passed in equivalence["checks"].items():
         print(f"      {name:<12} {'ok' if passed else 'MISMATCH'}")
 
-    print(f"[2/3] timed head-to-head at n={timed_n} (gate >= {gate:.0f}x) ...")
+    print(f"[2/2] timed head-to-head at n={timed_n} (gate >= {gate:.0f}x) ...")
     speedup = run_speedup(timed_n, gate=gate)
     print(
         f"      scan {speedup['scan_seconds']:.2f}s, "
@@ -224,19 +160,7 @@ def main(argv=None) -> int:
         f"(labels {'identical' if speedup['labels_identical'] else 'DIVERGED'})"
     )
 
-    print(f"[3/3] ANN recall@{RECALL_K} at n={ann_n} ...")
-    ann = run_ann_recall(ann_n)
-    for nprobe, record in ann["recall_by_nprobe"].items():
-        print(
-            f"      nprobe={nprobe:<4} recall {record['recall']:.3f}  "
-            f"{record['seconds_per_query'] * 1e3:.2f} ms/query"
-        )
-    print(
-        f"      exact scan {ann['exact_seconds_per_query'] * 1e3:.2f} ms/query; "
-        f"full probing {'bitwise-exact' if ann['full_probe_exact'] else 'DIVERGED'}"
-    )
-
-    payload = {"equivalence": equivalence, "speedup": speedup, "ann": ann}
+    payload = {"equivalence": equivalence, "speedup": speedup}
     if args.xl:
         print(f"[xl ] nnchain-only build at n={args.xl_n} ...")
         xl = run_xl_build(args.xl_n)
@@ -262,15 +186,6 @@ def main(argv=None) -> int:
         print(
             f"FAIL: speedup {speedup['speedup']:.1f}x below the "
             f"{gate:.0f}x gate"
-        )
-        failed = True
-    if not ann["full_probe_exact"]:
-        print("FAIL: full-probe ANN search diverged from the exact scan")
-        failed = True
-    if ann["default_recall"] < RECALL_FLOOR:
-        print(
-            f"FAIL: recall@{RECALL_K} {ann['default_recall']:.3f} below the "
-            f"{RECALL_FLOOR} floor at the default probe count"
         )
         failed = True
     return 1 if failed else 0

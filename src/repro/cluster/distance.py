@@ -1,28 +1,33 @@
 """Distance helpers shared by the clustering algorithms.
 
-:func:`distance_matrix_for` is the cache-aware entry point used by the
-model clusterer: it derives the ``d = 1 - s`` distance matrix from the
-(vectorized, memoised) Eq. 1 similarity of a performance matrix, and
-memoises the converted distances under their own key so downstream
-consumers skip even the conversion on repeat runs.
+The Eq. 1 similarity of a performance matrix becomes a clustering distance
+``d = 1 - s`` through one key derivation and one tile conversion, written
+into one of two sinks (:mod:`repro.store.sink`):
+:func:`distance_matrix_for` returns a dense array memoised under its own
+cache key, so downstream consumers skip even the conversion on repeat
+runs; :func:`distance_memmap_for` reads row blocks of a (memmapped)
+similarity on demand and publishes the distance in the :mod:`repro.store`
+matrix store, so the clustering layer never holds a dense ``(n, n)``
+matrix in RAM.  :func:`similarity_to_distance` remains the symmetrising
+conversion for text-baseline and custom similarities.
 
-For out-of-core repositories the same conversion runs tile-by-tile:
-:func:`distance_memmap_for` reads row blocks of a (memmapped) similarity
-matrix on demand and writes the distance tiles into the
-:mod:`repro.store` matrix store, so the clustering layer never holds a
-dense ``(n, n)`` matrix in RAM.  :func:`check_distance_matrix` and
+:func:`offline_matrices` is the one place the offline phase decides
+whether to spill: model clustering and the incremental zoo refresh each
+make one call to it.  :func:`check_distance_matrix` and
 :func:`upper_triangle_values` stream memmapped inputs block-wise for the
-same reason.
+same memory reason.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional
+from pathlib import Path
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.cache import CacheLike, distance_key, resolve_cache, similarity_key
-from repro.store import StoreLike, iter_row_blocks, resolve_store
+from repro.store import MatrixStore, StoreLike, iter_row_blocks, resolve_store
+from repro.store.sink import ArraySink, StoreSink
 from repro.utils.exceptions import DataError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -80,6 +85,46 @@ def similarity_to_distance(similarity: np.ndarray) -> np.ndarray:
     return (distance + distance.T) / 2.0
 
 
+def _distance_tile(similarity_rows: np.ndarray, start: int) -> np.ndarray:
+    """``1 - s`` of the Eq. 1 rows starting at row ``start``: clip, zero diagonal.
+
+    The only tile conversion of the canonical Eq. 1 similarity.  Eq. 1 is
+    exactly symmetric (``s[i, j] == s[j, i]`` bitwise), so the dense
+    path's symmetrisation ``(d + d.T) / 2`` would be the identity: tiles
+    converted here are bitwise-identical to :func:`similarity_to_distance`
+    of the whole matrix, which the property suite enforces.
+    """
+    tile = 1.0 - np.asarray(similarity_rows)
+    np.clip(tile, 0.0, None, out=tile)
+    local = np.arange(tile.shape[0])
+    tile[local, local + start] = 0.0
+    return tile
+
+
+def _eq1_distance(matrix, top_k: int, sink, similarity_of) -> np.ndarray:
+    """Canonical Eq. 1 distance of ``matrix`` written into ``sink``.
+
+    Owns the one key derivation (the distance key of the similarity key)
+    and the streamed conversion; ``similarity_of()`` supplies the
+    similarity only on a sink miss.
+    """
+    n = len(matrix.model_names)
+    key = None
+    if sink.keyed:
+        key = distance_key(similarity_key(matrix, method="performance", top_k=top_k))
+    hit = sink.lookup(key, n)
+    if hit is not None:
+        return hit
+    similarity = similarity_of()
+    block_rows = max(1, sink.budget_bytes // max(1, n * 8 * 2))
+
+    def fill(out: np.ndarray) -> None:
+        for start, stop in iter_row_blocks(n, block_rows):
+            out[start:stop] = _distance_tile(similarity[start:stop], start)
+
+    return sink.write(key, n, fill)
+
+
 def distance_matrix_for(
     matrix: "PerformanceMatrix",
     *,
@@ -92,39 +137,36 @@ def distance_matrix_for(
     """Cache-aware model-distance matrix of a performance matrix.
 
     Computes (or fetches) the Eq. 1 / text-baseline similarity via
-    :func:`repro.core.similarity.similarity_matrix_for` and converts it with
-    :func:`similarity_to_distance`.  The converted distance matrix is
-    memoised under a key derived from the similarity key, so a second call
-    for the same inputs touches neither the similarity nor the conversion.
+    :func:`repro.core.similarity.similarity_matrix_for` and converts it to
+    ``d = 1 - s``.  The Eq. 1 distance is memoised under a key derived from
+    the similarity key, so a second call for the same inputs touches
+    neither the similarity nor the conversion; the text baseline goes
+    through :func:`similarity_to_distance` uncached.
 
     Parameters
     ----------
     similarity:
         Optional precomputed similarity matrix aligned with
-        ``matrix.model_names``; when given, only the ``1 - s`` conversion
-        runs and nothing is read from or written to the cache — the
-        conversion is cheaper than hashing the array for a key, and a
-        custom similarity must never populate (or be shadowed by) the
-        canonical Eq. 1 entry.
+        ``matrix.model_names``; when given, only
+        :func:`similarity_to_distance` runs and nothing is read from or
+        written to the cache — the conversion is cheaper than hashing the
+        array for a key, and a custom similarity must never populate (or
+        be shadowed by) the canonical Eq. 1 entry.
     """
-    from repro.core.similarity import similarity_matrix_for
+    from repro.core.similarity import DEFAULT_CHUNK_BUDGET_BYTES, similarity_matrix_for
 
     if similarity is not None:
         return similarity_to_distance(similarity)
-    store = resolve_cache(cache)
-    key = None
-    if store is not None and method == "performance":
-        key = distance_key(similarity_key(matrix, method=method, top_k=top_k))
-        cached = store.get(key)
-        if cached is not None:
-            return cached
-    similarity = similarity_matrix_for(
-        matrix, method=method, top_k=top_k, model_cards=model_cards, cache=cache
-    )
-    distance = similarity_to_distance(similarity)
-    if store is not None and key is not None:
-        store.put(key, distance)
-    return distance
+
+    def similarity_of() -> np.ndarray:
+        return similarity_matrix_for(
+            matrix, method=method, top_k=top_k, model_cards=model_cards, cache=cache
+        )
+
+    if method != "performance":
+        return similarity_to_distance(similarity_of())
+    sink = ArraySink(resolve_cache(cache), budget_bytes=DEFAULT_CHUNK_BUDGET_BYTES)
+    return _eq1_distance(matrix, top_k, sink, similarity_of)
 
 
 def check_distance_matrix(matrix: np.ndarray) -> np.ndarray:
@@ -215,36 +257,114 @@ def distance_memmap_for(
     the published read-only memmap.
 
     Requires the exact symmetry the Eq. 1 matrix guarantees by
-    construction (``s[i, j] == s[j, i]`` bitwise): under it the dense
-    path's symmetrisation ``(d + d.T) / 2`` is the identity, so the tile
+    construction (``s[i, j] == s[j, i]`` bitwise): under it the tile
     conversion — clip to ``[0, inf)``, zero diagonal — produces a result
-    bitwise-identical to
-    ``similarity_to_distance(similarity)``.  The property suite enforces
-    this equivalence.
+    bitwise-identical to ``similarity_to_distance(similarity)``.
     """
     from repro.core.config import SimilarityConfig
 
     config = config or SimilarityConfig()
-    matrix_store = resolve_store(store if store is not None else config.store_dir)
-    key = distance_key(similarity_key(matrix, method="performance", top_k=top_k))
-    n = similarity.shape[0]
-    if similarity.ndim != 2 or similarity.shape != (n, n):
+    n = len(matrix.model_names)
+    if similarity.shape != (n, n):
         raise DataError(
-            f"similarity must be a square matrix, got shape {similarity.shape}"
+            f"similarity shape {similarity.shape} does not match the {n} "
+            "models of matrix"
         )
-    existing = matrix_store.open(key)
-    if existing is not None and existing.shape == (n, n):
-        return existing
-    writer = matrix_store.create(key, (n, n))
+    sink = StoreSink(
+        resolve_store(store if store is not None else config.store_dir),
+        budget_bytes=config.max_bytes_in_flight,
+    )
+    return _eq1_distance(matrix, top_k, sink, lambda: similarity)
+
+
+def _is_canonical_spill(
+    similarity: np.ndarray,
+    matrix: "PerformanceMatrix",
+    top_k: int,
+    config: "SimilarityConfig",
+) -> bool:
+    """Whether ``similarity`` is the store's canonical Eq. 1 entry of ``matrix``."""
+    if not isinstance(similarity, np.memmap):
+        return False
+    canonical = resolve_store(config.store_dir).path_for(
+        similarity_key(matrix, method="performance", top_k=top_k)
+    )
+    filename = getattr(similarity, "filename", None)
     try:
-        out = writer.array
-        block_rows = max(1, config.max_bytes_in_flight // max(1, n * 8 * 2))
-        for start, stop in iter_row_blocks(n, block_rows):
-            tile = 1.0 - np.asarray(similarity[start:stop])
-            np.clip(tile, 0.0, None, out=tile)
-            tile[np.arange(stop - start), np.arange(start, stop)] = 0.0
-            out[start:stop] = tile
-        return writer.commit()
-    except BaseException:
-        writer.abort()
-        raise
+        return filename is not None and Path(filename).resolve() == canonical.resolve()
+    except OSError:  # pragma: no cover - unresolvable paths
+        return False
+
+
+def offline_matrices(
+    matrix: "PerformanceMatrix",
+    *,
+    method: str = "performance",
+    top_k: int = 5,
+    model_cards: Optional[Dict[str, str]] = None,
+    cache: CacheLike = None,
+    config: Optional["SimilarityConfig"] = None,
+    previous: Optional[Tuple["PerformanceMatrix", np.ndarray]] = None,
+    similarity: Optional[np.ndarray] = None,
+    distance: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray, Optional[MatrixStore]]:
+    """Similarity and distance of ``matrix`` for clustering, in RAM or spilled.
+
+    The one place the offline phase decides whether to go out-of-core:
+    with a ``config`` whose :meth:`~repro.core.config.SimilarityConfig.should_spill`
+    holds for an Eq. 1 repository, both matrices are memory-mapped files in
+    the matrix store; otherwise they are dense arrays (and the Eq. 1
+    distance is memoised when ``cache`` is enabled).  ``previous``
+    (``(old_matrix, old_similarity)``) turns the similarity into an
+    incremental update.  A given ``similarity`` (and optionally its
+    ``distance``) is used as is; its distance stays out-of-core only when
+    it is the store's canonical Eq. 1 entry, so a *custom* similarity can
+    never populate the canonical distance key.
+
+    Returns ``(similarity, distance, work_store)``: ``work_store`` is the
+    store a spilled distance's clustering scratch belongs in, else ``None``.
+    """
+    from repro.core import similarity as eq1
+
+    if similarity is not None:
+        if distance is None:
+            if config is not None and _is_canonical_spill(similarity, matrix, top_k, config):
+                # Keep a memmapped similarity out-of-core end to end: the
+                # dense conversion would allocate the 8 n^2 bytes the spill
+                # exists to avoid.
+                distance = distance_memmap_for(matrix, similarity, top_k=top_k, config=config)
+            else:
+                distance = similarity_to_distance(similarity)
+    elif (
+        config is not None
+        and method == "performance"
+        and config.should_spill(len(matrix.model_names))
+    ):
+        if previous is not None:
+            similarity = eq1.update_similarity_matrix_ooc(
+                *previous, matrix, top_k=top_k, config=config, cache=cache
+            )
+        else:
+            similarity = eq1.performance_similarity_matrix_ooc(
+                matrix, top_k=top_k, config=config, cache=cache
+            )
+        distance = distance_memmap_for(matrix, similarity, top_k=top_k, config=config)
+    else:
+        if previous is not None:
+            similarity = eq1.update_similarity_matrix(*previous, matrix, top_k=top_k, cache=cache)
+        else:
+            similarity = eq1.similarity_matrix_for(
+                matrix, method=method, top_k=top_k, model_cards=model_cards, cache=cache
+            )
+        if resolve_cache(cache) is not None:
+            # Memoised conversion: a repeat resolves with one lookup, and a
+            # refreshed epoch's distance is warm under its canonical key.
+            distance = distance_matrix_for(
+                matrix, method=method, top_k=top_k, model_cards=model_cards, cache=cache
+            )
+        else:
+            distance = similarity_to_distance(similarity)
+    work_store = None
+    if config is not None and isinstance(distance, np.memmap):
+        work_store = resolve_store(config.store_dir)
+    return similarity, distance, work_store

@@ -9,12 +9,7 @@ instead *patches* an existing :class:`~repro.core.model_clustering.ModelClusteri
 * **additions** are placed into the nearest existing cluster by average
   linkage distance — the exact join criterion the offline hierarchical run
   used — or become new singleton clusters when no cluster is within the
-  recorded merge threshold.  With
-  :attr:`~repro.core.config.ClusteringConfig.ann_placement` set, only the
-  clusters containing the addition's approximate nearest neighbors in
-  performance space (IVF index, :mod:`repro.ann`) are considered — the
-  per-cluster linkage values stay exact, only the candidate set is pruned;
-  the default ``None`` keeps the exact all-clusters scan.
+  recorded merge threshold.
 
 The incremental guarantees — enforced by the property suite
 (``tests/property/test_property_incremental.py``) — are *structural*,
@@ -206,23 +201,6 @@ def update_clustering(
     for cluster_id in {old_label_of[name] for name in removed}:
         touched.add(int(cluster_id))
 
-    # Optional ANN shortlist over performance vectors: candidate clusters
-    # are those containing the addition's nearest neighbors; built over the
-    # survivors and extended as each addition is placed, so sequential
-    # placement semantics (siblings can share a new cluster) are kept.
-    ann_index = None
-    ann_rows: List[int] = []
-    if config.ann_placement is not None and added:
-        survivors = np.flatnonzero(labels != -1)
-        if survivors.size:
-            from repro.ann import IVFIndex
-
-            vectors = np.stack(
-                [new_matrix.model_vector(new_names[int(i)]) for i in survivors]
-            )
-            ann_index = IVFIndex(vectors, seed=seed)
-            ann_rows = [int(i) for i in survivors]
-
     # Place additions sequentially so siblings added together can share a
     # new cluster instead of each starting its own singleton.
     for index, name in enumerate(new_names):
@@ -230,34 +208,17 @@ def update_clustering(
             continue
         placed = np.flatnonzero(labels != -1)
         if placed.size:
-            candidates = placed
-            if ann_index is not None and len(ann_rows) > config.ann_placement:
-                ids, _ = ann_index.search(
-                    new_matrix.model_vector(name), config.ann_placement
-                )
-                neighbor_labels = np.unique(
-                    labels[[ann_rows[i] for i in ids.tolist()]]
-                )
-                candidates = placed[np.isin(labels[placed], neighbor_labels)]
-            # Linkage means run over each candidate cluster's *full*
-            # membership — only which clusters are compared is pruned.
             linkage = _average_linkage_to_clusters(
-                distance[index, candidates], labels[candidates]
+                distance[index, placed], labels[placed]
             )
             best = min(linkage, key=lambda cid: (linkage[cid], cid))
             if linkage[best] <= threshold:
                 labels[index] = best
                 touched.add(int(best))
-                if ann_index is not None:
-                    ann_index.add(new_matrix.model_vector(name))
-                    ann_rows.append(index)
                 continue
         labels[index] = next_label
         touched.add(int(next_label))
         next_label += 1
-        if ann_index is not None:
-            ann_index.add(new_matrix.model_vector(name))
-            ann_rows.append(index)
 
     assignment = ClusterAssignment.from_labels(new_names, labels)
     # Map the raw labels used above onto the re-indexed contiguous ids.

@@ -14,9 +14,8 @@ gathered members: numpy reduces a 2-D array along an axis in sequential
 order (vectorizing across the other axis) while a 1-D sum uses pairwise
 summation, so a fully 2-D reduction would change the low-order bits — and
 silhouette values feed the golden experiment snapshots.  The result is
-bitwise-identical to :func:`_silhouette_samples_loop`, the original
-per-row loop kept as the oracle (asserted in
-``tests/cluster/test_silhouette.py``), while dropping the
+bitwise-identical to the original per-row loop, which the test suite keeps
+as its oracle (``tests/oracles.py``), while dropping the
 ``O(n · clusters)`` mask rebuilds the loop performed for every row.
 """
 
@@ -83,32 +82,6 @@ def silhouette_samples(distance_matrix: np.ndarray, labels: np.ndarray) -> np.nd
         values[start:stop][computable] = (
             inter[computable] - intra[computable]
         ) / denominator[computable]
-    return values
-
-
-def _silhouette_samples_loop(
-    distance_matrix: np.ndarray, labels: np.ndarray
-) -> np.ndarray:
-    """Reference per-row loop; the oracle the streaming path must match."""
-    distances, labels, unique = _check_inputs(distance_matrix, labels)
-    n = distances.shape[0]
-    values = np.zeros(n)
-    for i in range(n):
-        own = labels[i]
-        own_mask = labels == own
-        own_size = int(own_mask.sum())
-        if own_size <= 1:
-            values[i] = 0.0
-            continue
-        intra = distances[i, own_mask].sum() / (own_size - 1)
-        inter = np.inf
-        for other in unique:
-            if other == own:
-                continue
-            other_mask = labels == other
-            inter = min(inter, float(distances[i, other_mask].mean()))
-        denominator = max(intra, inter)
-        values[i] = 0.0 if denominator == 0 else (inter - intra) / denominator
     return values
 
 

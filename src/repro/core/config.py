@@ -127,14 +127,6 @@ class ClusteringConfig:
         :func:`repro.cluster.incremental.update_clustering` triggers a full
         re-cluster.  ``0.0`` re-clusters on every zoo change; ``1.0``
         effectively never does.  See ``docs/zoo-updates.md``.
-    ann_placement:
-        Opt-in ANN shortlist for incremental placement: when set, a model
-        added by :func:`repro.cluster.incremental.update_clustering` is
-        compared only against the clusters containing its
-        ``ann_placement`` approximate nearest neighbors (IVF index over
-        performance distances, :mod:`repro.ann`) instead of every
-        cluster.  ``None`` (default) keeps the exact full scan —
-        bitwise-identical to all previous releases.
     """
 
     method: str = "hierarchical"
@@ -146,7 +138,6 @@ class ClusteringConfig:
     linkage: str = "average"
     staleness_threshold: float = 0.25
     algorithm: str = "nnchain"
-    ann_placement: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.method not in ("hierarchical", "kmeans"):
@@ -155,8 +146,6 @@ class ClusteringConfig:
             raise ConfigurationError(
                 f"unknown clustering algorithm {self.algorithm!r}"
             )
-        if self.ann_placement is not None and self.ann_placement < 1:
-            raise ConfigurationError("ann_placement must be >= 1 when given")
         if self.similarity not in ("performance", "text"):
             raise ConfigurationError(f"unknown similarity {self.similarity!r}")
         if self.top_k < 1:
@@ -190,14 +179,6 @@ class RecallConfig:
         enabled, subsampling inside the scorer is seeded from the cache key
         so cached and fresh scores are interchangeable; see
         :class:`repro.metrics.registry.CachedScorer`.
-    ann_shortlist:
-        Opt-in ANN shortlist for non-representative scoring: when set, the
-        Eq. 4 propagated score of a clustered non-representative model is
-        computed over only its ``ann_shortlist`` most similar
-        representatives (IVF index over performance similarity,
-        :mod:`repro.ann`) instead of all representatives.  ``None``
-        (default) keeps the exact all-representatives sum —
-        bitwise-identical to all previous releases.
     """
 
     proxy_score: str = "leep"
@@ -205,13 +186,10 @@ class RecallConfig:
     max_proxy_samples: Optional[int] = 256
     proxy_epoch_cost: float = 0.5
     cache_proxy_scores: bool = False
-    ann_shortlist: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.top_k < 1:
             raise ConfigurationError("top_k must be >= 1")
-        if self.ann_shortlist is not None and self.ann_shortlist < 1:
-            raise ConfigurationError("ann_shortlist must be >= 1 when given")
         if self.max_proxy_samples is not None and self.max_proxy_samples < 1:
             raise ConfigurationError("max_proxy_samples must be >= 1 when given")
         if self.proxy_epoch_cost < 0:

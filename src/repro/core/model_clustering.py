@@ -14,25 +14,15 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.cache import CacheLike, resolve_cache
+from repro.cache import CacheLike
 from repro.cluster.assignments import ClusterAssignment
-from repro.cluster.distance import (
-    distance_matrix_for,
-    distance_memmap_for,
-    similarity_to_distance,
-    upper_triangle_values,
-)
+from repro.cluster.distance import offline_matrices, upper_triangle_values
 from repro.cluster.hierarchical import AgglomerativeClustering
 from repro.cluster.kmeans import KMeans
 from repro.cluster.nnchain import NNChainClustering
 from repro.cluster.silhouette import silhouette_score
 from repro.core.config import ClusteringConfig, SimilarityConfig
 from repro.core.performance import PerformanceMatrix
-from repro.core.similarity import (
-    performance_similarity_matrix_ooc,
-    similarity_matrix_for,
-)
-from repro.store import resolve_store
 from repro.utils.exceptions import DataError, SelectionError
 
 #: Silhouette diagnostics are skipped past this repository size: the score
@@ -163,70 +153,16 @@ class ModelClusterer:
         """
         if len(matrix.model_names) < 2:
             raise SelectionError("model clustering requires at least two models")
-        work_store = None
-        spilled = False
-        if similarity is not None:
-            spilled = isinstance(similarity, np.memmap)
-            if distance is None:
-                if (
-                    spilled
-                    and similarity_config is not None
-                    and self._is_canonical_spill(similarity, matrix, similarity_config)
-                ):
-                    # Keep a memmapped similarity out-of-core end to end:
-                    # the dense 1 - s conversion would allocate the full
-                    # 8 n^2 bytes the spill exists to avoid.  Guarded to
-                    # the canonical store entry so a *custom* similarity
-                    # can never populate the canonical distance key.
-                    distance = distance_memmap_for(
-                        matrix,
-                        similarity,
-                        top_k=self.config.top_k,
-                        config=similarity_config,
-                    )
-                else:
-                    distance = similarity_to_distance(similarity)
-            if similarity_config is not None and isinstance(distance, np.memmap):
-                work_store = resolve_store(similarity_config.store_dir)
-        elif (
-            similarity_config is not None
-            and self.config.similarity == "performance"
-            and similarity_config.should_spill(len(matrix.model_names))
-        ):
-            similarity = performance_similarity_matrix_ooc(
-                matrix,
-                top_k=self.config.top_k,
-                config=similarity_config,
-                cache=cache,
-            )
-            distance = distance_memmap_for(
-                matrix,
-                similarity,
-                top_k=self.config.top_k,
-                config=similarity_config,
-            )
-            work_store = resolve_store(similarity_config.store_dir)
-            spilled = True
-        else:
-            similarity = similarity_matrix_for(
-                matrix,
-                method=self.config.similarity,
-                top_k=self.config.top_k,
-                model_cards=model_cards,
-                cache=cache,
-            )
-            if resolve_cache(cache) is not None:
-                # Cache-backed path: the conversion is memoised under its own
-                # key, so a repeat clustering resolves with one lookup.
-                distance = distance_matrix_for(
-                    matrix,
-                    method=self.config.similarity,
-                    top_k=self.config.top_k,
-                    model_cards=model_cards,
-                    cache=cache,
-                )
-            else:
-                distance = similarity_to_distance(similarity)
+        similarity, distance, work_store = offline_matrices(
+            matrix,
+            method=self.config.similarity,
+            top_k=self.config.top_k,
+            model_cards=model_cards,
+            cache=cache,
+            config=similarity_config,
+            similarity=similarity,
+            distance=distance,
+        )
         labels, threshold = self._run_algorithm(distance, work_store=work_store)
         assignment = ClusterAssignment.from_labels(matrix.model_names, labels)
         representatives = self._elect_representatives(assignment, matrix)
@@ -234,7 +170,7 @@ class ModelClusterer:
         score = self._safe_silhouette(distance, assignment.labels, extras=extras)
         if threshold is not None:
             extras["distance_threshold"] = float(threshold)
-        if spilled:
+        if isinstance(similarity, np.memmap):
             extras["ooc"] = 1.0
         return ModelClustering(
             assignment=assignment,
@@ -244,27 +180,6 @@ class ModelClusterer:
             silhouette=score,
             extras=extras,
         )
-
-    def _is_canonical_spill(
-        self,
-        similarity: np.memmap,
-        matrix: PerformanceMatrix,
-        similarity_config: SimilarityConfig,
-    ) -> bool:
-        """Whether ``similarity`` is the store's canonical Eq. 1 entry."""
-        from pathlib import Path
-
-        from repro.cache import similarity_key
-
-        store = resolve_store(similarity_config.store_dir)
-        canonical = store.path_for(
-            similarity_key(matrix, method="performance", top_k=self.config.top_k)
-        )
-        filename = getattr(similarity, "filename", None)
-        try:
-            return filename is not None and Path(filename).resolve() == canonical.resolve()
-        except OSError:  # pragma: no cover - unresolvable paths
-            return False
 
     # ------------------------------------------------------------------ #
     def _run_algorithm(self, distance: np.ndarray, *, work_store=None):

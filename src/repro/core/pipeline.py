@@ -26,14 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
-from repro.cache import (
-    CacheLike,
-    distance_key,
-    fingerprint_matrix,
-    resolve_cache,
-    similarity_key,
-)
-from repro.cluster.distance import distance_memmap_for, similarity_to_distance
+from repro.cache import CacheLike, fingerprint_matrix, resolve_cache
+from repro.cluster.distance import offline_matrices
 from repro.cluster.incremental import update_clustering
 from repro.core.batch import (
     BatchedSelectionRunner,
@@ -49,10 +43,6 @@ from repro.core.performance import (
     update_performance_matrix,
 )
 from repro.core.results import TwoPhaseResult
-from repro.core.similarity import (
-    update_similarity_matrix,
-    update_similarity_matrix_ooc,
-)
 from repro.data.tasks import ClassificationTask
 from repro.data.workloads import WorkloadSuite
 from repro.utils.exceptions import ConfigurationError
@@ -232,37 +222,16 @@ class OfflineArtifacts:
         clustering_config = self.config.clustering
         similarity_config = getattr(self.config, "similarity", None)
         if clustering_config.similarity == "performance":
-            spill = similarity_config is not None and similarity_config.should_spill(
-                len(new_hub.model_names)
+            # Surviving tiles are copied and added rows computed under the
+            # new epoch's canonical keys, in RAM or out-of-core as the
+            # similarity config decides — bitwise-equal to a cold rebuild.
+            new_similarity, new_distance, _ = offline_matrices(
+                new_matrix,
+                top_k=clustering_config.top_k,
+                cache=cache,
+                config=similarity_config,
+                previous=(self.matrix, self.clustering.similarity),
             )
-            if spill:
-                # Out-of-core refresh: surviving tiles are copied and added
-                # rows computed straight into the memory-mapped store under
-                # the new epoch's canonical keys — still bitwise-equal to
-                # the from-scratch oracle.
-                new_similarity = update_similarity_matrix_ooc(
-                    self.matrix,
-                    self.clustering.similarity,
-                    new_matrix,
-                    top_k=clustering_config.top_k,
-                    config=similarity_config,
-                    cache=cache,
-                )
-                new_distance = distance_memmap_for(
-                    new_matrix,
-                    new_similarity,
-                    top_k=clustering_config.top_k,
-                    config=similarity_config,
-                )
-            else:
-                new_similarity = update_similarity_matrix(
-                    self.matrix,
-                    self.clustering.similarity,
-                    new_matrix,
-                    top_k=clustering_config.top_k,
-                    cache=cache,
-                )
-                new_distance = similarity_to_distance(new_similarity)
             update = update_clustering(
                 self.clustering,
                 new_matrix,
@@ -273,17 +242,6 @@ class OfflineArtifacts:
             )
             new_clustering = update.clustering
             reclustered, staleness = update.reclustered, update.staleness
-            store = resolve_cache(cache)
-            if store is not None and not spill:
-                # Warm the distance entry under its canonical key too, so a
-                # later cache-backed clustering of the new matrix resolves
-                # with lookups only.  (Spilled matrices already live in the
-                # matrix store under that key; copying them into the LRU
-                # would defeat the memory budget.)
-                sim_key = similarity_key(
-                    new_matrix, method="performance", top_k=clustering_config.top_k
-                )
-                store.put(distance_key(sim_key), new_distance)
         else:
             # The text baseline keys on model-card content, which changes
             # with the catalogue — no incremental path, rebuild the

@@ -21,20 +21,11 @@ order-independent by construction (subsampling is seeded from the proxy
 cache key, never from a shared stream — see
 :class:`repro.metrics.registry.CachedScorer`), so the serial, thread and
 process backends return identical :class:`RecallResult` records.
-
-At hub scale the Eq. 4 propagation itself becomes a full scan: every
-propagated model sums over *all* representatives.
-:attr:`~repro.core.config.RecallConfig.ann_shortlist` optionally restricts
-that sum to the model's nearest representatives in performance space (IVF
-index, :mod:`repro.ann`); the default ``None`` keeps the exact
-all-representatives sum bitwise-unchanged.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import Dict, Optional
 
 from repro.core.config import RecallConfig
 from repro.core.model_clustering import ModelClustering
@@ -83,8 +74,6 @@ class CoarseRecall:
         )
         self._rng = as_generator(rng)
         self._executor = get_executor(executor)
-        # Lazily built per representative set; (names tuple, index) pair.
-        self._ann_index: Optional[Tuple[Tuple[str, ...], object]] = None
 
     # ------------------------------------------------------------------ #
     def recall(self, task: ClassificationTask, *, top_k: Optional[int] = None) -> RecallResult:
@@ -174,36 +163,14 @@ class CoarseRecall:
         return recall_scores
 
     def _propagated_score(self, model_name: str, representative_items) -> float:
-        """Eq. 4: similarity-decayed average of the representatives' proxy scores.
-
-        With :attr:`RecallConfig.ann_shortlist` set, the average runs over
-        only the model's nearest representatives in performance space
-        (exact Eq. 1 similarities of an ANN-shortlisted subset); otherwise
-        — the default — over all representatives, exactly as Eq. 4 states.
-        """
+        """Eq. 4: similarity-decayed average of the representatives' proxy scores."""
         if not representative_items:
             return 0.0
-        items = self._shortlist_representatives(model_name, representative_items)
         total = 0.0
-        for representative, proxy in items:
+        for representative, proxy in representative_items:
             similarity = self.clustering.similarity_between(model_name, representative)
             total += similarity * proxy
-        return total / len(items)
-
-    def _shortlist_representatives(self, model_name: str, representative_items):
-        """The ``ann_shortlist`` nearest representatives, or all of them."""
-        m = self.config.ann_shortlist
-        if m is None or m >= len(representative_items):
-            return representative_items
-        names = tuple(name for name, _ in representative_items)
-        if self._ann_index is None or self._ann_index[0] != names:
-            from repro.ann import IVFIndex
-
-            vectors = np.stack([self.matrix.model_vector(name) for name in names])
-            self._ann_index = (names, IVFIndex(vectors, seed=0))
-        index = self._ann_index[1]
-        ids, _ = index.search(self.matrix.model_vector(model_name), m)
-        return [representative_items[i] for i in ids.tolist()]
+        return total / len(representative_items)
 
 
 class RandomRecall:

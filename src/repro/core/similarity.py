@@ -11,17 +11,20 @@ card and uses cosine similarity.
 
 :func:`performance_similarity_matrix` is the hot path of the offline phase
 and is fully vectorized: the pairwise ``|a_i - a_j|`` differences are
-broadcast into an ``(n, n, d)`` tensor and the top-``k`` selection uses
-:func:`numpy.partition` instead of a full sort.  For large repositories the
-computation falls back to row *chunks* that bound peak memory (see
-:func:`similarity_chunk_rows`).  Results are additionally memoised in the
-process-wide :mod:`repro.cache` keyed on the performance matrix's content
-fingerprint, so repeated experiment runs reuse the work.
+broadcast into ``(rows, n, d)`` slabs and the top-``k`` selection uses
+:func:`numpy.partition` instead of a full sort; the slab size bounds peak
+memory (see :func:`similarity_chunk_rows`).  Results are additionally
+memoised in the process-wide :mod:`repro.cache` keyed on the performance
+matrix's content fingerprint, so repeated experiment runs reuse the work.
 
-Past checkpoint-hub scale the dense ``(n, n)`` result itself stops fitting
-in RAM; :func:`performance_similarity_matrix_ooc` (and its incremental
-sibling :func:`update_similarity_matrix_ooc`) stream the same Eq. 1 tiles
-through the same kernel but write them to a memory-mapped file in the
+Four front doors — the full build, the incremental
+:func:`update_similarity_matrix` and their out-of-core ``_ooc`` twins —
+choose a *sink* and hand it to one private writer, which owns the key
+lookup, the degenerate shapes, the copy of surviving pairs, the added-row
+tiles, the mirrored columns and the unit diagonal.  A full build is an
+update with no survivors.  The dense sink returns an in-RAM array; past
+checkpoint-hub scale, where the ``(n, n)`` result stops fitting in RAM,
+the store sink writes the same tiles to a memory-mapped file in the
 :mod:`repro.store` matrix store — bitwise-identical output, peak memory
 bounded by :class:`~repro.core.config.SimilarityConfig.max_bytes_in_flight`.
 See ``docs/scaling.md``.
@@ -43,6 +46,7 @@ from repro.core.config import SimilarityConfig
 from repro.core.performance import PerformanceMatrix
 from repro.parallel.executor import get_executor
 from repro.store import StoreLike, iter_row_blocks, resolve_store
+from repro.store.sink import ArraySink, StoreSink
 from repro.text.embedding import TextEmbedder
 from repro.utils.exceptions import ConfigurationError, DataError
 
@@ -83,18 +87,6 @@ def performance_similarity(
 # --------------------------------------------------------------------------- #
 # Vectorized Eq. 1 matrix
 # --------------------------------------------------------------------------- #
-def _rows_per_block(
-    num_columns: int, num_datasets: int, *, budget_bytes: int = DEFAULT_CHUNK_BUDGET_BYTES
-) -> int:
-    """Rows per broadcast block so ``(rows, num_columns, d)`` fits the budget.
-
-    The single budget formula shared by the full matrix path and the
-    incremental row/column blocks of :func:`update_similarity_matrix`.
-    """
-    bytes_per_row = max(1, num_columns * num_datasets * 8)
-    return max(1, budget_bytes // bytes_per_row)
-
-
 def similarity_chunk_rows(
     num_models: int, num_datasets: int, *, budget_bytes: int = DEFAULT_CHUNK_BUDGET_BYTES
 ) -> int:
@@ -107,13 +99,8 @@ def similarity_chunk_rows(
     >>> similarity_chunk_rows(800, 40, budget_bytes=64 * 1024**2)
     262
     """
-    return max(
-        1,
-        min(
-            num_models,
-            _rows_per_block(num_models, num_datasets, budget_bytes=budget_bytes),
-        ),
-    )
+    bytes_per_row = max(1, num_models * num_datasets * 8)
+    return max(1, min(num_models, budget_bytes // bytes_per_row))
 
 
 def _similarity_into(
@@ -155,87 +142,6 @@ def _similarity_into(
         out[start:stop] = 1.0 - top.mean(axis=-1)
 
 
-def _similarity_blocks(vectors: np.ndarray, k: int, rows: int) -> np.ndarray:
-    """Eq. 1 similarity matrix computed in row blocks of size ``rows``."""
-    n = vectors.shape[0]
-    similarity = np.empty((n, n))
-    _similarity_into(similarity, vectors, vectors, k, rows)
-    return similarity
-
-
-def performance_similarity_matrix(
-    matrix: PerformanceMatrix,
-    *,
-    top_k: int = 5,
-    chunk_rows: Optional[int] = None,
-    cache: CacheLike = None,
-) -> np.ndarray:
-    """Pairwise Eq. 1 similarities of every model in ``matrix``.
-
-    Fully vectorized: broadcasts all pairwise accuracy differences into an
-    ``(n, n, d)`` tensor and selects the ``top_k`` largest per pair with a
-    linear-time partition.  When the tensor would exceed
-    :data:`DEFAULT_CHUNK_BUDGET_BYTES` the rows are processed in chunks,
-    bounding peak memory without changing any output value.
-
-    Results are memoised in the process-wide artifact cache under the
-    matrix's content fingerprint; pass ``cache=False`` to bypass caching or
-    an explicit :class:`~repro.cache.ArtifactCache` to use a private one.
-
-    Parameters
-    ----------
-    matrix:
-        Offline performance matrix (models x benchmark datasets).
-    top_k:
-        Number of largest per-dataset differences averaged (paper: k = 5).
-    chunk_rows:
-        Explicit rows-per-chunk override; ``None`` picks the largest chunk
-        that fits the default memory budget.
-    cache:
-        ``None``/``True`` for the process default cache, ``False`` to
-        disable, or a specific :class:`~repro.cache.ArtifactCache`.
-
-    >>> import numpy as np
-    >>> from repro.core.performance import PerformanceMatrix
-    >>> pm = PerformanceMatrix(
-    ...     dataset_names=["d0", "d1"],
-    ...     model_names=["a", "b"],
-    ...     values=np.array([[1.0, 0.5], [0.2, 0.2]]),
-    ... )
-    >>> performance_similarity_matrix(pm, top_k=1, cache=False)
-    array([[1. , 0.5],
-           [0.5, 1. ]])
-    """
-    if top_k < 1:
-        raise ConfigurationError("top_k must be >= 1")
-    store = resolve_cache(cache)
-    key = similarity_key(matrix, method="performance", top_k=top_k) if store else None
-    if store is not None:
-        cached = store.get(key)
-        if cached is not None:
-            return cached
-
-    vectors = np.ascontiguousarray(matrix.values.T, dtype=float)
-    n, d = vectors.shape
-    if n > 1 and d == 0:
-        raise DataError("performance vectors must be non-empty")
-    k = min(top_k, d) if d else 0
-    if n == 0:
-        similarity = np.ones((0, 0))
-    elif n == 1 or d == 0:
-        similarity = np.ones((n, n))
-    else:
-        rows = chunk_rows if chunk_rows is not None else similarity_chunk_rows(n, d)
-        if rows < 1:
-            raise ConfigurationError("chunk_rows must be >= 1")
-        similarity = _similarity_blocks(vectors, k, rows)
-        np.fill_diagonal(similarity, 1.0)
-
-    if store is not None:
-        store.put(key, similarity)
-    return similarity
-
-
 def _validate_incremental_update(
     old_matrix: PerformanceMatrix,
     old_similarity: np.ndarray,
@@ -243,11 +149,11 @@ def _validate_incremental_update(
     *,
     top_k: int,
 ):
-    """Shared preconditions of the incremental update paths.
+    """Preconditions of an incremental update.
 
     Returns ``(old_similarity, kept_new, kept_old, added_new)`` — the
-    validated previous similarity plus the index bookkeeping both the
-    in-RAM and the out-of-core incremental writers consume.
+    validated previous similarity plus the index bookkeeping the writer
+    consumes.
     """
     if top_k < 1:
         raise ConfigurationError("top_k must be >= 1")
@@ -294,6 +200,149 @@ def _validate_incremental_update(
                 "scratch instead"
             )
     return old_similarity, kept_new, kept_old, added_new
+
+
+def _write_similarity(
+    sink,
+    matrix: PerformanceMatrix,
+    *,
+    top_k: int,
+    previous=None,
+    chunk_rows: Optional[int] = None,
+) -> np.ndarray:
+    """The one Eq. 1 writer behind the four public front doors.
+
+    ``previous`` is ``(old_matrix, old_similarity)`` for an incremental
+    update; without it every model counts as added, so a full build is an
+    update with no survivors.  The content key is looked up in ``sink``
+    first (an :class:`~repro.store.sink.ArraySink` or a
+    :class:`~repro.store.sink.StoreSink`); on a miss the writer copies the
+    surviving pairs from ``old_similarity`` in row blocks, computes the
+    added rows tile by tile over the sink's executor, mirrors them into the
+    surviving rows' columns and sets the unit diagonal.  A tile whose rows
+    are contiguous is computed straight into the output; only scattered
+    added rows go through a ``(tile, n)`` block.
+
+    Every entry depends only on its own pair of vectors, so copied,
+    mirrored and freshly computed entries are bitwise-identical to a full
+    recompute whatever the sink, tiling or executor.  The mirror is exact
+    because IEEE subtraction is antisymmetric: the ``|a - b|`` lane of
+    ``(i, j)`` equals the ``(j, i)`` lane.
+    """
+    if chunk_rows is not None and chunk_rows < 1:
+        raise ConfigurationError("chunk_rows must be >= 1")
+    n = len(matrix.model_names)
+    if previous is None:
+        if top_k < 1:
+            raise ConfigurationError("top_k must be >= 1")
+        old_similarity, kept_new, kept_old, added_new = None, [], [], list(range(n))
+    else:
+        old_similarity, kept_new, kept_old, added_new = _validate_incremental_update(
+            previous[0], previous[1], matrix, top_k=top_k
+        )
+    key = similarity_key(matrix, method="performance", top_k=top_k) if sink.keyed else None
+    hit = sink.lookup(key, n)
+    if hit is not None:
+        return hit
+
+    vectors = np.ascontiguousarray(matrix.values.T, dtype=float)
+    d = vectors.shape[1]
+    if n > 1 and d == 0:
+        raise DataError("performance vectors must be non-empty")
+
+    def fill(out: np.ndarray) -> None:
+        if n <= 1 or d == 0:
+            out[...] = 1.0
+            return
+        kept_new_arr = np.asarray(kept_new, dtype=int)
+        kept_old_arr = np.asarray(kept_old, dtype=int)
+        copy_rows = max(1, sink.budget_bytes // (n * 8))
+        for start, stop in iter_row_blocks(len(kept_new), copy_rows):
+            out[np.ix_(kept_new_arr[start:stop], kept_new_arr)] = old_similarity[
+                np.ix_(kept_old_arr[start:stop], kept_old_arr)
+            ]
+        k = min(top_k, d)
+        # The in-flight budget bounds the *total* slab memory: concurrent
+        # tile workers each allocate their own (rows, n, d) buffer.
+        workers = max(1, sink.executor.resolved_workers())
+        slab_bytes = max(4096, sink.budget_bytes // workers)
+        rows = chunk_rows or similarity_chunk_rows(n, d, budget_bytes=slab_bytes)
+        added = np.asarray(added_new, dtype=int)
+
+        def tile(span) -> None:
+            index = added[span[0] : span[1]]
+            first, last = int(index[0]), int(index[-1]) + 1
+            contiguous = last - first == index.size
+            block = out[first:last] if contiguous else np.empty((index.size, n))
+            _similarity_into(block, vectors[index], vectors, k, rows)
+            if not contiguous:
+                out[index] = block
+            if kept_new:
+                out[np.ix_(kept_new_arr, index)] = block[:, kept_new_arr].T
+
+        sink.executor.map(tile, list(iter_row_blocks(added.size, sink.tile_rows or rows)))
+        np.fill_diagonal(out, 1.0)
+
+    return sink.write(key, n, fill)
+
+
+def _spill_sink(config: Optional[SimilarityConfig], cache, store, parallel=None) -> StoreSink:
+    """Matrix-store sink under ``config``'s memory policy and executor."""
+    config = config or SimilarityConfig()
+    return StoreSink(
+        resolve_store(store if store is not None else config.store_dir),
+        budget_bytes=config.max_bytes_in_flight,
+        memory=resolve_cache(cache),
+        executor=get_executor(parallel if parallel is not None else config.parallel),
+        tile_rows=config.tile_rows,
+    )
+
+
+def performance_similarity_matrix(
+    matrix: PerformanceMatrix,
+    *,
+    top_k: int = 5,
+    chunk_rows: Optional[int] = None,
+    cache: CacheLike = None,
+) -> np.ndarray:
+    """Pairwise Eq. 1 similarities of every model in ``matrix``.
+
+    Fully vectorized: broadcasts pairwise accuracy differences into
+    ``(rows, n, d)`` slabs of at most :data:`DEFAULT_CHUNK_BUDGET_BYTES`
+    and selects the ``top_k`` largest per pair with a linear-time
+    partition.  The slab size bounds peak memory without changing any
+    output value.
+
+    Results are memoised in the process-wide artifact cache under the
+    matrix's content fingerprint; pass ``cache=False`` to bypass caching or
+    an explicit :class:`~repro.cache.ArtifactCache` to use a private one.
+
+    Parameters
+    ----------
+    matrix:
+        Offline performance matrix (models x benchmark datasets).
+    top_k:
+        Number of largest per-dataset differences averaged (paper: k = 5).
+    chunk_rows:
+        Explicit rows-per-slab override; ``None`` picks the largest slab
+        that fits the default memory budget.
+    cache:
+        ``None``/``True`` for the process default cache, ``False`` to
+        disable, or a specific :class:`~repro.cache.ArtifactCache`.
+
+    >>> import numpy as np
+    >>> from repro.core.performance import PerformanceMatrix
+    >>> pm = PerformanceMatrix(
+    ...     dataset_names=["d0", "d1"],
+    ...     model_names=["a", "b"],
+    ...     values=np.array([[1.0, 0.5], [0.2, 0.2]]),
+    ... )
+    >>> performance_similarity_matrix(pm, top_k=1, cache=False)
+    array([[1. , 0.5],
+           [0.5, 1. ]])
+    """
+    sink = ArraySink(resolve_cache(cache), budget_bytes=DEFAULT_CHUNK_BUDGET_BYTES)
+    return _write_similarity(sink, matrix, top_k=top_k, chunk_rows=chunk_rows)
 
 
 def update_similarity_matrix(
@@ -346,101 +395,19 @@ def update_similarity_matrix(
            [0.5 , 1.  , 0.75],
            [0.25, 0.75, 1.  ]])
     """
-    if chunk_rows is not None and chunk_rows < 1:
-        raise ConfigurationError("chunk_rows must be >= 1")
-    old_similarity, kept_new, kept_old, added_new = _validate_incremental_update(
-        old_matrix, old_similarity, new_matrix, top_k=top_k
+    sink = ArraySink(resolve_cache(cache), budget_bytes=DEFAULT_CHUNK_BUDGET_BYTES)
+    return _write_similarity(
+        sink,
+        new_matrix,
+        top_k=top_k,
+        previous=(old_matrix, old_similarity),
+        chunk_rows=chunk_rows,
     )
-
-    store = resolve_cache(cache)
-    key = similarity_key(new_matrix, method="performance", top_k=top_k) if store else None
-    if store is not None:
-        cached = store.get(key)
-        if cached is not None:
-            return cached
-
-    vectors = np.ascontiguousarray(new_matrix.values.T, dtype=float)
-    n, d = vectors.shape
-    if n > 1 and d == 0:
-        raise DataError("performance vectors must be non-empty")
-    k = min(top_k, d) if d else 0
-    if n == 0:
-        similarity = np.ones((0, 0))
-    elif n == 1 or d == 0:
-        similarity = np.ones((n, n))
-    else:
-        similarity = np.empty((n, n))
-        if kept_new:
-            similarity[np.ix_(kept_new, kept_new)] = old_similarity[
-                np.ix_(kept_old, kept_old)
-            ]
-        if added_new:
-            added_vectors = np.ascontiguousarray(vectors[added_new])
-            rows = chunk_rows if chunk_rows is not None else _rows_per_block(n, d)
-            # New rows: added models against the whole repository.
-            block = np.empty((len(added_new), n))
-            _similarity_into(block, added_vectors, vectors, k, rows)
-            similarity[added_new, :] = block
-            if kept_new:
-                # New columns are the mirror of the rows just computed.
-                # This is still bitwise-faithful to a full recompute: IEEE
-                # subtraction is exactly antisymmetric, so the |a - b| lane
-                # of pair (i, j) is identical to the (j, i) lane, and the
-                # per-lane partition + mean of identical content is
-                # deterministic (the property suite pins this down).
-                similarity[np.ix_(kept_new, added_new)] = block[
-                    :, kept_new
-                ].T
-        np.fill_diagonal(similarity, 1.0)
-
-    if store is not None:
-        store.put(key, similarity)
-    return similarity
 
 
 # --------------------------------------------------------------------------- #
 # Out-of-core Eq. 1 matrix (memory-mapped, shard-addressable)
 # --------------------------------------------------------------------------- #
-def _write_trivial_similarity(writer, n: int) -> np.ndarray:
-    """Commit the degenerate ``n <= 1`` / ``d == 0`` all-ones similarity."""
-    if n:
-        writer.array[:] = 1.0
-    return writer.commit()
-
-
-def _publish_dense(matrix_store, key: str, value: np.ndarray) -> np.ndarray:
-    """Write an already-computed dense matrix into the store (write-through).
-
-    Used when the in-memory cache holds the artifact under the same key:
-    out-of-core callers still get a memory-mapped result — the backing of
-    a spilled build must not depend on what some earlier dense run left in
-    the LRU — without recomputing anything.
-    """
-    writer = matrix_store.create(key, value.shape)
-    try:
-        writer.array[:] = value
-        return writer.commit()
-    except BaseException:
-        writer.abort()
-        raise
-
-
-def _fill_similarity_tile(
-    out: np.ndarray, vectors: np.ndarray, start: int, stop: int, k: int, rows: int
-) -> None:
-    """Compute one ``(stop - start, n)`` Eq. 1 row tile into ``out``.
-
-    ``out`` is the tile's slice of the destination (typically a writable
-    memmap); the unit diagonal is set in place, so tiles are final once
-    written.  Identical to the in-RAM path entry-for-entry: both stream the
-    same ``(rows, n, d)`` slabs through :func:`_similarity_into`, and every
-    Eq. 1 lane is independent of its block mates.
-    """
-    _similarity_into(out, vectors[start:stop], vectors, k, rows)
-    local = np.arange(stop - start)
-    out[local, local + start] = 1.0
-
-
 def performance_similarity_matrix_ooc(
     matrix: PerformanceMatrix,
     *,
@@ -453,14 +420,14 @@ def performance_similarity_matrix_ooc(
     """Eq. 1 similarity computed out-of-core into a memory-mapped store.
 
     The result is **bitwise-identical** to
-    :func:`performance_similarity_matrix` — same kernel, same per-lane
-    independence — but lives in a read-only :class:`numpy.memmap` inside the
-    matrix store instead of RAM: peak memory is bounded by
-    ``config.max_bytes_in_flight`` (one broadcast slab) plus one row tile,
-    regardless of ``n``.  The file is addressed by the *same* content-hash
-    key the in-RAM cache uses, so repeated builds of the same repository
-    reuse the spilled artifact, and the zoo-refresh eviction sweep purges it
-    together with the in-memory entries.
+    :func:`performance_similarity_matrix` — same writer, same kernel, same
+    per-lane independence — but lives in a read-only :class:`numpy.memmap`
+    inside the matrix store instead of RAM: peak memory is bounded by
+    ``config.max_bytes_in_flight`` (the slabs of all tile workers) plus one
+    row tile, regardless of ``n``.  The file is addressed by the *same*
+    content-hash key the in-RAM cache uses, so repeated builds of the same
+    repository reuse the spilled artifact, and the zoo-refresh eviction
+    sweep purges it together with the in-memory entries.
 
     Row tiles are independent, so they can be fanned out over a
     :mod:`repro.parallel` executor (``parallel`` or ``config.parallel``);
@@ -486,52 +453,8 @@ def performance_similarity_matrix_ooc(
         Executor (or spec) for parallel tile workers; overrides
         ``config.parallel``.
     """
-    if top_k < 1:
-        raise ConfigurationError("top_k must be >= 1")
-    config = config or SimilarityConfig()
-    key = similarity_key(matrix, method="performance", top_k=top_k)
-    matrix_store = resolve_store(store if store is not None else config.store_dir)
-    n = len(matrix.model_names)
-    existing = matrix_store.open(key)
-    if existing is not None and existing.shape == (n, n):
-        return existing
-    memory = resolve_cache(cache)
-    if memory is not None:
-        cached = memory.get(key)
-        if cached is not None:
-            # A dense run already computed this artifact; spill it instead
-            # of recomputing so the result is memmapped either way.
-            return _publish_dense(matrix_store, key, cached)
-
-    vectors = np.ascontiguousarray(matrix.values.T, dtype=float)
-    d = vectors.shape[1]
-    if n > 1 and d == 0:
-        raise DataError("performance vectors must be non-empty")
-    writer = matrix_store.create(key, (n, n))
-    try:
-        if n <= 1 or d == 0:
-            return _write_trivial_similarity(writer, n)
-        k = min(top_k, d)
-        executor = get_executor(parallel if parallel is not None else config.parallel)
-        # The in-flight budget bounds the *total* transient slab memory:
-        # concurrent tile workers each allocate their own (rows, n, d)
-        # buffer, so the per-worker share shrinks with the worker count.
-        workers = max(1, executor.resolved_workers())
-        slab_budget = max(4096, config.max_bytes_in_flight // workers)
-        rows = _rows_per_block(n, d, budget_bytes=slab_budget)
-        tile_rows = config.tile_rows or max(rows, 1)
-        spans = list(iter_row_blocks(n, tile_rows))
-        out = writer.array
-
-        def _fill(span) -> None:
-            start, stop = span
-            _fill_similarity_tile(out[start:stop], vectors, start, stop, k, rows)
-
-        executor.map(_fill, spans)
-        return writer.commit()
-    except BaseException:
-        writer.abort()
-        raise
+    sink = _spill_sink(config, cache, store, parallel)
+    return _write_similarity(sink, matrix, top_k=top_k)
 
 
 def update_similarity_matrix_ooc(
@@ -555,77 +478,10 @@ def update_similarity_matrix_ooc(
     from-scratch oracle; peak memory is bounded by
     ``config.max_bytes_in_flight`` regardless of repository size.
     """
-    config = config or SimilarityConfig()
-    old_similarity, kept_new, kept_old, added_new = _validate_incremental_update(
-        old_matrix, old_similarity, new_matrix, top_k=top_k
+    sink = _spill_sink(config, cache, store)
+    return _write_similarity(
+        sink, new_matrix, top_k=top_k, previous=(old_matrix, old_similarity)
     )
-    key = similarity_key(new_matrix, method="performance", top_k=top_k)
-    matrix_store = resolve_store(store if store is not None else config.store_dir)
-    n = len(new_matrix.model_names)
-    existing = matrix_store.open(key)
-    if existing is not None and existing.shape == (n, n):
-        return existing
-    memory = resolve_cache(cache)
-    if memory is not None:
-        cached = memory.get(key)
-        if cached is not None:
-            return _publish_dense(matrix_store, key, cached)
-
-    vectors = np.ascontiguousarray(new_matrix.values.T, dtype=float)
-    d = vectors.shape[1]
-    if n > 1 and d == 0:
-        raise DataError("performance vectors must be non-empty")
-    writer = matrix_store.create(key, (n, n))
-    try:
-        if n <= 1 or d == 0:
-            return _write_trivial_similarity(writer, n)
-        k = min(top_k, d)
-        out = writer.array
-        kept_new_arr = np.asarray(kept_new, dtype=int)
-        kept_old_arr = np.asarray(kept_old, dtype=int)
-        copy_rows = max(1, config.max_bytes_in_flight // max(1, n * 8))
-        for start, stop in iter_row_blocks(len(kept_new), copy_rows):
-            out[np.ix_(kept_new_arr[start:stop], kept_new_arr)] = old_similarity[
-                np.ix_(kept_old_arr[start:stop], kept_old_arr)
-            ]
-        rows = _rows_per_block(n, d, budget_bytes=config.max_bytes_in_flight)
-        tile_rows = config.tile_rows or max(rows, 1)
-        for start, stop in iter_row_blocks(len(added_new), tile_rows):
-            added_idx = np.asarray(added_new[start:stop], dtype=int)
-            added_vectors = np.ascontiguousarray(vectors[added_idx])
-            block = np.empty((added_idx.size, n))
-            _similarity_into(block, added_vectors, vectors, k, rows)
-            out[added_idx, :] = block
-            if kept_new:
-                # Mirror columns of the freshly computed rows — exact, as
-                # in the in-RAM incremental path (IEEE |a - b| symmetry).
-                out[np.ix_(kept_new_arr, added_idx)] = block[:, kept_new_arr].T
-        diagonal = np.arange(n)
-        out[diagonal, diagonal] = 1.0
-        return writer.commit()
-    except BaseException:
-        writer.abort()
-        raise
-
-
-def _performance_similarity_matrix_loop(
-    matrix: PerformanceMatrix, *, top_k: int = 5
-) -> np.ndarray:
-    """Reference O(n^2) pairwise loop (pre-vectorization implementation).
-
-    Kept as the ground truth for the property tests and the
-    ``bench_similarity_scaling`` microbenchmark; library code should call
-    :func:`performance_similarity_matrix` instead.
-    """
-    vectors = [matrix.model_vector(name) for name in matrix.model_names]
-    n = len(vectors)
-    similarity = np.ones((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            similarity[i, j] = similarity[j, i] = performance_similarity(
-                vectors[i], vectors[j], top_k=top_k
-            )
-    return similarity
 
 
 # --------------------------------------------------------------------------- #

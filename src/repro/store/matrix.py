@@ -26,7 +26,6 @@ their writes land in the same page cache the parent flushes on commit.
 from __future__ import annotations
 
 import os
-import re
 import tempfile
 import threading
 from pathlib import Path
@@ -34,12 +33,8 @@ from typing import Iterator, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.cache.store import _UNSAFE_FILENAME, sweep_stale_temp_files
 from repro.utils.exceptions import ConfigurationError, DataError
-
-#: Characters allowed in on-disk file names derived from cache keys —
-#: identical to the sanitisation of :class:`repro.cache.store.DiskCache`,
-#: so one key maps to the same file stem in both disk tiers.
-_UNSAFE_FILENAME = re.compile(r"[^A-Za-z0-9_.=-]")
 
 #: Default rows per on-demand tile when iterating a stored matrix.
 DEFAULT_TILE_ROWS = 256
@@ -111,6 +106,8 @@ class MatrixStore:
     def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        #: Temp files of writers killed mid-publish, reclaimed at startup.
+        self.swept_temp_files = sweep_stale_temp_files(self.root)
 
     # ------------------------------------------------------------------ #
     def path_for(self, key: str) -> Path:

@@ -201,72 +201,3 @@ class TestUpdateSimilarityValidation:
             update_similarity_matrix(
                 matrix, clustering.similarity, matrix, top_k=3, cache=False
             )
-
-
-class TestAnnPlacement:
-    def test_none_default_is_exact(self):
-        assert ClusteringConfig().ann_placement is None
-
-    def test_wide_shortlist_matches_exact_placement(self, base):
-        """ANN placement probing every list must match the full scan."""
-        matrix, clustering, config = base
-        rng = np.random.default_rng(11)
-        new_matrix = _grow(matrix, rng, ["x0", "x1"])
-        similarity = update_similarity_matrix(
-            matrix, clustering.similarity, new_matrix, top_k=config.top_k, cache=False
-        )
-        exact = update_clustering(clustering, new_matrix, similarity, config=config)
-        ann_config = ClusteringConfig(
-            staleness_threshold=0.5, ann_placement=len(new_matrix.model_names)
-        )
-        approx = update_clustering(
-            clustering, new_matrix, similarity, config=ann_config
-        )
-        assert np.array_equal(
-            exact.clustering.assignment.labels, approx.clustering.assignment.labels
-        )
-        assert exact.touched_clusters == approx.touched_clusters
-
-    def test_narrow_shortlist_keeps_structural_invariants(self, base):
-        matrix, clustering, config = base
-        rng = np.random.default_rng(12)
-        new_matrix = _grow(matrix, rng, ["y0", "y1", "y2"])
-        similarity = update_similarity_matrix(
-            matrix, clustering.similarity, new_matrix, top_k=config.top_k, cache=False
-        )
-        ann_config = ClusteringConfig(staleness_threshold=0.9, ann_placement=1)
-        update = update_clustering(
-            clustering, new_matrix, similarity, config=ann_config
-        )
-        assert not update.reclustered
-        # Survivors keep pairwise co-membership exactly.
-        new = update.clustering
-        for a in matrix.model_names:
-            for b in matrix.model_names:
-                assert (clustering.cluster_of(a) == clustering.cluster_of(b)) == (
-                    new.cluster_of(a) == new.cluster_of(b)
-                )
-        assert set(new.model_names) == set(new_matrix.model_names)
-
-    def test_sibling_add_still_joins_family_with_ann(self, base):
-        matrix, clustering, config = base
-        new_values = np.concatenate(
-            [matrix.values, matrix.values[:, [0]] + 1e-4], axis=1
-        )
-        new_matrix = _matrix(new_values, matrix.model_names + ["a_new"])
-        similarity = update_similarity_matrix(
-            matrix, clustering.similarity, new_matrix, top_k=config.top_k, cache=False
-        )
-        ann_config = ClusteringConfig(staleness_threshold=0.5, ann_placement=2)
-        update = update_clustering(
-            clustering, new_matrix, similarity, config=ann_config
-        )
-        # The nearest neighbor in performance space is a0 itself, so its
-        # cluster is always in the shortlist and the join is preserved.
-        assert update.clustering.cluster_of("a_new") == update.clustering.cluster_of("a0")
-
-    def test_invalid_ann_placement_rejected(self):
-        from repro.utils.exceptions import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            ClusteringConfig(ann_placement=0)

@@ -4,12 +4,9 @@ import numpy as np
 import pytest
 
 from repro.cluster.distance import pairwise_distances
-from repro.cluster.silhouette import (
-    _silhouette_samples_loop,
-    silhouette_samples,
-    silhouette_score,
-)
+from repro.cluster.silhouette import silhouette_samples, silhouette_score
 from repro.utils.exceptions import DataError
+from oracles import _silhouette_samples_loop
 
 
 def blob_distances_and_labels(rng, separation):

@@ -130,47 +130,3 @@ class TestRandomRecall:
     def test_invalid_top_k(self, nlp_hub_small, nlp_suite_small):
         with pytest.raises(SelectionError):
             RandomRecall(nlp_hub_small).recall(nlp_suite_small.task("mnli"), top_k=0)
-
-
-class TestAnnShortlist:
-    def test_none_default_is_exact(self):
-        assert RecallConfig().ann_shortlist is None
-
-    def test_large_shortlist_bitwise_equals_exact(
-        self, nlp_hub_small, nlp_matrix_small, nlp_clustering_small, nlp_suite_small
-    ):
-        """A shortlist covering every representative must not change a bit."""
-        task = nlp_suite_small.task("mnli")
-        exact = CoarseRecall(
-            nlp_hub_small,
-            nlp_matrix_small,
-            nlp_clustering_small,
-            config=RecallConfig(top_k=5),
-        ).recall(task)
-        shortlisted = CoarseRecall(
-            nlp_hub_small,
-            nlp_matrix_small,
-            nlp_clustering_small,
-            config=RecallConfig(top_k=5, ann_shortlist=len(nlp_hub_small)),
-        ).recall(task)
-        assert exact.recalled_models == shortlisted.recalled_models
-        assert exact.recall_scores == shortlisted.recall_scores
-
-    def test_small_shortlist_returns_valid_result(
-        self, nlp_hub_small, nlp_matrix_small, nlp_clustering_small, nlp_suite_small
-    ):
-        result = CoarseRecall(
-            nlp_hub_small,
-            nlp_matrix_small,
-            nlp_clustering_small,
-            config=RecallConfig(top_k=5, ann_shortlist=1),
-        ).recall(nlp_suite_small.task("mnli"))
-        assert len(result.recalled_models) == 5
-        assert set(result.recall_scores) == set(nlp_hub_small.model_names)
-        assert all(value >= 0 for value in result.recall_scores.values())
-
-    def test_invalid_shortlist_rejected(self):
-        from repro.utils.exceptions import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            RecallConfig(ann_shortlist=0)

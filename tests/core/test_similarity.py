@@ -6,7 +6,6 @@ import pytest
 from repro.cache import ArtifactCache
 from repro.core.performance import PerformanceMatrix
 from repro.core.similarity import (
-    _performance_similarity_matrix_loop,
     pairwise_model_similarity,
     performance_similarity,
     performance_similarity_matrix,
@@ -15,6 +14,7 @@ from repro.core.similarity import (
     text_similarity_matrix,
 )
 from repro.utils.exceptions import ConfigurationError, DataError
+from oracles import _performance_similarity_matrix_loop
 
 
 def _random_matrix(n, d, seed=0):

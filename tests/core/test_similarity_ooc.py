@@ -14,6 +14,7 @@ from repro.core.similarity import (
 )
 from repro.store import MatrixStore
 from repro.utils.exceptions import ConfigurationError, DataError
+from oracles import _performance_similarity_matrix_loop
 
 
 def _matrix(rng, n, d=7, prefix="m"):
@@ -194,3 +195,67 @@ def test_update_ooc_shares_dense_validation(config, store):
         update_similarity_matrix_ooc(
             old, old_similarity, new, config=config, cache=False, store=store
         )
+
+
+# --------------------------------------------------------------------------- #
+# edge cases of the one Eq. 1 writer, through all four front doors
+# --------------------------------------------------------------------------- #
+FRONT_DOORS = ["dense", "dense-update", "ooc", "ooc-update"]
+
+
+def _through(door, old, old_similarity, new, config, store):
+    """Build ``new``'s similarity through ``door``; updates start from ``old``."""
+    if door == "dense":
+        return performance_similarity_matrix(new, cache=False)
+    if door == "ooc":
+        return performance_similarity_matrix_ooc(new, config=config, cache=False, store=store)
+    if door == "dense-update":
+        return update_similarity_matrix(old, old_similarity, new, cache=False)
+    return update_similarity_matrix_ooc(
+        old, old_similarity, new, config=config, cache=False, store=store
+    )
+
+
+@pytest.mark.parametrize("door", FRONT_DOORS)
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_front_doors_without_benchmarks_match_oracle(door, n, config, store):
+    """``d == 0``: all-ones below two models, the oracle's DataError above."""
+    matrix = PerformanceMatrix(
+        dataset_names=[], model_names=[f"m{j}" for j in range(n)], values=np.zeros((0, n))
+    )
+    old = matrix.submatrix(matrix.model_names[: min(n, 1)])
+    old_similarity = performance_similarity_matrix(old, cache=False)
+    if n >= 2:
+        with pytest.raises(DataError):
+            _performance_similarity_matrix_loop(matrix)
+        with pytest.raises(DataError):
+            _through(door, old, old_similarity, matrix, config, store)
+    else:
+        result = _through(door, old, old_similarity, matrix, config, store)
+        assert np.array_equal(result, _performance_similarity_matrix_loop(matrix))
+
+
+@pytest.mark.parametrize("door", ["dense-update", "ooc-update"])
+@pytest.mark.parametrize("old_backing", ["dense", "memmap"])
+def test_update_doors_accept_either_old_backing(door, old_backing, config, store, tmp_path):
+    """A dense previous epoch feeds an out-of-core update and vice versa.
+
+    Added models are interleaved with survivors, so their rows are
+    scattered and go through the writer's block-and-scatter path.
+    """
+    rng = np.random.default_rng(10)
+    pool = _matrix(rng, 16, d=6)
+    old = pool.submatrix(pool.model_names[:10])
+    survivors = [name for name in old.model_names if name not in {"m2", "m7"}]
+    added = pool.model_names[10:]
+    order = [name for pair in zip(survivors, added) for name in pair]
+    new = pool.submatrix(order + survivors[len(added):])
+    if old_backing == "dense":
+        old_similarity = performance_similarity_matrix(old, cache=False)
+    else:
+        old_similarity = performance_similarity_matrix_ooc(
+            old, config=config, cache=False, store=MatrixStore(tmp_path / "old")
+        )
+    result = _through(door, old, old_similarity, new, config, store)
+    assert isinstance(result, np.memmap) == (door == "ooc-update")
+    assert np.array_equal(result, _performance_similarity_matrix_loop(new))

@@ -9,7 +9,8 @@ from repro.cluster.distance import pairwise_distances, similarity_to_distance
 from repro.cluster.hierarchical import AgglomerativeClustering
 from repro.cluster.nnchain import NNChainClustering
 from repro.cluster.kmeans import KMeans
-from repro.cluster.silhouette import _silhouette_samples_loop, silhouette_samples
+from repro.cluster.silhouette import silhouette_samples
+from oracles import _silhouette_samples_loop
 
 
 @st.composite

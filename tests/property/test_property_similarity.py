@@ -7,12 +7,12 @@ from hypothesis.extra import numpy as hnp
 
 from repro.core.performance import PerformanceMatrix
 from repro.core.similarity import (
-    _performance_similarity_matrix_loop,
     performance_similarity,
     performance_similarity_matrix,
 )
 from repro.nn.losses import softmax, softmax_cross_entropy
 from repro.nn.metrics import accuracy
+from oracles import _performance_similarity_matrix_loop
 
 
 @st.composite

@@ -116,6 +116,26 @@ def test_clear_removes_published_and_tmp_files(store):
     assert not dangling.tmp_path.exists()
 
 
+def test_startup_sweeps_dead_writer_tmp_files_and_spares_live_ones(tmp_path):
+    """A build killed mid-write must not leak its 8 n^2 byte temp file."""
+    import os
+    import subprocess
+    import sys
+
+    proc = subprocess.Popen([sys.executable, "-c", "pass"])
+    proc.wait()  # spawned, exited and reaped: the pid names no live process
+    root = tmp_path / "store"
+    root.mkdir()
+    orphan = root / f"sim_performance_k=5_abc.npy.tmp-{proc.pid}-140210"
+    orphan.write_bytes(b"half-written")
+    ours = root / f"sim_performance_k=5_def.npy.tmp-{os.getpid()}-140210"
+    ours.write_bytes(b"mid-publish")
+    store = MatrixStore(root)
+    assert store.swept_temp_files == 1
+    assert not orphan.exists()
+    assert ours.exists()
+
+
 def test_bytes_stored_counts_published_matrices(store):
     assert store.bytes_stored() == 0
     writer = store.create("a", (4, 4))

@@ -31,7 +31,6 @@ API_DIR = REPO_ROOT / "docs" / "api"
 DOCUMENTED = [
     ("repro.core", "The paper's two-phase framework"),
     ("repro.cluster", "Clustering substrate"),
-    ("repro.ann", "Approximate nearest-neighbor index"),
     ("repro.metrics", "Proxy (transferability) scores"),
     ("repro.nn", "NumPy neural substrate and stacked (fused) kernels"),
     ("repro.zoo", "Simulated checkpoint repository"),
