@@ -4,7 +4,7 @@ PY := PYTHONPATH=src python
 
 .PHONY: test test-fast test-fault test-distrib test-extrapolation test-all \
         ci ci-full \
-        docs-check docs-api docs-api-check bench-parallel bench-incremental \
+        docs-check docs-api docs-api-check bench-incremental \
         bench-ooc bench-smoke bench-concurrent \
         bench-concurrent-smoke bench-resume bench-distrib \
         bench-distrib-smoke bench-cluster bench-cluster-smoke \
@@ -69,9 +69,6 @@ docs-api:
 
 docs-api-check:
 	$(PY) tools/gen_api_docs.py --check
-
-bench-parallel:
-	$(PY) benchmarks/bench_parallel_selection.py
 
 bench-incremental:
 	$(PY) benchmarks/bench_incremental_update.py --json-out benchmarks/bench_incremental_update.json

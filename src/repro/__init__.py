@@ -40,7 +40,6 @@ Quickstart::
 """
 
 from repro.core import (
-    BatchedSelectionRunner,
     BatchSelectionReport,
     BruteForceSelection,
     CoarseRecall,
@@ -65,7 +64,6 @@ __version__ = "1.2.0"
 
 __all__ = [
     "BatchSelectionReport",
-    "BatchedSelectionRunner",
     "BruteForceSelection",
     "CoarseRecall",
     "FineSelection",

@@ -619,8 +619,7 @@ def _cmd_experiments(args: argparse.Namespace, stream) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace, stream) -> int:
-    from repro.core.batch import BatchedSelectionRunner
-    from repro.core.pipeline import OfflineArtifacts
+    from repro.core.pipeline import OfflineArtifacts, TwoPhaseSelector
     from repro.core.config import PipelineConfig
 
     suite, hub = _build_hub(args)
@@ -643,9 +642,9 @@ def _cmd_bench(args: argparse.Namespace, stream) -> int:
     spec = config.spec()
 
     def timed(parallel) -> tuple:
-        runner = BatchedSelectionRunner(artifacts, seed=args.seed, parallel=parallel)
+        selector = TwoPhaseSelector(artifacts, seed=args.seed, parallel=parallel)
         started = time.perf_counter()
-        report = runner.run(targets)
+        report = selector.select_many(targets)
         return time.perf_counter() - started, report
 
     print(f"[bench] {len(targets)} targets, serial vs {spec} ...", file=stream)

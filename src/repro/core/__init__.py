@@ -18,12 +18,14 @@ The public API follows the paper's structure:
   :class:`~repro.core.selection.SuccessiveHalving` and
   :class:`~repro.core.selection.BruteForceSelection` are the baselines.
 * **End-to-end** — :class:`~repro.core.pipeline.TwoPhaseSelector` wires both
-  phases behind one ``select(target)`` call;
-  :class:`~repro.core.batch.BatchedSelectionRunner` answers a whole batch of
-  target tasks off one shared clustering with aggregated epoch accounting.
+  phases behind one ``select(target)`` call; ``select_many`` answers a
+  whole batch of target tasks off one shared clustering with aggregated
+  epoch accounting (a :class:`~repro.core.batch.BatchSelectionReport`).
+  Both run on :class:`~repro.sched.scheduler.EpochScheduler`, the one
+  online engine.
 """
 
-from repro.core.batch import BatchedSelectionRunner, BatchSelectionReport
+from repro.core.batch import BatchSelectionReport
 from repro.core.config import (
     ClusteringConfig,
     FineSelectionConfig,
@@ -73,7 +75,6 @@ from repro.core.similarity import (
 
 __all__ = [
     "BatchSelectionReport",
-    "BatchedSelectionRunner",
     "aggregate_epoch_accounting",
     "ClusteringConfig",
     "FineSelectionConfig",

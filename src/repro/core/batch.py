@@ -3,25 +3,25 @@
 The paper's offline artifacts (performance matrix + model clustering) are
 independent of the target task, so a production deployment serving many
 selection queries should build them once and amortise them.
-:class:`BatchedSelectionRunner` does exactly that: it accepts a batch of
-target tasks, shares a single clustering and a single
-:class:`~repro.core.selection.FineSelection` engine across all of them,
-and submits every task as one request to a batch-scoped
-:class:`~repro.sched.scheduler.EpochScheduler`, which interleaves their
-epoch steps over a shared training budget and session pool before the
-per-task :class:`~repro.core.results.SelectionResult` records are
-aggregated into one :class:`BatchSelectionReport`.
+:meth:`~repro.core.pipeline.TwoPhaseSelector.select_many` does exactly
+that: it submits every target as one request to a private
+:class:`~repro.sched.scheduler.EpochScheduler` sharing one clustering and
+one pair of online engines, and aggregates the per-task
+:class:`~repro.core.results.SelectionResult` records into one
+:class:`BatchSelectionReport`.  This module holds the report type and the
+two helpers every online entry point shares: :func:`build_phase_engines`
+and :func:`resolve_target_task`.
 
 Typical use::
 
-    from repro.core import BatchedSelectionRunner
+    from repro.core import TwoPhaseSelector
     from repro.data import nlp_suite
     from repro.zoo import ModelHub
 
     suite = nlp_suite(seed=0)
     hub = ModelHub(suite, seed=0)
-    runner = BatchedSelectionRunner.from_hub(hub, suite)
-    report = runner.run(["mnli", "boolq"])
+    selector = TwoPhaseSelector.from_hub(hub, suite)
+    report = selector.select_many(["mnli", "boolq"])
     report.selected_models()            # {'mnli': ..., 'boolq': ...}
     report.totals()["total_cost"]       # summed epoch-equivalent cost
 """
@@ -29,7 +29,7 @@ Typical use::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Union
 
 from repro.core.recall import CoarseRecall
 from repro.core.results import (
@@ -39,8 +39,7 @@ from repro.core.results import (
 )
 from repro.core.selection import FineSelection
 from repro.data.tasks import ClassificationTask
-from repro.parallel.config import ParallelConfig
-from repro.parallel.executor import Executor, ExecutorLike, get_executor
+from repro.parallel.executor import ExecutorLike, get_executor
 from repro.utils.exceptions import SelectionError
 from repro.zoo.finetune import FineTuner
 
@@ -53,12 +52,13 @@ def build_phase_engines(
 ):
     """Construct the online-phase engine pair for one set of offline artifacts.
 
-    Shared by :class:`BatchedSelectionRunner` and
-    :class:`~repro.core.pipeline.TwoPhaseSelector` so the two entry points
-    can never drift in how they wire :class:`CoarseRecall` and
-    :class:`FineSelection`.  ``parallel`` (an executor, config or spec
-    string) overrides ``artifacts.config.parallel`` as the executor both
-    engines fan their inner loops out over.  ``extrapolation`` (an
+    Shared by :class:`~repro.core.pipeline.TwoPhaseSelector` and
+    :meth:`~repro.sched.scheduler.EpochScheduler.for_artifacts` so the
+    entry points can never drift in how they wire :class:`CoarseRecall`
+    and :class:`FineSelection`.  ``parallel`` (an executor, config or spec
+    string) overrides ``artifacts.config.parallel`` as the executor the
+    recall fans its proxy scoring out over; training fans out in the
+    scheduler, never in the policy.  ``extrapolation`` (an
     :class:`~repro.core.extrapolation.ExtrapolationConfig`) sets the fine
     selection's default speculative early-stopping mode; ``None`` is exact.
     """
@@ -78,7 +78,6 @@ def build_phase_engines(
         artifacts.matrix,
         fine_tuner,
         config=config.fine_selection,
-        executor=executor,
         extrapolation=extrapolation,
     )
     return recall, fine_selection
@@ -87,8 +86,8 @@ def build_phase_engines(
 def resolve_target_task(suite, target: TargetLike) -> ClassificationTask:
     """Resolve a target given by name or task object against ``suite``.
 
-    Shared by :class:`BatchedSelectionRunner` and
-    :class:`~repro.core.pipeline.TwoPhaseSelector`.
+    Shared by :class:`~repro.core.pipeline.TwoPhaseSelector` and
+    :class:`~repro.sched.scheduler.EpochScheduler`.
     """
     if isinstance(target, ClassificationTask):
         return target
@@ -151,139 +150,3 @@ class BatchSelectionReport:
                 result.selected_accuracy for result in self.results.values()
             ) / len(self.results)
         return totals
-
-
-class BatchedSelectionRunner:
-    """Run the two-phase pipeline for many target tasks off one clustering.
-
-    Parameters
-    ----------
-    artifacts:
-        Offline products (:class:`~repro.core.pipeline.OfflineArtifacts`)
-        shared by every task in the batch — hub, suite, performance matrix,
-        clustering and configuration.
-    fine_tuner:
-        Optional fine-tuning engine shared across tasks (a fresh seeded one
-        is created otherwise).
-    recall, fine_selection:
-        Optional prebuilt engines (both or neither) — passed by
-        :meth:`~repro.core.pipeline.TwoPhaseSelector.select_many` so batched
-        queries reuse the selector's existing engines instead of
-        constructing fresh ones per call.
-    parallel:
-        Executor, :class:`~repro.parallel.config.ParallelConfig` or spec
-        string the batch's scheduler fans each round's training ops out
-        over (and the engines their inner loops).  Defaults to
-        ``artifacts.config.parallel``.  Every training step draws from a
-        named per-``(model, task)`` random stream, so all backends return
-        reports identical to the serial path.
-
-    One :class:`~repro.core.recall.CoarseRecall` and one
-    :class:`~repro.core.selection.FineSelection` instance are shared by
-    every task, so the batch pays the offline cost exactly once regardless
-    of its size.
-    """
-
-    def __init__(
-        self,
-        artifacts,
-        *,
-        fine_tuner: Optional[FineTuner] = None,
-        seed: int = 0,
-        recall: Optional[CoarseRecall] = None,
-        fine_selection: Optional[FineSelection] = None,
-        parallel: ExecutorLike = None,
-    ) -> None:
-        self.artifacts = artifacts
-        self.fine_tuner = fine_tuner or FineTuner(seed=seed)
-        if parallel is None:
-            parallel = getattr(artifacts.config, "parallel", None)
-        self._executor = get_executor(parallel)
-        if (recall is None) != (fine_selection is None):
-            raise SelectionError(
-                "recall and fine_selection must be supplied together"
-            )
-        if recall is None:
-            recall, fine_selection = build_phase_engines(
-                artifacts, self.fine_tuner, parallel=self._executor
-            )
-        self._recall = recall
-        self._fine_selection = fine_selection
-
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_hub(
-        cls,
-        hub,
-        suite=None,
-        *,
-        config=None,
-        fine_tuner: Optional[FineTuner] = None,
-        seed: int = 0,
-    ) -> "BatchedSelectionRunner":
-        """Build the offline artifacts once and wrap them in a batch runner."""
-        from repro.core.pipeline import OfflineArtifacts
-
-        artifacts = OfflineArtifacts.build(
-            hub, suite, config=config, fine_tuner=fine_tuner
-        )
-        return cls(artifacts, fine_tuner=fine_tuner, seed=seed)
-
-    # ------------------------------------------------------------------ #
-    def _resolve_task(self, target: TargetLike) -> ClassificationTask:
-        return resolve_target_task(self.artifacts.suite, target)
-
-    def run(
-        self, targets: Sequence[TargetLike], *, top_k: Optional[int] = None
-    ) -> BatchSelectionReport:
-        """Select a checkpoint for every target task in the batch.
-
-        The runner is a thin client of the epoch scheduler: every target is
-        submitted as one request to a batch-scoped
-        :class:`~repro.sched.scheduler.EpochScheduler` sharing this
-        runner's engines, and the scheduler interleaves their epoch steps
-        over the configured executor — so overlapping requests share
-        partially-trained sessions through the
-        :class:`~repro.sched.pool.SessionPool` instead of each training
-        privately.  Results are collected in submission order and every
-        per-target record is bitwise-identical to a serial
-        :meth:`~repro.core.pipeline.TwoPhaseSelector.select` run; each
-        task's recall proxy cost is recorded on its
-        ``SelectionResult.extra_epoch_cost`` exactly as before.
-        """
-        from repro.sched.config import SchedulerConfig
-        from repro.sched.scheduler import EpochScheduler
-
-        tasks = [self._resolve_task(target) for target in targets]
-        if not tasks:
-            raise SelectionError("target batch must not be empty")
-        seen: Dict[str, None] = {}
-        for task in tasks:
-            if task.name in seen:
-                raise SelectionError(f"duplicate target {task.name!r} in batch")
-            seen[task.name] = None
-
-        # A bulk batch wants the fewest, fattest scheduling rounds: every
-        # request is admitted at once and the unbounded epoch budget makes
-        # each round one full stage wave — a single executor dispatch per
-        # stage across the whole batch (fairness between requests that all
-        # arrived together is moot).
-        scheduler = EpochScheduler.for_artifacts(
-            self.artifacts,
-            fine_tuner=self.fine_tuner,
-            recall=self._recall,
-            fine_selection=self._fine_selection,
-            config=SchedulerConfig(
-                max_concurrent=len(tasks),
-                max_queue=len(tasks),
-                epoch_budget=None,
-            ),
-            parallel=self._executor,
-        )
-        requests = [scheduler.submit(task, top_k=top_k) for task in tasks]
-        scheduler.run_until_idle()
-
-        report = BatchSelectionReport()
-        for task, request in zip(tasks, requests):
-            report.results[task.name] = scheduler.result(request)
-        return report

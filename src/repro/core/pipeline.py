@@ -8,9 +8,11 @@ out-of-core — similarity and distance live as memory-mapped files in the
 :mod:`repro.store` matrix store, bitwise-equal to the in-RAM path (see
 ``docs/scaling.md``).  :class:`TwoPhaseSelector` then answers
 ``select(target_task)`` queries by running coarse-recall followed by
-fine-selection, returning a :class:`~repro.core.results.TwoPhaseResult` whose
-cost accounting matches the paper's Table VI (proxy inference charged at half
-an epoch per scored cluster plus the fine-tuning epochs actually spent).
+fine-selection on a private :class:`~repro.sched.scheduler.EpochScheduler`
+(the one online engine), returning a
+:class:`~repro.core.results.TwoPhaseResult` whose cost accounting matches the
+paper's Table VI (proxy inference charged at half an epoch per scored cluster
+plus the fine-tuning epochs actually spent).
 
 The repository underneath the artifacts is *mutable*:
 :meth:`OfflineArtifacts.refresh` derives the artifacts of the next zoo
@@ -30,7 +32,6 @@ from repro.cache import CacheLike, fingerprint_matrix, resolve_cache
 from repro.cluster.distance import offline_matrices
 from repro.cluster.incremental import update_clustering
 from repro.core.batch import (
-    BatchedSelectionRunner,
     BatchSelectionReport,
     build_phase_engines,
     resolve_target_task,
@@ -45,7 +46,8 @@ from repro.core.performance import (
 from repro.core.results import TwoPhaseResult
 from repro.data.tasks import ClassificationTask
 from repro.data.workloads import WorkloadSuite
-from repro.utils.exceptions import ConfigurationError
+from repro.parallel.executor import get_executor
+from repro.utils.exceptions import ConfigurationError, SelectionError
 from repro.zoo.catalog import ModelCatalogEntry
 from repro.zoo.finetune import FineTuner
 from repro.zoo.hub import ModelHub, ZooVersion
@@ -283,7 +285,15 @@ class OfflineArtifacts:
 
 
 class TwoPhaseSelector:
-    """The paper's complete coarse-recall + fine-selection pipeline."""
+    """The paper's complete coarse-recall + fine-selection pipeline.
+
+    ``parallel`` (an executor, :class:`~repro.parallel.ParallelConfig` or
+    ``"backend[:workers]"`` spec, default ``artifacts.config.parallel``)
+    is the executor the recall's proxy scoring and the scheduler's
+    training rounds fan out over.  Every training step draws from a named
+    per-``(model, task)`` random stream, so all backends return identical
+    results.
+    """
 
     def __init__(
         self,
@@ -295,9 +305,13 @@ class TwoPhaseSelector:
     ) -> None:
         self.artifacts = artifacts
         self.fine_tuner = fine_tuner or FineTuner(seed=seed)
-        self._parallel = parallel
+        self._executor = get_executor(
+            parallel
+            if parallel is not None
+            else getattr(artifacts.config, "parallel", None)
+        )
         self._recall, self._fine_selection = build_phase_engines(
-            artifacts, self.fine_tuner, parallel=parallel
+            artifacts, self.fine_tuner, parallel=self._executor
         )
 
     # ------------------------------------------------------------------ #
@@ -331,16 +345,12 @@ class TwoPhaseSelector:
         *,
         top_k: Optional[int] = None,
     ) -> TwoPhaseResult:
-        """Select the best checkpoint for ``target`` with the two-phase method."""
+        """Select the best checkpoint for ``target`` with the two-phase method.
+
+        The one-target case of :meth:`select_many`.
+        """
         task = self._resolve_task(target)
-        recall_result = self._recall.recall(task, top_k=top_k)
-        selection_result = self._fine_selection.run(recall_result.recalled_models, task)
-        selection_result.extra_epoch_cost = recall_result.epoch_cost
-        return TwoPhaseResult(
-            target_name=task.name,
-            recall=recall_result,
-            selection=selection_result,
-        )
+        return self.select_many([task], top_k=top_k).result_for(task.name)
 
     def select_many(
         self,
@@ -350,19 +360,46 @@ class TwoPhaseSelector:
     ) -> BatchSelectionReport:
         """Select checkpoints for a batch of targets off the shared clustering.
 
-        Delegates to :class:`~repro.core.batch.BatchedSelectionRunner`
-        borrowing this selector's offline artifacts, fine-tuner and online
-        engines, so neither the offline phase nor the engine construction is
-        repeated per target.
+        Every target is submitted as one request to a private
+        :class:`~repro.sched.scheduler.EpochScheduler` (no plan store)
+        sharing this selector's artifacts, fine-tuner and online engines;
+        the scheduler interleaves their epoch steps, so overlapping
+        requests share partially-trained sessions through its session
+        pool.  Results come back in submission order, each task's recall
+        proxy cost recorded on its ``SelectionResult.extra_epoch_cost``.
         """
-        runner = BatchedSelectionRunner(
+        from repro.sched.config import SchedulerConfig
+        from repro.sched.scheduler import EpochScheduler
+
+        tasks = [self._resolve_task(target) for target in targets]
+        if not tasks:
+            raise SelectionError("target batch must not be empty")
+        seen = set()
+        for task in tasks:
+            if task.name in seen:
+                raise SelectionError(f"duplicate target {task.name!r} in batch")
+            seen.add(task.name)
+
+        # A bulk batch wants the fewest, fattest scheduling rounds: every
+        # request is admitted at once and the unbounded epoch budget makes
+        # each round one full stage wave — a single executor dispatch per
+        # stage across the whole batch.
+        scheduler = EpochScheduler.for_artifacts(
             self.artifacts,
             fine_tuner=self.fine_tuner,
             recall=self._recall,
             fine_selection=self._fine_selection,
-            parallel=self._parallel,
+            config=SchedulerConfig(
+                max_concurrent=len(tasks), max_queue=len(tasks), epoch_budget=None
+            ),
+            parallel=self._executor,
         )
-        return runner.run(targets, top_k=top_k)
+        requests = [scheduler.submit(task, top_k=top_k) for task in tasks]
+        scheduler.run_until_idle()
+        report = BatchSelectionReport()
+        for task, request in zip(tasks, requests):
+            report.results[task.name] = scheduler.result(request)
+        return report
 
     def recall_only(
         self, target: Union[str, ClassificationTask], *, top_k: Optional[int] = None

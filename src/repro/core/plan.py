@@ -1,30 +1,27 @@
 """Resumable state machine for one online selection request.
 
 The paper's online phase — coarse recall followed by Algorithm 1's staged
-halving — historically ran as one blocking loop inside each selection
-algorithm.  :class:`SelectionPlan` decomposes that loop into an explicit
-state machine whose unit of work is a single :class:`TrainStep` — "advance
-model *m* by one validation interval for this request".  A driver claims
-steps, trains the corresponding sessions (in any order, on any executor)
-and reports completions; the plan advances a stage only once every step of
-that stage has completed, applying the algorithm's filtering rule through
-its :class:`StagePolicy`.
+halving — is decomposed by :class:`SelectionPlan` into an explicit state
+machine whose unit of work is a single :class:`TrainStep` — "advance model
+*m* by one validation interval for this request".  A driver claims steps,
+trains the corresponding sessions (in any order, on any executor) and
+reports completions; the plan advances a stage only once every step of that
+stage has completed, applying the algorithm's filtering rule through its
+:class:`StagePolicy`.
 
-Two drivers exist:
-
-* the selection algorithms in :mod:`repro.core.selection` drive a plan to
-  completion stage by stage (the serial path — behaviourally identical to
-  the pre-plan blocking loop);
-* :class:`repro.sched.scheduler.EpochScheduler` interleaves the steps of
-  *many* plans over a shared epoch budget, which is what lets concurrent
-  selection requests share fine-tuning work.
-
-Both produce bitwise-identical :class:`~repro.core.results.SelectionResult`
-records because every stochastic quantity lives in the per-``(model, task)``
-named random streams of the fine-tuning sessions, and the plan reads every
-validation/test accuracy from the session's recorded learning curve at the
-*request's own* epoch position (:class:`SessionView`) — never from the
-mutable head state, which a shared session may have trained further.
+One driver exists: :class:`repro.sched.scheduler.EpochScheduler`
+interleaves the steps of many plans over a shared epoch budget.  Every
+entry point — a single :meth:`~repro.core.pipeline.TwoPhaseSelector.select`,
+a batch, a served request, and a selection policy's own ``run`` over
+fixed candidates — submits to one.  A request's
+:class:`~repro.core.results.SelectionResult` does not depend on the
+scheduling because every stochastic quantity lives in the per-``(model,
+task)`` named random streams of the fine-tuning sessions, and the plan
+reads every validation/test accuracy from the session's recorded learning
+curve at the *request's own* epoch position (:class:`SessionView`) —
+never from the mutable head state, which a shared session may have
+trained further.  ``tests/oracles.py`` keeps the blocking stage-by-stage
+loop the scheduler is proven against.
 """
 
 from __future__ import annotations
@@ -159,12 +156,10 @@ class StagePolicy:
 class SelectionPlan:
     """Explicit, resumable state machine of one selection request.
 
-    States: optional coarse **recall** (when built from a target rather
-    than a candidate list), then one **train/filter** cycle per stage of
-    the policy's schedule, then **done** (``result`` is set).  Between
-    those transitions the plan is inert data — it never blocks, so a
-    scheduler can hold hundreds of plans and advance whichever has
-    runnable steps.
+    States: one **train/filter** cycle per stage of the policy's schedule,
+    then **done** (``result`` is set).  Between those transitions the plan
+    is inert data — it never blocks, so a scheduler can hold hundreds of
+    plans and advance whichever has runnable steps.
 
     Parameters
     ----------
@@ -174,20 +169,14 @@ class SelectionPlan:
         Target task of the request.
     view_factory:
         Maps a candidate model name to the :class:`SessionView` the plan
-        trains and reads — fresh sessions for the serial path, pooled
-        views for the scheduler.
+        trains and reads (pooled views under the scheduler).
     candidates:
-        Candidate model names (skips the recall state).
-    recall:
-        Recall engine with a ``recall(task, top_k=...)`` method; used when
-        ``candidates`` is not given.
-    top_k:
-        Forwarded to the recall engine.
+        Candidate model names — the recalled models of a two-phase
+        request, or a policy's fixed candidate list.
     recall_result:
-        A recall outcome computed elsewhere (e.g. batched with other
-        requests' recalls by the scheduler); requires ``candidates`` and
-        makes :meth:`two_phase_result` available as if the plan had run
-        the recall itself.
+        The coarse-recall outcome the candidates came from, if any; makes
+        :meth:`two_phase_result` available and charges the recall's proxy
+        cost to the result.
     """
 
     def __init__(
@@ -196,23 +185,17 @@ class SelectionPlan:
         policy: StagePolicy,
         task: ClassificationTask,
         view_factory: Callable[[str], SessionView],
-        candidates: Optional[Sequence[str]] = None,
-        recall=None,
-        top_k: Optional[int] = None,
+        candidates: Sequence[str],
         recall_result: Optional[RecallResult] = None,
     ) -> None:
         self._policy = policy
         self.task = task
-        self._view_factory = view_factory
-        self._recall = recall
-        self._top_k = top_k
         self._stage_epochs = list(policy.stage_schedule())
         if not self._stage_epochs:
             raise SelectionError("stage schedule must not be empty")
-        if recall_result is not None and candidates is None:
-            raise SelectionError(
-                "a precomputed recall_result requires explicit candidates"
-            )
+        names = list(candidates)
+        if not names:
+            raise SelectionError("candidate list must not be empty")
         self.recall_result = recall_result
         self.stage_index = 0
         self.runtime_epochs = 0.0
@@ -222,26 +205,20 @@ class SelectionPlan:
         #: Always empty in exact mode.
         self.pruned: Dict[str, Dict[str, object]] = {}
         self.result: Optional[SelectionResult] = None
-        self.views: Dict[str, SessionView] = {}
-        self.candidates: List[str] = []
-        self.surviving: List[str] = []
+        self.candidates: List[str] = names
+        self.surviving: List[str] = list(names)
+        # Candidate order fixes the iteration (and result-dict) order
+        # everywhere downstream.
+        self.views: Dict[str, SessionView] = {
+            name: view_factory(name) for name in names
+        }
         self._unclaimed: List[TrainStep] = []
         self._inflight: set = set()
         self._stage_open = False
-        if candidates is None:
-            if recall is None:
-                raise SelectionError("plan needs either candidates or a recall engine")
-        else:
-            self._init_candidates(candidates)
 
     # ------------------------------------------------------------------ #
     # state inspection
     # ------------------------------------------------------------------ #
-    @property
-    def needs_recall(self) -> bool:
-        """Whether the plan is still in the coarse-recall state."""
-        return not self.candidates
-
     @property
     def done(self) -> bool:
         """Whether the request has finished (``result`` is available)."""
@@ -263,31 +240,10 @@ class SelectionPlan:
         return list(self._stage_epochs)
 
     # ------------------------------------------------------------------ #
-    # recall state
-    # ------------------------------------------------------------------ #
-    def run_recall(self) -> RecallResult:
-        """Execute the coarse-recall phase and enter the first train stage."""
-        if not self.needs_recall:
-            raise SelectionError("plan has already recalled its candidates")
-        self.recall_result = self._recall.recall(self.task, top_k=self._top_k)
-        self._init_candidates(self.recall_result.recalled_models)
-        return self.recall_result
-
-    def _init_candidates(self, candidates: Sequence[str]) -> None:
-        names = list(candidates)
-        if not names:
-            raise SelectionError("candidate list must not be empty")
-        self.candidates = names
-        self.surviving = list(names)
-        # Candidate order fixes the iteration (and result-dict) order
-        # everywhere downstream, exactly like the pre-plan session dict.
-        self.views = {name: self._view_factory(name) for name in names}
-
-    # ------------------------------------------------------------------ #
     # train/filter cycle
     # ------------------------------------------------------------------ #
     def _open_stage(self) -> None:
-        if self._stage_open or self.done or self.needs_recall:
+        if self._stage_open or self.done:
             return
         interval = self._stage_epochs[self.stage_index]
         self._unclaimed = [
@@ -480,11 +436,11 @@ class SelectionPlan:
     # results
     # ------------------------------------------------------------------ #
     def two_phase_result(self) -> TwoPhaseResult:
-        """Assemble the :class:`TwoPhaseResult` of a recall-started plan."""
+        """Assemble the :class:`TwoPhaseResult` of a plan with a recall result."""
         if not self.done:
             raise SelectionError("plan has not finished yet")
         if self.recall_result is None:
-            raise SelectionError("plan was built from explicit candidates; "
+            raise SelectionError("plan was built without a recall result; "
                                  "it has no recall phase to report")
         return TwoPhaseResult(
             target_name=self.task.name,
@@ -495,8 +451,9 @@ class SelectionPlan:
     def best_so_far(self) -> Dict[str, object]:
         """Anytime answer: the current best candidates, confidence-ordered.
 
-        Usable in every state — during recall it reports no candidates;
-        after completion it agrees with the final result.  Candidates are
+        Usable in every state — before the first stage completes it
+        reports no candidates; after completion it agrees with the final
+        result.  Candidates are
         ranked survivors-first, then by epochs trained (deeper evidence
         first), then by validation accuracy at the request's own position,
         with the deterministic candidate order breaking exact ties — the
@@ -532,11 +489,7 @@ class SelectionPlan:
         ]
         best = candidates[0] if candidates else None
         return {
-            "phase": (
-                "recall" if self.needs_recall
-                else "done" if self.done
-                else f"stage {self.stage_index}"
-            ),
+            "phase": "done" if self.done else f"stage {self.stage_index}",
             "final": self.done,
             "best": best,
             "candidates": candidates,
@@ -545,11 +498,7 @@ class SelectionPlan:
     def progress(self) -> Dict[str, object]:
         """JSON-friendly snapshot of the plan's state (for ``poll``)."""
         return {
-            "phase": (
-                "recall" if self.needs_recall
-                else "done" if self.done
-                else f"stage {self.stage_index}"
-            ),
+            "phase": "done" if self.done else f"stage {self.stage_index}",
             "stage": self.stage_index,
             "num_stages": self.num_stages,
             "surviving": list(self.surviving),

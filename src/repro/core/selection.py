@@ -15,17 +15,12 @@ every fine-tuning epoch spent — the cost unit of the paper's Tables V/VI.
   than a threshold — allowing it to cut more than half per stage.
 
 Each algorithm is a :class:`~repro.core.plan.StagePolicy` — the per-stage
-filtering rule — and :meth:`run` drives a
-:class:`~repro.core.plan.SelectionPlan` (the resumable state machine the
-online phase decomposes into) to completion, stage by stage.  Within each
-stage, the surviving candidates train independently (every session owns a
-per-``(model, task)`` named random stream), so the stage's epoch training
-fans out over an :class:`~repro.parallel.executor.Executor`; results are
-collected in candidate order and all backends — serial, thread, process —
-produce identical :class:`SelectionResult` records.  The same plan/policy
-code also runs under :class:`~repro.sched.scheduler.EpochScheduler`, which
-interleaves steps of many concurrent requests; a request's result is
-bitwise-identical either way.
+filtering rule a :class:`~repro.core.plan.SelectionPlan` applies.  The
+policies train nothing themselves: :meth:`_SelectionBase.run` submits the
+candidates as one request to a private
+:class:`~repro.sched.scheduler.EpochScheduler` — the same engine that runs
+two-phase, batched and served requests — and hands back the plan's
+:class:`SelectionResult`.
 """
 
 from __future__ import annotations
@@ -40,17 +35,16 @@ from repro.core.convergence import (
 )
 from repro.core.extrapolation import CurveExtrapolator, ExtrapolationConfig
 from repro.core.performance import PerformanceMatrix
-from repro.core.plan import SelectionPlan, SessionView, StagePolicy, TrainStep
+from repro.core.plan import SessionView, StagePolicy
 from repro.core.results import SelectionResult, StageRecord
 from repro.data.tasks import ClassificationTask
-from repro.parallel.executor import Executor, get_executor
 from repro.utils.exceptions import SelectionError
-from repro.zoo.finetune import FineTuneSession, FineTuner
+from repro.zoo.finetune import FineTuner
 from repro.zoo.hub import ModelHub
 
 
 class _SelectionBase(StagePolicy):
-    """Shared plumbing: plan construction, session management, stage fan-out."""
+    """Shared plumbing: candidate checks and the scheduler-backed ``run``."""
 
     method = "base"
 
@@ -60,12 +54,10 @@ class _SelectionBase(StagePolicy):
         fine_tuner: Optional[FineTuner] = None,
         *,
         config: Optional[FineSelectionConfig] = None,
-        executor: Optional[Executor] = None,
     ) -> None:
         self.hub = hub
         self.fine_tuner = fine_tuner or FineTuner(seed=0)
         self.config = config or FineSelectionConfig()
-        self._executor = get_executor(executor)
 
     # ------------------------------------------------------------------ #
     def _check_candidates(self, candidates: Sequence[str]) -> List[str]:
@@ -77,48 +69,11 @@ class _SelectionBase(StagePolicy):
             raise SelectionError(f"unknown candidate model(s): {unknown[:3]}")
         return names
 
-    def _fresh_view(self, name: str, task: ClassificationTask) -> SessionView:
-        """A private (non-pooled) session view, as the serial path uses."""
-        return SessionView(self.fine_tuner.start_session(self.hub.get(name), task))
-
-    def build_plan(
-        self, candidates: Sequence[str], task: ClassificationTask
-    ) -> SelectionPlan:
-        """The request's state machine over fresh per-request sessions."""
-        names = self._check_candidates(candidates)
-        return SelectionPlan(
-            policy=self,
-            task=task,
-            candidates=names,
-            view_factory=lambda name: self._fresh_view(name, task),
-        )
-
     def run(self, candidates: Sequence[str], task: ClassificationTask) -> SelectionResult:
-        """Select among ``candidates`` on ``task`` by driving a plan serially."""
-        plan = self.build_plan(candidates, task)
-        while not plan.done:
-            self._run_stage(plan)
-        return plan.result
+        """Select among ``candidates`` on ``task`` (one scheduler request)."""
+        from repro.sched.scheduler import _run_fixed_candidates
 
-    def _run_stage(self, plan: SelectionPlan) -> None:
-        """Train one full stage of ``plan``, possibly in parallel.
-
-        Sessions are independent (per-``(model, task)`` random streams), so
-        the training order cannot influence the curves; results are
-        reassigned in candidate order.  With the process backend the trained
-        session objects are pickled back from the forked workers, which is
-        what lets stage training cross process boundaries transparently.
-        """
-        steps = plan.claim_stage()
-
-        def train_one(step: TrainStep) -> Tuple[TrainStep, FineTuneSession]:
-            session = plan.views[step.model].session
-            session.train_epochs(step.epochs)
-            return step, session
-
-        for step, session in self._executor.map(train_one, steps):
-            plan.views[step.model].adopt(session, advance=step.epochs)
-            plan.complete(step)
+        return _run_fixed_candidates(self, self._check_candidates(candidates), task)
 
 
 class BruteForceSelection(_SelectionBase):
@@ -199,10 +154,9 @@ class FineSelection(_SelectionBase):
         *,
         config: Optional[FineSelectionConfig] = None,
         trend_miner: Optional[ConvergenceTrendMiner] = None,
-        executor: Optional[Executor] = None,
         extrapolation: Optional[ExtrapolationConfig] = None,
     ) -> None:
-        super().__init__(hub, fine_tuner, config=config, executor=executor)
+        super().__init__(hub, fine_tuner, config=config)
         self.matrix = matrix
         self.trend_miner = trend_miner or ConvergenceTrendMiner(
             num_trends=self.config.num_trends

@@ -109,18 +109,16 @@ def run_batched_selection(
     spec) fans the per-target work out across workers; every backend
     returns the same report as the serial path.
     """
-    from repro.core.batch import BatchedSelectionRunner
+    from repro.core.pipeline import TwoPhaseSelector
 
     context = get_context(modality, scale=scale, seed=seed)
     resolved = context.target_names if targets is None else list(targets)
-    if parallel is None:
-        return context.selector.select_many(resolved, top_k=top_k)
-    runner = BatchedSelectionRunner(
-        context.selector.artifacts,
-        fine_tuner=context.selector.fine_tuner,
-        parallel=parallel,
-    )
-    return runner.run(resolved, top_k=top_k)
+    selector = context.selector
+    if parallel is not None:
+        selector = TwoPhaseSelector(
+            selector.artifacts, fine_tuner=selector.fine_tuner, parallel=parallel
+        )
+    return selector.select_many(resolved, top_k=top_k)
 
 
 def render_report(outputs: Dict[str, str]) -> str:

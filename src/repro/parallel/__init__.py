@@ -1,10 +1,11 @@
 """Parallel execution subsystem: one config, three interchangeable backends.
 
 The online phases of the two-phase pipeline are embarrassingly parallel at
-three granularities — per-representative proxy scoring in coarse recall,
-per-candidate stage training in fine-selection, and per-target fan-out in
-batched selection.  This package supplies the executor abstraction those hot
-paths share:
+two granularities — per-representative proxy scoring in coarse recall, and
+the per-session training ops of each
+:class:`~repro.sched.scheduler.EpochScheduler` round (which spans every
+request in flight, so batched selection fans out there too).  This package
+supplies the executor abstraction those hot paths share:
 
 * :class:`~repro.parallel.config.ParallelConfig` — backend + worker count,
   parsed from ``"backend[:workers]"`` specs (CLI ``--parallel``,

@@ -1,9 +1,9 @@
 """Parallel-execution configuration.
 
 :class:`ParallelConfig` is the single knob every parallel hot path reads:
-the coarse-recall proxy loop, the per-candidate stage training of the
-selection algorithms, and the per-task fan-out of
-:class:`~repro.core.batch.BatchedSelectionRunner`.  It names a backend
+the coarse-recall proxy loop and the training rounds of the
+:class:`~repro.sched.scheduler.EpochScheduler` (which run every
+selection: single, batched and served).  It names a backend
 (``serial``, ``thread`` or ``process``) and a worker count, and parses the
 compact ``"backend[:workers]"`` spec used by the CLI and the
 ``REPRO_PARALLEL`` environment variable.

@@ -15,8 +15,11 @@ the same ``(model, task)`` stages.
   checkpoints.
 * :class:`~repro.sched.config.SchedulerConfig` — the deployment knobs.
 
-Scheduling never changes results — a request's outcome is bitwise-identical
-to its serial run — only cost and latency.  See ``docs/serving.md``.
+The scheduler is the only engine that trains a selection plan: single,
+batched and served selections, and the baseline policies' own ``run``, all
+go through it.  Scheduling never changes results — a request's outcome is
+bitwise-identical to the blocking stage-by-stage loop — only cost and
+latency.  See ``docs/serving.md``.
 """
 
 from repro.sched.config import POLICIES, SchedulerConfig

@@ -15,16 +15,20 @@ Correctness does not depend on scheduling: every training step draws from
 the per-``(model, task)`` named random stream of its session and every read
 indexes the request's own epoch position, so a request's
 :class:`~repro.core.results.TwoPhaseResult` is bitwise-identical whether it
-ran alone through :class:`~repro.core.pipeline.TwoPhaseSelector`, batched,
-or interleaved with arbitrary concurrent traffic (enforced by the property
-suite in ``tests/property/test_property_scheduler.py``).  What scheduling
-*does* change is cost: overlapping requests share partially-trained
-checkpoints through the :class:`~repro.sched.pool.SessionPool`, so the
-aggregate epochs actually trained can be far below the epochs charged.
+ran alone, batched, or interleaved with arbitrary concurrent traffic — and
+equal to the blocking stage-by-stage loop of ``tests/oracles.py`` (enforced
+by the property suite in ``tests/property/test_property_scheduler.py``).
+What scheduling *does* change is cost: overlapping requests share
+partially-trained checkpoints through the
+:class:`~repro.sched.pool.SessionPool`, so the aggregate epochs actually
+trained can be far below the epochs charged.
 
-The scheduler can be driven synchronously (:meth:`run_until_idle` — used by
-:class:`~repro.core.batch.BatchedSelectionRunner`) or by its own background
-thread (:meth:`start` — used by :meth:`repro.service.SelectionService.submit`).
+This is the only engine that trains a plan.  It can be driven
+synchronously (:meth:`run_until_idle` — a private, store-less scheduler per
+:meth:`~repro.core.pipeline.TwoPhaseSelector.select_many` call, and per
+selection policy ``run`` over fixed candidates, see
+:func:`_run_fixed_candidates`) or by its own background thread
+(:meth:`start` — used by :meth:`repro.service.SelectionService.submit`).
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from repro.cache import fingerprint_task, fingerprint_text
 from repro.cache import plan_key as make_plan_key
 from repro.core.extrapolation import ExtrapolationConfig, resolve_extrapolation
 from repro.core.plan import SelectionPlan, TrainStep
-from repro.core.results import RecallResult, TwoPhaseResult
+from repro.core.results import RecallResult, SelectionResult, TwoPhaseResult
 from repro.data.tasks import ClassificationTask
 from repro.nn.batched import FusedSessionGroup
 from repro.parallel.executor import Executor, ExecutorLike, get_executor
@@ -115,9 +119,13 @@ class SelectionRequest:
         self.context = context
         self.deadline = deadline
         self.epoch_quota = epoch_quota
+        #: Fixed candidates of a policy run (see :func:`_run_fixed_candidates`):
+        #: the request skips recall and its result is the plan's
+        #: :class:`SelectionResult`.  ``None`` for a two-phase request.
+        self.candidates: Optional[List[str]] = None
         self.state = QUEUED
         self.plan: Optional[SelectionPlan] = None
-        self.result: Optional[TwoPhaseResult] = None
+        self.result: Optional[Union[TwoPhaseResult, SelectionResult]] = None
         self.error: Optional[Exception] = None
         self.epochs_charged = 0
         #: Epochs satisfied from the plan journal on a resumed request —
@@ -259,9 +267,10 @@ class EpochScheduler:
     ) -> "EpochScheduler":
         """Scheduler over one fixed set of offline artifacts.
 
-        Engines default to a fresh pair built exactly as the serial
-        selector builds them (``build_phase_engines``), guaranteeing the
-        two entry points cannot drift.
+        Engines default to a fresh pair built exactly as
+        :class:`~repro.core.pipeline.TwoPhaseSelector` builds them
+        (``build_phase_engines``), guaranteeing the entry points cannot
+        drift.
         """
         from repro.core.batch import build_phase_engines
         from repro.zoo.finetune import FineTuner
@@ -349,6 +358,21 @@ class EpochScheduler:
                     policy.extrapolation = extrapolation
             context = dataclasses.replace(context, fine_selection=policy)
         task = _resolve_task(context, target)
+        return self._enqueue(
+            task, context, top_k=top_k, timeout=timeout, epoch_quota=epoch_quota
+        )
+
+    def _enqueue(
+        self,
+        task: ClassificationTask,
+        context: SchedulerContext,
+        *,
+        top_k: Optional[int] = None,
+        timeout: Optional[float] = None,
+        epoch_quota: Optional[int] = None,
+        candidates: Optional[List[str]] = None,
+    ) -> SelectionRequest:
+        """Admission-queue one request (``candidates`` skip the recall)."""
         if timeout is None:
             timeout = self.config.timeout_seconds
         if epoch_quota is None:
@@ -371,7 +395,8 @@ class EpochScheduler:
                 ),
                 epoch_quota=epoch_quota,
             )
-            if self._persist is not None:
+            request.candidates = candidates
+            if self._persist is not None and candidates is None:
                 request.plan_key = self._plan_key(context, task, top_k)
             self._queue.append(request)
             self._wake.notify_all()
@@ -460,8 +485,12 @@ class EpochScheduler:
 
     def result(
         self, request: SelectionRequest, timeout: Optional[float] = None
-    ) -> TwoPhaseResult:
-        """Block until ``request`` finishes; return (or re-raise) its outcome."""
+    ) -> Union[TwoPhaseResult, SelectionResult]:
+        """Block until ``request`` finishes; return (or re-raise) its outcome.
+
+        The outcome is a :class:`TwoPhaseResult`, or the plan's
+        :class:`SelectionResult` for a fixed-candidates request.
+        """
         if not request.wait(timeout):
             raise RequestTimeoutError(
                 f"request {request.id} ({request.target_name!r}) still running "
@@ -601,11 +630,15 @@ class EpochScheduler:
             return
         # Journal-backed admission: a request whose journal already proves
         # a result (under this schedule) finishes without training; one
-        # with a journaled recall skips the live recall.  Only the rest
-        # pay for the batched recall dispatch below.
+        # with a journaled recall skips the live recall, and so does one
+        # with fixed candidates.  Only the rest pay for the batched recall
+        # dispatch below.
         live: List[SelectionRequest] = []
         for request in admitted:
-            action, restored_recall = self._admit_from_journal(request)
+            if request.candidates is not None:
+                action, restored_recall = "recall", None
+            else:
+                action, restored_recall = self._admit_from_journal(request)
             if action == "result":
                 continue
             if action == "recall":
@@ -635,7 +668,7 @@ class EpochScheduler:
             self._begin_training(request, outcome)
 
     def _begin_training(
-        self, request: SelectionRequest, recall_result: RecallResult
+        self, request: SelectionRequest, recall_result: Optional[RecallResult]
     ) -> None:
         try:
             self._start_plan(request, recall_result)
@@ -704,7 +737,13 @@ class EpochScheduler:
                     self._recalls_restored += 1
                 return "recall", restored
         except (KeyError, TypeError, ValueError):
-            pass  # malformed payload: fall back to a live run
+            # Malformed payload: fall back to a live run, but say so.
+            with self._lock:
+                self._journal_errors += 1
+            logger.exception(
+                "journal %s holds a malformed payload; running live",
+                request.plan_key,
+            )
         return "live", None
 
     def _prewarm(self, admitted: Sequence[SelectionRequest]) -> None:
@@ -727,13 +766,17 @@ class EpochScheduler:
                 ):
                     context.artifacts.hub.get(name).source_head()
 
-    def _start_plan(self, request: SelectionRequest, recall_result) -> None:
+    def _start_plan(
+        self, request: SelectionRequest, recall_result: Optional[RecallResult]
+    ) -> None:
         context = request.context
         loader = self._persist.load_session if self._persist is not None else None
+        # The hub the policy checks its candidates against.
+        hub = context.fine_selection.hub
 
         def view_factory(name: str) -> PooledSessionView:
             view = self._pool.acquire(
-                context.artifacts.hub.get(name),
+                hub.get(name),
                 request.task,
                 version_key=context.version_key,
                 loader=loader,
@@ -745,7 +788,11 @@ class EpochScheduler:
             policy=context.fine_selection,
             task=request.task,
             view_factory=view_factory,
-            candidates=recall_result.recalled_models,
+            candidates=(
+                request.candidates
+                if recall_result is None
+                else recall_result.recalled_models
+            ),
             recall_result=recall_result,
         )
         request.plan = plan
@@ -953,8 +1000,7 @@ class EpochScheduler:
         stacked-kernel group when ``fused_training`` is on (see
         :mod:`repro.nn.batched`); the rest fan out per session.  Units map
         over the configured executor; with the process backend the
-        advanced sessions are pickled back and re-adopted, exactly like
-        serial stage training.
+        advanced sessions are pickled back and re-adopted.
         """
         # Group steps by session entry: one training op per shared session.
         ops: Dict[int, Tuple[PooledSessionView, int]] = {}
@@ -1188,15 +1234,18 @@ class EpochScheduler:
             return True
 
     def _finish(self, request: SelectionRequest) -> None:
-        result = request.plan.two_phase_result()
+        plan = request.plan
+        if request.candidates is not None:
+            result = plan.result
+        else:
+            result = plan.two_phase_result()
         if not self._make_terminal(request):
             return
         request.result = result
-        self._journal_append(
-            request,
-            "result",
-            encode_result(request.result, schedule=request.plan.stage_schedule),
-        )
+        if request.journal is not None:  # fixed-candidates runs never journal
+            self._journal_append(
+                request, "result", encode_result(result, schedule=plan.stage_schedule)
+            )
         request.state = DONE
         request.finished_at = time.monotonic()
         self._release_views(request)
@@ -1364,3 +1413,30 @@ class EpochScheduler:
                     "recover_skipped": self._recover_skipped,
                 }
         return report
+
+
+def _run_fixed_candidates(
+    policy, candidates: Sequence[str], task: ClassificationTask
+) -> SelectionResult:
+    """Train ``policy`` over fixed ``candidates`` as one scheduler request.
+
+    The engine behind every selection policy's ``run``: the request skips
+    recall and runs on a private scheduler without a plan store, over a
+    fresh session pool seeded by the policy's fine-tuner, and its outcome
+    is the plan's :class:`SelectionResult`.  Nothing public reaches the
+    fixed-candidates path — ``submit`` always recalls.
+    """
+    context = SchedulerContext(
+        artifacts=None,
+        recall=None,
+        fine_selection=policy,
+        version_key=policy.hub.version.key,
+        fine_tuner=policy.fine_tuner,
+    )
+    scheduler = EpochScheduler(
+        lambda: context,
+        config=SchedulerConfig(max_concurrent=1, max_queue=1, epoch_budget=None),
+    )
+    request = scheduler._enqueue(task, context, candidates=list(candidates))
+    scheduler.run_until_idle()
+    return scheduler.result(request)

@@ -1,8 +1,8 @@
-"""Tests for the batched multi-task selection engine."""
+"""Tests for batched multi-task selection (``TwoPhaseSelector.select_many``)."""
 
 import pytest
 
-from repro.core.batch import BatchedSelectionRunner, BatchSelectionReport
+from repro.core.batch import BatchSelectionReport
 from repro.core.pipeline import OfflineArtifacts, TwoPhaseSelector
 from repro.core.results import aggregate_epoch_accounting
 from repro.utils.exceptions import SelectionError
@@ -20,11 +20,12 @@ def nlp_artifacts(nlp_hub_small, nlp_suite_small, test_pipeline_config, fine_tun
 
 @pytest.fixture(scope="module")
 def batch_report(nlp_artifacts, nlp_suite_small):
-    runner = BatchedSelectionRunner(nlp_artifacts)
-    return runner.run(nlp_suite_small.target_names)
+    return TwoPhaseSelector(nlp_artifacts).select_many(nlp_suite_small.target_names)
 
 
 class TestBatchedSelectionRunner:
+    """The batch entry point: one private scheduler for every target."""
+
     def test_one_result_per_target_in_order(self, batch_report, nlp_suite_small):
         assert batch_report.target_names == list(nlp_suite_small.target_names)
         for name in nlp_suite_small.target_names:
@@ -67,23 +68,22 @@ class TestBatchedSelectionRunner:
         )
 
     def test_accepts_task_objects_and_top_k(self, nlp_artifacts, nlp_suite_small):
-        runner = BatchedSelectionRunner(nlp_artifacts)
         task = nlp_suite_small.task("mnli")
-        report = runner.run([task], top_k=3)
+        report = TwoPhaseSelector(nlp_artifacts).select_many([task], top_k=3)
         assert report.target_names == ["mnli"]
         assert len(report.result_for("mnli").recall.recalled_models) == 3
 
     def test_rejects_empty_batch(self, nlp_artifacts):
         with pytest.raises(SelectionError):
-            BatchedSelectionRunner(nlp_artifacts).run([])
+            TwoPhaseSelector(nlp_artifacts).select_many([])
 
     def test_rejects_duplicate_targets(self, nlp_artifacts):
         with pytest.raises(SelectionError, match="duplicate"):
-            BatchedSelectionRunner(nlp_artifacts).run(["mnli", "mnli"])
+            TwoPhaseSelector(nlp_artifacts).select_many(["mnli", "mnli"])
 
     def test_rejects_unknown_target(self, nlp_artifacts):
         with pytest.raises(SelectionError, match="unknown target"):
-            BatchedSelectionRunner(nlp_artifacts).run(["no-such-dataset"])
+            TwoPhaseSelector(nlp_artifacts).select_many(["no-such-dataset"])
 
     def test_report_rejects_unknown_target(self, batch_report):
         with pytest.raises(SelectionError):
@@ -92,10 +92,10 @@ class TestBatchedSelectionRunner:
     def test_from_hub_builds_offline_artifacts(
         self, nlp_hub_small, nlp_suite_small, test_pipeline_config
     ):
-        runner = BatchedSelectionRunner.from_hub(
+        selector = TwoPhaseSelector.from_hub(
             nlp_hub_small, nlp_suite_small, config=test_pipeline_config
         )
-        report = runner.run(["boolq"])
+        report = selector.select_many(["boolq"])
         assert set(report.selected_models()) == {"boolq"}
 
 

@@ -2,13 +2,16 @@
 
 The parallel subsystem's core guarantee (docs/parallelism.md) is that the
 serial, thread and process executors return identical results at every
-granularity — proxy scoring, stage training, batched fan-out.  These tests
-pin that guarantee on the reduced session fixtures.
+granularity — proxy scoring and the scheduler's training rounds, single
+and batched.  These tests pin that guarantee on the reduced session
+fixtures, and pin each selection policy's ``run`` (a private scheduler
+request) to the blocking stage loop of ``oracles.serial_stage_loop``.
 """
 
 import pytest
 
-from repro.core.batch import BatchedSelectionRunner, build_phase_engines
+from oracles import serial_stage_loop
+from repro.core.batch import build_phase_engines
 from repro.core.config import RecallConfig
 from repro.core.pipeline import OfflineArtifacts, TwoPhaseSelector
 from repro.core.recall import CoarseRecall
@@ -57,55 +60,46 @@ class TestRecallAcrossBackends:
         assert result.epoch_cost == reference.epoch_cost
 
 
-class TestSelectionAcrossBackends:
-    @pytest.mark.parametrize("parallel", BACKENDS[1:])
-    def test_fine_selection_identical_to_serial(
-        self, nlp_hub_small, nlp_matrix_small, nlp_suite_small, fine_tuner, parallel
+class TestPolicyRun:
+    def test_fine_selection_matches_oracle(
+        self, nlp_hub_small, nlp_matrix_small, nlp_suite_small, fine_tuner
     ):
         task = nlp_suite_small.task("mnli")
         candidates = nlp_hub_small.model_names[:6]
-        reference = FineSelection(
-            nlp_hub_small, nlp_matrix_small, fine_tuner
-        ).run(candidates, task)
-        result = FineSelection(
-            nlp_hub_small,
-            nlp_matrix_small,
-            fine_tuner,
-            executor=get_executor(parallel),
-        ).run(candidates, task)
+        engine = FineSelection(nlp_hub_small, nlp_matrix_small, fine_tuner)
+        reference = serial_stage_loop(engine, candidates, task)
+        result = engine.run(candidates, task)
         assert result.selected_model == reference.selected_model
         assert result.selected_accuracy == reference.selected_accuracy
         assert result.runtime_epochs == reference.runtime_epochs
         assert result.final_accuracies == reference.final_accuracies
-        assert [s.validation_accuracy for s in result.stages] == [
-            s.validation_accuracy for s in reference.stages
-        ]
+        assert result.stages == reference.stages
 
-    def test_successive_halving_parallel_matches_serial(
+    def test_successive_halving_matches_oracle(
         self, nlp_hub_small, nlp_suite_small, fine_tuner
     ):
         task = nlp_suite_small.task("boolq")
         candidates = nlp_hub_small.model_names[:4]
-        reference = SuccessiveHalving(nlp_hub_small, fine_tuner).run(candidates, task)
-        result = SuccessiveHalving(
-            nlp_hub_small, fine_tuner, executor=get_executor("thread:2")
-        ).run(candidates, task)
+        engine = SuccessiveHalving(nlp_hub_small, fine_tuner)
+        reference = serial_stage_loop(engine, candidates, task)
+        result = engine.run(candidates, task)
         assert result.selected_model == reference.selected_model
         assert result.final_accuracies == reference.final_accuracies
+        assert result.stages == reference.stages
 
 
 class TestBatchAcrossBackends:
     @pytest.fixture(scope="class")
     def serial_report(self, nlp_artifacts, nlp_suite_small):
-        runner = BatchedSelectionRunner(nlp_artifacts, parallel="serial")
-        return runner.run(nlp_suite_small.target_names)
+        selector = TwoPhaseSelector(nlp_artifacts, parallel="serial")
+        return selector.select_many(nlp_suite_small.target_names)
 
     @pytest.mark.parametrize("parallel", BACKENDS[1:])
     def test_batch_identical_to_serial(
         self, nlp_artifacts, nlp_suite_small, serial_report, parallel
     ):
-        runner = BatchedSelectionRunner(nlp_artifacts, parallel=parallel)
-        report = runner.run(nlp_suite_small.target_names)
+        selector = TwoPhaseSelector(nlp_artifacts, parallel=parallel)
+        report = selector.select_many(nlp_suite_small.target_names)
         assert report.target_names == serial_report.target_names
         for name in report.target_names:
             result = report.result_for(name)
@@ -130,4 +124,8 @@ class TestBatchAcrossBackends:
             nlp_artifacts, fine_tuner, parallel=executor
         )
         assert recall._executor is executor
-        assert fine_selection._executor is executor
+        # Training fans out in the scheduler, never inside the policy.
+        assert not hasattr(fine_selection, "_executor")
+        selector = TwoPhaseSelector(nlp_artifacts, parallel=executor)
+        assert selector._executor is executor
+        assert selector._recall._executor is executor

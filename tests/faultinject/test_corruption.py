@@ -199,6 +199,40 @@ class TestRecoveryFiltering:
         scheduler.result(first[0], timeout=10)
 
 
+class TestMalformedPayload:
+    def test_malformed_result_payload_runs_live_counted_and_logged(
+        self, artifacts, fine_tuner, serial_oracle, tmp_path, caplog
+    ):
+        """A well-checksummed but undecodable result falls back to a live run."""
+        root = tmp_path / "store"
+        first = make_scheduler(artifacts, PlanStore(root), fine_tuner)
+        done = first.submit(TARGET, top_k=TOP_K)
+        first.run_until_idle()
+        first.result(done, timeout=10)
+        path = journal_path(root)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        records = [json.loads(line) for line in lines]
+        (index,) = [i for i, r in enumerate(records) if r["type"] == "result"]
+        payload = dict(records[index]["payload"])
+        del payload["selection"]  # decodes with a KeyError
+        lines[index] = encode_record(records[index]["seq"], "result", payload)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+        scheduler = make_scheduler(artifacts, PlanStore(root), fine_tuner)
+        with caplog.at_level("ERROR", logger="repro.sched.scheduler"):
+            request = scheduler.submit(TARGET, top_k=TOP_K)
+            scheduler.run_until_idle()
+        assert_bitwise_equal(
+            scheduler.result(request, timeout=10), serial_oracle[(TARGET, TOP_K)]
+        )
+        persist = scheduler.stats()["persist"]
+        assert persist["journal_errors"] == 1
+        assert persist["results_restored"] == 0
+        assert any(
+            request.plan_key in record.getMessage() for record in caplog.records
+        )
+
+
 class TestEndToEndAfterCorruption:
     def test_resume_after_torn_tail_is_bitwise_identical(
         self, artifacts, serial_oracle, fine_tuner, crashed_store

@@ -1,7 +1,8 @@
-"""Reference loop implementations the vectorised library code must match.
+"""Reference loop implementations the library code must match.
 
-These are the original per-pair and per-row loops.  The library no longer
-ships them; the unit and property suites compare the vectorised paths
+These are the original per-pair and per-row loops, and the blocking
+stage-by-stage selection loop.  The library no longer ships them; the unit
+and property suites compare the vectorised paths and the epoch scheduler
 against them bitwise.  Import with ``from oracles import ...`` (the
 ``tests`` directory is on ``sys.path`` under pytest's default import mode).
 """
@@ -10,6 +11,8 @@ import numpy as np
 
 from repro.cluster.distance import check_distance_matrix
 from repro.core.performance import PerformanceMatrix
+from repro.core.plan import SelectionPlan, SessionView
+from repro.core.results import SelectionResult, TwoPhaseResult
 from repro.core.similarity import performance_similarity
 from repro.utils.exceptions import DataError
 
@@ -59,3 +62,38 @@ def _silhouette_samples_loop(
         denominator = max(intra, inter)
         values[i] = 0.0 if denominator == 0 else (inter - intra) / denominator
     return values
+
+
+def serial_stage_loop(policy, candidates, task) -> SelectionResult:
+    """Reference blocking selection: one stage at a time, private sessions.
+
+    Every candidate gets its own fresh session from the policy's
+    fine-tuner; each stage's steps are claimed together, trained in
+    candidate order in the calling thread and completed before the next
+    stage opens.  No executor, no session sharing, no fused kernels.
+    """
+    plan = SelectionPlan(
+        policy=policy,
+        task=task,
+        candidates=list(candidates),
+        view_factory=lambda name: SessionView(
+            policy.fine_tuner.start_session(policy.hub.get(name), task)
+        ),
+    )
+    while not plan.done:
+        for step in plan.claim_stage():
+            view = plan.views[step.model]
+            view.session.train_epochs(step.epochs)
+            view.adopt(view.session, advance=step.epochs)
+            plan.complete(step)
+    return plan.result
+
+
+def serial_two_phase(recall, policy, task, *, top_k=None) -> TwoPhaseResult:
+    """Reference two-phase selection: coarse recall, then the blocking loop."""
+    recall_result = recall.recall(task, top_k=top_k)
+    selection = serial_stage_loop(policy, recall_result.recalled_models, task)
+    selection.extra_epoch_cost = recall_result.epoch_cost
+    return TwoPhaseResult(
+        target_name=task.name, recall=recall_result, selection=selection
+    )

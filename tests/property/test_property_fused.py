@@ -9,8 +9,8 @@ claim across the surfaces where it could break:
   serial per-head trajectories exactly: curves, training histories,
   parameters, optimiser state.
 * **Scheduler level** — random request mixes on every executor backend
-  with fusion on must answer bitwise-identically to the serial two-phase
-  selector, with charged-epoch accounting intact (charged = trained +
+  with fusion on must answer bitwise-identically to recall plus the
+  blocking stage loop of ``oracles.serial_stage_loop``, with charged-epoch accounting intact (charged = trained +
   reused in the pool report).
 * **Crash/resume** — a scheduler killed mid-run and recovered with fusion
   on must replay its journal to the exact serial answer without double
@@ -28,7 +28,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.pipeline import OfflineArtifacts, TwoPhaseSelector
+from oracles import serial_two_phase
+from repro.core.batch import build_phase_engines
+from repro.core.pipeline import OfflineArtifacts
 from repro.nn.batched import FusedSessionGroup
 from repro.persist import (
     PlanJournal,
@@ -57,9 +59,11 @@ def artifacts(nlp_hub_small, nlp_suite_small, test_pipeline_config, fine_tuner):
 
 @pytest.fixture(scope="module")
 def serial_oracle(artifacts):
-    selector = TwoPhaseSelector(artifacts)
+    recall, policy = build_phase_engines(artifacts, FineTuner(seed=0))
     return {
-        (target, top_k): selector.select(target, top_k=top_k)
+        (target, top_k): serial_two_phase(
+            recall, policy, artifacts.suite.task(target), top_k=top_k
+        )
         for target in TARGETS
         for top_k in (None, 3, 5)
     }

@@ -6,15 +6,19 @@ pre-refactor serial path — must hold for *every* scheduling configuration:
 any policy, any epoch budget, any concurrency, any interleaving with other
 requests, any executor backend.  Hypothesis drives randomized mixes
 through the scheduler and compares each request against the serial oracle
-computed once per session.
+— coarse recall followed by ``oracles.serial_stage_loop``, the blocking
+stage-by-stage loop over private sessions — computed once per session.
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.pipeline import OfflineArtifacts, TwoPhaseSelector
+from oracles import serial_two_phase
+from repro.core.batch import build_phase_engines
+from repro.core.pipeline import OfflineArtifacts
 from repro.sched import EpochScheduler, SchedulerConfig
+from repro.zoo.finetune import FineTuner
 
 TARGETS = ["mnli", "boolq"]
 
@@ -31,12 +35,16 @@ def artifacts(nlp_hub_small, nlp_suite_small, test_pipeline_config, fine_tuner):
 
 @pytest.fixture(scope="module")
 def serial_oracle(artifacts):
-    """The blocking path's results, computed once per (target, top_k)."""
-    selector = TwoPhaseSelector(artifacts)
+    """Recall + the blocking stage loop, once per (target, top_k)."""
+    # The scheduler's default engines: a fresh FineTuner(seed=0).
+    recall, policy = build_phase_engines(artifacts, FineTuner(seed=0))
     oracle = {}
     for target in TARGETS:
+        task = artifacts.suite.task(target)
         for top_k in (None, 3, 5):
-            oracle[(target, top_k)] = selector.select(target, top_k=top_k)
+            oracle[(target, top_k)] = serial_two_phase(
+                recall, policy, task, top_k=top_k
+            )
     return oracle
 
 

@@ -2,16 +2,19 @@
 
 The contract under test: whatever ``fused_training`` is set to, and
 whatever executor backend runs the round, the scheduler's answers —
-selected models, curves, epoch accounting — are bitwise-identical to the
-serial two-phase selector.  Fusion may only change *speed*, observable
+selected models, curves, epoch accounting — are bitwise-identical to
+recall plus the blocking stage loop of ``oracles.serial_stage_loop``.  Fusion may only change *speed*, observable
 through the ``stats()["train"]`` counters.
 """
 
 import pytest
 
-from repro.core.pipeline import OfflineArtifacts, TwoPhaseSelector
+from oracles import serial_two_phase
+from repro.core.batch import build_phase_engines
+from repro.core.pipeline import OfflineArtifacts
 from repro.sched import EpochScheduler, SchedulerConfig
 from repro.utils.exceptions import ConfigurationError
+from repro.zoo.finetune import FineTuner
 
 TARGETS = ("mnli", "boolq")
 
@@ -28,8 +31,15 @@ def artifacts(nlp_hub_small, nlp_suite_small, test_pipeline_config, fine_tuner):
 
 @pytest.fixture(scope="module")
 def serial_results(artifacts):
-    selector = TwoPhaseSelector(artifacts)
-    return {name: selector.select(name) for name in TARGETS}
+    return serial_answers(artifacts)
+
+
+def serial_answers(artifacts):
+    recall, policy = build_phase_engines(artifacts, FineTuner(seed=0))
+    return {
+        name: serial_two_phase(recall, policy, artifacts.suite.task(name))
+        for name in TARGETS
+    }
 
 
 def run_scheduler(artifacts, *, fused, parallel=None, **overrides):
@@ -126,8 +136,7 @@ class TestFusedRounds:
             return [loss + 1e-9 for loss in losses], accuracies
 
         monkeypatch.setattr(batched, "fused_fit_epoch", lying_fit_epoch)
-        selector = TwoPhaseSelector(artifacts)
-        oracle = {name: selector.select(name) for name in TARGETS}
+        oracle = serial_answers(artifacts)
         results, stats = run_scheduler(artifacts, fused=True)
         for name in TARGETS:
             assert_identical(results[name], oracle[name])

@@ -2,6 +2,7 @@
 
 import pytest
 
+from oracles import serial_stage_loop
 from repro.core.pipeline import OfflineArtifacts
 from repro.core.plan import SelectionPlan, SessionView, TrainStep
 from repro.core.selection import FineSelection, SuccessiveHalving
@@ -37,16 +38,27 @@ CANDIDATES = ["bert-base-uncased", "roberta-base", "albert-base-v2",
               "distilbert-base-uncased"]
 
 
+def build_plan(engine, candidates, task):
+    """A plan over fresh private sessions, as the serial oracle builds it."""
+    return SelectionPlan(
+        policy=engine,
+        task=task,
+        candidates=candidates,
+        view_factory=lambda name: SessionView(
+            engine.fine_tuner.start_session(engine.hub.get(name), task)
+        ),
+    )
+
+
 class TestPlanStateMachine:
     def test_initial_state(self, engine, task):
-        plan = engine.build_plan(CANDIDATES, task)
+        plan = build_plan(engine, CANDIDATES, task)
         assert not plan.done
-        assert not plan.needs_recall
         assert plan.surviving == CANDIDATES
         assert plan.num_stages == len(engine.stage_schedule())
 
     def test_claim_next_hands_out_stage_steps_once(self, engine, task):
-        plan = engine.build_plan(CANDIDATES, task)
+        plan = build_plan(engine, CANDIDATES, task)
         steps = []
         while (step := plan.claim_next()) is not None:
             steps.append(step)
@@ -55,19 +67,19 @@ class TestPlanStateMachine:
         assert plan.claim_next() is None  # stage fully claimed, none done
 
     def test_complete_unclaimed_step_raises(self, engine, task):
-        plan = engine.build_plan(CANDIDATES, task)
+        plan = build_plan(engine, CANDIDATES, task)
         bogus = TrainStep(model=CANDIDATES[0], epochs=1, stage=0)
         with pytest.raises(SelectionError, match="never claimed"):
             plan.complete(bogus)
 
     def test_release_requeues_step(self, engine, task):
-        plan = engine.build_plan(CANDIDATES, task)
+        plan = build_plan(engine, CANDIDATES, task)
         step = plan.claim_next()
         plan.release(step)
         assert plan.claim_next() == step
 
     def test_stage_advances_only_when_all_steps_complete(self, engine, task):
-        plan = engine.build_plan(CANDIDATES, task)
+        plan = build_plan(engine, CANDIDATES, task)
         steps = plan.claim_stage()
         for step in steps[:-1]:
             view = plan.views[step.model]
@@ -85,9 +97,9 @@ class TestPlanStateMachine:
         assert plan.runtime_epochs == len(CANDIDATES) * steps[0].epochs
 
     def test_interleaved_driving_matches_blocking_run(self, engine, task):
-        """Claiming steps one at a time (scheduler-style) equals run()."""
-        blocking = engine.run(CANDIDATES, task)
-        plan = engine.build_plan(CANDIDATES, task)
+        """Claiming steps one at a time (scheduler-style) equals the oracle."""
+        blocking = serial_stage_loop(engine, CANDIDATES, task)
+        plan = build_plan(engine, CANDIDATES, task)
         while not plan.done:
             step = plan.claim_next()
             assert step is not None  # a live plan always has runnable work
@@ -101,52 +113,28 @@ class TestPlanStateMachine:
         assert plan.result.runtime_epochs == blocking.runtime_epochs
 
     def test_progress_snapshot(self, engine, task):
-        plan = engine.build_plan(CANDIDATES, task)
+        plan = build_plan(engine, CANDIDATES, task)
         snapshot = plan.progress()
         assert snapshot["phase"] == "stage 0"
         assert snapshot["num_stages"] == plan.num_stages
         assert snapshot["surviving"] == CANDIDATES
 
-    def test_recall_plan_lifecycle(self, artifacts, engine, fine_tuner, task):
-        from repro.core.batch import build_phase_engines
-
-        recall, fine = build_phase_engines(artifacts, fine_tuner)
-        plan = SelectionPlan(
-            policy=fine,
-            task=task,
-            view_factory=lambda name: SessionView(
-                fine_tuner.start_session(artifacts.hub.get(name), task)
-            ),
-            recall=recall,
-            top_k=4,
-        )
-        assert plan.needs_recall
+    def test_two_phase_result_needs_a_finished_plan_with_recall(self, engine, task):
+        plan = build_plan(engine, CANDIDATES, task)
         with pytest.raises(SelectionError, match="not finished"):
             plan.two_phase_result()
-        recall_result = plan.run_recall()
-        assert plan.candidates == recall_result.recalled_models
-        with pytest.raises(SelectionError, match="already recalled"):
-            plan.run_recall()
         while not plan.done:
             for step in plan.claim_stage():
                 view = plan.views[step.model]
                 view.session.train_epochs(step.epochs)
                 view.adopt(view.session, advance=step.epochs)
                 plan.complete(step)
-        two_phase = plan.two_phase_result()
-        assert two_phase.selected_model == plan.result.selected_model
-        # The recall proxy cost is folded into the selection record.
-        assert plan.result.extra_epoch_cost == recall_result.epoch_cost
-
-    def test_plan_without_candidates_or_recall_raises(self, engine, task):
-        with pytest.raises(SelectionError, match="candidates or a recall"):
-            SelectionPlan(
-                policy=engine, task=task, view_factory=lambda name: None
-            )
+        with pytest.raises(SelectionError, match="no recall phase"):
+            plan.two_phase_result()
 
     def test_empty_candidates_raise(self, engine, task):
         with pytest.raises(SelectionError, match="must not be empty"):
-            engine.build_plan([], task)
+            build_plan(engine, [], task)
 
 
 class TestSessionView:
