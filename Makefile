@@ -140,13 +140,16 @@ bench-fused-smoke:
 # End-to-end answers checked against benchmarks/e2e/expected/: the Table
 # VI reproduction on both repositories guards the encoder's noise bits
 # (about 20 s), serve-hot checks every select answered over the wire,
-# which guards the memoised Eq. 5/6 trend lookups (about 30 s), and
-# zoo-scale checks that out-of-core builds label like in-RAM ones and that
-# 48 chained refreshes end on the from-scratch Eq. 1 similarity, which
-# guards the one Eq. 1 writer and its sinks (about 13 s).
+# which guards the memoised Eq. 5/6 trend lookups (about 30 s), serve-churn
+# checks every answer relayed by the router from its two workers across
+# zoo refreshes, which guards the router and worker sockets and the relay
+# (about 20 s), and zoo-scale checks that out-of-core builds label like
+# in-RAM ones and that 48 chained refreshes end on the from-scratch Eq. 1
+# similarity, which guards the one Eq. 1 writer and its sinks (about 13 s).
 bench-e2e-smoke:
 	python3 benchmarks/e2e/run.py --workload paper-table6 --seed 1
 	python3 benchmarks/e2e/run.py --workload serve-hot --seed 1
+	python3 benchmarks/e2e/run.py --workload serve-churn --seed 1
 	python3 benchmarks/e2e/run.py --workload zoo-scale --seed 1
 
 examples:

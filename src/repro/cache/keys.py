@@ -93,26 +93,28 @@ def fingerprint_task(task: "ClassificationTask", *, split: str = "train") -> str
     ``split`` — everything a proxy scorer consumes.  The split must match
     the one the consumer reads (proxy scores default to ``"train"``) so a
     re-split task with identical training data but different validation
-    data fingerprints differently for ``split="val"``.  Fingerprints are
-    memoised per task object (tasks are immutable once built), so scoring
-    one task against a whole repository hashes its data only once.
+    data fingerprints differently for ``split="val"``.  ``split="all"``
+    hashes all three splits: the identity of anything that trains on the
+    task *and* scores it, such as a fine-tuning session or a plan journal.
+    Fingerprints are memoised per task object (tasks are immutable once
+    built), so scoring one task against a whole repository hashes its data
+    only once.
     """
     memo: Dict[str, str] = _TASK_FINGERPRINTS.setdefault(task, {})
     if split in memo:
         return memo[split]
     spec = task.spec
-    try:
-        data = {"train": task.train, "val": task.val, "test": task.test}[split]
-    except KeyError:
-        raise DataError(f"unknown split {split!r}; expected train/val/test") from None
-    fingerprint = fingerprint_text(
-        spec.name,
-        spec.modality,
-        str(spec.num_classes),
-        split,
-        fingerprint_array(data.features),
-        fingerprint_array(data.labels),
-    )
+    splits = {"train": task.train, "val": task.val, "test": task.test}
+    if split == "all":
+        chosen = list(splits.values())
+    elif split in splits:
+        chosen = [splits[split]]
+    else:
+        raise DataError(f"unknown split {split!r}; expected train/val/test/all")
+    parts = [spec.name, spec.modality, str(spec.num_classes), split]
+    for data in chosen:
+        parts += [fingerprint_array(data.features), fingerprint_array(data.labels)]
+    fingerprint = fingerprint_text(*parts)
     memo[split] = fingerprint
     return fingerprint
 

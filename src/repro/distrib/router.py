@@ -939,6 +939,8 @@ class RouterFrontEnd:
         front = self
 
         class Handler(socketserver.StreamRequestHandler):
+            disable_nagle_algorithm = True  # see ServeFrontEnd.serve_tcp
+
             def handle(self) -> None:
                 out = SocketLineWriter(self.wfile)
                 session = front._attach_session(out)

@@ -37,7 +37,9 @@ def connect_with_retry(
 
     Retries ``ConnectionRefusedError``/``OSError`` until ``timeout``
     seconds have passed, then re-raises the last error.  The returned
-    socket has ``timeout`` set as its per-operation timeout.
+    socket has ``timeout`` set as its per-operation timeout and
+    ``TCP_NODELAY`` on: each protocol line is a whole message, so none
+    should wait in Nagle's buffer for the peer's delayed ACK.
     """
     deadline = time.monotonic() + timeout
     last_error: Optional[OSError] = None
@@ -45,6 +47,7 @@ def connect_with_retry(
         try:
             sock = socket.create_connection((host, port), timeout=timeout)
             sock.settimeout(timeout)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             return sock
         except OSError as error:
             last_error = error

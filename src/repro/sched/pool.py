@@ -156,8 +156,12 @@ class SessionPool:
         here, so a restarted process repopulates the pool with the epochs
         a previous process already paid for.
         """
+        # Whole-task identity: a re-split task (same train split, other
+        # val/test labels) must never read this task's validation curves.
         key = session_key(
-            version_key, fingerprint_model(model), fingerprint_task(task)
+            version_key,
+            fingerprint_model(model),
+            fingerprint_task(task, split="all"),
         )
         with self._lock:
             entry = self._entries.get(key)

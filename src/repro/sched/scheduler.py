@@ -142,6 +142,15 @@ class SelectionRequest:
         #: attempts — e.g. a cancelling close() racing the serving thread —
         #: are no-ops, so completion callbacks never fire twice.
         self._terminal = False
+        #: Stage/terminal listeners (see :meth:`add_listener`).  The lock
+        #: orders registration against the terminal notification, which
+        #: empties the list after ``_event`` is set: every listener sees
+        #: exactly one terminal call.
+        self._listeners: List[Callable[["SelectionRequest"], None]] = []
+        self._listener_lock = threading.Lock()
+        #: Called when a listener raises (the scheduler counts it as an
+        #: internal error).
+        self._on_listener_error: Optional[Callable[[], None]] = None
 
     @property
     def target_name(self) -> str:
@@ -157,6 +166,39 @@ class SelectionRequest:
         if self.finished_at is None:
             return None
         return self.finished_at - self.submitted_at
+
+    def add_listener(self, listener: Callable[["SelectionRequest"], None]) -> None:
+        """Call ``listener(self)`` after every stage transition and at the end.
+
+        The final call comes once the request is terminal (``wait``
+        returns); a listener added after that is called at once, so each
+        listener sees exactly one terminal call.  Listeners run on the
+        scheduler's thread and must not block; one that raises is logged
+        and counted in the scheduler's ``internal_errors``, and the round
+        goes on.
+        """
+        with self._listener_lock:
+            if not self._event.is_set():
+                self._listeners.append(listener)
+                return
+        self._call_listener(listener)
+
+    def _notify(self, *, terminal: bool = False) -> None:
+        """Call every listener; a terminal notification empties the list."""
+        with self._listener_lock:
+            listeners = list(self._listeners)
+            if terminal:
+                self._listeners = []
+        for listener in listeners:
+            self._call_listener(listener)
+
+    def _call_listener(self, listener: Callable[["SelectionRequest"], None]) -> None:
+        try:
+            listener(self)
+        except Exception:  # noqa: BLE001 — a listener must not kill the round
+            logger.exception("listener of request %s raised", self.id)
+            if self._on_listener_error is not None:
+                self._on_listener_error()
 
 
 def _resolve_task(context: SchedulerContext, target) -> ClassificationTask:
@@ -396,6 +438,7 @@ class EpochScheduler:
                 epoch_quota=epoch_quota,
             )
             request.candidates = candidates
+            request._on_listener_error = self._count_internal_error
             if self._persist is not None and candidates is None:
                 request.plan_key = self._plan_key(context, task, top_k)
             self._queue.append(request)
@@ -415,10 +458,12 @@ class EpochScheduler:
     def _plan_key(self, context: SchedulerContext, task, top_k) -> str:
         """Journal identity of one request (schedule deliberately excluded).
 
-        An *enabled* extrapolation config is folded into the method
+        The task enters with all three splits: a re-split task scores its
+        arms against other labels, so it must not reopen this journal.  An
+        *enabled* extrapolation config is folded into the method
         component: speculative runs prune arms the exact path would train,
         so their journals must never be shared — while exact-mode keys
-        stay byte-identical to those of earlier releases.
+        carry no extrapolation component at all.
         """
         tuner = context.fine_tuner
         tuner_fingerprint = fingerprint_text(
@@ -430,7 +475,7 @@ class EpochScheduler:
             method = f"{method}+{extrapolation.fingerprint()}"
         return make_plan_key(
             context.version_key,
-            fingerprint_task(task),
+            fingerprint_task(task, split="all"),
             method=method,
             tuner_fingerprint=tuner_fingerprint,
             top_k=top_k,
@@ -1073,6 +1118,8 @@ class EpochScheduler:
             )
             for stage_record in request.plan.stages[stages_before:]:
                 self._journal_append(request, "stage", encode_stage(stage_record))
+            if len(request.plan.stages) > stages_before:
+                request._notify()
             # Early-stop decisions are journaled like stage transitions: a
             # resumed run re-derives them deterministically from the
             # replayed curves, and the records make the prune set auditable
@@ -1251,9 +1298,7 @@ class EpochScheduler:
         self._release_views(request)
         with self._lock:
             self._completed += 1
-        request._event.set()
-        if self._on_complete is not None:
-            self._on_complete(request)
+        self._complete(request)
 
     def _finish_with(self, request: SelectionRequest, result: TwoPhaseResult) -> None:
         """Finish a request from a journaled result (no plan, no training)."""
@@ -1265,9 +1310,7 @@ class EpochScheduler:
         self._release_views(request)
         with self._lock:
             self._completed += 1
-        request._event.set()
-        if self._on_complete is not None:
-            self._on_complete(request)
+        self._complete(request)
 
     def _fail(self, request: SelectionRequest, error: Exception) -> None:
         if not self._make_terminal(request):
@@ -1278,9 +1321,24 @@ class EpochScheduler:
         self._release_views(request)
         with self._lock:
             self._failed += 1
-        request._event.set()
-        if self._on_complete is not None:
-            self._on_complete(request)
+        self._complete(request)
+
+    def _complete(self, request: SelectionRequest) -> None:
+        """Run ``on_complete``, wake waiters, then call the listeners last.
+
+        Accounting comes first, so neither a ``wait``/``result`` caller nor
+        a stream's terminal event can overtake the service's counters.
+        """
+        try:
+            if self._on_complete is not None:
+                self._on_complete(request)
+        finally:
+            request._event.set()
+            request._notify(terminal=True)
+
+    def _count_internal_error(self) -> None:
+        with self._lock:
+            self._internal_errors += 1
 
     def _release_views(self, request: SelectionRequest) -> None:
         for view in request._views:

@@ -34,12 +34,16 @@ are documented in ``docs/serving.md``.
 from __future__ import annotations
 
 import json
+import logging
+import queue
 import socketserver
 import threading
 from typing import Dict, Optional, TextIO
 
 from repro.core.results import TwoPhaseResult
 from repro.utils.exceptions import ReproError
+
+logger = logging.getLogger(__name__)
 
 #: Exit code of CLI commands failing on scheduler admission/budget errors —
 #: distinct from 2 (usage / library errors) so scripts can tell backpressure
@@ -55,10 +59,6 @@ _ERROR_CODES = {
     "WorkerLostError": "worker_lost",
     "InternalError": "internal",
 }
-
-#: Seconds between progress sweeps of the emitter thread.
-_POLL_INTERVAL = 0.02
-
 
 def result_payload(result: TwoPhaseResult) -> Dict[str, object]:
     """JSON-friendly view of one two-phase result (shared with the CLI)."""
@@ -138,7 +138,7 @@ class ServeFrontEnd:
         reads; at EOF (or an explicit ``shutdown`` op) outstanding requests
         are drained before returning.  Returns a process exit code.
         """
-        emitter = _EventEmitter(self, out)
+        emitter = _EventEmitter(out)
         emitter.start()
         self._adopt_recovered(emitter)
         try:
@@ -201,7 +201,7 @@ class ServeFrontEnd:
                 payload["id"] = request_id
             return payload
 
-    def _handle_select(self, message: Dict, emitter: "_EventEmitter") -> Dict:
+    def _handle_select(self, message: Dict, emitter: "_EventEmitter") -> Optional[Dict]:
         target = message.get("target")
         if not isinstance(target, str) or not target:
             return {"event": "error", "id": message.get("id"),
@@ -223,9 +223,12 @@ class ServeFrontEnd:
             extrapolate=extrapolate,
         )
         request_id = message.get("id", f"req-{handle.id}")
+        # Written before tracking starts, so no event of this request can
+        # overtake its ``accepted`` line.
+        emitter.emit({"event": "accepted", "id": request_id, "target": target,
+                      "request": handle.id})
         emitter.track(request_id, handle)
-        return {"event": "accepted", "id": request_id, "target": target,
-                "request": handle.id}
+        return None
 
     def _handle_poll(self, message: Dict, emitter: "_EventEmitter") -> Dict:
         request_id = message.get("id")
@@ -260,25 +263,27 @@ class ServeFrontEnd:
             payload["id"] = message["id"]
         return payload
 
-    def _handle_resume(self, request_id, emitter: "_EventEmitter") -> Dict:
+    def _handle_resume(self, request_id, emitter: "_EventEmitter") -> None:
         """Recover journaled in-flight requests and track them here."""
         self._adopt_recovered(emitter)  # startup recoveries join this stream
-        handles = self.service.recover()
-        entries = []
-        for handle in handles:
-            rid = f"recovered-{handle.id}"
-            emitter.track(rid, handle)
-            entries.append(
-                {"id": rid, "target": handle.target_name, "request": handle.id}
-            )
+        tracked = [
+            (f"recovered-{handle.id}", handle) for handle in self.service.recover()
+        ]
         payload: Dict[str, object] = {
             "event": "recovered",
-            "count": len(entries),
-            "requests": entries,
+            "count": len(tracked),
+            "requests": [
+                {"id": rid, "target": handle.target_name, "request": handle.id}
+                for rid, handle in tracked
+            ],
         }
         if request_id is not None:
             payload["id"] = request_id
-        return payload
+        # As with ``accepted``: the listing precedes the handles' events.
+        emitter.emit(payload)
+        for rid, handle in tracked:
+            emitter.track(rid, handle)
+        return None
 
     # ------------------------------------------------------------------ #
     # TCP mode
@@ -293,9 +298,13 @@ class ServeFrontEnd:
         front = self
 
         class Handler(socketserver.StreamRequestHandler):
+            # Every line is a whole message: send it now, not after the
+            # peer's delayed ACK of the previous one.
+            disable_nagle_algorithm = True
+
             def handle(self) -> None:
                 out = SocketLineWriter(self.wfile)
-                emitter = _EventEmitter(front, out)
+                emitter = _EventEmitter(out)
                 emitter.start()
                 front._adopt_recovered(emitter)
                 try:
@@ -335,31 +344,37 @@ class SocketLineWriter:
         self._wfile.flush()
 
 
+#: Queue item that ends an emitter thread.
+_STOP = object()
+
+
 class _EventEmitter:
     """Streams request lifecycle events for one client stream.
 
-    A small poller thread watches tracked handles and emits a ``progress``
-    event whenever a request completes another stage, then a terminal
-    ``result``/``failed`` event — the streaming per-stage feedback of the
-    serve protocol.  All writes share one lock so event lines never
-    interleave.
+    Every tracked handle gets a listener (:meth:`SelectionRequest
+    .add_listener`) that queues a notification when the request completes
+    a stage and once when it is terminal.  One thread drains that queue:
+    per notification it emits a ``progress`` event for each newly
+    completed stage, and for a terminal request its ``result``/``failed``
+    event — so events leave as soon as the scheduler produces them, while
+    socket writes never run on the scheduler's thread.  All writes share
+    one lock so event lines never interleave.
     """
 
-    def __init__(self, front: ServeFrontEnd, out) -> None:
-        self._front = front
+    def __init__(self, out) -> None:
         self._out = out
         self._write_lock = threading.Lock()
-        self._tracked: Dict[object, object] = {}
-        self._last_stage: Dict[object, int] = {}
+        #: Tracked id -> [handle, stages already reported].
+        self._tracked: Dict[object, list] = {}
         self._lock = threading.Lock()
-        self._stop = threading.Event()
+        self._notifications: "queue.SimpleQueue" = queue.SimpleQueue()
         self._thread: Optional[threading.Thread] = None
         self.shutdown_requested = False
 
     # ------------------------------------------------------------------ #
     def start(self) -> None:
         self._thread = threading.Thread(
-            target=self._watch, name="repro-serve-emitter", daemon=True
+            target=self._run, name="repro-serve-emitter", daemon=True
         )
         self._thread.start()
 
@@ -370,71 +385,87 @@ class _EventEmitter:
 
     def track(self, request_id, handle) -> None:
         with self._lock:
-            self._tracked[request_id] = handle
-            self._last_stage[request_id] = -1
+            self._tracked[request_id] = [handle, 0]
+        handle.add_listener(
+            lambda _request: self._notifications.put((request_id, handle, False))
+        )
 
     def tracked(self, request_id):
         with self._lock:
-            return self._tracked.get(request_id)
+            entry = self._tracked.get(request_id)
+        return entry[0] if entry is not None else None
 
     # ------------------------------------------------------------------ #
-    def _watch(self) -> None:
-        while not self._stop.wait(_POLL_INTERVAL):
-            self._sweep()
-
-    def _sweep(self) -> None:
-        with self._lock:
-            items = list(self._tracked.items())
-        for request_id, handle in items:
-            snapshot = self._front.service.poll(handle)
-            progress = snapshot.get("progress") or {}
-            stage = progress.get("stage", 0)
-            if handle.state in ("done", "failed"):
-                self._finish(request_id, handle)
-            elif stage > self._last_stage.get(request_id, -1):
-                self._last_stage[request_id] = stage
-                self.emit({
-                    "event": "progress", "id": request_id,
-                    "target": handle.target_name,
-                    "stage": stage, "num_stages": progress.get("num_stages"),
-                    "surviving": progress.get("surviving", []),
-                })
-
-    def _finish(self, request_id, handle) -> None:
-        with self._lock:
-            # Another sweep may have finished it concurrently.
-            if request_id not in self._tracked:
+    def _run(self) -> None:
+        while True:
+            item = self._notifications.get()
+            if item is _STOP:
                 return
-            del self._tracked[request_id]
-            self._last_stage.pop(request_id, None)
+            try:
+                self._deliver(*item)
+            except (OSError, ValueError):
+                # The client went away mid-write; keep draining so later
+                # notifications (and the stop sentinel) are still consumed.
+                logger.debug("event stream closed", exc_info=True)
+
+    def _deliver(self, request_id, handle, abandon: bool) -> None:
+        """Emit what one notification made new for ``handle``.
+
+        ``abandon`` (from :meth:`drain_and_stop`) ends the request's
+        stream even though it is still running.
+        """
+        with self._lock:
+            entry = self._tracked.get(request_id)
+            if entry is None or entry[0] is not handle:
+                return  # already terminal, or the id was reused
+            sent = entry[1]
+        terminal = handle.wait(0) or abandon
+        plan = handle.plan
+        # Stage records are append-only, so this slice is a consistent
+        # prefix even while the scheduler thread advances the plan.
+        stages = plan.stages[sent:] if plan is not None else []
+        for number, record in enumerate(stages, start=sent + 1):
+            self.emit({
+                "event": "progress", "id": request_id,
+                "target": handle.target_name,
+                "stage": number, "num_stages": plan.num_stages,
+                "surviving": list(record.surviving_models),
+            })
+        if not terminal:
+            entry[1] = sent + len(stages)  # written on this thread only
+            return
+        with self._lock:
+            if self._tracked.get(request_id) is entry:
+                del self._tracked[request_id]
+        self.emit(self._terminal_event(request_id, handle))
+
+    @staticmethod
+    def _terminal_event(request_id, handle) -> Dict:
         if handle.error is not None:
-            self.emit({"event": "failed", "id": request_id,
-                       "target": handle.target_name,
-                       **error_payload(handle.error)})
-        elif handle.result is None:
+            return {"event": "failed", "id": request_id,
+                    "target": handle.target_name, **error_payload(handle.error)}
+        if handle.result is None:
             # Still running (drain timed out): report abandonment rather
             # than crash on a result that does not exist yet.
-            self.emit({
+            return {
                 "event": "failed", "id": request_id,
                 "target": handle.target_name,
                 "error": {"code": "timeout", "type": "ShutdownTimeout",
                           "message": "request still running at shutdown"},
-            })
-        else:
-            payload = result_payload(handle.result)
-            payload["latency_seconds"] = handle.latency_seconds()
-            self.emit({"event": "result", "id": request_id, **payload})
+            }
+        payload = result_payload(handle.result)
+        payload["latency_seconds"] = handle.latency_seconds()
+        return {"event": "result", "id": request_id, **payload}
 
     def drain_and_stop(self) -> None:
         """Wait out every tracked request, emit its terminal event, stop."""
-        while True:
-            with self._lock:
-                handles = list(self._tracked.items())
-            if not handles:
-                break
-            for request_id, handle in handles:
-                handle.wait(timeout=60.0)
-                self._finish(request_id, handle)
-        self._stop.set()
+        with self._lock:
+            pending = [(rid, entry[0]) for rid, entry in self._tracked.items()]
+        for request_id, handle in pending:
+            # Queued here, not only by the listener: the listener's
+            # terminal call may still be on its way when STOP is queued.
+            finished = handle.wait(timeout=60.0)
+            self._notifications.put((request_id, handle, not finished))
+        self._notifications.put(_STOP)
         if self._thread is not None:
             self._thread.join(timeout=5.0)

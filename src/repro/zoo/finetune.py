@@ -248,7 +248,7 @@ class FineTuneSession:
         from repro.cache import fingerprint_task
 
         return (
-            fingerprint_task(self.task),
+            fingerprint_task(self.task, split="all"),
             int(self.model.hidden_dim),
             int(self.task.num_classes),
             tuple(int(w) for w in self.config.hidden_dims),

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.batch import build_phase_engines
 from repro.core.pipeline import OfflineArtifacts, TwoPhaseSelector
+from repro.data.tasks import ClassificationTask
 from repro.sched import EpochScheduler, SchedulerConfig
 from repro.utils.exceptions import (
     BudgetExhaustedError,
@@ -295,3 +296,95 @@ class TestCancellation:
         scheduler._fail(request, SchedulerError("scheduler closed"))
         assert request.state == "done"
         assert [r.id for r in completions] == [request.id]
+
+
+class TestListeners:
+    def test_stage_and_terminal_notifications(self, artifacts):
+        scheduler = make_scheduler(artifacts)
+        request = scheduler.submit("mnli")
+        seen = []
+        request.add_listener(lambda r: seen.append((len(r.plan.stages), r.wait(0))))
+        scheduler.run_until_idle()
+        stages = [count for count, terminal in seen if not terminal]
+        # One call per stage transition, then exactly one terminal call.
+        assert stages == list(range(1, request.plan.num_stages + 1))
+        assert [terminal for _, terminal in seen].count(True) == 1
+        assert seen[-1][1] is True
+
+    def test_listener_added_after_terminal_fires_once_at_once(self, artifacts):
+        scheduler = make_scheduler(artifacts)
+        request = scheduler.submit("mnli")
+        scheduler.run_until_idle()
+        seen = []
+        request.add_listener(seen.append)
+        assert seen == [request]
+        # A late cancellation is a no-op: no second terminal call.
+        scheduler._fail(request, SchedulerError("scheduler closed"))
+        assert seen == [request]
+
+    def test_raising_listener_is_counted_and_never_skips_completion(
+        self, artifacts, serial_results
+    ):
+        completions = []
+        scheduler = make_scheduler(artifacts)
+        scheduler._on_complete = completions.append
+        request = scheduler.submit("mnli")
+        calls = []
+
+        def explode(r):
+            calls.append(r.wait(0))
+            raise RuntimeError("listener exploded")
+
+        request.add_listener(explode)
+        scheduler.run_until_idle()
+        result = scheduler.result(request)
+        assert result.selection.stages == serial_results["mnli"].selection.stages
+        assert completions == [request]
+        stats = scheduler.stats()
+        assert stats["internal_errors"] == len(calls)
+        assert calls.count(True) == 1 and stats["failed"] == 0
+
+
+class TestTaskIdentity:
+    """Sessions and journals are keyed by the whole task, not its train split."""
+
+    @staticmethod
+    def resplit(task):
+        # Same name and training data; validation and test swapped.
+        return ClassificationTask(task.spec, task.train, task.test, task.val)
+
+    def alone(self, artifacts, task):
+        scheduler = make_scheduler(artifacts)
+        request = scheduler.submit(task)
+        scheduler.run_until_idle()
+        return scheduler.result(request)
+
+    def test_resplit_task_does_not_read_the_originals_curves(
+        self, artifacts, nlp_suite_small
+    ):
+        original = nlp_suite_small.task("boolq")
+        resplit = self.resplit(original)
+        scheduler = make_scheduler(artifacts)
+        scheduler.submit(original)
+        scheduler.run_until_idle()
+        request = scheduler.submit(resplit)
+        scheduler.run_until_idle()
+        expected = self.alone(artifacts, resplit)
+        result = scheduler.result(request)
+        assert result.selection.stages == expected.selection.stages
+        assert (
+            result.selection.selected_val_accuracy
+            == expected.selection.selected_val_accuracy
+        )
+
+    def test_concurrent_resplit_task_trains_its_own_sessions(
+        self, artifacts, nlp_suite_small
+    ):
+        original = nlp_suite_small.task("boolq")
+        resplit = self.resplit(original)
+        scheduler = make_scheduler(artifacts)
+        scheduler.submit(original)
+        request = scheduler.submit(resplit)
+        scheduler.run_until_idle()
+        expected = self.alone(artifacts, resplit)
+        assert scheduler.result(request).selection.stages == expected.selection.stages

@@ -48,7 +48,7 @@ class TestAcquire:
     def test_key_shape_matches_cache_helper(self, pool, model, task):
         view = pool.acquire(model, task, version_key="v0-abc")
         expected = session_key(
-            "v0-abc", fingerprint_model(model), fingerprint_task(task)
+            "v0-abc", fingerprint_model(model), fingerprint_task(task, split="all")
         )
         assert view.entry.key == expected
         assert view.entry.checkpoint_key() == f"{expected}:e=0"
