@@ -63,21 +63,16 @@ def build_benchmark(*, smoke: bool, seed: int) -> Tuple[OfflineArtifacts, List[s
     service-under-load shape (many users asking about the same hot tasks)
     that session reuse is designed for.
     """
-    from dataclasses import replace
-
     scale = DataScale.small() if smoke else DataScale.default()
     suite = suite_for_modality("nlp", seed=seed, scale=scale)
     hub = ModelHub(suite, seed=seed)
     if smoke:
         hub = hub.subset(hub.model_names[:10])
     config = PipelineConfig.for_modality("nlp")
-    # Proxy scores are memoised for both paths (sequential and scheduled
-    # alike, each starting from a cold cache) so the comparison isolates
-    # the training cost — the resource the scheduler actually multiplexes.
-    # Cached and fresh proxy scores are interchangeable by construction
-    # (deterministic content-key seeding), which the identical-results
-    # gate below re-verifies end to end.
-    config = replace(config, recall=replace(config.recall, cache_proxy_scores=True))
+    # Each path builds its own online engines, so each starts from its own
+    # empty proxy-score table; the comparison isolates the training cost — the resource the scheduler actually
+    # multiplexes.  A table lookup is bitwise equal to re-scoring, which the
+    # identical-results gate below re-verifies end to end.
     artifacts = OfflineArtifacts.build(hub, suite, config=config)
     distinct = (list(suite.target_names) or list(suite.dataset_names))[:2]
     mix = [distinct[i % len(distinct)] for i in range(NUM_REQUESTS)]
@@ -159,13 +154,9 @@ def main(argv=None) -> int:
     print(f"[bench] {NUM_REQUESTS} requests over targets {sorted(set(mix))} "
           f"({len(artifacts.hub)} models)")
 
-    from repro.cache import clear_cache
-
-    clear_cache()  # both paths start from a cold proxy-score cache
     seq_time, seq_results, seq_latencies = run_sequential(
         artifacts, mix, seed=args.seed
     )
-    clear_cache()
     conc_time, conc_results, conc_latencies, pool, train = run_concurrent(
         artifacts, mix, seed=args.seed
     )

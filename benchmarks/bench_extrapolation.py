@@ -80,9 +80,10 @@ def build_benchmark(*, smoke: bool, seed: int) -> Tuple[OfflineArtifacts, List[s
     if smoke:
         hub = hub.subset(hub.model_names[:10])
     config = PipelineConfig.for_modality("nlp")
+    # Each path builds its own online engines, so each starts from its own
+    # empty proxy-score table.
     config = replace(
         config,
-        recall=replace(config.recall, cache_proxy_scores=True),
         fine_selection=replace(config.fine_selection, use_trend_filter=False),
     )
     artifacts = OfflineArtifacts.build(hub, suite, config=config)
@@ -190,15 +191,10 @@ def main(argv=None) -> int:
     print(f"[bench] {NUM_REQUESTS} requests over targets {sorted(set(mix))} "
           f"({len(artifacts.hub)} models, top_k={top_k}, trend filter off)")
 
-    from repro.cache import clear_cache
-
-    clear_cache()
     seq_results = run_sequential(artifacts, mix, seed=args.seed, top_k=top_k)
-    clear_cache()
     _, exact_results, exact_stats = run_scheduled(
         artifacts, mix, seed=args.seed, top_k=top_k, extrapolate=False
     )
-    clear_cache()
     _, spec_results, spec_stats = run_scheduled(
         artifacts, mix, seed=args.seed, top_k=top_k, extrapolate=True
     )

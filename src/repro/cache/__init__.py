@@ -1,17 +1,17 @@
 """Artifact cache: content-hash-keyed memoisation of expensive matrices.
 
 The offline phase of the paper (Eq. 1 similarity → distance conversion →
-clustering) and the proxy-metric scores of the coarse-recall phase are pure
-functions of their inputs, so the library memoises them behind one
-process-wide :class:`~repro.cache.store.ArtifactCache`:
+clustering) is a pure function of its inputs, so the library memoises its
+matrices behind one process-wide :class:`~repro.cache.store.ArtifactCache`:
 
 * similarity matrices — keyed by the performance matrix's content
   fingerprint plus the similarity method and ``top_k``;
-* distance matrices — keyed by the similarity key they derive from;
-* proxy scores — keyed by scorer name, model *weight* fingerprint (so
-  same-named checkpoints from differently seeded hubs never collide) and
-  target-task data fingerprint (opt-in, see
-  ``RecallConfig.cache_proxy_scores``).
+* distance matrices — keyed by the similarity key they derive from.
+
+Coarse-recall proxy scores are not cached here: each
+:class:`~repro.core.recall.CoarseRecall` engine keeps its own table of
+them.  :func:`proxy_score_key` (scorer name, model *weight* fingerprint,
+target-task data fingerprint) still seeds each score's subsampling.
 
 Because keys are content hashes, invalidation is automatic: change any
 input and the old entry is simply never hit again.  See ``docs/caching.md``

@@ -124,8 +124,8 @@ def fingerprint_model(model: "PretrainedModel") -> str:
 
     Covers the name plus everything that determines the encoder's output —
     the concept gains, the projection weights and the per-input noise key —
-    so two hubs built with different seeds never share proxy-score cache
-    entries even though their checkpoints carry the same names.
+    so two hubs built with different seeds never share a proxy-score key
+    even though their checkpoints carry the same names.
     """
     return fingerprint_text(
         model.name,
@@ -214,10 +214,12 @@ def proxy_score_key(
     split: str = "train",
     max_samples: Optional[int] = None,
 ) -> str:
-    """Cache key of one proxy (transferability) score.
+    """Content key of one proxy (transferability) score.
 
-    ``model_fingerprint`` should come from :func:`fingerprint_model` so the
-    key tracks the checkpoint's weights, not just its name.
+    :class:`~repro.metrics.registry.KeySeededScorer` seeds the score's
+    subsampling from it.  ``model_fingerprint`` should come from
+    :func:`fingerprint_model` so the key tracks the checkpoint's weights,
+    not just its name.
     """
     return (
         f"proxy:{scorer_name}:{split}:n={max_samples}:"

@@ -174,18 +174,12 @@ class RecallConfig:
     proxy_epoch_cost:
         Epoch-equivalent cost charged per proxy-score computation
         (0.5 in the paper: inference without back-propagation).
-    cache_proxy_scores:
-        Memoise proxy scores in the process artifact cache (opt-in).  When
-        enabled, subsampling inside the scorer is seeded from the cache key
-        so cached and fresh scores are interchangeable; see
-        :class:`repro.metrics.registry.CachedScorer`.
     """
 
     proxy_score: str = "leep"
     top_k: int = 10
     max_proxy_samples: Optional[int] = 256
     proxy_epoch_cost: float = 0.5
-    cache_proxy_scores: bool = False
 
     def __post_init__(self) -> None:
         if self.top_k < 1:

@@ -14,19 +14,28 @@ it with each model's prior average benchmark accuracy:
 
 The top-K models by recall score move on to the fine-selection phase.
 
-Proxy scoring is embarrassingly parallel across cluster representatives, so
+A proxy score is a pure function of (representative, target): subsampling
+is seeded from the score's content key, never from a shared stream (see
+:class:`repro.metrics.registry.KeySeededScorer`).  So :class:`CoarseRecall`
+keeps a table of raw scores keyed by ``(representative, train-split task
+fingerprint, max_proxy_samples)`` and computes each at most once per
+engine; a later recall of the same target reads the table back, bitwise
+equal to re-scoring.  The charge does not change: every recall still costs
+``proxy_epoch_cost`` per representative, the paper's unit.  Concurrent
+fills of one key write equal values, so the plain dict needs no lock.  A
+zoo refresh builds new engines and so starts a new, empty table.
+
+Scoring the missing representatives is embarrassingly parallel, so
 :class:`CoarseRecall` accepts an :class:`~repro.parallel.executor.Executor`
-and fans the per-representative scores out over it.  Scores are
-order-independent by construction (subsampling is seeded from the proxy
-cache key, never from a shared stream — see
-:class:`repro.metrics.registry.CachedScorer`), so the serial, thread and
-process backends return identical :class:`RecallResult` records.
+and fans them out over it; the serial, thread and process backends return
+identical :class:`RecallResult` records.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
+from repro.cache import fingerprint_task
 from repro.core.config import RecallConfig
 from repro.core.model_clustering import ModelClustering
 from repro.core.performance import PerformanceMatrix
@@ -39,6 +48,10 @@ from repro.utils.exceptions import SelectionError
 from repro.utils.rng import as_generator
 from repro.zoo.hub import ModelHub
 
+#: Raw proxy scores keyed by ``(representative, train-split task
+#: fingerprint, max_proxy_samples)``.
+ProxyTable = Dict[Tuple[str, str, Optional[int]], float]
+
 
 class CoarseRecall:
     """Recall a small set of promising checkpoints for a target task."""
@@ -50,7 +63,6 @@ class CoarseRecall:
         clustering: ModelClustering,
         *,
         config: Optional[RecallConfig] = None,
-        rng=None,
         executor: Optional[Executor] = None,
     ) -> None:
         missing = [name for name in hub.model_names if name not in matrix.model_names]
@@ -63,16 +75,10 @@ class CoarseRecall:
         self.clustering = clustering
         self.config = config or RecallConfig()
         # ``deterministic=True`` seeds any proxy subsampling from the score's
-        # content key, so scoring is independent of evaluation order and the
-        # executor backends below all produce identical recall results.  As
-        # a consequence ``rng`` no longer influences proxy scores; it is
-        # kept (and normalised) only for signature compatibility.
-        self._scorer = get_scorer(
-            self.config.proxy_score,
-            cached=self.config.cache_proxy_scores,
-            deterministic=True,
-        )
-        self._rng = as_generator(rng)
+        # content key, so a score is a pure function of (model, task): the
+        # executor backends agree and the table below can hold it.
+        self._scorer = get_scorer(self.config.proxy_score, deterministic=True)
+        self._proxy_scores: ProxyTable = {}
         self._executor = get_executor(executor)
 
     # ------------------------------------------------------------------ #
@@ -116,22 +122,28 @@ class CoarseRecall:
     def _score_representatives(
         self, representatives: Dict[int, str], task: ClassificationTask
     ) -> Dict[str, float]:
+        """Raw proxy score per representative, each computed once per engine.
+
+        Only the representatives missing from the table are scored; the
+        table is filled after the whole fan-out returns, so a raising scorer
+        stores nothing.  The result is a fresh dict in name order.
+        """
         names = sorted(set(representatives.values()))
+        fingerprint = fingerprint_task(task)
+        max_samples = self.config.max_proxy_samples
+        keys = {name: (name, fingerprint, max_samples) for name in names}
+        table = self._proxy_scores
+        missing = [name for name in names if keys[name] not in table]
         # Materialise the checkpoints up front (hub construction is lazy),
         # so workers only run scorer inference.
-        models = [self.hub.get(name) for name in names]
+        models = [self.hub.get(name) for name in missing]
 
         def score_one(model) -> float:
-            # No rng is passed: the deterministic scorer wrapper seeds any
-            # subsampling from the score's content key.
-            return self._scorer.score(
-                model,
-                task,
-                max_samples=self.config.max_proxy_samples,
-            )
+            return self._scorer.score(model, task, max_samples=max_samples)
 
         values = self._executor.map(score_one, models)
-        return dict(zip(names, values))
+        table.update(zip((keys[name] for name in missing), values))
+        return {name: table[keys[name]] for name in names}
 
     @staticmethod
     def _normalise(raw_scores: Dict[str, float]) -> Dict[str, float]:

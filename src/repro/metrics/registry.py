@@ -5,10 +5,10 @@ The coarse-recall configuration refers to its proxy score by a string
 instance and lets downstream users plug in custom scorers without touching
 the core pipeline.
 
-:class:`CachedScorer` wraps any scorer with artifact-cache memoisation so
-repeated scoring of the same (scorer, model, target data) triple — e.g.
-across figures that share a target task, or across repeated experiment
-runs with a disk cache — is served without re-running model inference.
+:class:`KeySeededScorer` wraps any scorer so its subsampling is seeded from
+the score's content key, making every score a pure function of (scorer,
+model, target data); coarse recall relies on that to keep one table of
+scores per engine (see :mod:`repro.core.recall`).
 """
 
 from __future__ import annotations
@@ -17,13 +17,7 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.cache import (
-    CacheLike,
-    fingerprint_model,
-    fingerprint_task,
-    proxy_score_key,
-    resolve_cache,
-)
+from repro.cache import fingerprint_model, fingerprint_task, proxy_score_key
 from repro.metrics.base import ProxyScorer
 from repro.metrics.hscore import HScoreScorer
 from repro.metrics.knn import KnnScorer
@@ -54,28 +48,26 @@ def available_scorers() -> List[str]:
     return sorted(_FACTORIES)
 
 
-class CachedScorer(ProxyScorer):
-    """Artifact-cache memoisation wrapper around another proxy scorer.
+class KeySeededScorer(ProxyScorer):
+    """Wrapper seeding another scorer's subsampling from the score's content key.
 
-    Scores are keyed by scorer name, model *weight* fingerprint, target-task
-    data fingerprint, split and sample cap — two checkpoints sharing a name
-    but not weights (e.g. hubs built with different seeds) never collide.
-    To keep cached and freshly computed scores interchangeable, any
-    subsampling inside the wrapped scorer uses a generator seeded
-    deterministically from the cache key — the ``rng`` argument passed by
-    callers is ignored and the caller's random stream is never consumed,
-    whether or not a cache is currently enabled.
+    The seed is derived from :func:`~repro.cache.proxy_score_key` — scorer
+    name, model *weight* fingerprint, target-task data fingerprint, split
+    and sample cap — so a score is a pure function of (model, task) and
+    independent of evaluation order.  The ``rng`` argument passed by callers
+    is ignored and the caller's random stream is never consumed.  That
+    purity is what lets coarse recall fan scoring out over any executor
+    backend and keep each score in its per-engine table.
 
-    >>> scorer = CachedScorer(LeepScorer())
+    >>> scorer = KeySeededScorer(LeepScorer())
     >>> scorer.name
     'leep'
     """
 
-    def __init__(self, inner: ProxyScorer, *, cache: CacheLike = None) -> None:
+    def __init__(self, inner: ProxyScorer) -> None:
         self.inner = inner
         self.name = inner.name
         self.uses_source_posterior = inner.uses_source_posterior
-        self._cache = cache
 
     def score(
         self,
@@ -86,13 +78,7 @@ class CachedScorer(ProxyScorer):
         max_samples: Optional[int] = None,
         rng=None,
     ) -> float:
-        """Memoised proxy score of ``model`` on ``task``.
-
-        The key (and the deterministic subsampling seed derived from it) is
-        computed even when caching is disabled, so results never depend on
-        whether the cache happens to be on.
-        """
-        store = resolve_cache(self._cache)
+        """Proxy score of ``model`` on ``task``, subsampled under a key-derived seed."""
         key = proxy_score_key(
             self.inner.name,
             fingerprint_model(model),
@@ -100,11 +86,7 @@ class CachedScorer(ProxyScorer):
             split=split,
             max_samples=max_samples,
         )
-        if store is not None:
-            cached = store.get(key)
-            if cached is not None:
-                return float(cached)
-        value = float(
+        return float(
             self.inner.score(
                 model,
                 task,
@@ -113,40 +95,25 @@ class CachedScorer(ProxyScorer):
                 rng=np.random.default_rng(stable_hash(key)),
             )
         )
-        if store is not None:
-            store.put(key, value)
-        return value
 
     def score_arrays(self, inputs, labels, *, num_classes: int) -> float:
-        """Delegate raw-array scoring to the wrapped scorer (uncached)."""
+        """Delegate raw-array scoring to the wrapped scorer."""
         return self.inner.score_arrays(inputs, labels, num_classes=num_classes)
 
 
-def get_scorer(
-    name: str,
-    *,
-    cached: bool = False,
-    cache: CacheLike = None,
-    deterministic: bool = False,
-) -> ProxyScorer:
+def get_scorer(name: str, *, deterministic: bool = False) -> ProxyScorer:
     """Instantiate the scorer registered under ``name``.
 
-    With ``cached=True`` the scorer is wrapped in :class:`CachedScorer`,
-    memoising scores in ``cache`` (the process default when ``None``).
-    With ``deterministic=True`` (and ``cached=False``) the scorer is wrapped
-    in a non-caching :class:`CachedScorer`, which still derives any
-    subsampling seed from the content key instead of the caller's RNG —
-    making scores independent of evaluation *order*, which is what lets the
-    coarse-recall phase fan proxy scoring out over threads or processes and
-    stay bitwise identical to the serial path.
+    With ``deterministic=True`` the scorer is wrapped in
+    :class:`KeySeededScorer`, which derives any subsampling seed from the
+    content key instead of the caller's RNG — making scores independent of
+    evaluation *order*, which is what lets the coarse-recall phase fan
+    proxy scoring out over threads or processes and stay bitwise identical
+    to the serial path.
     """
     if name not in _FACTORIES:
         raise ConfigurationError(
             f"unknown proxy scorer {name!r}; available: {available_scorers()}"
         )
     scorer = _FACTORIES[name]()
-    if cached:
-        return CachedScorer(scorer, cache=cache)
-    if deterministic:
-        return CachedScorer(scorer, cache=False)
-    return scorer
+    return KeySeededScorer(scorer) if deterministic else scorer

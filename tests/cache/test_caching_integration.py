@@ -1,14 +1,20 @@
-"""Integration tests: similarity/distance/proxy caching through the pipeline."""
+"""Integration tests: similarity/distance caching and key-seeded proxy scoring."""
 
 import numpy as np
 
 import repro.cache as cache_module
-from repro.cache import ArtifactCache
+from repro.cache import (
+    ArtifactCache,
+    fingerprint_model,
+    fingerprint_task,
+    proxy_score_key,
+)
 from repro.cluster.distance import distance_matrix_for, similarity_to_distance
 from repro.core.config import ClusteringConfig
 from repro.core.model_clustering import ModelClusterer
 from repro.core.similarity import performance_similarity_matrix
-from repro.metrics.registry import CachedScorer, get_scorer
+from repro.metrics.registry import KeySeededScorer, get_scorer
+from repro.utils.rng import stable_hash
 
 
 class TestSimilarityCaching:
@@ -135,71 +141,31 @@ class TestDistanceCaching:
         assert np.array_equal(first.similarity, second.similarity)
 
 
-class TestProxyScoreCaching:
-    def test_cached_scorer_hits_on_second_score(self, nlp_hub_small, nlp_suite_small):
-        cache = ArtifactCache(max_entries=8)
-        scorer = get_scorer("leep", cached=True, cache=cache)
-        assert isinstance(scorer, CachedScorer)
-        model = nlp_hub_small.get(nlp_hub_small.model_names[0])
-        task = nlp_suite_small.task("mnli")
-        first = scorer.score(model, task, max_samples=64)
-        second = scorer.score(model, task, max_samples=64)
-        assert first == second
-        assert cache.stats.hits == 1 and cache.stats.misses == 1
-
-    def test_cached_scorer_matches_deterministic_plain_scorer(
-        self, nlp_hub_small, nlp_suite_small
-    ):
-        # Without subsampling there is no randomness, so the cached wrapper
-        # must reproduce the plain scorer bit-for-bit.
+class TestKeySeededScorer:
+    def test_matches_plain_scorer_unsubsampled(self, nlp_hub_small, nlp_suite_small):
+        # Without subsampling there is no randomness, so the key-seeded
+        # wrapper must reproduce the plain scorer bit-for-bit.
         model = nlp_hub_small.get(nlp_hub_small.model_names[0])
         task = nlp_suite_small.task("mnli")
         plain = get_scorer("leep").score(model, task, max_samples=None)
-        cached = get_scorer("leep", cached=True, cache=ArtifactCache()).score(
-            model, task, max_samples=None
-        )
-        assert plain == cached
+        seeded = get_scorer("leep", deterministic=True)
+        assert isinstance(seeded, KeySeededScorer)
+        assert seeded.score(model, task, max_samples=None) == plain
 
-    def test_distinct_models_do_not_collide(self, nlp_hub_small, nlp_suite_small):
-        cache = ArtifactCache(max_entries=8)
-        scorer = get_scorer("leep", cached=True, cache=cache)
-        task = nlp_suite_small.task("mnli")
-        name_a, name_b = nlp_hub_small.model_names[:2]
-        score_a = scorer.score(nlp_hub_small.get(name_a), task, max_samples=64)
-        score_b = scorer.score(nlp_hub_small.get(name_b), task, max_samples=64)
-        assert cache.stats.misses == 2
-        assert score_a != score_b
-
-    def test_same_name_different_weights_do_not_collide(
-        self, nlp_hub_small, nlp_suite_small
-    ):
-        # Two hubs built from different seeds carry identically named
-        # checkpoints with different weights; their proxy scores must be
-        # cached under different keys.
-        from repro.zoo.hub import ModelHub
-
-        other_hub = ModelHub(nlp_suite_small, seed=99).subset(
-            nlp_hub_small.model_names
-        )
-        name = nlp_hub_small.model_names[0]
-        cache = ArtifactCache(max_entries=8)
-        scorer = get_scorer("leep", cached=True, cache=cache)
-        task = nlp_suite_small.task("mnli")
-        scorer.score(nlp_hub_small.get(name), task, max_samples=64)
-        scorer.score(other_hub.get(name), task, max_samples=64)
-        assert cache.stats.misses == 2 and cache.stats.hits == 0
-
-    def test_score_independent_of_cache_enablement(
-        self, nlp_hub_small, nlp_suite_small
-    ):
-        # Disabling the cache must not change the number a CachedScorer
-        # produces (subsampling is seeded from the key either way).
+    def test_subsampling_seeded_from_the_key(self, nlp_hub_small, nlp_suite_small):
+        # The caller's rng is ignored: the subsample is drawn from a stream
+        # seeded by the score's content key, so every call agrees.
         model = nlp_hub_small.get(nlp_hub_small.model_names[0])
         task = nlp_suite_small.task("mnli")
-        with_cache = get_scorer(
-            "leep", cached=True, cache=ArtifactCache(max_entries=8)
-        ).score(model, task, max_samples=32)
-        without_cache = get_scorer("leep", cached=True, cache=False).score(
-            model, task, max_samples=32
+        key = proxy_score_key(
+            "leep", fingerprint_model(model), fingerprint_task(task), max_samples=32
         )
-        assert with_cache == without_cache
+        want = get_scorer("leep").score(
+            model, task, max_samples=32, rng=np.random.default_rng(stable_hash(key))
+        )
+        seeded = get_scorer("leep", deterministic=True)
+        for seed in (0, 1):
+            got = seeded.score(
+                model, task, max_samples=32, rng=np.random.default_rng(seed)
+            )
+            assert got == want
