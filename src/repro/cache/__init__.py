@@ -22,7 +22,8 @@ Environment variables
 ``REPRO_CACHE``
     ``"off"``/``"0"``/``"false"`` disables the default cache entirely.
 ``REPRO_CACHE_DIR``
-    Enables the persistent on-disk tier under the given directory.
+    Enables the persistent on-disk tier under the given directory: a
+    :class:`~repro.store.MatrixStore`, so only arrays persist.
 ``REPRO_CACHE_MAX_ENTRIES``
     Bound of the in-memory LRU tier (default 64 artifacts).
 
@@ -55,18 +56,11 @@ from repro.cache.keys import (
     similarity_key,
     text_similarity_key,
 )
-from repro.cache.store import (
-    ArtifactCache,
-    CacheStats,
-    DiskCache,
-    LRUCache,
-    sweep_stale_temp_files,
-)
+from repro.cache.store import ArtifactCache, CacheStats, LRUCache
 
 __all__ = [
     "ArtifactCache",
     "CacheStats",
-    "DiskCache",
     "LRUCache",
     "cache_stats",
     "clear_cache",
@@ -84,7 +78,6 @@ __all__ = [
     "resolve_cache",
     "session_key",
     "similarity_key",
-    "sweep_stale_temp_files",
     "text_similarity_key",
 ]
 
@@ -134,7 +127,7 @@ def configure(
         new_enabled = base.enabled if enabled is None else bool(enabled)
         new_max = base.memory.max_entries if max_entries is None else int(max_entries)
         new_disk = (
-            (str(base.disk.directory) if base.disk is not None else None)
+            (str(base.disk.root) if base.disk is not None else None)
             if disk_dir is None
             else disk_dir
         )

@@ -9,7 +9,7 @@ stale entries are simply never looked up again and age out of the LRU tier.
 
 Keys are short printable strings of the form ``"<kind>:<param>=...:<hash>"``
 so they can double as on-disk file names (see
-:class:`~repro.cache.store.DiskCache`).
+:class:`~repro.store.MatrixStore`).
 """
 
 from __future__ import annotations

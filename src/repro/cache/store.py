@@ -1,14 +1,15 @@
 """Cache stores: in-memory LRU, optional on-disk tier, and the facade.
 
-Three layers, composed by :class:`ArtifactCache`:
+Two layers, composed by :class:`ArtifactCache`:
 
 * :class:`LRUCache` — thread-safe, bounded, in-memory; the hot tier every
-  lookup hits first.
-* :class:`DiskCache` — optional persistent tier storing numpy arrays as
-  ``.npy`` files and scalars as ``.json``; survives process restarts so
+  lookup hits first.  It holds any value.
+* an optional :class:`~repro.store.MatrixStore` — the persistent tier,
+  storing numpy arrays as ``.npy`` files; it survives process restarts so
   repeated experiment runs reuse the offline work.
-* :class:`ArtifactCache` — the facade the library talks to; promotes disk
-  hits into memory and tracks :class:`CacheStats`.
+
+:class:`ArtifactCache` is the facade the library talks to; it promotes disk
+hits into memory and tracks :class:`~repro.store.matrix.CacheStats`.
 
 Stored arrays are defensively copied and frozen (``writeable=False``) on
 ``put`` and copied again on ``get``, so no caller can corrupt a cached
@@ -17,121 +18,15 @@ artifact for later consumers.
 
 from __future__ import annotations
 
-import json
-import os
-import re
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Union
 
 import numpy as np
 
+from repro.store.matrix import CacheStats, MatrixStore
 from repro.utils.exceptions import ConfigurationError
-
-#: Characters allowed in on-disk file names derived from cache keys.
-_UNSAFE_FILENAME = re.compile(r"[^A-Za-z0-9_.=-]")
-
-#: Writer-unique temp suffix appended before an atomic publish:
-#: ``<name>.tmp-<pid>-<thread>``.
-_TMP_PATTERN = re.compile(r"\.tmp-(\d+)-\d+$")
-
-
-def _pid_alive(pid: int) -> bool:
-    """Whether ``pid`` names a live process (conservatively true on EPERM)."""
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:
-        return True
-    return True
-
-
-def sweep_stale_temp_files(directory: Union[str, Path]) -> int:
-    """Remove orphaned ``*.tmp-<pid>-<tid>`` files of dead writers.
-
-    A writer killed between creating its temp file and the atomic
-    :func:`os.replace` publish leaves the temp file behind forever; this
-    sweep reclaims them.  Temp files of still-running processes are left
-    alone — a concurrent writer sharing the directory may be mid-publish,
-    and its eventual replace is atomic.  Returns the number removed.
-    """
-    directory = Path(directory)
-    if not directory.is_dir():
-        return 0
-    removed = 0
-    for path in directory.iterdir():
-        match = _TMP_PATTERN.search(path.name)
-        if match is None:
-            continue
-        if _pid_alive(int(match.group(1))):
-            continue
-        try:
-            path.unlink()
-            removed += 1
-        except OSError:
-            pass  # racing sweeper/writer; the file is gone or owned
-    return removed
-
-
-@dataclass
-class CacheStats:
-    """Hit/miss/eviction counters of one cache instance.
-
-    >>> stats = CacheStats()
-    >>> stats.hits, stats.misses
-    (0, 0)
-    >>> stats.record_miss(); stats.record_hit()
-    >>> stats.hit_rate
-    0.5
-    """
-
-    hits: int = 0
-    misses: int = 0
-    puts: int = 0
-    evictions: int = 0
-
-    def record_hit(self) -> None:
-        """Count one successful lookup."""
-        self.hits += 1
-
-    def record_miss(self) -> None:
-        """Count one failed lookup."""
-        self.misses += 1
-
-    def record_put(self) -> None:
-        """Count one store."""
-        self.puts += 1
-
-    def record_eviction(self, count: int = 1) -> None:
-        """Count ``count`` LRU evictions."""
-        self.evictions += count
-
-    @property
-    def lookups(self) -> int:
-        """Total lookups (hits + misses)."""
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from cache (0.0 when never queried)."""
-        return self.hits / self.lookups if self.lookups else 0.0
-
-    def reset(self) -> None:
-        """Zero every counter."""
-        self.hits = self.misses = self.puts = self.evictions = 0
-
-    def as_dict(self) -> Dict[str, float]:
-        """Plain-dict snapshot for logging/reporting."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "puts": self.puts,
-            "evictions": self.evictions,
-            "hit_rate": self.hit_rate,
-        }
 
 
 def _freeze(value: Any) -> Any:
@@ -240,109 +135,6 @@ class LRUCache:
             self._entries.clear()
 
 
-class DiskCache:
-    """Persistent cache tier storing artifacts under a directory.
-
-    Arrays are written as ``<key>.npy`` and scalars/JSON-serialisable
-    payloads as ``<key>.json``.  Keys are sanitised into safe file names;
-    the content-hash component keeps sanitised names collision-free.
-    """
-
-    def __init__(self, directory: Union[str, Path]) -> None:
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.stats = CacheStats()
-        #: Temp files of writers killed mid-publish, reclaimed at startup.
-        self.swept_temp_files = sweep_stale_temp_files(self.directory)
-
-    # ------------------------------------------------------------------ #
-    def _path_stem(self, key: str) -> Path:
-        return self.directory / _UNSAFE_FILENAME.sub("_", key)
-
-    def get(self, key: str, *, mmap_mode: Optional[str] = None) -> Optional[Any]:
-        """Load the artifact stored under ``key`` (or ``None``).
-
-        ``mmap_mode`` (e.g. ``"r"``) opens array payloads as a
-        :class:`numpy.memmap` instead of reading them into RAM — pages load
-        on demand, and POSIX unlink semantics mean a reader holding the map
-        survives a concurrent :meth:`evict` of the entry.
-        """
-        stem = self._path_stem(key)
-        npy, meta = stem.with_suffix(stem.suffix + ".npy"), stem.with_suffix(stem.suffix + ".json")
-        try:
-            if npy.exists():
-                value = np.load(npy, mmap_mode=mmap_mode, allow_pickle=False)
-                self.stats.record_hit()
-                return value
-            if meta.exists():
-                value = json.loads(meta.read_text())
-                self.stats.record_hit()
-                return value
-        except (OSError, ValueError, json.JSONDecodeError):
-            # A corrupt or half-written file behaves like a miss; the entry
-            # is recomputed and overwritten on the next put.
-            pass
-        self.stats.record_miss()
-        return None
-
-    def put(self, key: str, value: Any) -> None:
-        """Persist ``value`` under ``key`` (arrays as .npy, scalars as .json).
-
-        Writes go to a writer-unique temporary file first (keyed by pid and
-        thread id) and are published with an atomic :func:`os.replace`, so
-        concurrent writers — thread pools within one process as well as
-        forked process workers sharing one cache directory — can never
-        leave a half-written artifact for a reader to load.
-        """
-        stem = self._path_stem(key)
-        writer_id = f"{os.getpid()}-{threading.get_ident()}"
-        if isinstance(value, np.ndarray):
-            final = stem.with_suffix(stem.suffix + ".npy")
-            tmp = final.with_name(f"{final.name}.tmp-{writer_id}")
-            with open(tmp, "wb") as handle:
-                np.save(handle, value, allow_pickle=False)
-        else:
-            final = stem.with_suffix(stem.suffix + ".json")
-            tmp = final.with_name(f"{final.name}.tmp-{writer_id}")
-            tmp.write_text(json.dumps(value))
-        os.replace(tmp, final)
-        self.stats.record_put()
-
-    def evict(self, key: str) -> bool:
-        """Delete the files stored under ``key``; returns whether any existed."""
-        stem = self._path_stem(key)
-        removed = False
-        for suffix in (".npy", ".json"):
-            path = stem.with_suffix(stem.suffix + suffix)
-            if path.exists():
-                path.unlink(missing_ok=True)
-                removed = True
-        if removed:
-            self.stats.record_eviction()
-        return removed
-
-    def evict_matching(self, fragment: str) -> int:
-        """Delete every cached file whose name contains ``fragment``.
-
-        The fragment is sanitised exactly like keys are when they become
-        file names, so fingerprint components match their on-disk form.
-        """
-        sanitised = _UNSAFE_FILENAME.sub("_", fragment)
-        count = 0
-        for path in self.directory.glob("*"):
-            if path.suffix in (".npy", ".json") and sanitised in path.name:
-                path.unlink(missing_ok=True)
-                count += 1
-        self.stats.record_eviction(count)
-        return count
-
-    def clear(self) -> None:
-        """Delete every cached file in the directory."""
-        for path in self.directory.glob("*"):
-            if path.suffix in (".npy", ".json") or path.suffix.startswith(".tmp-"):
-                path.unlink(missing_ok=True)
-
-
 class ArtifactCache:
     """Two-tier artifact cache used throughout the library.
 
@@ -351,7 +143,8 @@ class ArtifactCache:
     max_entries:
         Bound of the in-memory LRU tier.
     disk_dir:
-        Optional directory enabling the persistent tier.
+        Optional directory enabling the persistent tier, a
+        :class:`~repro.store.MatrixStore` that holds arrays only.
     enabled:
         A disabled cache turns every ``get`` into a miss and every ``put``
         into a no-op, letting callers keep one unconditional code path.
@@ -373,7 +166,7 @@ class ArtifactCache:
         enabled: bool = True,
     ) -> None:
         self.memory = LRUCache(max_entries=max_entries)
-        self.disk = DiskCache(disk_dir) if disk_dir is not None else None
+        self.disk = MatrixStore(disk_dir) if disk_dir is not None else None
         self.enabled = bool(enabled)
 
     # ------------------------------------------------------------------ #
@@ -389,20 +182,26 @@ class ArtifactCache:
         value = self.memory.get(key)
         if value is not None:
             return value
-        if self.disk is not None:
-            value = self.disk.get(key)
-            if value is not None:
-                self.memory.put(key, value)
-                return _thaw(value)
-        return None
+        hit = self.disk.get(key) if self.disk is not None else None
+        if hit is None:
+            return None
+        # Read the memmap into a plain array: a promoted np.memmap (its
+        # copies are memmaps too) would look spilled on every later hit.
+        value = np.array(hit)
+        self.memory.put(key, value)
+        return value
 
     def put(self, key: str, value: Any) -> None:
-        """Store ``value`` in every enabled tier."""
+        """Store ``value`` in every enabled tier.
+
+        With a disk tier, ``value`` must be a numpy array
+        (:class:`TypeError` otherwise, and no tier is written).
+        """
         if not self.enabled:
             return
-        self.memory.put(key, value)
         if self.disk is not None:
             self.disk.put(key, value)
+        self.memory.put(key, value)
 
     def get_or_compute(self, key: str, compute: Callable[[], Any]) -> Any:
         """Return the cached value for ``key``, computing and storing on miss."""

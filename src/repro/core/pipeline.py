@@ -53,26 +53,33 @@ from repro.zoo.finetune import FineTuner
 from repro.zoo.hub import ModelHub, ZooVersion
 
 
-def evict_spilled_artifacts(similarity_config, fragment: str) -> int:
-    """Purge spilled (memory-mapped) artifacts matching ``fragment``.
+def purge_superseded_artifacts(
+    matrix: PerformanceMatrix, similarity_config, cache: CacheLike = None
+) -> int:
+    """Purge every cached and spilled artifact derived from ``matrix``.
 
-    The matrix-store counterpart of ``ArtifactCache.evict_matching`` in the
-    zoo-refresh invalidation sweep.  Touches only a store that already
-    exists — evicting never *creates* a store directory as a side effect.
-    Readers still holding a purged memmap keep a valid mapping (POSIX
-    unlink semantics); only new opens miss.
+    The zoo-refresh invalidation sweep: entries keyed by ``matrix``'s
+    content fingerprint leave the artifact cache (both tiers) and the
+    matrix store its similarity config spills to.  Touches only a store
+    that already exists — evicting never *creates* a store directory as a
+    side effect.  Readers still holding a purged memmap keep a valid
+    mapping (POSIX unlink semantics); only new lookups miss.  Returns the
+    memory-tier entries plus the spilled files removed.
     """
     from pathlib import Path
 
     from repro.store import MatrixStore, peek_store
 
+    fragment = fingerprint_matrix(matrix)
+    resolved = resolve_cache(cache)
+    evicted = resolved.evict_matching(fragment) if resolved is not None else 0
     if similarity_config is not None and similarity_config.store_dir is not None:
         if not Path(similarity_config.store_dir).is_dir():
-            return 0  # nothing was ever spilled there; don't mkdir it
+            return evicted  # nothing was ever spilled there; don't mkdir it
         store = MatrixStore(similarity_config.store_dir)
     else:
         store = peek_store()
-    return store.evict_matching(fragment) if store is not None else 0
+    return evicted + (store.evict_matching(fragment) if store is not None else 0)
 
 
 @dataclass
@@ -256,12 +263,7 @@ class OfflineArtifacts:
 
         evicted = 0
         if evict_superseded:
-            store = resolve_cache(cache)
-            if store is not None:
-                evicted = store.evict_matching(fingerprint_matrix(self.matrix))
-            evicted += evict_spilled_artifacts(
-                similarity_config, fingerprint_matrix(self.matrix)
-            )
+            evicted = purge_superseded_artifacts(self.matrix, similarity_config, cache)
 
         artifacts = OfflineArtifacts(
             hub=new_hub,

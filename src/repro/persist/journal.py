@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.cache.keys import fingerprint_text
 from repro.persist.hooks import fire_crash_point
+from repro.store.matrix import _writer_suffix
 
 #: Record types written by the scheduler's persistence path.  ``prune``
 #: records document speculative early-stop decisions (audit trail only —
@@ -142,9 +142,7 @@ class PlanJournal:
         leaves either the old file (tail still dropped on the next read)
         or the compacted one — never a shorter-than-prefix journal.
         """
-        tmp = self.path.with_name(
-            f"{self.path.name}.tmp-{os.getpid()}-{threading.get_ident()}"
-        )
+        tmp = self.path.with_name(self.path.name + _writer_suffix())
         with open(tmp, "w", encoding="utf-8") as handle:
             for record in self._records:
                 handle.write(

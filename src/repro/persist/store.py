@@ -15,7 +15,7 @@ the content-hash keys of :mod:`repro.cache`:
   session continues training bitwise-identically to one that never left
   memory.
 
-Snapshots are published like :class:`~repro.cache.store.DiskCache` entries:
+Snapshots are published like :class:`~repro.store.MatrixStore` entries:
 written to a writer-unique temporary file and moved into place with an
 atomic :func:`os.replace`, so a reader can never observe a half-written
 snapshot and a killed writer leaves only a stale temp file — which
@@ -36,9 +36,9 @@ import threading
 from pathlib import Path
 from typing import Dict, List, Union
 
-from repro.cache.store import _UNSAFE_FILENAME, sweep_stale_temp_files
 from repro.persist.hooks import fire_crash_point
 from repro.persist.journal import PlanJournal
+from repro.store.matrix import _UNSAFE_FILENAME, _writer_suffix, sweep_stale_temp_files
 
 
 class PlanStore:
@@ -122,9 +122,7 @@ class PlanStore:
             if self._published_epochs.get(session_key, -1) >= epochs:
                 return False
         final = self.session_path(session_key)
-        tmp = final.with_name(
-            f"{final.name}.tmp-{os.getpid()}-{threading.get_ident()}"
-        )
+        tmp = final.with_name(final.name + _writer_suffix())
         with open(tmp, "wb") as handle:
             pickle.dump(session, handle, protocol=pickle.HIGHEST_PROTOCOL)
             handle.flush()

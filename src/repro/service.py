@@ -401,8 +401,7 @@ class SelectionService:
         original offline matrix used, or the incremental == from-scratch
         guarantee breaks.
         """
-        from repro.cache import fingerprint_matrix, resolve_cache
-        from repro.core.pipeline import evict_spilled_artifacts
+        from repro.core.pipeline import purge_superseded_artifacts
 
         with self._refresh_lock:
             old_matrix = self.artifacts.matrix
@@ -422,13 +421,8 @@ class SelectionService:
                 self._selector = selector
                 self._refreshes += 1
                 scheduler = self._scheduler
-            store = resolve_cache(None)
-            if store is not None:
-                result.evicted_entries = store.evict_matching(
-                    fingerprint_matrix(old_matrix)
-                )
-            result.evicted_entries += evict_spilled_artifacts(
-                getattr(old_config, "similarity", None), fingerprint_matrix(old_matrix)
+            result.evicted_entries = purge_superseded_artifacts(
+                old_matrix, getattr(old_config, "similarity", None)
             )
             if scheduler is not None and old_version is not None:
                 scheduler.pool.evict_version(old_version.key)

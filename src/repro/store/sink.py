@@ -79,7 +79,7 @@ class StoreSink:
 
     def lookup(self, key: str, n: int) -> Optional[np.ndarray]:
         """The stored (or written-through) matrix under ``key``, or ``None``."""
-        existing = self.store.open(key)
+        existing = self.store.get(key)
         if existing is not None and existing.shape == (n, n):
             return existing
         cached = self.memory.get(key) if self.memory is not None else None

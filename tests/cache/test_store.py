@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.cache import ArtifactCache, CacheStats, DiskCache, LRUCache
+from repro.cache import ArtifactCache, CacheStats, LRUCache
+from repro.store import MatrixStore
 from repro.utils.exceptions import ConfigurationError
 
 
@@ -67,24 +68,32 @@ class TestLRUCache:
             LRUCache(max_entries=0)
 
 
-class TestDiskCache:
-    def test_array_and_scalar_roundtrip(self, tmp_path):
-        cache = DiskCache(tmp_path)
+class TestDiskTier:
+    def test_array_roundtrip_and_scalars_rejected(self, tmp_path):
+        cache = MatrixStore(tmp_path)
         array = np.random.default_rng(0).random((3, 3))
         cache.put("sim:test:abc", array)
-        cache.put("proxy:test:def", 0.75)
         assert np.array_equal(cache.get("sim:test:abc"), array)
-        assert cache.get("proxy:test:def") == 0.75
         assert cache.get("unknown") is None
+        with pytest.raises(TypeError):
+            cache.put("proxy:test:def", 0.75)
+        assert not list(tmp_path.glob("proxy*"))
+
+    def test_put_writes_the_bytes_of_np_save(self, tmp_path):
+        array = np.random.default_rng(1).random((4, 3))
+        MatrixStore(tmp_path / "store").put("sim:k=5:abc", array)
+        np.save(tmp_path / "reference.npy", array)
+        published = (tmp_path / "store" / "sim_k=5_abc.npy").read_bytes()
+        assert published == (tmp_path / "reference.npy").read_bytes()
 
     def test_clear_removes_files(self, tmp_path):
-        cache = DiskCache(tmp_path)
+        cache = MatrixStore(tmp_path)
         cache.put("a", np.ones(2))
         cache.clear()
         assert cache.get("a") is None
 
     def test_corrupt_file_is_a_miss(self, tmp_path):
-        cache = DiskCache(tmp_path)
+        cache = MatrixStore(tmp_path)
         cache.put("a", np.ones(2))
         next(tmp_path.glob("*.npy")).write_bytes(b"not a npy file")
         assert cache.get("a") is None
@@ -121,21 +130,64 @@ class TestArtifactCache:
         # The disk hit is promoted into the memory tier.
         assert "k" in reader.memory
 
+    def test_disk_and_memory_hits_are_plain_arrays(self, tmp_path):
+        """np.memmap.copy() is still a memmap: a promoted disk hit must be
+        read into a plain ndarray, or every later hit looks spilled."""
+        ArtifactCache(max_entries=8, disk_dir=tmp_path).put("k", np.eye(3))
+        reader = ArtifactCache(max_entries=8, disk_dir=tmp_path)
+        disk_hit = reader.get("k")
+        memory_hit = reader.get("k")
+        assert type(disk_hit) is np.ndarray
+        assert type(memory_hit) is np.ndarray
+        assert reader.stats_report()["disk"]["hits"] == 1
+        assert np.array_equal(memory_hit, np.eye(3))
+
+    def test_warm_disk_tier_never_looks_spilled(self, tmp_path):
+        """offline_matrices below the spill threshold keeps its matrices in
+        RAM even when the cache serves them from a warm disk tier."""
+        from repro.cluster.distance import offline_matrices
+        from repro.core.config import SimilarityConfig
+        from repro.core.performance import PerformanceMatrix
+
+        values = np.random.default_rng(2).random((6, 5))
+        matrix = PerformanceMatrix([f"d{i}" for i in range(6)], [f"m{j}" for j in range(5)], values)
+        config = SimilarityConfig(store_dir=str(tmp_path / "spill"))
+        offline_matrices(matrix, top_k=3, cache=ArtifactCache(disk_dir=tmp_path / "disk"), config=config)
+        warm = ArtifactCache(disk_dir=tmp_path / "disk")
+        for _ in range(2):  # the disk hit, then the promoted memory hit
+            similarity, distance, work_store = offline_matrices(
+                matrix, top_k=3, cache=warm, config=config
+            )
+            assert work_store is None
+            assert type(similarity) is np.ndarray and type(distance) is np.ndarray
+        assert warm.stats_report()["disk"]["hits"] == 2
+
+    def test_scalar_put_with_disk_tier_raises_and_writes_nothing(self, tmp_path):
+        cache = ArtifactCache(max_entries=8, disk_dir=tmp_path)
+        with pytest.raises(TypeError):
+            cache.put("k", 1.0)
+        assert "k" not in cache.memory
+        # The memory-only cache still takes any value.
+        memory_only = ArtifactCache(max_entries=8)
+        memory_only.put("k", 1.0)
+        assert memory_only.get("k") == 1.0
+
     def test_stats_report_tiers(self, tmp_path):
         cache = ArtifactCache(max_entries=8, disk_dir=tmp_path)
-        cache.put("k", 1.0)
+        cache.put("k", np.ones(2))
         report = cache.stats_report()
         assert set(report) == {"memory", "disk"}
         assert report["memory"]["puts"] == 1
+        assert report["disk"]["puts"] == 1
 
 
-class TestDiskCacheConcurrency:
+class TestDiskTierConcurrency:
     def test_concurrent_same_key_puts_publish_atomically(self, tmp_path):
         """Racing writers (docs/caching.md#concurrency-guarantees) never
         corrupt an entry: readers always load one writer's complete array."""
         import threading
 
-        cache = DiskCache(tmp_path)
+        cache = MatrixStore(tmp_path)
         payloads = [np.full(64, float(i)) for i in range(8)]
         barrier = threading.Barrier(len(payloads), timeout=10)
         errors = []
@@ -160,6 +212,17 @@ class TestDiskCacheConcurrency:
         # No temporary files leak.
         assert not list(tmp_path.glob("*.tmp-*"))
 
+    def test_clear_spares_a_live_writers_temp_file(self, tmp_path):
+        """clear() beside an in-progress write: the commit still publishes."""
+        store = MatrixStore(tmp_path)
+        store.put("old", np.zeros(2))
+        writer = store.create("sim:k=5:abc", (2, 2))
+        writer.array[:] = 4.0
+        store.clear()
+        assert store.get("old") is None
+        writer.commit()
+        assert np.array_equal(store.get("sim:k=5:abc"), np.full((2, 2), 4.0))
+
 
 class TestEviction:
     def test_lru_evict_key(self):
@@ -179,15 +242,16 @@ class TestEviction:
         assert cache.stats.evictions >= 2
 
     def test_disk_evict_key_and_matching(self, tmp_path):
-        cache = DiskCache(tmp_path)
+        cache = MatrixStore(tmp_path)
         cache.put("sim:k=5:abc123", np.ones(4))
-        cache.put("meta:abc123", {"n": 1})
+        cache.put("meta:abc123", np.arange(2))
         cache.put("sim:k=5:def456", np.zeros(4))
         assert cache.evict("sim:k=5:abc123") is True
         assert cache.get("sim:k=5:abc123") is None
-        assert cache.evict_matching("abc123") == 1  # the json entry
+        assert cache.evict_matching("abc123") == 1  # the meta entry
         assert cache.get("meta:abc123") is None
         assert cache.get("sim:k=5:def456") is not None
+        assert cache.stats.evictions == 2
 
     def test_artifact_cache_evicts_all_tiers(self, tmp_path):
         cache = ArtifactCache(max_entries=8, disk_dir=tmp_path)
@@ -204,20 +268,19 @@ class TestEviction:
 class TestDiskTierEdgeCases:
     """Edge cases of the persistent tier under memmapped readers and damage."""
 
-    def test_get_mmap_mode_returns_memmap(self, tmp_path):
-        cache = DiskCache(tmp_path)
+    def test_get_returns_read_only_memmap(self, tmp_path):
+        cache = MatrixStore(tmp_path)
         payload = np.arange(6.0).reshape(2, 3)
         cache.put("sim:k=5:abc", payload)
-        mapped = cache.get("sim:k=5:abc", mmap_mode="r")
+        mapped = cache.get("sim:k=5:abc")
         assert isinstance(mapped, np.memmap)
         assert np.array_equal(mapped, payload)
-        # Default reads stay plain in-RAM arrays.
-        assert not isinstance(cache.get("sim:k=5:abc"), np.memmap)
+        assert not mapped.flags.writeable
 
     def test_evict_while_reader_holds_memmap(self, tmp_path):
-        cache = DiskCache(tmp_path)
+        cache = MatrixStore(tmp_path)
         cache.put("sim:k=5:abc", np.full((4, 4), 2.5))
-        reader = cache.get("sim:k=5:abc", mmap_mode="r")
+        reader = cache.get("sim:k=5:abc")
         assert cache.evict("sim:k=5:abc") is True
         # POSIX unlink: the live mapping still reads the old bytes ...
         assert float(reader[3, 3]) == 2.5
@@ -228,15 +291,15 @@ class TestDiskTierEdgeCases:
         assert float(cache.get("sim:k=5:abc").sum()) == 0.0
 
     def test_evict_matching_while_reader_holds_memmap(self, tmp_path):
-        cache = DiskCache(tmp_path)
+        cache = MatrixStore(tmp_path)
         cache.put("sim:k=5:abc123", np.ones(8))
-        reader = cache.get("sim:k=5:abc123", mmap_mode="r")
+        reader = cache.get("sim:k=5:abc123")
         assert cache.evict_matching("abc123") == 1
         assert float(reader.sum()) == 8.0
         assert cache.get("sim:k=5:abc123") is None
 
     def test_evict_matching_on_empty_disk_tier(self, tmp_path):
-        cache = DiskCache(tmp_path / "never-written")
+        cache = MatrixStore(tmp_path / "never-written")
         assert cache.evict_matching("anything") == 0
         assert cache.stats.evictions == 0
         # Same through the facade with an empty disk directory.
@@ -244,7 +307,7 @@ class TestDiskTierEdgeCases:
         assert facade.evict_matching("anything") == 0
 
     def test_corrupted_file_recovery_on_get(self, tmp_path):
-        cache = DiskCache(tmp_path)
+        cache = MatrixStore(tmp_path)
         cache.put("sim:k=5:abc", np.ones(3))
         misses_before = cache.stats.misses
         path = next(tmp_path.glob("*.npy"))
@@ -255,14 +318,6 @@ class TestDiskTierEdgeCases:
         # ... and the standard recompute-and-put cycle heals the slot.
         cache.put("sim:k=5:abc", np.full(3, 7.0))
         assert np.array_equal(cache.get("sim:k=5:abc"), np.full(3, 7.0))
-
-    def test_corrupted_json_recovery_on_get(self, tmp_path):
-        cache = DiskCache(tmp_path)
-        cache.put("proxy:x", 0.5)
-        next(tmp_path.glob("*.json")).write_text("{not json")
-        assert cache.get("proxy:x") is None
-        cache.put("proxy:x", 0.25)
-        assert cache.get("proxy:x") == 0.25
 
 
 class TestTempFileSweep:
@@ -282,7 +337,7 @@ class TestTempFileSweep:
         dead = self._dead_pid()
         orphan = tmp_path / f"sim_k_5_abc.npy.tmp-{dead}-140210"
         orphan.write_bytes(b"half-written")
-        cache = DiskCache(tmp_path)
+        cache = MatrixStore(tmp_path)
         assert cache.swept_temp_files == 1
         assert not orphan.exists()
 
@@ -291,30 +346,30 @@ class TestTempFileSweep:
 
         ours = tmp_path / f"sim_k_5_abc.npy.tmp-{os.getpid()}-140210"
         ours.write_bytes(b"mid-publish")
-        cache = DiskCache(tmp_path)
+        cache = MatrixStore(tmp_path)
         assert cache.swept_temp_files == 0
         assert ours.exists()
 
     def test_non_temp_files_are_never_swept(self, tmp_path):
         dead = self._dead_pid()
-        cache = DiskCache(tmp_path)
-        cache.put("proxy:x", 0.5)
-        published = list(tmp_path.glob("*.json"))
-        stale = tmp_path / f"proxy_y.json.tmp-{dead}-9"
+        cache = MatrixStore(tmp_path)
+        cache.put("sim:x", np.ones(2))
+        published = list(tmp_path.glob("*.npy"))
+        stale = tmp_path / f"sim_y.npy.tmp-{dead}-9"
         stale.write_bytes(b"")
-        assert DiskCache(tmp_path).swept_temp_files == 1
+        assert MatrixStore(tmp_path).swept_temp_files == 1
         assert all(path.exists() for path in published)
 
     def test_killed_writer_never_corrupts_reader(self, tmp_path):
         """The published value survives a writer killed mid-publish."""
         import numpy as np
 
-        cache = DiskCache(tmp_path)
+        cache = MatrixStore(tmp_path)
         cache.put("sim:k=5:abc", np.full(4, 2.0))
         path = next(tmp_path.glob("*.npy"))
         # A writer died after writing its temp file but before os.replace.
         dead = self._dead_pid()
         (tmp_path / f"{path.name}.tmp-{dead}-7").write_bytes(b"\x00garbage")
-        reopened = DiskCache(tmp_path)
+        reopened = MatrixStore(tmp_path)
         assert reopened.swept_temp_files == 1
         assert np.array_equal(reopened.get("sim:k=5:abc"), np.full(4, 2.0))

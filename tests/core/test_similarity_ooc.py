@@ -83,7 +83,7 @@ def test_ooc_write_through_from_memory_cache(config, store, monkeypatch):
     )
     assert isinstance(result, np.memmap)
     assert np.array_equal(result, dense)
-    assert store.open(similarity_key(matrix, method="performance", top_k=5)) is not None
+    assert store.get(similarity_key(matrix, method="performance", top_k=5)) is not None
 
 
 def test_ooc_does_not_populate_memory_cache(config, store):

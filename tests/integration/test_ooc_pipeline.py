@@ -128,16 +128,18 @@ def test_cluster_keeps_precomputed_memmap_similarity_out_of_core(small_world, tm
 
     store = MatrixStore(tmp_path / "store")
     key = distance_key(similarity_key(matrix, method="performance", top_k=5))
-    assert store.open(key) is not None
+    assert store.get(key) is not None
 
 
 def test_evicting_never_creates_the_store_directory(tmp_path):
     from repro.core.config import SimilarityConfig
-    from repro.core.pipeline import evict_spilled_artifacts
+    from repro.core.performance import PerformanceMatrix
+    from repro.core.pipeline import purge_superseded_artifacts
 
+    matrix = PerformanceMatrix(["d0"], ["m0", "m1"], np.zeros((1, 2)))
     missing = tmp_path / "never-created"
     config = SimilarityConfig(store_dir=str(missing))
-    assert evict_spilled_artifacts(config, "anything") == 0
+    assert purge_superseded_artifacts(matrix, config, cache=False) == 0
     assert not missing.exists()
 
 

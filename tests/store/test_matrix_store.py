@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cache.store import DiskCache
+from repro.cache import ArtifactCache
 from repro.store import (
     MatrixStore,
     configure_store,
@@ -36,7 +36,7 @@ def test_create_commit_open_roundtrip(store):
     writer.array[:] = np.arange(9.0).reshape(3, 3)
     published = writer.commit()
     assert isinstance(published, np.memmap)
-    reopened = store.open("sim:performance:k=5:abc")
+    reopened = store.get("sim:performance:k=5:abc")
     assert np.array_equal(reopened, np.arange(9.0).reshape(3, 3))
     assert "sim:performance:k=5:abc" in store
     # Published maps are read-only.
@@ -47,10 +47,10 @@ def test_create_commit_open_roundtrip(store):
 def test_commit_is_atomic_no_partial_file_visible(store):
     writer = store.create("key", (2, 2))
     writer.array[:] = 1.0
-    # Until commit, open() misses: only the tmp file exists.
-    assert store.open("key") is None
+    # Until commit, get() misses: only the tmp file exists.
+    assert store.get("key") is None
     writer.commit()
-    assert store.open("key") is not None
+    assert store.get("key") is not None
 
 
 def test_abort_discards_tmp_file(store):
@@ -59,27 +59,27 @@ def test_abort_discards_tmp_file(store):
     assert tmp.exists()
     writer.abort()
     assert not tmp.exists()
-    assert store.open("key") is None
+    assert store.get("key") is None
 
 
 def test_key_sanitisation_matches_disk_cache(store, tmp_path):
-    """One cache key maps to the same file stem in both disk tiers."""
+    """One cache key names the same file in the cache's disk tier (itself a
+    MatrixStore) and in a spill store."""
     key = "sim:performance:k=5:0123abcd"
-    disk = DiskCache(tmp_path / "cache")
-    disk.put(key, np.zeros((2, 2)))
+    ArtifactCache(disk_dir=tmp_path / "cache").put(key, np.zeros((2, 2)))
     cache_file = next((tmp_path / "cache").glob("*.npy"))
-    assert store.path_for(key).name == cache_file.name
+    assert store.path_for(key).name == cache_file.name == "sim_performance_k=5_0123abcd.npy"
 
 
 def test_open_corrupt_file_behaves_like_miss(store):
     path = store.path_for("broken")
     path.write_bytes(b"this is not a npy file")
-    assert store.open("broken") is None
+    assert store.get("broken") is None
     # And the slot is recoverable by writing again.
     writer = store.create("broken", (1, 1))
     writer.array[:] = 7.0
     writer.commit()
-    assert float(store.open("broken")[0, 0]) == 7.0
+    assert float(store.get("broken")[0, 0]) == 7.0
 
 
 def test_evict_while_reader_holds_map(store):
@@ -89,8 +89,8 @@ def test_evict_while_reader_holds_map(store):
     assert store.evict("key") is True
     # POSIX unlink: the held mapping stays valid until released...
     assert float(reader[1, 1]) == 3.0
-    # ...but new opens miss.
-    assert store.open("key") is None
+    # ...but new lookups miss.
+    assert store.get("key") is None
     assert store.evict("key") is False
 
 
@@ -101,32 +101,40 @@ def test_evict_matching_by_fingerprint_fragment(store):
             writer.array[:] = 0.0
             writer.commit()
     assert store.evict_matching("aaa111") == 2
-    assert store.open("sim:performance:k=5:aaa111") is None
-    assert store.open("sim:performance:k=5:bbb222") is not None
+    assert store.get("sim:performance:k=5:aaa111") is None
+    assert store.get("sim:performance:k=5:bbb222") is not None
     assert store.evict_matching("nothing-here") == 0
+
+
+def _dead_pid():
+    """A pid that names no live process (spawned, exited and reaped)."""
+    import subprocess
+    import sys
+
+    proc = subprocess.Popen([sys.executable, "-c", "pass"])
+    proc.wait()
+    return proc.pid
 
 
 def test_clear_removes_published_and_tmp_files(store):
     writer = store.create("a", (1, 1))
     writer.array[:] = 0.0
     writer.commit()
-    dangling = store.create("b", (1, 1))  # never committed
+    # A writer that died before committing.
+    dangling = store.root / f"b.npy.tmp-{_dead_pid()}-1"
+    dangling.write_bytes(b"half-written")
     store.clear()
-    assert store.open("a") is None
-    assert not dangling.tmp_path.exists()
+    assert store.get("a") is None
+    assert not dangling.exists()
 
 
 def test_startup_sweeps_dead_writer_tmp_files_and_spares_live_ones(tmp_path):
     """A build killed mid-write must not leak its 8 n^2 byte temp file."""
     import os
-    import subprocess
-    import sys
 
-    proc = subprocess.Popen([sys.executable, "-c", "pass"])
-    proc.wait()  # spawned, exited and reaped: the pid names no live process
     root = tmp_path / "store"
     root.mkdir()
-    orphan = root / f"sim_performance_k=5_abc.npy.tmp-{proc.pid}-140210"
+    orphan = root / f"sim_performance_k=5_abc.npy.tmp-{_dead_pid()}-140210"
     orphan.write_bytes(b"half-written")
     ours = root / f"sim_performance_k=5_def.npy.tmp-{os.getpid()}-140210"
     ours.write_bytes(b"mid-publish")
@@ -151,6 +159,37 @@ def test_scratch_matrix_is_deleted_on_close(store):
     assert path.exists()
     scratch.close()
     assert not path.exists()
+
+
+def test_killed_process_scratch_matrix_is_swept(tmp_path):
+    """A clustering killed mid-merge leaves a scratch file that the next
+    store over the directory reclaims; it never counts as a published matrix."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    src_dir = str(Path(repro.__file__).resolve().parents[1])
+    root = tmp_path / "store"
+    child = (
+        "import os, sys\n"
+        "from repro.store import MatrixStore\n"
+        "scratch = MatrixStore(sys.argv[1]).scratch((64, 64), prefix='nnchain')\n"
+        "scratch.array[:] = 1.0\n"
+        "os._exit(0)\n"
+    )
+    subprocess.run(
+        [sys.executable, "-c", child, str(root)],
+        check=True,
+        env=dict(os.environ, PYTHONPATH=src_dir),
+    )
+    assert [path.name.startswith("nnchain-") for path in root.iterdir()] == [True]
+    reopened = MatrixStore(root)
+    assert reopened.bytes_stored() == 0
+    assert reopened.swept_temp_files == 1
+    assert not list(root.iterdir())
 
 
 def test_scratch_matrix_context_manager(store):
