@@ -50,6 +50,7 @@ from repro.cache.keys import (
     fingerprint_model,
     fingerprint_task,
     fingerprint_text,
+    fingerprint_tuner,
     plan_key,
     proxy_score_key,
     session_key,
@@ -72,6 +73,7 @@ __all__ = [
     "fingerprint_model",
     "fingerprint_task",
     "fingerprint_text",
+    "fingerprint_tuner",
     "get_cache",
     "plan_key",
     "proxy_score_key",

@@ -25,6 +25,7 @@ from repro.utils.exceptions import DataError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.performance import PerformanceMatrix
     from repro.data.tasks import ClassificationTask
+    from repro.zoo.finetune import FineTuner
     from repro.zoo.models import PretrainedModel
 
 #: Number of hex digits kept from the SHA-256 digest.  64 bits of digest
@@ -133,6 +134,13 @@ def fingerprint_model(model: "PretrainedModel") -> str:
         str(model._noise_key),
         fingerprint_array(model.concept_gains),
         fingerprint_array(model.projection),
+    )
+
+
+def fingerprint_tuner(tuner: "FineTuner") -> str:
+    """Root seed and config of a fine-tuner: equal ones train equal sessions."""
+    return fingerprint_text(
+        "finetuner", str(tuner._rng_factory.root_seed), repr(tuner.config)
     )
 
 

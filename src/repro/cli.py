@@ -16,8 +16,8 @@ the experiment runner (see ``docs/cli.md``)::
 Every command accepts ``--scale small`` for fast smoke runs and
 ``--parallel backend[:workers]`` (or the ``REPRO_PARALLEL`` environment
 variable) to pick an executor; ``select``, ``batch`` and ``zoo`` can emit
-JSON for scripting with ``--json``.  ``select`` and ``batch`` accept
-``--timeout``/``--max-queue`` to route through the epoch scheduler with a
+JSON for scripting with ``--json``.  ``select`` and ``batch`` run on the
+service's epoch scheduler, so ``--timeout``/``--max-queue`` give them a
 deadline and bounded admission; on budget exhaustion they emit a
 structured JSON error object and exit with the distinct code 3
 (:data:`repro.serving.EXIT_SCHEDULER`) instead of blocking forever.
@@ -190,39 +190,17 @@ def _print_result(result: TwoPhaseResult, *, stream) -> None:
 def _cmd_select(args: argparse.Namespace, stream) -> int:
     service = _build_service(args)
     started = time.perf_counter()
-    scheduled = (
-        args.timeout is not None
-        or args.max_queue is not None
-        or args.store_dir is not None
-        or args.raise_budget is not None
-        or args.anytime
-        or args.extrapolate
-    )
-    anytime = None
-    if scheduled:
-        # Scheduled path: admission control + deadline.  The result is
-        # bitwise-identical to the blocking path; only failure modes
-        # (queue full, deadline missed) differ — those exit with the
-        # distinct scheduler code instead of blocking forever.  The
-        # persistence flags also land here: journals, budget raises and
-        # anytime snapshots only exist on the scheduler's plan objects.
-        try:
-            extrapolate = None
-            if args.extrapolate:
-                extrapolate = True
-            elif args.exact:
-                extrapolate = False
-            handle = service.submit(args.target, top_k=args.top_k,
-                                    timeout=args.timeout,
-                                    total_epochs=args.raise_budget,
-                                    extrapolate=extrapolate)
-            result = service.result(handle)
-        except SchedulerError as error:
-            return _scheduler_failure(error, stream)
-        if args.anytime:
-            anytime = service.poll(handle, best=True).get("anytime")
-    else:
-        result = service.select(args.target, top_k=args.top_k)
+    extrapolate = True if args.extrapolate else (False if args.exact else None)
+    # Scheduler failures (queue full, deadline missed, quota spent) exit
+    # with the distinct scheduler code instead of blocking forever.
+    try:
+        handle = service.submit(args.target, top_k=args.top_k,
+                                total_epochs=args.raise_budget,
+                                extrapolate=extrapolate)
+        result = service.result(handle)
+    except SchedulerError as error:
+        return _scheduler_failure(error, stream)
+    anytime = service.poll(handle, best=True).get("anytime") if args.anytime else None
     elapsed = time.perf_counter() - started
     if args.json:
         payload = _result_payload(result)
@@ -250,21 +228,10 @@ def _cmd_batch(args: argparse.Namespace, stream) -> int:
     service = _build_service(args)
     targets = args.targets or service.target_names
     started = time.perf_counter()
-    if args.timeout is not None or args.max_queue is not None:
-        from repro.core.batch import BatchSelectionReport
-
-        try:
-            handles = [
-                service.submit(target, top_k=args.top_k, timeout=args.timeout)
-                for target in targets
-            ]
-            report = BatchSelectionReport()
-            for target, handle in zip(targets, handles):
-                report.results[target] = service.result(handle)
-        except SchedulerError as error:
-            return _scheduler_failure(error, stream)
-    else:
+    try:
         report = service.select_many(targets, top_k=args.top_k)
+    except SchedulerError as error:
+        return _scheduler_failure(error, stream)
     elapsed = time.perf_counter() - started
     if args.json:
         payload = {
@@ -668,11 +635,11 @@ def _cmd_bench(args: argparse.Namespace, stream) -> int:
 # parser wiring
 # --------------------------------------------------------------------------- #
 def _add_budget_arguments(parser: argparse.ArgumentParser) -> None:
-    """``--timeout``/``--max-queue``: route through the epoch scheduler.
+    """``--timeout``/``--max-queue``: the epoch scheduler's budget flags.
 
-    Either flag switches the command onto the scheduled request path with
-    a deadline and a bounded admission queue; exhausting the budget exits
-    with code 3 and a structured JSON error instead of blocking forever.
+    They give the command's requests a deadline and a bounded admission
+    queue; exhausting the budget exits with code 3 and a structured JSON
+    error instead of blocking forever.
     """
     parser.add_argument(
         "--timeout",

@@ -4,13 +4,13 @@ The paper's offline artifacts (performance matrix + model clustering) are
 independent of the target task, so a production deployment serving many
 selection queries should build them once and amortise them.
 :meth:`~repro.core.pipeline.TwoPhaseSelector.select_many` does exactly
-that: it submits every target as one request to a private
+that: it submits every target as one request to a per-call
 :class:`~repro.sched.scheduler.EpochScheduler` sharing one clustering and
 one pair of online engines, and aggregates the per-task
 :class:`~repro.core.results.SelectionResult` records into one
 :class:`BatchSelectionReport`.  This module holds the report type and the
-two helpers every online entry point shares: :func:`build_phase_engines`
-and :func:`resolve_target_task`.
+helpers every online entry point shares: :func:`build_phase_engines`,
+:func:`resolve_target_task` and :func:`resolve_target_batch`.
 
 Typical use::
 
@@ -29,7 +29,7 @@ Typical use::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Union
+from typing import Dict, List, Sequence, Union
 
 from repro.core.recall import CoarseRecall
 from repro.core.results import (
@@ -52,7 +52,8 @@ def build_phase_engines(
 ):
     """Construct the online-phase engine pair for one set of offline artifacts.
 
-    Shared by :class:`~repro.core.pipeline.TwoPhaseSelector` and
+    Shared by :class:`~repro.core.pipeline.TwoPhaseSelector`,
+    :class:`~repro.service.SelectionService` and
     :meth:`~repro.sched.scheduler.EpochScheduler.for_artifacts` so the
     entry points can never drift in how they wire :class:`CoarseRecall`
     and :class:`FineSelection`.  ``parallel`` (an executor, config or spec
@@ -96,6 +97,21 @@ def resolve_target_task(suite, target: TargetLike) -> ClassificationTask:
             f"unknown target dataset {target!r}; known: {suite.dataset_names}"
         )
     return suite.task(target)
+
+
+def resolve_target_batch(
+    suite, targets: Sequence[TargetLike]
+) -> List[ClassificationTask]:
+    """Resolve a ``select_many`` batch: at least one target, none twice."""
+    tasks = [resolve_target_task(suite, target) for target in targets]
+    if not tasks:
+        raise SelectionError("target batch must not be empty")
+    seen = set()
+    for task in tasks:
+        if task.name in seen:
+            raise SelectionError(f"duplicate target {task.name!r} in batch")
+        seen.add(task.name)
+    return tasks
 
 
 @dataclass

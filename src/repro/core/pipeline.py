@@ -8,7 +8,7 @@ out-of-core — similarity and distance live as memory-mapped files in the
 :mod:`repro.store` matrix store, bitwise-equal to the in-RAM path (see
 ``docs/scaling.md``).  :class:`TwoPhaseSelector` then answers
 ``select(target_task)`` queries by running coarse-recall followed by
-fine-selection on a private :class:`~repro.sched.scheduler.EpochScheduler`
+fine-selection on a per-call :class:`~repro.sched.scheduler.EpochScheduler`
 (the one online engine), returning a
 :class:`~repro.core.results.TwoPhaseResult` whose cost accounting matches the
 paper's Table VI (proxy inference charged at half an epoch per scored cluster
@@ -26,7 +26,7 @@ full re-cluster) — instead of recomputing the whole offline phase.  See
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.cache import CacheLike, fingerprint_matrix, resolve_cache
 from repro.cluster.distance import offline_matrices
@@ -34,6 +34,7 @@ from repro.cluster.incremental import update_clustering
 from repro.core.batch import (
     BatchSelectionReport,
     build_phase_engines,
+    resolve_target_batch,
     resolve_target_task,
 )
 from repro.core.config import PipelineConfig
@@ -47,10 +48,13 @@ from repro.core.results import TwoPhaseResult
 from repro.data.tasks import ClassificationTask
 from repro.data.workloads import WorkloadSuite
 from repro.parallel.executor import get_executor
-from repro.utils.exceptions import ConfigurationError, SelectionError
+from repro.utils.exceptions import ConfigurationError
 from repro.zoo.catalog import ModelCatalogEntry
 from repro.zoo.finetune import FineTuner
 from repro.zoo.hub import ModelHub, ZooVersion
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from repro.sched.scheduler import EpochScheduler
 
 
 def purge_superseded_artifacts(
@@ -362,46 +366,39 @@ class TwoPhaseSelector:
     ) -> BatchSelectionReport:
         """Select checkpoints for a batch of targets off the shared clustering.
 
-        Every target is submitted as one request to a private
-        :class:`~repro.sched.scheduler.EpochScheduler` (no plan store)
-        sharing this selector's artifacts, fine-tuner and online engines;
-        the scheduler interleaves their epoch steps, so overlapping
-        requests share partially-trained sessions through its session
-        pool.  Results come back in submission order, each task's recall
-        proxy cost recorded on its ``SelectionResult.extra_epoch_cost``.
+        Every target is one request on the call's :meth:`inline_scheduler`,
+        so overlapping requests share partially-trained sessions.  Results
+        come back in submission order, each task's recall proxy cost on its
+        ``SelectionResult.extra_epoch_cost``.
+        """
+        tasks = resolve_target_batch(self.artifacts.suite, targets)
+        scheduler = self.inline_scheduler(len(tasks))
+        requests = [scheduler.submit(task, top_k=top_k) for task in tasks]
+        scheduler.run_until_idle()
+        return BatchSelectionReport(
+            {task.name: scheduler.result(req) for task, req in zip(tasks, requests)}
+        )
+
+    def inline_scheduler(self, requests: int) -> "EpochScheduler":
+        """A store-less scheduler, over this selector's engines, for one call.
+
+        Its session pool lives for the call.  Every one of the ``requests``
+        is admitted at once and the unbounded epoch budget makes each round
+        one full stage wave: one executor dispatch per stage.
         """
         from repro.sched.config import SchedulerConfig
         from repro.sched.scheduler import EpochScheduler
 
-        tasks = [self._resolve_task(target) for target in targets]
-        if not tasks:
-            raise SelectionError("target batch must not be empty")
-        seen = set()
-        for task in tasks:
-            if task.name in seen:
-                raise SelectionError(f"duplicate target {task.name!r} in batch")
-            seen.add(task.name)
-
-        # A bulk batch wants the fewest, fattest scheduling rounds: every
-        # request is admitted at once and the unbounded epoch budget makes
-        # each round one full stage wave — a single executor dispatch per
-        # stage across the whole batch.
-        scheduler = EpochScheduler.for_artifacts(
+        return EpochScheduler.for_artifacts(
             self.artifacts,
             fine_tuner=self.fine_tuner,
             recall=self._recall,
             fine_selection=self._fine_selection,
             config=SchedulerConfig(
-                max_concurrent=len(tasks), max_queue=len(tasks), epoch_budget=None
+                max_concurrent=requests, max_queue=requests, epoch_budget=None
             ),
             parallel=self._executor,
         )
-        requests = [scheduler.submit(task, top_k=top_k) for task in tasks]
-        scheduler.run_until_idle()
-        report = BatchSelectionReport()
-        for task, request in zip(tasks, requests):
-            report.results[task.name] = scheduler.result(request)
-        return report
 
     def recall_only(
         self, target: Union[str, ClassificationTask], *, top_k: Optional[int] = None

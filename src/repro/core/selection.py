@@ -16,11 +16,11 @@ every fine-tuning epoch spent — the cost unit of the paper's Tables V/VI.
 
 Each algorithm is a :class:`~repro.core.plan.StagePolicy` — the per-stage
 filtering rule a :class:`~repro.core.plan.SelectionPlan` applies.  The
-policies train nothing themselves: :meth:`_SelectionBase.run` submits the
-candidates as one request to a private
-:class:`~repro.sched.scheduler.EpochScheduler` — the same engine that runs
-two-phase, batched and served requests — and hands back the plan's
-:class:`SelectionResult`.
+policies train nothing themselves: ``submit(task, policy=...,
+candidates=...)`` makes one a request on an
+:class:`~repro.sched.scheduler.EpochScheduler`, the engine of every
+selection, whose result is the plan's :class:`SelectionResult`.
+:meth:`_SelectionBase.run` is that request alone on a scheduler of its own.
 """
 
 from __future__ import annotations
@@ -38,13 +38,12 @@ from repro.core.performance import PerformanceMatrix
 from repro.core.plan import SessionView, StagePolicy
 from repro.core.results import SelectionResult, StageRecord
 from repro.data.tasks import ClassificationTask
-from repro.utils.exceptions import SelectionError
 from repro.zoo.finetune import FineTuner
 from repro.zoo.hub import ModelHub
 
 
 class _SelectionBase(StagePolicy):
-    """Shared plumbing: candidate checks and the scheduler-backed ``run``."""
+    """Shared plumbing: the hub, tuner and config, and ``run``."""
 
     method = "base"
 
@@ -60,20 +59,25 @@ class _SelectionBase(StagePolicy):
         self.config = config or FineSelectionConfig()
 
     # ------------------------------------------------------------------ #
-    def _check_candidates(self, candidates: Sequence[str]) -> List[str]:
-        names = list(candidates)
-        if not names:
-            raise SelectionError("candidate list must not be empty")
-        unknown = [name for name in names if name not in self.hub]
-        if unknown:
-            raise SelectionError(f"unknown candidate model(s): {unknown[:3]}")
-        return names
-
     def run(self, candidates: Sequence[str], task: ClassificationTask) -> SelectionResult:
-        """Select among ``candidates`` on ``task`` (one scheduler request)."""
-        from repro.sched.scheduler import _run_fixed_candidates
+        """Select among ``candidates`` on ``task`` on a scheduler of its own."""
+        from repro.sched.config import SchedulerConfig
+        from repro.sched.scheduler import EpochScheduler, SchedulerContext
 
-        return _run_fixed_candidates(self, self._check_candidates(candidates), task)
+        context = SchedulerContext(
+            artifacts=None,
+            recall=None,
+            fine_selection=self,
+            version_key=self.hub.version.key,
+            fine_tuner=self.fine_tuner,
+        )
+        scheduler = EpochScheduler(
+            lambda: context,
+            config=SchedulerConfig(max_concurrent=1, max_queue=1, epoch_budget=None),
+        )
+        request = scheduler.submit(task, candidates=candidates)
+        scheduler.run_until_idle()
+        return scheduler.result(request)
 
 
 class BruteForceSelection(_SelectionBase):

@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import PipelineConfig
 from repro.core.model_clustering import ModelClusterer, ModelClustering
 from repro.core.performance import PerformanceMatrix, build_performance_matrix
 from repro.core.pipeline import OfflineArtifacts, TwoPhaseSelector
+from repro.core.results import SelectionResult
+from repro.data.tasks import ClassificationTask
 from repro.data.workloads import DataScale, WorkloadSuite, suite_for_modality
 from repro.utils.exceptions import ConfigurationError
 from repro.zoo.finetune import FineTuner, LearningCurve
@@ -138,6 +140,18 @@ class ExperimentContext:
             )
             self._selector = TwoPhaseSelector(artifacts, fine_tuner=self.fine_tuner)
         return self._selector
+
+    def run_policies(
+        self, task: ClassificationTask, runs: Sequence[Tuple[object, Sequence[str]]]
+    ) -> List[SelectionResult]:
+        """``policy.run(candidates, task)`` per pair, on one shared scheduler."""
+        scheduler = self.selector.inline_scheduler(len(runs))
+        requests = [
+            scheduler.submit(task, policy=policy, candidates=candidates)
+            for policy, candidates in runs
+        ]
+        scheduler.run_until_idle()
+        return [scheduler.result(request) for request in requests]
 
     # ------------------------------------------------------------------ #
     # ground truth on target datasets

@@ -29,6 +29,10 @@ def run(
     """SH vs FS selected accuracy per target, for top-K and full-repository pools."""
     truth = context.target_ground_truth()
     config = FineSelectionConfig(total_epochs=context.offline_epochs)
+    methods = (
+        SuccessiveHalving(context.hub, context.fine_tuner, config=config),
+        FineSelection(context.hub, context.matrix, context.fine_tuner, config=config),
+    )
     records: List[Dict[str, object]] = []
     target_names = list(targets) if targets else context.target_names
     for target in target_names:
@@ -39,11 +43,14 @@ def run(
         if include_full_repository:
             pools[f"all{len(context.hub)}"] = context.hub.model_names
         top_accs = [accuracies[name] for name in recalled]
+        results = iter(
+            context.run_policies(
+                task,
+                [(policy, pool) for pool in pools.values() for policy in methods],
+            )
+        )
         for pool_name, pool in pools.items():
-            sh = SuccessiveHalving(context.hub, context.fine_tuner, config=config).run(pool, task)
-            fs = FineSelection(
-                context.hub, context.matrix, context.fine_tuner, config=config
-            ).run(pool, task)
+            sh, fs = next(results), next(results)
             records.append(
                 {
                     "modality": context.modality,

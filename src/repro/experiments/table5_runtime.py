@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.config import FineSelectionConfig
-from repro.core.selection import BruteForceSelection, FineSelection, SuccessiveHalving
+from repro.core.selection import FineSelection, SuccessiveHalving
 from repro.experiments.context import ExperimentContext
 from repro.experiments.tables import TextTable
 
@@ -25,6 +25,10 @@ def run(
 ) -> List[Dict[str, object]]:
     """Runtime/speedup records per (target, pool, method)."""
     config = FineSelectionConfig(total_epochs=context.offline_epochs)
+    methods = (
+        SuccessiveHalving(context.hub, context.fine_tuner, config=config),
+        FineSelection(context.hub, context.matrix, context.fine_tuner, config=config),
+    )
     records: List[Dict[str, object]] = []
     target_names = list(targets) if targets else context.target_names
     for target in target_names:
@@ -33,12 +37,15 @@ def run(
         pools: Dict[str, List[str]] = {"recalled": list(recalled)}
         if include_full_repository:
             pools["all"] = list(context.hub.model_names)
+        results = iter(
+            context.run_policies(
+                task,
+                [(policy, pool) for pool in pools.values() for policy in methods],
+            )
+        )
         for pool_name, pool in pools.items():
             brute_force_epochs = len(pool) * config.total_epochs
-            sh = SuccessiveHalving(context.hub, context.fine_tuner, config=config).run(pool, task)
-            fs = FineSelection(
-                context.hub, context.matrix, context.fine_tuner, config=config
-            ).run(pool, task)
+            sh, fs = next(results), next(results)
             for method, runtime in (
                 ("BF", float(brute_force_epochs)),
                 ("SH", sh.runtime_epochs),

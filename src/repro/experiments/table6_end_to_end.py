@@ -4,7 +4,8 @@ The two-phase pipeline's cost includes the coarse-recall proxy inference
 (charged at half an epoch per scored cluster, as in the paper) plus the
 fine-selection epochs over the recalled models; BF and SH operate on the
 whole repository.  Accuracy is the final test accuracy of each method's
-selected checkpoint after full fine-tuning.
+selected checkpoint after full fine-tuning.  The three methods of a target
+run as three requests on one scheduler and share its sessions.
 """
 
 from __future__ import annotations
@@ -30,13 +31,17 @@ def run(
     all_models = context.hub.model_names
     for target in target_names:
         task = context.suite.task(target)
-        two_phase = context.selector.select(target, top_k=top_k)
-        brute_force = BruteForceSelection(
-            context.hub, context.fine_tuner, config=config
-        ).run(all_models, task)
-        halving = SuccessiveHalving(
-            context.hub, context.fine_tuner, config=config
-        ).run(all_models, task)
+        scheduler = context.selector.inline_scheduler(3)
+        requests = [scheduler.submit(task, top_k=top_k)] + [
+            scheduler.submit(
+                task,
+                policy=method(context.hub, context.fine_tuner, config=config),
+                candidates=all_models,
+            )
+            for method in (BruteForceSelection, SuccessiveHalving)
+        ]
+        scheduler.run_until_idle()
+        two_phase, brute_force, halving = map(scheduler.result, requests)
         two_phase_cost = two_phase.total_cost
         records.append(
             {

@@ -23,12 +23,11 @@ partially-trained checkpoints through the
 :class:`~repro.sched.pool.SessionPool`, so the aggregate epochs actually
 trained can be far below the epochs charged.
 
-This is the only engine that trains a plan.  It can be driven
-synchronously (:meth:`run_until_idle` — a private, store-less scheduler per
-:meth:`~repro.core.pipeline.TwoPhaseSelector.select_many` call, and per
-selection policy ``run`` over fixed candidates, see
-:func:`_run_fixed_candidates`) or by its own background thread
-(:meth:`start` — used by :meth:`repro.service.SelectionService.submit`).
+This is the only engine that trains a plan; every selection call is a set
+of requests on one scheduler.  A library call (``select_many``, a policy's
+``run``, one Table VI row) drives a store-less scheduler of its own with
+:meth:`run_until_idle`; the service answers every call on one long-lived
+scheduler driven by its background thread (:meth:`start`).
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.cache import fingerprint_task, fingerprint_text
+from repro.cache import fingerprint_task, fingerprint_tuner
 from repro.cache import plan_key as make_plan_key
 from repro.core.extrapolation import ExtrapolationConfig, resolve_extrapolation
 from repro.core.plan import SelectionPlan, TrainStep
@@ -68,6 +67,7 @@ from repro.utils.exceptions import (
     QueueFullError,
     RequestTimeoutError,
     SchedulerError,
+    SelectionError,
 )
 
 logger = logging.getLogger(__name__)
@@ -119,9 +119,9 @@ class SelectionRequest:
         self.context = context
         self.deadline = deadline
         self.epoch_quota = epoch_quota
-        #: Fixed candidates of a policy run (see :func:`_run_fixed_candidates`):
-        #: the request skips recall and its result is the plan's
-        #: :class:`SelectionResult`.  ``None`` for a two-phase request.
+        #: Fixed candidates (``submit(candidates=)``): the request skips
+        #: recall and its result is the plan's :class:`SelectionResult`.
+        #: ``None`` for a two-phase request.
         self.candidates: Optional[List[str]] = None
         self.state = QUEUED
         self.plan: Optional[SelectionPlan] = None
@@ -204,6 +204,8 @@ class SelectionRequest:
 def _resolve_task(context: SchedulerContext, target) -> ClassificationTask:
     from repro.core.batch import resolve_target_task
 
+    if isinstance(target, ClassificationTask):
+        return target  # a policy's context may carry no artifacts
     return resolve_target_task(context.artifacts.suite, target)
 
 
@@ -222,9 +224,6 @@ class EpochScheduler:
         queue bound).
     parallel:
         Executor (or spec) the per-round training ops fan out over.
-    pool:
-        Session pool shared with other schedulers, if any; a fresh one is
-        created otherwise (from the context's fine-tuner).
     on_complete:
         Callback ``(request)`` fired when a request finishes or fails —
         the service uses it for accounting.
@@ -243,7 +242,6 @@ class EpochScheduler:
         *,
         config: Optional[SchedulerConfig] = None,
         parallel: ExecutorLike = None,
-        pool: Optional[SessionPool] = None,
         on_complete: Optional[Callable[[SelectionRequest], None]] = None,
         persist: Optional[PlanStore] = None,
     ) -> None:
@@ -251,12 +249,8 @@ class EpochScheduler:
         self.config = config or SchedulerConfig()
         self._executor = get_executor(parallel)
         self._persist = persist
-        # Explicit None check: an empty SessionPool is falsy (it has a
-        # __len__), and the fallback calls the context provider — which a
-        # caller constructing us under its own lock may not allow yet.
-        self._pool = (
-            pool if pool is not None else SessionPool(context_provider().fine_tuner)
-        )
+        self._pool = SessionPool(context_provider().fine_tuner)
+        self._tuner_fingerprint = fingerprint_tuner(self._pool.fine_tuner)
         self._on_complete = on_complete
         self._lock = threading.RLock()
         self._wake = threading.Condition(self._lock)
@@ -303,7 +297,6 @@ class EpochScheduler:
         fine_selection=None,
         config: Optional[SchedulerConfig] = None,
         parallel: ExecutorLike = None,
-        pool: Optional[SessionPool] = None,
         on_complete: Optional[Callable[[SelectionRequest], None]] = None,
         persist: Optional[PlanStore] = None,
     ) -> "EpochScheduler":
@@ -336,7 +329,6 @@ class EpochScheduler:
             lambda: context,
             config=config,
             parallel=parallel,
-            pool=pool,
             on_complete=on_complete,
             persist=persist,
         )
@@ -358,8 +350,17 @@ class EpochScheduler:
         epoch_quota: Optional[int] = None,
         total_epochs: Optional[int] = None,
         extrapolate: Union[None, bool, ExtrapolationConfig] = None,
+        policy=None,
+        candidates: Optional[Sequence[str]] = None,
     ) -> SelectionRequest:
         """Enqueue one selection request; returns its handle immediately.
+
+        ``policy`` replaces the context's fine-selection engine for this
+        request; its fine-tuner must fingerprint like the session pool's
+        (pooled sessions are keyed without it), else ``SchedulerError``.
+        ``candidates`` (non-empty, all in the policy's hub, else
+        ``SelectionError``) skip the recall; the result is then the plan's
+        :class:`SelectionResult` and the request never journals.
 
         ``total_epochs`` overrides the fine-selection policy's epoch budget
         for this request only (the *raise-budget* verb): with a persisted
@@ -381,6 +382,16 @@ class EpochScheduler:
         :meth:`close`.
         """
         context = self._context_provider()
+        if policy is not None:
+            tuner = getattr(policy, "fine_tuner", None)
+            if tuner is not None and (
+                fingerprint_tuner(tuner) != self._tuner_fingerprint
+            ):
+                raise SchedulerError(
+                    f"policy {policy.method!r} fine-tunes with another tuner "
+                    "than this scheduler's session pool"
+                )
+            context = dataclasses.replace(context, fine_selection=policy)
         extrapolation = resolve_extrapolation(extrapolate)
         if total_epochs is not None or extrapolation is not None:
             # Per-request policy clone: shared engines, private budget/mode.
@@ -400,21 +411,15 @@ class EpochScheduler:
                     policy.extrapolation = extrapolation
             context = dataclasses.replace(context, fine_selection=policy)
         task = _resolve_task(context, target)
-        return self._enqueue(
-            task, context, top_k=top_k, timeout=timeout, epoch_quota=epoch_quota
-        )
-
-    def _enqueue(
-        self,
-        task: ClassificationTask,
-        context: SchedulerContext,
-        *,
-        top_k: Optional[int] = None,
-        timeout: Optional[float] = None,
-        epoch_quota: Optional[int] = None,
-        candidates: Optional[List[str]] = None,
-    ) -> SelectionRequest:
-        """Admission-queue one request (``candidates`` skip the recall)."""
+        if candidates is not None:
+            candidates = list(candidates)
+            unknown = [n for n in candidates if n not in context.fine_selection.hub]
+            if not candidates or unknown:
+                raise SelectionError(
+                    f"unknown candidate model(s): {unknown[:3]}"
+                    if unknown
+                    else "candidate list must not be empty"
+                )
         if timeout is None:
             timeout = self.config.timeout_seconds
         if epoch_quota is None:
@@ -465,10 +470,6 @@ class EpochScheduler:
         so their journals must never be shared — while exact-mode keys
         carry no extrapolation component at all.
         """
-        tuner = context.fine_tuner
-        tuner_fingerprint = fingerprint_text(
-            "finetuner", str(tuner._rng_factory.root_seed), repr(tuner.config)
-        )
         method = context.fine_selection.method
         extrapolation = self._active_extrapolation(context)
         if extrapolation is not None:
@@ -477,7 +478,7 @@ class EpochScheduler:
             context.version_key,
             fingerprint_task(task, split="all"),
             method=method,
-            tuner_fingerprint=tuner_fingerprint,
+            tuner_fingerprint=fingerprint_tuner(context.fine_tuner),
             top_k=top_k,
         )
 
@@ -1472,29 +1473,3 @@ class EpochScheduler:
                 }
         return report
 
-
-def _run_fixed_candidates(
-    policy, candidates: Sequence[str], task: ClassificationTask
-) -> SelectionResult:
-    """Train ``policy`` over fixed ``candidates`` as one scheduler request.
-
-    The engine behind every selection policy's ``run``: the request skips
-    recall and runs on a private scheduler without a plan store, over a
-    fresh session pool seeded by the policy's fine-tuner, and its outcome
-    is the plan's :class:`SelectionResult`.  Nothing public reaches the
-    fixed-candidates path — ``submit`` always recalls.
-    """
-    context = SchedulerContext(
-        artifacts=None,
-        recall=None,
-        fine_selection=policy,
-        version_key=policy.hub.version.key,
-        fine_tuner=policy.fine_tuner,
-    )
-    scheduler = EpochScheduler(
-        lambda: context,
-        config=SchedulerConfig(max_concurrent=1, max_queue=1, epoch_budget=None),
-    )
-    request = scheduler._enqueue(task, context, candidates=list(candidates))
-    scheduler.run_until_idle()
-    return scheduler.result(request)

@@ -9,26 +9,21 @@ of ``select`` / ``select_many`` / ``recall`` requests against them, fanning
 work out over the configured :mod:`repro.parallel` executor and keeping
 running totals (requests, epoch-equivalents spent) for observability.
 
-Two request paths exist:
-
-* the **blocking** path — :meth:`SelectionService.select` and friends run
-  the caller's request to completion in the calling thread, exactly as a
-  bare :class:`~repro.core.pipeline.TwoPhaseSelector` would;
-* the **scheduled** path — :meth:`SelectionService.submit` enqueues the
-  request with the service's :class:`~repro.sched.scheduler.EpochScheduler`
-  and returns a handle immediately; :meth:`poll` streams per-stage
-  progress and :meth:`result` blocks for the outcome.  Concurrent
-  requests interleave at epoch granularity over a shared training budget
-  and reuse each other's partially-trained sessions through the
-  :class:`~repro.sched.pool.SessionPool` — results are bitwise-identical
-  to the blocking path either way (see ``docs/serving.md``).
+Every selection is a request on the service's one long-lived
+:class:`~repro.sched.scheduler.EpochScheduler`: :meth:`SelectionService.submit`
+returns a handle at once, :meth:`poll` streams per-stage progress,
+:meth:`result` blocks for the outcome, and :meth:`select` is
+``result(submit(...))``.  Concurrent requests interleave at epoch
+granularity and reuse each other's partially-trained sessions through the
+:class:`~repro.sched.pool.SessionPool`; results are bitwise-identical to a
+:class:`~repro.core.pipeline.TwoPhaseSelector` call (see ``docs/serving.md``).
 
 The service is thread-safe: the engines it shares across requests hold no
 per-request mutable state, lazy checkpoint construction is lock-guarded in
 the hub, and the artifact cache is thread-safe — so a server can call one
 service instance from many request threads.  The ``python -m repro`` CLI is
-a thin front-end over this class (``python -m repro serve`` exposes the
-scheduled path as a long-lived JSON front-end).
+a thin front-end over this class (``python -m repro serve`` exposes
+``submit``/``poll`` as a long-lived JSON front-end).
 
 The model zoo underneath a running service is *mutable*:
 :meth:`SelectionService.refresh` applies checkpoint additions/removals by
@@ -43,7 +38,7 @@ Typical use::
 
     service = SelectionService.from_modality("nlp", seed=0)
     result = service.select("mnli")
-    handle = service.submit("boolq")          # scheduled, non-blocking
+    handle = service.submit("boolq")          # non-blocking
     service.poll(handle)["state"]
     service.result(handle).selected_model
     service.stats()["total_epoch_cost"]
@@ -51,23 +46,26 @@ Typical use::
 
 from __future__ import annotations
 
-import copy
 import threading
 import time
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.cache import cache_stats
-from repro.core.batch import BatchSelectionReport
+from repro.core.batch import (
+    BatchSelectionReport,
+    build_phase_engines,
+    resolve_target_batch,
+    resolve_target_task,
+)
 from repro.core.config import PipelineConfig
 from repro.core.extrapolation import ExtrapolationConfig
-from repro.core.pipeline import OfflineArtifacts, TwoPhaseSelector
+from repro.core.pipeline import OfflineArtifacts
 from repro.core.results import RecallResult, TwoPhaseResult
 from repro.data.tasks import ClassificationTask
 from repro.data.workloads import DataScale, suite_for_modality
 from repro.parallel.executor import ExecutorLike, get_executor
 from repro.persist.store import PlanStore
 from repro.sched.config import SchedulerConfig
-from repro.sched.pool import SessionPool
 from repro.sched.scheduler import EpochScheduler, SchedulerContext, SelectionRequest
 from repro.utils.exceptions import ConfigurationError
 from repro.zoo.finetune import FineTuner
@@ -93,14 +91,13 @@ class SelectionService:
         ``"backend[:workers]"`` spec for the online hot paths; defaults to
         ``artifacts.config.parallel``.
     scheduler:
-        :class:`~repro.sched.config.SchedulerConfig` of the service's
-        epoch scheduler (policy, concurrency, epoch budget, queue bound).
-        The scheduler itself starts lazily on the first :meth:`submit`.
+        :class:`~repro.sched.config.SchedulerConfig` of the epoch
+        scheduler answering every selection; it starts on the first one.
     seed:
         Seed for the default fine-tuner.
     store_dir:
         Optional directory for the durable plan store.  When set, every
-        scheduled request is journaled and its sessions snapshotted
+        selection request is journaled and its sessions snapshotted
         (:class:`~repro.persist.store.PlanStore`), making the service
         crash-safe: :meth:`recover` resubmits whatever was in flight when
         a previous process died, finished requests answer straight from
@@ -108,10 +105,9 @@ class SelectionService:
         continues from the journaled rungs.
     extrapolation:
         Optional :class:`~repro.core.extrapolation.ExtrapolationConfig`
-        making curve-extrapolation early stopping the *default* for
-        scheduled requests (each :meth:`submit` can still override with
-        ``extrapolate=``).  ``None`` — the default — is exact mode; the
-        blocking :meth:`select` path is always exact.  See
+        making curve-extrapolation early stopping the *default* for every
+        selection request (each :meth:`submit` can still override with
+        ``extrapolate=``).  ``None`` — the default — is exact mode.  See
         ``docs/extrapolation.md``.
     """
 
@@ -130,21 +126,27 @@ class SelectionService:
         if parallel is None:
             parallel = getattr(artifacts.config, "parallel", None)
         self._executor = get_executor(parallel)
-        self._selector = TwoPhaseSelector(
-            artifacts, fine_tuner=fine_tuner, seed=seed, parallel=self._executor
-        )
-        self._lock = threading.Lock()
+        self._fine_tuner = fine_tuner or FineTuner(seed=seed)
+        self._extrapolation = extrapolation
+        self._recall, self._fine_selection = self._build_engines(artifacts)
+        # Reentrant: _ensure_scheduler builds the scheduler under it, which
+        # reads its first context through _scheduler_context.
+        self._lock = threading.RLock()
         self._refresh_lock = threading.Lock()
         self._started_at = time.monotonic()
         self._requests = 0
         self._targets_served = 0
         self._epoch_cost = 0.0
         self._refreshes = 0
-        self._seed = int(seed)
         self._scheduler_config = scheduler or SchedulerConfig()
         self._scheduler: Optional[EpochScheduler] = None
         self._persist = PlanStore(store_dir) if store_dir is not None else None
-        self._extrapolation = extrapolation
+
+    def _build_engines(self, artifacts: OfflineArtifacts):
+        return build_phase_engines(
+            artifacts, self._fine_tuner, parallel=self._executor,
+            extrapolation=self._extrapolation,
+        )
 
     # ------------------------------------------------------------------ #
     # construction helpers
@@ -226,50 +228,45 @@ class SelectionService:
 
     def select(self, target: TargetLike, *, top_k: Optional[int] = None) -> TwoPhaseResult:
         """Answer one selection request (coarse recall + fine selection)."""
-        result = self._selector.select(target, top_k=top_k)
-        self._account(targets=1, cost=result.total_cost)
-        return result
+        return self.result(self.submit(target, top_k=top_k))
 
     def select_many(
         self, targets: Sequence[TargetLike], *, top_k: Optional[int] = None
     ) -> BatchSelectionReport:
-        """Answer a batch of selection requests off the shared clustering."""
-        report = self._selector.select_many(targets, top_k=top_k)
-        self._account(targets=len(report.results), cost=report.totals()["total_cost"])
-        return report
+        """Answer a batch of targets: submit them all, then collect."""
+        tasks = resolve_target_batch(self.artifacts.suite, targets)
+        requests = [self.submit(task, top_k=top_k) for task in tasks]
+        return BatchSelectionReport(
+            {task.name: self.result(request) for task, request in zip(tasks, requests)}
+        )
 
     def recall(self, target: TargetLike, *, top_k: Optional[int] = None) -> RecallResult:
         """Run only the coarse-recall phase for ``target``."""
-        result = self._selector.recall_only(target, top_k=top_k)
-        self._account(targets=1, cost=result.epoch_cost)
+        task = resolve_target_task(self.artifacts.suite, target)
+        result = self._recall.recall(task, top_k=top_k)
+        self._account(cost=result.epoch_cost)
         return result
 
     # ------------------------------------------------------------------ #
-    # scheduled request API
+    # the scheduler: submit / poll / result
     # ------------------------------------------------------------------ #
     def _scheduler_context(self) -> SchedulerContext:
         """Bind a new request to the currently served artifact epoch."""
         with self._lock:
-            selector = self._selector
             artifacts = self.artifacts
+            recall, fine_selection = self._recall, self._fine_selection
         version = artifacts.version
-        fine_selection = selector._fine_selection
-        if self._extrapolation is not None and self._extrapolation.enabled:
-            # Policy clone so the service-level speculative default never
-            # leaks into the blocking (always-exact) selector path.
-            fine_selection = copy.copy(fine_selection)
-            fine_selection.extrapolation = self._extrapolation
         return SchedulerContext(
             artifacts=artifacts,
-            recall=selector._recall,
+            recall=recall,
             fine_selection=fine_selection,
             version_key=version.key if version is not None else "v0",
-            fine_tuner=selector.fine_tuner,
+            fine_tuner=self._fine_tuner,
         )
 
     def _on_request_complete(self, request: SelectionRequest) -> None:
         if request.result is not None:
-            self._account(targets=1, cost=request.result.total_cost)
+            self._account(cost=request.result.total_cost)
         else:
             with self._lock:
                 self._requests += 1
@@ -281,7 +278,6 @@ class SelectionService:
                     self._scheduler_context,
                     config=self._scheduler_config,
                     parallel=self._executor,
-                    pool=SessionPool(self._selector.fine_tuner),
                     on_complete=self._on_request_complete,
                     persist=self._persist,
                 )
@@ -302,8 +298,9 @@ class SelectionService:
 
         The request trains cooperatively with every other in-flight
         request (fair-share or deadline order, shared epoch budget and
-        session pool) and its result is bitwise-identical to
-        :meth:`select`.  ``total_epochs`` overrides this request's fine
+        session pool) and its result is bitwise-identical to a
+        :class:`~repro.core.pipeline.TwoPhaseSelector` answer.
+        ``total_epochs`` overrides this request's fine
         selection budget (the raise-budget verb — with a plan store, a
         finished request resubmitted under a larger budget continues from
         its journaled rungs).  ``extrapolate`` overrides the service's
@@ -356,7 +353,7 @@ class SelectionService:
         return self._ensure_scheduler().result(request, timeout=timeout)
 
     def load(self) -> Dict[str, int]:
-        """Cheap load probe: active and queued scheduled-request counts.
+        """Cheap load probe: active and queued request counts.
 
         Unlike :meth:`stats` this never builds the scheduler, reads no
         artifacts and allocates nothing of note — it is the payload of the
@@ -386,8 +383,8 @@ class SelectionService:
         (incremental: only new checkpoints are fine-tuned, only changed
         similarity rows recomputed, clustering patched within its staleness
         budget) and atomically replaces the served artifacts and online
-        engines.  Requests already running keep the old epoch — including
-        scheduled requests, whose context was bound at admission; the swap
+        engines.  Requests already running keep the old epoch (their
+        context was bound at admission); the swap
         is serialised so concurrent refreshes apply one at a time, and
         cache entries of the superseded version are evicted only *after*
         the swap so old-epoch requests still in flight cannot repopulate
@@ -396,7 +393,7 @@ class SelectionService:
         never be hit again anyway).  Returns the
         :class:`~repro.core.pipeline.RefreshResult`.
 
-        The offline fine-tuner is deliberately **not** the online selector's:
+        The offline fine-tuner is deliberately **not** the service's:
         added models must train under the same (artifact-recorded) tuner the
         original offline matrix used, or the incremental == from-scratch
         guarantee breaks.
@@ -410,15 +407,10 @@ class SelectionService:
             result = self.artifacts.refresh(
                 added=added, removed=removed, evict_superseded=False
             )
-            selector = TwoPhaseSelector(
-                result.artifacts,
-                fine_tuner=self._selector.fine_tuner,
-                seed=self._seed,
-                parallel=self._executor,
-            )
+            engines = self._build_engines(result.artifacts)
             with self._lock:
                 self.artifacts = result.artifacts
-                self._selector = selector
+                self._recall, self._fine_selection = engines
                 self._refreshes += 1
                 scheduler = self._scheduler
             result.evicted_entries = purge_superseded_artifacts(
@@ -438,15 +430,15 @@ class SelectionService:
     # ------------------------------------------------------------------ #
     # observability
     # ------------------------------------------------------------------ #
-    def _account(self, *, targets: int, cost: float) -> None:
+    def _account(self, *, cost: float) -> None:
         with self._lock:
             self._requests += 1
-            self._targets_served += targets
+            self._targets_served += 1
             self._epoch_cost += float(cost)
 
     def cluster_summary(self) -> Dict[str, float]:
         """Summary statistics of the warm model clustering."""
-        return self._selector.cluster_summary()
+        return self.artifacts.clustering.summary()
 
     def stats(self) -> Dict[str, object]:
         """Service counters plus artifact-cache statistics.
@@ -457,7 +449,7 @@ class SelectionService:
         similarity matrix is an out-of-core spill the service reads row
         tiles from on demand, ``"memory"`` otherwise), ``scheduler`` (the
         epoch scheduler's queue/completion counters and the session pool's
-        hit/reuse report — ``None`` until the first :meth:`submit`) and
+        hit/reuse report — ``None`` until the first selection) and
         ``cache`` (the per-tier hit/miss report of the process cache).
 
         Everything version-coupled — the request/epoch counters, the

@@ -159,19 +159,19 @@ class TestServeTcp:
 
 
 class TestScheduledCliPaths:
-    def test_select_with_timeout_matches_blocking(self):
-        blocking = io.StringIO()
-        assert main(["select", "--target", "mnli", "--json", *COMMON],
-                    stream=blocking) == 0
+    def test_select_with_timeout_matches_selector(self, service):
+        from repro.core.pipeline import TwoPhaseSelector
+
+        library = TwoPhaseSelector(service.artifacts).select("mnli")
         scheduled = io.StringIO()
         assert main(
             ["select", "--target", "mnli", "--json", "--timeout", "600",
              *COMMON],
             stream=scheduled,
         ) == 0
-        a, b = json.loads(blocking.getvalue()), json.loads(scheduled.getvalue())
-        assert a["selected_model"] == b["selected_model"]
-        assert a["total_cost"] == b["total_cost"]
+        payload = json.loads(scheduled.getvalue())
+        assert payload["selected_model"] == library.selected_model
+        assert payload["total_cost"] == library.total_cost
 
     def test_select_timeout_expiry_exits_3_with_json_error(self):
         out = io.StringIO()

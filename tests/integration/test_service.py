@@ -1,11 +1,14 @@
 """Integration tests for the long-lived SelectionService."""
 
 import threading
+from dataclasses import replace
 
 import pytest
 
+from repro.core.extrapolation import ExtrapolationConfig
 from repro.core.pipeline import OfflineArtifacts
 from repro.core.results import TwoPhaseResult
+from repro.sched.config import SchedulerConfig
 from repro.service import SelectionService
 from repro.utils.exceptions import ConfigurationError
 
@@ -169,6 +172,76 @@ class TestScheduledRequests:
     def test_stats_before_first_submit_has_no_scheduler(self, nlp_artifacts):
         service = SelectionService(nlp_artifacts)
         assert service.stats()["scheduler"] is None
+
+
+class TestEveryCallOnTheScheduler:
+    """select/select_many are requests on the service's one scheduler, so the
+    scheduler config, the plan store and the speculative default reach them."""
+
+    def test_no_fused_training_reaches_select(self, nlp_artifacts):
+        unfused = SelectionService(
+            nlp_artifacts, scheduler=SchedulerConfig(fused_training=False)
+        )
+        default = SelectionService(nlp_artifacts)
+        try:
+            assert unfused.select("mnli") == default.select("mnli")
+            assert unfused.stats()["scheduler"]["train"]["fused_epochs"] == 0
+            assert default.stats()["scheduler"]["train"]["fused_epochs"] > 0
+        finally:
+            unfused.close()
+            default.close()
+
+    def test_speculative_default_reaches_select(
+        self, nlp_hub_small, nlp_suite_small, test_pipeline_config, fine_tuner
+    ):
+        # Without the trend filter, top-20 cohorts leave arms for the
+        # extrapolation bound to prune (as in bench_extrapolation).
+        config = replace(
+            test_pipeline_config,
+            fine_selection=replace(
+                test_pipeline_config.fine_selection, use_trend_filter=False
+            ),
+        )
+        artifacts = OfflineArtifacts.build(
+            nlp_hub_small, nlp_suite_small, config=config, fine_tuner=fine_tuner
+        )
+        speculative = ExtrapolationConfig(enabled=True)
+        selecting = SelectionService(artifacts, extrapolation=speculative)
+        submitting = SelectionService(artifacts, extrapolation=speculative)
+        try:
+            selected = selecting.select("mnli", top_k=20)
+            submitted = submitting.result(submitting.submit("mnli", top_k=20))
+            assert selected == submitted
+            assert selected.selection.extras["extrapolation"]["pruned"]
+        finally:
+            selecting.close()
+            submitting.close()
+
+    def test_store_dir_reaches_select(self, nlp_artifacts, tmp_path):
+        first = SelectionService(nlp_artifacts, store_dir=str(tmp_path))
+        try:
+            answer = first.select("mnli")
+        finally:
+            first.close()
+        second = SelectionService(nlp_artifacts, store_dir=str(tmp_path))
+        try:
+            assert second.select("mnli") == answer
+            assert second.stats()["scheduler"]["persist"]["results_restored"] == 1
+        finally:
+            second.close()
+
+    def test_select_many_accounts_each_request_once(self, nlp_artifacts):
+        service = SelectionService(nlp_artifacts)
+        try:
+            report = service.select_many(["mnli", "boolq"])
+            stats = service.stats()
+            assert stats["requests"] == stats["targets_served"] == 2
+            assert stats["scheduler"]["completed"] == 2
+            assert stats["total_epoch_cost"] == pytest.approx(
+                report.totals()["total_cost"]
+            )
+        finally:
+            service.close()
 
 
 class TestStatsRefreshAtomicity:

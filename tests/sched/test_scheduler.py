@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.batch import build_phase_engines
 from repro.core.pipeline import OfflineArtifacts, TwoPhaseSelector
+from repro.core.selection import BruteForceSelection, SuccessiveHalving
 from repro.data.tasks import ClassificationTask
 from repro.sched import EpochScheduler, SchedulerConfig
 from repro.utils.exceptions import (
@@ -15,7 +16,9 @@ from repro.utils.exceptions import (
     QueueFullError,
     RequestTimeoutError,
     SchedulerError,
+    SelectionError,
 )
+from repro.zoo.finetune import FineTuner
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +132,49 @@ class TestConcurrentRequests:
         assert stats["queued"] == 0 and stats["active"] == 0
         assert stats["session_pool"]["misses"] > 0
         assert all(scheduler.result(r) is not None for r in requests)
+
+
+class TestPolicyRequests:
+    """``submit(policy=, candidates=)``: baselines beside two-phase requests."""
+
+    def test_methods_submitted_together_share_every_session(
+        self, artifacts, serial_results
+    ):
+        hub, task = artifacts.hub, artifacts.suite.task("mnli")
+        config = artifacts.config.fine_selection
+        policies = [
+            method(hub, FineTuner(seed=0), config=config)
+            for method in (BruteForceSelection, SuccessiveHalving)
+        ]
+        scheduler = TwoPhaseSelector(artifacts).inline_scheduler(3)
+        requests = [scheduler.submit(task)] + [
+            scheduler.submit(task, policy=policy, candidates=hub.model_names)
+            for policy in policies
+        ]
+        scheduler.run_until_idle()
+        two_phase, *baselines = map(scheduler.result, requests)
+        # Brute force trains every model: one session each, shared by all
+        # three requests.
+        assert scheduler.pool.stats()["misses"] == len(hub)
+        assert two_phase == serial_results["mnli"]
+        for policy, result in zip(policies, baselines):
+            assert result == policy.run(hub.model_names, task)
+
+    def test_policy_with_another_tuner_is_refused(self, artifacts):
+        scheduler = make_scheduler(artifacts)
+        policy = SuccessiveHalving(artifacts.hub, FineTuner(seed=1))
+        with pytest.raises(SchedulerError, match="tuner"):
+            scheduler.submit(
+                "mnli", policy=policy, candidates=artifacts.hub.model_names
+            )
+        assert scheduler.load() == {"active": 0, "queued": 0}
+
+    @pytest.mark.parametrize("candidates", [[], ["no-such-model"]])
+    def test_bad_candidates_raise_at_submit(self, artifacts, candidates):
+        scheduler = make_scheduler(artifacts)
+        with pytest.raises(SelectionError):
+            scheduler.submit("mnli", candidates=candidates)
+        assert scheduler.load() == {"active": 0, "queued": 0}
 
 
 class TestAdmissionControl:
