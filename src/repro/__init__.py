@@ -15,8 +15,6 @@ zoo:
   baselines, end-to-end pipeline),
 * :mod:`repro.experiments` — harnesses regenerating every table and figure
   of the paper's evaluation section,
-* :mod:`repro.parallel` — executor backends (serial/thread/process) the
-  online hot paths fan out over,
 * :mod:`repro.sched` — the epoch-granular scheduler multiplexing concurrent
   selection requests over a shared training budget with pooled
   fine-tuning sessions (see ``docs/serving.md``),
@@ -54,7 +52,6 @@ from repro.core import (
     build_performance_matrix,
 )
 from repro.data import DataScale, WorkloadSuite, cv_suite, nlp_suite
-from repro.parallel import ParallelConfig
 from repro.sched import EpochScheduler, SchedulerConfig, SessionPool
 from repro.service import SelectionService
 from repro.store import MatrixStore
@@ -82,7 +79,6 @@ __all__ = [
     "FineTuner",
     "MatrixStore",
     "ModelHub",
-    "ParallelConfig",
     "SelectionService",
     "__version__",
 ]

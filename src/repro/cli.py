@@ -1,6 +1,6 @@
 """Command-line front-end: drive the selection system without writing Python.
 
-Six subcommands, all on top of :class:`repro.service.SelectionService` and
+Five subcommands, all on top of :class:`repro.service.SelectionService` and
 the experiment runner (see ``docs/cli.md``)::
 
     python -m repro select       # one target: coarse recall + fine selection
@@ -11,16 +11,14 @@ the experiment runner (see ``docs/cli.md``)::
                                  # or `zoo build [--ooc --max-memory MB]` to run
                                  # the (optionally out-of-core) offline phase
     python -m repro experiments  # regenerate the paper's tables and figures
-    python -m repro bench        # serial-vs-parallel batched-selection timing
 
-Every command accepts ``--scale small`` for fast smoke runs and
-``--parallel backend[:workers]`` (or the ``REPRO_PARALLEL`` environment
-variable) to pick an executor; ``select``, ``batch`` and ``zoo`` can emit
-JSON for scripting with ``--json``.  ``select`` and ``batch`` run on the
-service's epoch scheduler, so ``--timeout``/``--max-queue`` give them a
-deadline and bounded admission; on budget exhaustion they emit a
-structured JSON error object and exit with the distinct code 3
-(:data:`repro.serving.EXIT_SCHEDULER`) instead of blocking forever.
+Every command accepts ``--scale small`` for fast smoke runs; ``select``,
+``batch`` and ``zoo`` can emit JSON for scripting with ``--json``.
+``select`` and ``batch`` run on the service's epoch scheduler, so
+``--timeout``/``--max-queue`` give them a deadline and bounded admission;
+on budget exhaustion they emit a structured JSON error object and exit
+with the distinct code 3 (:data:`repro.serving.EXIT_SCHEDULER`) instead of
+blocking forever.
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ import time
 from typing import Dict, Optional, Sequence
 
 from repro.core.results import TwoPhaseResult
-from repro.parallel.config import BACKENDS, ParallelConfig
 from repro.serving import EXIT_SCHEDULER, error_payload, result_payload
 from repro.utils.exceptions import ReproError, SchedulerError
 
@@ -61,21 +58,6 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="N",
         help="truncate the repository to its first N catalogue entries",
     )
-    parser.add_argument(
-        "--parallel",
-        default=None,
-        metavar="SPEC",
-        help=(
-            "executor spec 'backend[:workers]' with backend one of "
-            f"{'/'.join(BACKENDS)} (default: REPRO_PARALLEL or serial)"
-        ),
-    )
-
-
-def _parallel_config(args: argparse.Namespace) -> ParallelConfig:
-    if args.parallel is not None:
-        return ParallelConfig.from_spec(args.parallel)
-    return ParallelConfig.from_env()
 
 
 def _positive_int(text: str) -> int:
@@ -133,7 +115,6 @@ def _build_service(args: argparse.Namespace):
         scale=args.scale,
         seed=args.seed,
         num_models=args.num_models,
-        parallel=_parallel_config(args),
         scheduler=_scheduler_config(args),
         store_dir=getattr(args, "store_dir", None),
         extrapolation=_extrapolation_config(args),
@@ -211,8 +192,7 @@ def _cmd_select(args: argparse.Namespace, stream) -> int:
         print(file=stream)
     else:
         _print_result(result, stream=stream)
-        print(f"online time     : {elapsed:.2f}s "
-              f"(parallel={service.parallel_spec})", file=stream)
+        print(f"online time     : {elapsed:.2f}s", file=stream)
         if anytime is not None and anytime.get("best"):
             best = anytime["best"]
             print(
@@ -246,8 +226,8 @@ def _cmd_batch(args: argparse.Namespace, stream) -> int:
         print(file=stream)
         return 0
     width = max(len(name) for name in report.target_names)
-    print(f"batched selection over {len(report.target_names)} targets "
-          f"(parallel={service.parallel_spec}):", file=stream)
+    print(f"batched selection over {len(report.target_names)} targets:",
+          file=stream)
     for name in report.target_names:
         result = report.result_for(name)
         print(
@@ -517,13 +497,8 @@ def _cmd_zoo_build(args: argparse.Namespace, stream) -> int:
         ),
         spill_threshold_bytes=0 if args.ooc else defaults.spill_threshold_bytes,
         store_dir=args.store_dir,
-        parallel=_parallel_config(args),
     )
     config = replace(PipelineConfig.for_modality(args.modality), similarity=similarity)
-    if args.algorithm is not None:
-        config = replace(
-            config, clustering=replace(config.clustering, algorithm=args.algorithm)
-        )
     started = time.perf_counter()
     artifacts = OfflineArtifacts.build(hub, suite, config=config)
     elapsed = time.perf_counter() - started
@@ -535,7 +510,6 @@ def _cmd_zoo_build(args: argparse.Namespace, stream) -> int:
         "num_models": len(artifacts.hub),
         "num_benchmarks": len(artifacts.matrix.dataset_names),
         "num_clusters": int(summary["num_clusters"]),
-        "algorithm": config.clustering.algorithm,
         "similarity_backing": "memmap" if spilled else "memory",
         "similarity_bytes": int(matrix.nbytes),
         "max_bytes_in_flight": similarity.max_bytes_in_flight,
@@ -549,8 +523,7 @@ def _cmd_zoo_build(args: argparse.Namespace, stream) -> int:
         return 0
     print(f"offline build : {payload['num_models']} {args.modality} models x "
           f"{payload['num_benchmarks']} benchmarks", file=stream)
-    print(f"clusters      : {payload['num_clusters']} "
-          f"({payload['algorithm']} agglomeration)", file=stream)
+    print(f"clusters      : {payload['num_clusters']}", file=stream)
     print(f"similarity    : {payload['similarity_bytes'] / 1e6:.1f} MB "
           f"({payload['similarity_backing']})", file=stream)
     if spilled:
@@ -583,52 +556,6 @@ def _cmd_experiments(args: argparse.Namespace, stream) -> int:
     else:
         print(text, file=stream)
     return 0
-
-
-def _cmd_bench(args: argparse.Namespace, stream) -> int:
-    from repro.core.pipeline import OfflineArtifacts, TwoPhaseSelector
-    from repro.core.config import PipelineConfig
-
-    suite, hub = _build_hub(args)
-    config = PipelineConfig.for_modality(args.modality)
-    print(
-        f"[offline] building artifacts for {len(hub)} {args.modality} models ...",
-        file=stream,
-    )
-    artifacts = OfflineArtifacts.build(hub, suite, config=config)
-    targets = (args.targets or list(suite.dataset_names))[: args.tasks]
-    # --parallel (or REPRO_PARALLEL) names the comparison executor
-    # directly; --backend/--workers are the shorthand otherwise.
-    config = _parallel_config(args)
-    if config.backend == "serial":
-        if args.parallel:
-            print("error: bench needs a parallel spec to compare against "
-                  "serial (e.g. --parallel process:4)", file=sys.stderr)
-            return 2
-        config = ParallelConfig(args.backend, args.workers)
-    spec = config.spec()
-
-    def timed(parallel) -> tuple:
-        selector = TwoPhaseSelector(artifacts, seed=args.seed, parallel=parallel)
-        started = time.perf_counter()
-        report = selector.select_many(targets)
-        return time.perf_counter() - started, report
-
-    print(f"[bench] {len(targets)} targets, serial vs {spec} ...", file=stream)
-    serial_time, serial_report = timed("serial")
-    parallel_time, parallel_report = timed(spec)
-    identical = all(
-        serial_report.result_for(name).selected_model
-        == parallel_report.result_for(name).selected_model
-        and serial_report.result_for(name).selection.final_accuracies
-        == parallel_report.result_for(name).selection.final_accuracies
-        for name in serial_report.target_names
-    )
-    speedup = serial_time / parallel_time if parallel_time > 0 else float("inf")
-    print(f"  serial   : {serial_time:8.2f}s", file=stream)
-    print(f"  {spec:<9}: {parallel_time:8.2f}s  ({speedup:.2f}x)", file=stream)
-    print(f"  identical results: {identical}", file=stream)
-    return 0 if identical else 1
 
 
 # --------------------------------------------------------------------------- #
@@ -665,8 +592,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description=(
             "Two-phase recall-and-select model selection (ICDE 2024 "
-            "reproduction): serve selection queries, batches, experiments "
-            "and benchmarks from the command line."
+            "reproduction): serve selection queries, batches, zoo updates "
+            "and experiments from the command line."
         ),
     )
     commands = parser.add_subparsers(dest="command", required=True)
@@ -943,14 +870,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="matrix store directory (default: REPRO_STORE_DIR or a "
         "process-temporary directory)",
     )
-    zoo_build.add_argument(
-        "--algorithm",
-        choices=("nnchain", "scan"),
-        default=None,
-        help="hierarchical merge engine: nearest-neighbor chain (default, "
-        "the scaling path) or the original working-matrix scan oracle; "
-        "identical results on tie-free inputs — see docs/scaling.md",
-    )
     zoo_build.add_argument("--json", action="store_true", help="emit JSON")
     zoo_build.set_defaults(handler=_cmd_zoo_build)
 
@@ -980,31 +899,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", default=None, metavar="FILE", help="write the report to FILE"
     )
     experiments.set_defaults(handler=_cmd_experiments)
-
-    bench = commands.add_parser(
-        "bench", help="time batched selection: serial vs parallel executor"
-    )
-    _add_common_arguments(bench)
-    bench.add_argument(
-        "--backend",
-        choices=("thread", "process"),
-        default="process",
-        help="parallel backend to compare against serial (default: process)",
-    )
-    bench.add_argument(
-        "--workers", type=int, default=4, help="worker count (default: 4)"
-    )
-    bench.add_argument(
-        "--tasks", type=int, default=8, help="number of target tasks (default: 8)"
-    )
-    bench.add_argument(
-        "--targets",
-        nargs="+",
-        default=None,
-        metavar="NAME",
-        help="explicit target dataset names (default: first --tasks datasets)",
-    )
-    bench.set_defaults(handler=_cmd_bench)
 
     return parser
 

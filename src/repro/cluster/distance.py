@@ -1,4 +1,4 @@
-"""Distance helpers shared by the clustering algorithms.
+"""Distance helpers shared by the clustering engines.
 
 The Eq. 1 similarity of a performance matrix becomes a clustering distance
 ``d = 1 - s`` through one key derivation and one tile conversion, written
@@ -73,7 +73,7 @@ def pairwise_distances(points: np.ndarray, *, metric: str = "euclidean") -> np.n
 def similarity_to_distance(similarity: np.ndarray) -> np.ndarray:
     """Convert a similarity matrix in ``[0, 1]`` to a distance matrix.
 
-    The paper's Eq. 1 produces similarities; the clustering algorithms work
+    The paper's Eq. 1 produces similarities; the clustering engines work
     on distances ``d = 1 - s`` with a zero diagonal.
     """
     sim = np.asarray(similarity, dtype=float)

@@ -1,7 +1,7 @@
 """Agglomerative hierarchical clustering on a precomputed distance matrix.
 
-The paper's preferred model-clustering algorithm is hierarchical clustering
-with the performance-based similarity of Eq. 1.  This implementation supports
+The paper clusters models hierarchically, with the performance-based
+similarity of Eq. 1.  This implementation supports
 average, single and complete linkage and two stopping rules: a fixed number
 of clusters or a distance threshold (merging stops once the closest pair of
 clusters is farther apart than the threshold) — the latter is what produces

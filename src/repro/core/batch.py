@@ -39,40 +39,26 @@ from repro.core.results import (
 )
 from repro.core.selection import FineSelection
 from repro.data.tasks import ClassificationTask
-from repro.parallel.executor import ExecutorLike, get_executor
 from repro.utils.exceptions import SelectionError
 from repro.zoo.finetune import FineTuner
 
 TargetLike = Union[str, ClassificationTask]
 
 
-def build_phase_engines(
-    artifacts, fine_tuner: FineTuner, *, parallel: ExecutorLike = None,
-    extrapolation=None,
-):
+def build_phase_engines(artifacts, fine_tuner: FineTuner, *, extrapolation=None):
     """Construct the online-phase engine pair for one set of offline artifacts.
 
     Shared by :class:`~repro.core.pipeline.TwoPhaseSelector`,
     :class:`~repro.service.SelectionService` and
     :meth:`~repro.sched.scheduler.EpochScheduler.for_artifacts` so the
     entry points can never drift in how they wire :class:`CoarseRecall`
-    and :class:`FineSelection`.  ``parallel`` (an executor, config or spec
-    string) overrides ``artifacts.config.parallel`` as the executor the
-    recall fans its proxy scoring out over; training fans out in the
-    scheduler, never in the policy.  ``extrapolation`` (an
+    and :class:`FineSelection`.  ``extrapolation`` (an
     :class:`~repro.core.extrapolation.ExtrapolationConfig`) sets the fine
     selection's default speculative early-stopping mode; ``None`` is exact.
     """
     config = artifacts.config
-    executor = get_executor(
-        parallel if parallel is not None else getattr(config, "parallel", None)
-    )
     recall = CoarseRecall(
-        artifacts.hub,
-        artifacts.matrix,
-        artifacts.clustering,
-        config=config.recall,
-        executor=executor,
+        artifacts.hub, artifacts.matrix, artifacts.clustering, config=config.recall
     )
     fine_selection = FineSelection(
         artifacts.hub,

@@ -5,19 +5,16 @@ clustering on the Eq. 1 performance similarity with top-k = 5 (Appendix D),
 LEEP as the coarse-recall proxy with K = 10 recalled models and a 0.5
 epoch-equivalent charge per proxy inference (Table VI), and a fine-tuning
 budget of 5 epochs for NLP / 4 for CV with the Table IV trend-filter
-threshold.  :class:`PipelineConfig.parallel` additionally selects the
-executor backend for the online hot paths, and
-:class:`SimilarityConfig` the offline memory policy (spill-to-disk
-threshold and in-flight budget) — neither is part of the paper; see
-``docs/parallelism.md`` and ``docs/scaling.md``.
+threshold.  :class:`SimilarityConfig` additionally sets the offline
+memory policy (spill-to-disk threshold and in-flight budget), which is
+not part of the paper; see ``docs/scaling.md``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple, Union
+from typing import Optional
 
-from repro.parallel.config import ParallelConfig
 from repro.utils.exceptions import ConfigurationError
 
 
@@ -37,10 +34,10 @@ class SimilarityConfig:
     Attributes
     ----------
     max_bytes_in_flight:
-        Bound on one broadcast difference slab ``(rows, n, d)`` while
-        streaming Eq. 1 row tiles.  Smaller values lower peak memory at the
-        cost of more Python-loop iterations; results are bitwise-identical
-        for any value.
+        Bound on the broadcast difference slabs ``(rows, n, d)`` of all
+        tile threads together while streaming Eq. 1 row tiles.  Smaller
+        values lower peak memory at the cost of more Python-loop
+        iterations; results are bitwise-identical for any value.
     spill_threshold_bytes:
         Once the dense similarity matrix alone (``8 n^2`` bytes) would
         reach this size, the offline phase spills it (and the derived
@@ -48,34 +45,21 @@ class SimilarityConfig:
         of RAM.  ``0`` forces out-of-core operation for any size (used by
         the equivalence tests); very large values effectively disable
         spilling.
-    tile_rows:
-        Rows per out-of-core work tile (one executor task writes one tile).
-        ``None`` derives the largest tile whose broadcast slab fits
-        ``max_bytes_in_flight``.
     store_dir:
         Directory of the memory-mapped matrix store.  ``None`` uses the
         process default (``REPRO_STORE_DIR`` or a per-process temporary
         directory; see :func:`repro.store.get_store`).
-    parallel:
-        Optional executor spec (``"backend[:workers]"`` or a
-        :class:`~repro.parallel.ParallelConfig`) fanning out-of-core tile
-        computation over :mod:`repro.parallel` workers.  All backends write
-        identical tiles.
     """
 
     max_bytes_in_flight: int = 64 * 1024 * 1024
     spill_threshold_bytes: int = 128 * 1024 * 1024
-    tile_rows: Optional[int] = None
     store_dir: Optional[str] = None
-    parallel: Optional[Union[str, ParallelConfig]] = None
 
     def __post_init__(self) -> None:
         if self.max_bytes_in_flight < 4096:
             raise ConfigurationError("max_bytes_in_flight must be >= 4096 bytes")
         if self.spill_threshold_bytes < 0:
             raise ConfigurationError("spill_threshold_bytes must be >= 0")
-        if self.tile_rows is not None and self.tile_rows < 1:
-            raise ConfigurationError("tile_rows must be >= 1 when given")
 
     @staticmethod
     def dense_matrix_bytes(num_models: int) -> int:
@@ -94,17 +78,9 @@ class ClusteringConfig:
     Attributes
     ----------
     method:
-        ``"hierarchical"`` (paper default) or ``"kmeans"``.
-    algorithm:
-        Hierarchical merge engine: ``"nnchain"`` (default) runs the
-        nearest-neighbor-chain algorithm
-        (:mod:`repro.cluster.nnchain` — O(n²) total, the scaling path),
-        ``"scan"`` the original working-matrix scan
-        (:class:`repro.cluster.hierarchical.AgglomerativeClustering`,
-        kept as the exactness oracle).  Both produce identical merge
-        sequences on tie-free inputs, and nnchain delegates tied inputs
-        to the scan, so the choice is a performance knob, not a
-        semantics knob.  Ignored by k-means.
+        ``"hierarchical"`` (paper default, merged by the
+        nearest-neighbor-chain engine of :mod:`repro.cluster.nnchain`) or
+        ``"kmeans"``.
     similarity:
         ``"performance"`` (Eq. 1) or ``"text"`` (model-card baseline).
     top_k:
@@ -137,15 +113,10 @@ class ClusteringConfig:
     num_clusters: Optional[int] = None
     linkage: str = "average"
     staleness_threshold: float = 0.25
-    algorithm: str = "nnchain"
 
     def __post_init__(self) -> None:
         if self.method not in ("hierarchical", "kmeans"):
             raise ConfigurationError(f"unknown clustering method {self.method!r}")
-        if self.algorithm not in ("nnchain", "scan"):
-            raise ConfigurationError(
-                f"unknown clustering algorithm {self.algorithm!r}"
-            )
         if self.similarity not in ("performance", "text"):
             raise ConfigurationError(f"unknown similarity {self.similarity!r}")
         if self.top_k < 1:
@@ -237,11 +208,6 @@ class FineSelectionConfig:
 class PipelineConfig:
     """End-to-end two-phase pipeline configuration.
 
-    ``parallel`` selects the executor backend and worker count shared by
-    the online hot paths (proxy scoring, stage training, batched per-task
-    fan-out); the default is serial execution.  All backends return
-    identical results — see ``docs/parallelism.md``.
-
     ``similarity`` sets the offline memory policy: once the dense Eq. 1
     matrix would cross :attr:`SimilarityConfig.spill_threshold_bytes`, the
     offline build/refresh runs out-of-core against the memory-mapped
@@ -254,7 +220,6 @@ class PipelineConfig:
     recall: RecallConfig = field(default_factory=RecallConfig)
     fine_selection: FineSelectionConfig = field(default_factory=FineSelectionConfig)
     offline_epochs: Optional[int] = None
-    parallel: ParallelConfig = field(default_factory=ParallelConfig)
     similarity: SimilarityConfig = field(default_factory=SimilarityConfig)
 
     def __post_init__(self) -> None:

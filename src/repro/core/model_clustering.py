@@ -17,7 +17,6 @@ import numpy as np
 from repro.cache import CacheLike
 from repro.cluster.assignments import ClusterAssignment
 from repro.cluster.distance import offline_matrices, upper_triangle_values
-from repro.cluster.hierarchical import AgglomerativeClustering
 from repro.cluster.kmeans import KMeans
 from repro.cluster.nnchain import NNChainClustering
 from repro.cluster.silhouette import silhouette_score
@@ -183,7 +182,7 @@ class ModelClusterer:
 
     # ------------------------------------------------------------------ #
     def _run_algorithm(self, distance: np.ndarray, *, work_store=None):
-        """Run the configured algorithm; returns ``(labels, merge_threshold)``.
+        """Run the configured method; returns ``(labels, merge_threshold)``.
 
         The effective merge threshold (explicit or quantile-derived) is
         surfaced so incremental updates can reuse the exact same join
@@ -201,17 +200,12 @@ class ModelClusterer:
                 # replaced, so the quantile is bitwise-stable.)
                 off_diagonal = upper_triangle_values(distance)
                 threshold = float(np.quantile(off_diagonal, self.config.threshold_quantile))
-            engine = (
-                NNChainClustering
-                if self.config.algorithm == "nnchain"
-                else AgglomerativeClustering
-            )
-            algorithm = engine(
+            engine = NNChainClustering(
                 num_clusters=self.config.num_clusters,
                 distance_threshold=threshold,
                 linkage=self.config.linkage,
             )
-            return algorithm.fit_predict(distance, work_store=work_store), threshold
+            return engine.fit_predict(distance, work_store=work_store), threshold
         # k-means operates on vector embeddings; use the rows of the distance
         # matrix as embedding coordinates (classical MDS-free shortcut that
         # preserves the neighbourhood structure well enough for Table I).

@@ -47,7 +47,6 @@ from repro.core.performance import (
 from repro.core.results import TwoPhaseResult
 from repro.data.tasks import ClassificationTask
 from repro.data.workloads import WorkloadSuite
-from repro.parallel.executor import get_executor
 from repro.utils.exceptions import ConfigurationError
 from repro.zoo.catalog import ModelCatalogEntry
 from repro.zoo.finetune import FineTuner
@@ -291,15 +290,7 @@ class OfflineArtifacts:
 
 
 class TwoPhaseSelector:
-    """The paper's complete coarse-recall + fine-selection pipeline.
-
-    ``parallel`` (an executor, :class:`~repro.parallel.ParallelConfig` or
-    ``"backend[:workers]"`` spec, default ``artifacts.config.parallel``)
-    is the executor the recall's proxy scoring and the scheduler's
-    training rounds fan out over.  Every training step draws from a named
-    per-``(model, task)`` random stream, so all backends return identical
-    results.
-    """
+    """The paper's complete coarse-recall + fine-selection pipeline."""
 
     def __init__(
         self,
@@ -307,17 +298,11 @@ class TwoPhaseSelector:
         *,
         fine_tuner: Optional[FineTuner] = None,
         seed: int = 0,
-        parallel=None,
     ) -> None:
         self.artifacts = artifacts
         self.fine_tuner = fine_tuner or FineTuner(seed=seed)
-        self._executor = get_executor(
-            parallel
-            if parallel is not None
-            else getattr(artifacts.config, "parallel", None)
-        )
         self._recall, self._fine_selection = build_phase_engines(
-            artifacts, self.fine_tuner, parallel=self._executor
+            artifacts, self.fine_tuner
         )
 
     # ------------------------------------------------------------------ #
@@ -330,16 +315,10 @@ class TwoPhaseSelector:
         config: Optional[PipelineConfig] = None,
         fine_tuner: Optional[FineTuner] = None,
         seed: int = 0,
-        parallel=None,
     ) -> "TwoPhaseSelector":
-        """Build the offline artifacts and wrap them in a selector.
-
-        ``parallel`` (an executor, :class:`~repro.parallel.ParallelConfig`
-        or ``"backend[:workers]"`` spec) overrides the configuration's
-        executor for the online hot paths.
-        """
+        """Build the offline artifacts and wrap them in a selector."""
         artifacts = OfflineArtifacts.build(hub, suite, config=config, fine_tuner=fine_tuner)
-        return cls(artifacts, fine_tuner=fine_tuner, seed=seed, parallel=parallel)
+        return cls(artifacts, fine_tuner=fine_tuner, seed=seed)
 
     # ------------------------------------------------------------------ #
     def _resolve_task(self, target: Union[str, ClassificationTask]) -> ClassificationTask:
@@ -384,7 +363,7 @@ class TwoPhaseSelector:
 
         Its session pool lives for the call.  Every one of the ``requests``
         is admitted at once and the unbounded epoch budget makes each round
-        one full stage wave: one executor dispatch per stage.
+        one full stage wave.
         """
         from repro.sched.config import SchedulerConfig
         from repro.sched.scheduler import EpochScheduler
@@ -397,7 +376,6 @@ class TwoPhaseSelector:
             config=SchedulerConfig(
                 max_concurrent=requests, max_queue=requests, epoch_budget=None
             ),
-            parallel=self._executor,
         )
 
     def recall_only(

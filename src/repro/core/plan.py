@@ -4,7 +4,7 @@ The paper's online phase — coarse recall followed by Algorithm 1's staged
 halving — is decomposed by :class:`SelectionPlan` into an explicit state
 machine whose unit of work is a single :class:`TrainStep` — "advance model
 *m* by one validation interval for this request".  A driver claims steps,
-trains the corresponding sessions (in any order, on any executor) and
+trains the corresponding sessions (in any order) and
 reports completions; the plan advances a stage only once every step of that
 stage has completed, applying the algorithm's filtering rule through its
 :class:`StagePolicy`.
@@ -58,10 +58,8 @@ class SessionView:
     def adopt(self, session: FineTuneSession, *, advance: int) -> None:
         """Advance the view by ``advance`` epochs over ``session``.
 
-        ``session`` is the trained session object — the same object for
-        in-process training, or the pickled copy returned by a process
-        worker (mirroring how stage training crossed process boundaries
-        before the plan refactor).
+        ``session`` is the trained session object, which must have
+        recorded at least the view's new position.
         """
         self.session = session
         self.position += int(advance)

@@ -24,11 +24,6 @@ equal to re-scoring.  The charge does not change: every recall still costs
 ``proxy_epoch_cost`` per representative, the paper's unit.  Concurrent
 fills of one key write equal values, so the plain dict needs no lock.  A
 zoo refresh builds new engines and so starts a new, empty table.
-
-Scoring the missing representatives is embarrassingly parallel, so
-:class:`CoarseRecall` accepts an :class:`~repro.parallel.executor.Executor`
-and fans them out over it; the serial, thread and process backends return
-identical :class:`RecallResult` records.
 """
 
 from __future__ import annotations
@@ -43,7 +38,6 @@ from repro.core.results import RecallResult
 from repro.data.tasks import ClassificationTask
 from repro.metrics.normalization import min_max_normalize
 from repro.metrics.registry import get_scorer
-from repro.parallel.executor import Executor, get_executor
 from repro.utils.exceptions import SelectionError
 from repro.utils.rng import as_generator
 from repro.zoo.hub import ModelHub
@@ -63,7 +57,6 @@ class CoarseRecall:
         clustering: ModelClustering,
         *,
         config: Optional[RecallConfig] = None,
-        executor: Optional[Executor] = None,
     ) -> None:
         missing = [name for name in hub.model_names if name not in matrix.model_names]
         if missing:
@@ -75,11 +68,10 @@ class CoarseRecall:
         self.clustering = clustering
         self.config = config or RecallConfig()
         # ``deterministic=True`` seeds any proxy subsampling from the score's
-        # content key, so a score is a pure function of (model, task): the
-        # executor backends agree and the table below can hold it.
+        # content key, so a score is a pure function of (model, task) and
+        # the table below can hold it.
         self._scorer = get_scorer(self.config.proxy_score, deterministic=True)
         self._proxy_scores: ProxyTable = {}
-        self._executor = get_executor(executor)
 
     # ------------------------------------------------------------------ #
     def recall(self, task: ClassificationTask, *, top_k: Optional[int] = None) -> RecallResult:
@@ -125,7 +117,7 @@ class CoarseRecall:
         """Raw proxy score per representative, each computed once per engine.
 
         Only the representatives missing from the table are scored; the
-        table is filled after the whole fan-out returns, so a raising scorer
+        table is filled after every score returns, so a raising scorer
         stores nothing.  The result is a fresh dict in name order.
         """
         names = sorted(set(representatives.values()))
@@ -134,14 +126,10 @@ class CoarseRecall:
         keys = {name: (name, fingerprint, max_samples) for name in names}
         table = self._proxy_scores
         missing = [name for name in names if keys[name] not in table]
-        # Materialise the checkpoints up front (hub construction is lazy),
-        # so workers only run scorer inference.
-        models = [self.hub.get(name) for name in missing]
-
-        def score_one(model) -> float:
-            return self._scorer.score(model, task, max_samples=max_samples)
-
-        values = self._executor.map(score_one, models)
+        values = [
+            self._scorer.score(self.hub.get(name), task, max_samples=max_samples)
+            for name in missing
+        ]
         table.update(zip((keys[name] for name in missing), values))
         return {name: table[keys[name]] for name in names}
 

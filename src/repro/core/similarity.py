@@ -32,6 +32,8 @@ See ``docs/scaling.md``.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Optional
 
 import numpy as np
@@ -44,7 +46,6 @@ from repro.cache import (
 )
 from repro.core.config import SimilarityConfig
 from repro.core.performance import PerformanceMatrix
-from repro.parallel.executor import get_executor
 from repro.store import StoreLike, iter_row_blocks, resolve_store
 from repro.store.sink import ArraySink, StoreSink
 from repro.text.embedding import TextEmbedder
@@ -218,14 +219,20 @@ def _write_similarity(
     first (an :class:`~repro.store.sink.ArraySink` or a
     :class:`~repro.store.sink.StoreSink`); on a miss the writer copies the
     surviving pairs from ``old_similarity`` in row blocks, computes the
-    added rows tile by tile over the sink's executor, mirrors them into the
-    surviving rows' columns and sets the unit diagonal.  A tile whose rows
-    are contiguous is computed straight into the output; only scattered
-    added rows go through a ``(tile, n)`` block.
+    added rows tile by tile, mirrors them into the surviving rows' columns
+    and sets the unit diagonal.  A tile whose rows are contiguous is
+    computed straight into the output; only scattered added rows go
+    through a ``(tile, n)`` block.
+
+    Tiles write disjoint entries, so they map over a thread pool of
+    ``min(_tile_workers(), tiles)`` threads (inline when that is 1); NumPy
+    releases the GIL in the broadcast and partition kernels.  Each thread
+    holds its own ``(rows, n, d)`` slab, so the slab budget is the sink's
+    budget divided by :func:`_tile_workers` and the total stays within it.
 
     Every entry depends only on its own pair of vectors, so copied,
     mirrored and freshly computed entries are bitwise-identical to a full
-    recompute whatever the sink, tiling or executor.  The mirror is exact
+    recompute whatever the sink, tiling or thread count.  The mirror is exact
     because IEEE subtraction is antisymmetric: the ``|a - b|`` lane of
     ``(i, j)`` equals the ``(j, i)`` lane.
     """
@@ -262,9 +269,7 @@ def _write_similarity(
                 np.ix_(kept_old_arr[start:stop], kept_old_arr)
             ]
         k = min(top_k, d)
-        # The in-flight budget bounds the *total* slab memory: concurrent
-        # tile workers each allocate their own (rows, n, d) buffer.
-        workers = max(1, sink.executor.resolved_workers())
+        workers = _tile_workers()
         slab_bytes = max(4096, sink.budget_bytes // workers)
         rows = chunk_rows or similarity_chunk_rows(n, d, budget_bytes=slab_bytes)
         added = np.asarray(added_new, dtype=int)
@@ -280,21 +285,34 @@ def _write_similarity(
             if kept_new:
                 out[np.ix_(kept_new_arr, index)] = block[:, kept_new_arr].T
 
-        sink.executor.map(tile, list(iter_row_blocks(added.size, sink.tile_rows or rows)))
+        spans = list(iter_row_blocks(added.size, rows))
+        workers = min(workers, len(spans))
+        if workers <= 1:
+            for span in spans:
+                tile(span)
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                list(pool.map(tile, spans))
         np.fill_diagonal(out, 1.0)
 
     return sink.write(key, n, fill)
 
 
-def _spill_sink(config: Optional[SimilarityConfig], cache, store, parallel=None) -> StoreSink:
-    """Matrix-store sink under ``config``'s memory policy and executor."""
+def _tile_workers() -> int:
+    """Host CPUs available to this process: the Eq. 1 tile pool's size."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _spill_sink(config: Optional[SimilarityConfig], cache, store) -> StoreSink:
+    """Matrix-store sink under ``config``'s memory policy."""
     config = config or SimilarityConfig()
     return StoreSink(
         resolve_store(store if store is not None else config.store_dir),
         budget_bytes=config.max_bytes_in_flight,
         memory=resolve_cache(cache),
-        executor=get_executor(parallel if parallel is not None else config.parallel),
-        tile_rows=config.tile_rows,
     )
 
 
@@ -415,7 +433,6 @@ def performance_similarity_matrix_ooc(
     config: Optional[SimilarityConfig] = None,
     cache: CacheLike = None,
     store: StoreLike = None,
-    parallel=None,
 ) -> np.ndarray:
     """Eq. 1 similarity computed out-of-core into a memory-mapped store.
 
@@ -423,15 +440,11 @@ def performance_similarity_matrix_ooc(
     :func:`performance_similarity_matrix` — same writer, same kernel, same
     per-lane independence — but lives in a read-only :class:`numpy.memmap`
     inside the matrix store instead of RAM: peak memory is bounded by
-    ``config.max_bytes_in_flight`` (the slabs of all tile workers) plus one
-    row tile, regardless of ``n``.  The file is addressed by the *same*
+    ``config.max_bytes_in_flight`` (the slabs of all tile threads) plus one
+    row tile per thread, regardless of ``n``.  The file is addressed by the *same*
     content-hash key the in-RAM cache uses, so repeated builds of the same
     repository reuse the spilled artifact, and the zoo-refresh eviction
     sweep purges it together with the in-memory entries.
-
-    Row tiles are independent, so they can be fanned out over a
-    :mod:`repro.parallel` executor (``parallel`` or ``config.parallel``);
-    every backend writes identical bytes.
 
     Parameters
     ----------
@@ -449,11 +462,8 @@ def performance_similarity_matrix_ooc(
     store:
         Matrix store override; defaults to ``config.store_dir`` or the
         process default store.
-    parallel:
-        Executor (or spec) for parallel tile workers; overrides
-        ``config.parallel``.
     """
-    sink = _spill_sink(config, cache, store, parallel)
+    sink = _spill_sink(config, cache, store)
     return _write_similarity(sink, matrix, top_k=top_k)
 
 

@@ -96,7 +96,6 @@ def run_batched_selection(
     top_k: Optional[int] = None,
     scale: Optional[str] = None,
     seed: int = 0,
-    parallel=None,
 ) -> BatchSelectionReport:
     """Run the two-phase pipeline for a batch of targets of one modality.
 
@@ -104,21 +103,11 @@ def run_batched_selection(
     selector (and its offline artifacts), so the offline phase is shared
     with every other experiment of the same ``(modality, scale, seed)``
     triple.  ``targets`` defaults to every target dataset of the modality's
-    workload suite.  ``parallel`` (an executor,
-    :class:`~repro.parallel.ParallelConfig` or ``"backend[:workers]"``
-    spec) fans the per-target work out across workers; every backend
-    returns the same report as the serial path.
+    workload suite.
     """
-    from repro.core.pipeline import TwoPhaseSelector
-
     context = get_context(modality, scale=scale, seed=seed)
     resolved = context.target_names if targets is None else list(targets)
-    selector = context.selector
-    if parallel is not None:
-        selector = TwoPhaseSelector(
-            selector.artifacts, fine_tuner=selector.fine_tuner, parallel=parallel
-        )
-    return selector.select_many(resolved, top_k=top_k)
+    return context.selector.select_many(resolved, top_k=top_k)
 
 
 def render_report(outputs: Dict[str, str]) -> str:

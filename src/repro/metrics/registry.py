@@ -56,8 +56,8 @@ class KeySeededScorer(ProxyScorer):
     and sample cap — so a score is a pure function of (model, task) and
     independent of evaluation order.  The ``rng`` argument passed by callers
     is ignored and the caller's random stream is never consumed.  That
-    purity is what lets coarse recall fan scoring out over any executor
-    backend and keep each score in its per-engine table.
+    purity is what lets coarse recall keep each score in its per-engine
+    table.
 
     >>> scorer = KeySeededScorer(LeepScorer())
     >>> scorer.name

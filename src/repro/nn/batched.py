@@ -2,9 +2,8 @@
 
 The online phase's hot path is ``S`` independent mini-batch loops — one
 :meth:`~repro.nn.network.MLPClassifier.fit_epoch` per fine-tuning session,
-driven one session at a time by the epoch scheduler's round executor.  On a
-single-CPU host, thread or process fan-out cannot buy that loop anything;
-what can is *kernel fusion*: sessions fine-tuning different checkpoints on
+driven one session at a time by the epoch scheduler's round loop.  What
+speeds that loop up on a single CPU is *kernel fusion*: sessions fine-tuning different checkpoints on
 the same task share every shape that matters — ``(n, d)`` feature slabs,
 ``(d, c)`` heads, batch size, optimiser and learning rate — so one
 scheduling round is naturally a batched ``(S, b, d) @ (S, d, c)`` problem,

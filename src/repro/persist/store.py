@@ -10,8 +10,7 @@ the content-hash keys of :mod:`repro.cache`:
 * ``sessions/<session-key>.pkl`` — the latest snapshot of each shared
   fine-tuning session lineage, keyed by :func:`repro.cache.session_key`.
   Snapshots are whole pickled
-  :class:`~repro.zoo.finetune.FineTuneSession` objects (the same payload
-  the process executor already ships between workers), so a restored
+  :class:`~repro.zoo.finetune.FineTuneSession` objects, so a restored
   session continues training bitwise-identically to one that never left
   memory.
 

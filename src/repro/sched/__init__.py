@@ -1,9 +1,9 @@
 """Epoch-granular scheduling of concurrent online selection requests.
 
 The subsystem behind a production deployment of the paper's online phase:
-many in-flight selection requests share fine-tuning epochs, executor
-workers and partially-trained sessions instead of each serially re-training
-the same ``(model, task)`` stages.
+many in-flight selection requests share fine-tuning epochs and
+partially-trained sessions instead of each serially re-training the same
+``(model, task)`` stages.
 
 * :class:`~repro.sched.scheduler.EpochScheduler` — multiplexes the
   :class:`~repro.core.plan.SelectionPlan` state machines of many requests

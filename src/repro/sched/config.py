@@ -42,7 +42,7 @@ class SchedulerConfig:
         requests.  ``None`` removes the bound — every round drains one
         full stage wave across the active requests, which is what a bulk
         batch (all requests submitted together, fairness irrelevant)
-        wants: the fewest, fattest executor dispatches.
+        wants: the fewest, fattest rounds.
     max_queue:
         Bound of the admission queue (waiting requests, excluding active
         ones).  ``submit`` raises

@@ -11,8 +11,8 @@ same checkpoint on the same task produce byte-identical learning curves.
 :class:`~repro.core.plan.SessionView` onto the shared session, and only
 ever trains the epochs *beyond* what the session has already recorded.
 Concurrent and repeated requests thus reuse each other's partially-trained
-checkpoints — the scheduler's main throughput win (it pays off even on one
-CPU, where parallelism alone cannot).
+checkpoints — the scheduler's main throughput win, and one that pays off
+on a single CPU.
 
 Sessions are live training state, not immutable artifacts, so they live in
 this dedicated pool rather than in the artifact LRU/disk tiers of
@@ -76,22 +76,6 @@ class PoolEntry:
                 self.session.train_epochs(delta)
             return max(0, delta)
 
-    def adopt(self, session: FineTuneSession) -> None:
-        """Replace the shared session with a further-trained copy.
-
-        Used when training ran in a forked process worker and the advanced
-        session was pickled back; the copy must dominate the current one
-        (training is append-only), otherwise views could read past the end
-        of the recorded curve.
-        """
-        with self.lock:
-            if session.epochs_trained < self.session.epochs_trained:
-                raise SelectionError(
-                    "adopted session is behind the pooled one "
-                    f"({session.epochs_trained} < {self.session.epochs_trained})"
-                )
-            self.session = session
-
 
 class PooledSessionView(SessionView):
     """A request's view onto a pooled (shared) session."""
@@ -99,11 +83,6 @@ class PooledSessionView(SessionView):
     def __init__(self, entry: PoolEntry) -> None:
         super().__init__(entry.session)
         self.entry = entry
-
-    @property
-    def curve(self):
-        """Learning curve of the shared session (always the live object)."""
-        return self.entry.session.curve
 
 
 class SessionPool:
@@ -209,8 +188,7 @@ class SessionPool:
         """Account one externally executed scheduling round.
 
         Used by :class:`~repro.sched.scheduler.EpochScheduler`, which runs
-        the training ops itself (deduplicated across requests, possibly in
-        worker processes): ``charged`` is the epochs billed to requests,
+        the training ops itself (deduplicated across requests): ``charged`` is the epochs billed to requests,
         ``trained`` the epochs actually spent; the difference is the
         pool's session-reuse saving.
         """

@@ -6,10 +6,10 @@ The online phase of one request is a :class:`~repro.core.plan.SelectionPlan`
 multiplexes many such plans over one shared training budget: each
 *scheduling round* it picks up to ``epoch_budget`` epochs worth of runnable
 steps across the active requests (fair-share or deadline order), deduplicates
-steps that resolve to the same pooled session, executes the round through a
-:mod:`repro.parallel` executor, and advances every plan whose stage
-completed.  Admission control (bounded queue, ``max_concurrent``), per-request
-epoch quotas and deadlines bound the work any request can consume.
+steps that resolve to the same pooled session, trains the round, and
+advances every plan whose stage completed.  Admission control (bounded
+queue, ``max_concurrent``), per-request epoch quotas and deadlines bound the
+work any request can consume.
 
 Correctness does not depend on scheduling: every training step draws from
 the per-``(model, task)`` named random stream of its session and every read
@@ -48,7 +48,6 @@ from repro.core.plan import SelectionPlan, TrainStep
 from repro.core.results import RecallResult, SelectionResult, TwoPhaseResult
 from repro.data.tasks import ClassificationTask
 from repro.nn.batched import FusedSessionGroup
-from repro.parallel.executor import Executor, ExecutorLike, get_executor
 from repro.persist.codec import (
     decode_recall,
     decode_result,
@@ -222,8 +221,6 @@ class EpochScheduler:
     config:
         :class:`~repro.sched.config.SchedulerConfig` (policy, budgets,
         queue bound).
-    parallel:
-        Executor (or spec) the per-round training ops fan out over.
     on_complete:
         Callback ``(request)`` fired when a request finishes or fails —
         the service uses it for accounting.
@@ -241,13 +238,11 @@ class EpochScheduler:
         context_provider: Callable[[], SchedulerContext],
         *,
         config: Optional[SchedulerConfig] = None,
-        parallel: ExecutorLike = None,
         on_complete: Optional[Callable[[SelectionRequest], None]] = None,
         persist: Optional[PlanStore] = None,
     ) -> None:
         self._context_provider = context_provider
         self.config = config or SchedulerConfig()
-        self._executor = get_executor(parallel)
         self._persist = persist
         self._pool = SessionPool(context_provider().fine_tuner)
         self._tuner_fingerprint = fingerprint_tuner(self._pool.fine_tuner)
@@ -296,7 +291,6 @@ class EpochScheduler:
         recall=None,
         fine_selection=None,
         config: Optional[SchedulerConfig] = None,
-        parallel: ExecutorLike = None,
         on_complete: Optional[Callable[[SelectionRequest], None]] = None,
         persist: Optional[PlanStore] = None,
     ) -> "EpochScheduler":
@@ -314,9 +308,7 @@ class EpochScheduler:
         if (recall is None) != (fine_selection is None):
             raise SchedulerError("recall and fine_selection must be supplied together")
         if recall is None:
-            recall, fine_selection = build_phase_engines(
-                artifacts, tuner, parallel=get_executor(parallel)
-            )
+            recall, fine_selection = build_phase_engines(artifacts, tuner)
         version = getattr(artifacts, "version", None)
         context = SchedulerContext(
             artifacts=artifacts,
@@ -326,11 +318,7 @@ class EpochScheduler:
             fine_tuner=tuner,
         )
         return cls(
-            lambda: context,
-            config=config,
-            parallel=parallel,
-            on_complete=on_complete,
-            persist=persist,
+            lambda: context, config=config, on_complete=on_complete, persist=persist
         )
 
     @property
@@ -657,11 +645,9 @@ class EpochScheduler:
     def _admit(self) -> None:
         """Move queued requests into the active set and run their recalls.
 
-        The coarse recalls of everything admitted this round run as **one**
-        executor map — one worker-pool dispatch for the whole admission
-        wave rather than one per request, which matters for the fork-based
-        process backend.  A recall failure (e.g. an unknown target) fails
-        only its own request.
+        Every live recall of the admission wave runs before any of them is
+        journaled or starts training.  A recall failure (e.g. an unknown
+        target) fails only its own request.
         """
         admitted: List[SelectionRequest] = []
         with self._lock:
@@ -677,8 +663,7 @@ class EpochScheduler:
         # Journal-backed admission: a request whose journal already proves
         # a result (under this schedule) finishes without training; one
         # with a journaled recall skips the live recall, and so does one
-        # with fixed candidates.  Only the rest pay for the batched recall
-        # dispatch below.
+        # with fixed candidates.  Only the rest pay for a live recall.
         live: List[SelectionRequest] = []
         for request in admitted:
             if request.candidates is not None:
@@ -691,9 +676,6 @@ class EpochScheduler:
                 self._begin_training(request, restored_recall)
             else:
                 live.append(request)
-        if not live:
-            return
-        self._prewarm(live)
 
         def recall_one(request: SelectionRequest):
             try:
@@ -703,7 +685,7 @@ class EpochScheduler:
             except Exception as error:  # noqa: BLE001 — reported per request
                 return False, error
 
-        outcomes = self._executor.map(recall_one, live)
+        outcomes = [recall_one(request) for request in live]
         for request, (ok, outcome) in zip(live, outcomes):
             if not ok:
                 with self._lock:
@@ -791,26 +773,6 @@ class EpochScheduler:
                 request.plan_key,
             )
         return "live", None
-
-    def _prewarm(self, admitted: Sequence[SelectionRequest]) -> None:
-        """Materialise shared lazy state before fanning recalls out.
-
-        With a non-serial executor, each recall worker would otherwise
-        train the representatives' source heads (LEEP/NCE) privately —
-        deterministic but wasted per-worker work.  Warming them in the
-        parent shares them with forked children copy-on-write and keeps
-        thread workers contention-free (exactly what the pre-scheduler
-        batch fan-out did).
-        """
-        if self._executor.backend == "serial":
-            return
-        for context in {id(r.context): r.context for r in admitted}.values():
-            scorer = getattr(context.recall, "_scorer", None)
-            if getattr(scorer, "uses_source_posterior", False):
-                for name in sorted(
-                    set(context.artifacts.clustering.representatives.values())
-                ):
-                    context.artifacts.hub.get(name).source_head()
 
     def _start_plan(
         self, request: SelectionRequest, recall_result: Optional[RecallResult]
@@ -1044,9 +1006,7 @@ class EpochScheduler:
         against the recorded curve.  Ops with the same geometry (fusion
         signature, epoch position, round target) train as one
         stacked-kernel group when ``fused_training`` is on (see
-        :mod:`repro.nn.batched`); the rest fan out per session.  Units map
-        over the configured executor; with the process backend the
-        advanced sessions are pickled back and re-adopted.
+        :mod:`repro.nn.batched`); the rest train one session at a time.
         """
         # Group steps by session entry: one training op per shared session.
         ops: Dict[int, Tuple[PooledSessionView, int]] = {}
@@ -1059,36 +1019,16 @@ class EpochScheduler:
                 ops[entry_id] = (view, target)
 
         op_list = list(ops.values())
-        units = self._partition_ops(op_list)
-
-        def train_unit(unit_index: int):
-            # Only the unit index crosses the process boundary on dispatch,
-            # and only picklable results (epoch counts + trained sessions +
-            # a counter report) cross back — views hold locks and stay in
-            # the parent.
-            kind, indices = units[unit_index]
-            if kind == "single":
-                index = indices[0]
-                view, target = op_list[index]
-                trained = view.entry.ensure_epochs(target)
-                return [(index, trained, view.entry.session)], None
-            return self._train_fused([(i,) + op_list[i] for i in indices])
-
         trained_total = 0
         serial_singles = 0
-        for results, fused_report in self._executor.map(
-            train_unit, range(len(units))
-        ):
-            # With the process backend the parent's entry never trained;
-            # adopt the advanced copy.  In-process backends adopt the same
-            # object (a no-op reassignment).
-            for index, trained, session in results:
-                op_list[index][0].entry.adopt(session)
-                trained_total += trained
-                if fused_report is None:
-                    serial_singles += trained
-            if fused_report is not None:
-                self._record_fused(fused_report)
+        for kind, indices in self._partition_ops(op_list):
+            if kind == "fused":
+                trained_total += self._train_fused([op_list[i] for i in indices])
+                continue
+            view, target = op_list[indices[0]]
+            trained = view.entry.ensure_epochs(target)
+            trained_total += trained
+            serial_singles += trained
         if serial_singles:
             with self._lock:
                 self._serial_epochs += serial_singles
@@ -1177,38 +1117,25 @@ class EpochScheduler:
         units.extend(("single", [index]) for index in singles)
         return units
 
-    def _train_fused(
-        self, items: Sequence[Tuple[int, PooledSessionView, int]]
-    ) -> Tuple[List[Tuple[int, int, object]], Dict[str, object]]:
+    def _train_fused(self, items: Sequence[Tuple[PooledSessionView, int]]) -> int:
         """Train one same-geometry unit with the stacked kernels.
 
-        Takes ``(op_index, view, target)`` items, holds every member's
-        entry lock (sorted by pool key, so concurrent fused units cannot
-        deadlock) while the stacked engine advances the sessions, and
-        returns the per-op results plus a picklable counter report — the
-        unit may run in a forked worker, so the parent round loop applies
-        the report to the scheduler counters, never this method.
+        Takes ``(view, target)`` items and holds every member's entry lock
+        (sorted by pool key, so concurrent fused units cannot deadlock)
+        while the stacked engine advances the sessions.  Returns the epochs
+        trained and updates the fused-training counters under
+        ``self._lock``.
 
         Members that no longer align under the locks (another thread
         advanced their session since partitioning) fall back to
         ``ensure_epochs`` after the locks are released.
         """
-        items = sorted(items, key=lambda item: item[1].entry.key)
-        target = items[0][2]
-        report: Dict[str, object] = {
-            "signature": None,
-            "groups": 0,
-            "sessions": 0,
-            "fused_epochs": 0,
-            "serial_epochs": 0,
-            "probe_epochs": 0,
-            "delegated": 0,
-            "verdict": None,
-            "largest": 0,
-        }
-        results: List[Tuple[int, int, object]] = []
-        fallback: List[Tuple[int, PooledSessionView, int]] = []
-        entries = [view.entry for _, view, _ in items]
+        items = sorted(items, key=lambda item: item[0].entry.key)
+        target = items[0][1]
+        entries = [view.entry for view, _ in items]
+        fallback = list(items)
+        fused_items: List[Tuple[PooledSessionView, int]] = []
+        advance = None
         for entry in entries:
             entry.lock.acquire()
         try:
@@ -1219,11 +1146,8 @@ class EpochScheduler:
                 for item, position in zip(items, positions)
                 if position == start and start < target
             ]
-            if len(fused_items) < self.config.fused_min_group:
-                fallback = list(items)
-            else:
-                fallback = [item for item in items if item not in fused_items]
-                sessions = [view.entry.session for _, view, _ in fused_items]
+            if len(fused_items) >= self.config.fused_min_group:
+                sessions = [view.entry.session for view, _ in fused_items]
                 try:
                     group = FusedSessionGroup(sessions)
                     probe = group.signature not in self._fused_verdicts
@@ -1231,44 +1155,27 @@ class EpochScheduler:
                 except ConfigurationError:
                     # Geometry looked fusable by signature but the stacked
                     # engine refused it (defensive) — per-session path.
-                    fallback = list(items)
+                    advance = None
                 else:
-                    for index, view, _ in fused_items:
-                        results.append((index, target - start, view.entry.session))
-                    report.update(
-                        signature=group.signature,
-                        groups=1,
-                        sessions=len(fused_items),
-                        fused_epochs=advance.fused_epochs,
-                        serial_epochs=advance.serial_epochs,
-                        probe_epochs=advance.probe_epochs,
-                        delegated=int(advance.delegated),
-                        verdict=(not advance.delegated) if probe else None,
-                        largest=len(fused_items),
-                    )
+                    fallback = [item for item in items if item not in fused_items]
         finally:
             for entry in reversed(entries):
                 entry.lock.release()
-        for index, view, item_target in fallback:
-            trained = view.entry.ensure_epochs(item_target)
-            results.append((index, trained, view.entry.session))
-            report["serial_epochs"] = int(report["serial_epochs"]) + trained
-        return results, report
-
-    def _record_fused(self, report: Dict[str, object]) -> None:
-        """Fold one fused unit's counter report into the scheduler stats."""
+        serial = sum(view.entry.ensure_epochs(goal) for view, goal in fallback)
         with self._lock:
-            if report["signature"] is not None and report["verdict"] is not None:
-                self._fused_verdicts[report["signature"]] = bool(report["verdict"])
-            self._fused_groups += int(report["groups"])
-            self._fused_sessions += int(report["sessions"])
-            self._fused_epochs += int(report["fused_epochs"])
-            self._serial_epochs += int(report["serial_epochs"])
-            self._probe_epochs += int(report["probe_epochs"])
-            self._delegated_groups += int(report["delegated"])
-            self._fused_largest_group = max(
-                self._fused_largest_group, int(report["largest"])
-            )
+            self._serial_epochs += serial
+            if advance is None:
+                return serial
+            if probe:
+                self._fused_verdicts[group.signature] = not advance.delegated
+            self._fused_groups += 1
+            self._fused_sessions += len(fused_items)
+            self._fused_epochs += advance.fused_epochs
+            self._serial_epochs += advance.serial_epochs
+            self._probe_epochs += advance.probe_epochs
+            self._delegated_groups += int(advance.delegated)
+            self._fused_largest_group = max(self._fused_largest_group, len(fused_items))
+        return serial + (target - start) * len(fused_items)
 
     # ------------------------------------------------------------------ #
     # completion

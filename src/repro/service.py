@@ -5,8 +5,7 @@ model clustering, once per repository version) and cheap *online* phases
 (coarse recall + fine selection, once per query).  :class:`SelectionService` is the
 deployment shape of that split: it builds — or receives — warm
 :class:`~repro.core.pipeline.OfflineArtifacts` once, then answers any number
-of ``select`` / ``select_many`` / ``recall`` requests against them, fanning
-work out over the configured :mod:`repro.parallel` executor and keeping
+of ``select`` / ``select_many`` / ``recall`` requests against them, keeping
 running totals (requests, epoch-equivalents spent) for observability.
 
 Every selection is a request on the service's one long-lived
@@ -63,7 +62,6 @@ from repro.core.pipeline import OfflineArtifacts
 from repro.core.results import RecallResult, TwoPhaseResult
 from repro.data.tasks import ClassificationTask
 from repro.data.workloads import DataScale, suite_for_modality
-from repro.parallel.executor import ExecutorLike, get_executor
 from repro.persist.store import PlanStore
 from repro.sched.config import SchedulerConfig
 from repro.sched.scheduler import EpochScheduler, SchedulerContext, SelectionRequest
@@ -86,10 +84,6 @@ class SelectionService:
     fine_tuner:
         Fine-tuning engine shared by every request (a fresh seeded one is
         created otherwise).
-    parallel:
-        Executor, :class:`~repro.parallel.ParallelConfig` or
-        ``"backend[:workers]"`` spec for the online hot paths; defaults to
-        ``artifacts.config.parallel``.
     scheduler:
         :class:`~repro.sched.config.SchedulerConfig` of the epoch
         scheduler answering every selection; it starts on the first one.
@@ -116,16 +110,12 @@ class SelectionService:
         artifacts: OfflineArtifacts,
         *,
         fine_tuner: Optional[FineTuner] = None,
-        parallel: ExecutorLike = None,
         scheduler: Optional[SchedulerConfig] = None,
         seed: int = 0,
         store_dir: Optional[str] = None,
         extrapolation: Optional[ExtrapolationConfig] = None,
     ) -> None:
         self.artifacts = artifacts
-        if parallel is None:
-            parallel = getattr(artifacts.config, "parallel", None)
-        self._executor = get_executor(parallel)
         self._fine_tuner = fine_tuner or FineTuner(seed=seed)
         self._extrapolation = extrapolation
         self._recall, self._fine_selection = self._build_engines(artifacts)
@@ -144,8 +134,7 @@ class SelectionService:
 
     def _build_engines(self, artifacts: OfflineArtifacts):
         return build_phase_engines(
-            artifacts, self._fine_tuner, parallel=self._executor,
-            extrapolation=self._extrapolation,
+            artifacts, self._fine_tuner, extrapolation=self._extrapolation
         )
 
     # ------------------------------------------------------------------ #
@@ -159,7 +148,6 @@ class SelectionService:
         *,
         config: Optional[PipelineConfig] = None,
         fine_tuner: Optional[FineTuner] = None,
-        parallel: ExecutorLike = None,
         scheduler: Optional[SchedulerConfig] = None,
         seed: int = 0,
         store_dir: Optional[str] = None,
@@ -172,7 +160,6 @@ class SelectionService:
         return cls(
             artifacts,
             fine_tuner=fine_tuner,
-            parallel=parallel,
             scheduler=scheduler,
             seed=seed,
             store_dir=store_dir,
@@ -188,7 +175,6 @@ class SelectionService:
         seed: int = 0,
         num_models: Optional[int] = None,
         config: Optional[PipelineConfig] = None,
-        parallel: ExecutorLike = None,
         scheduler: Optional[SchedulerConfig] = None,
         store_dir: Optional[str] = None,
         extrapolation: Optional[ExtrapolationConfig] = None,
@@ -207,8 +193,8 @@ class SelectionService:
             hub = hub.subset(hub.model_names[:num_models])
         config = config or PipelineConfig.for_modality(modality)
         return cls.from_hub(
-            hub, suite, config=config, parallel=parallel, scheduler=scheduler,
-            seed=seed, store_dir=store_dir, extrapolation=extrapolation,
+            hub, suite, config=config, scheduler=scheduler, seed=seed,
+            store_dir=store_dir, extrapolation=extrapolation,
         )
 
     # ------------------------------------------------------------------ #
@@ -218,13 +204,6 @@ class SelectionService:
     def target_names(self) -> List[str]:
         """Dedicated target datasets of the served suite."""
         return list(self.artifacts.suite.target_names)
-
-    @property
-    def parallel_spec(self) -> str:
-        """Compact description of the executor serving requests."""
-        executor = self._executor
-        workers = executor.resolved_workers()
-        return executor.backend if workers == 1 else f"{executor.backend}:{workers}"
 
     def select(self, target: TargetLike, *, top_k: Optional[int] = None) -> TwoPhaseResult:
         """Answer one selection request (coarse recall + fine selection)."""
@@ -277,7 +256,6 @@ class SelectionService:
                 self._scheduler = EpochScheduler(
                     self._scheduler_context,
                     config=self._scheduler_config,
-                    parallel=self._executor,
                     on_complete=self._on_request_complete,
                     persist=self._persist,
                 )
@@ -445,7 +423,7 @@ class SelectionService:
 
         Keys: ``requests``, ``targets_served``, ``total_epoch_cost``,
         ``uptime_seconds``, ``num_models``, ``zoo_version``, ``refreshes``,
-        ``parallel``, ``similarity_backing`` (``"memmap"`` when the served
+        ``similarity_backing`` (``"memmap"`` when the served
         similarity matrix is an out-of-core spill the service reads row
         tiles from on demand, ``"memory"`` otherwise), ``scheduler`` (the
         epoch scheduler's queue/completion counters and the session pool's
@@ -474,7 +452,6 @@ class SelectionService:
         snapshot["num_models"] = len(artifacts.hub)
         version = artifacts.version
         snapshot["zoo_version"] = version.key if version is not None else None
-        snapshot["parallel"] = self.parallel_spec
         snapshot["similarity_backing"] = (
             "memmap"
             if isinstance(artifacts.clustering.similarity, np.memmap)

@@ -20,10 +20,9 @@ only the pages it covers, so a reader holding an ``(n, n)`` similarity
 matrix open costs RAM proportional to the rows it actually visits, not to
 ``n^2``.
 
-Concurrent tile writers are safe by construction: every worker writes a
-disjoint row range of one shared mapping.  Thread workers share the parent's
-memmap object; forked process workers inherit the ``MAP_SHARED`` mapping, so
-their writes land in the same page cache the parent flushes on commit.
+Concurrent tile writers are safe by construction: every tile thread writes
+disjoint entries of one shared memmap object, which the writer flushes on
+commit.
 
 Every in-progress file — a writer's, or a :class:`ScratchMatrix` — carries
 the writer-unique ``.tmp-<pid>-<thread>`` suffix, so a process killed
@@ -262,8 +261,8 @@ class MatrixStore:
     def put(self, key: str, array: np.ndarray) -> None:
         """Publish a copy of ``array`` under ``key`` (``create`` + fill + commit).
 
-        Concurrent writers — thread pools within one process as well as
-        forked process workers sharing the directory — each write their own
+        Concurrent writers — threads within one process as well as
+        separate processes sharing the directory — each write their own
         temp file, and the atomic publish means a reader never loads a
         half-written entry.  Only arrays are stored: anything else raises
         :class:`TypeError`.

@@ -6,8 +6,8 @@ content-keyed matrix; a *sink* decides where it lives.  An
 :class:`ArraySink` returns a dense array, read from and memoised in an
 artifact cache; a :class:`StoreSink` publishes a read-only memmap in a
 :class:`~repro.store.MatrixStore`.  Both carry the in-flight byte budget
-and the executor the writer streams its tiles with, so the computation is
-written once and the sink alone fixes the memory policy.
+the writer streams its tiles under, so the computation is written once and
+the sink alone fixes the memory policy.
 """
 
 from __future__ import annotations
@@ -16,22 +16,15 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.parallel.executor import Executor, SerialExecutor
 from repro.store.matrix import MatrixStore
 
 
 class ArraySink:
-    """Dense in-RAM destination, memoised in ``cache`` when one is given.
-
-    Tiles run serially: a forked worker's writes into a private array
-    would never reach the parent.
-    """
+    """Dense in-RAM destination, memoised in ``cache`` when one is given."""
 
     def __init__(self, cache=None, *, budget_bytes: int) -> None:
         self.cache = cache
         self.budget_bytes = budget_bytes
-        self.executor: Executor = SerialExecutor()
-        self.tile_rows: Optional[int] = None
 
     @property
     def keyed(self) -> bool:
@@ -66,14 +59,10 @@ class StoreSink:
         *,
         budget_bytes: int,
         memory=None,
-        executor: Optional[Executor] = None,
-        tile_rows: Optional[int] = None,
     ) -> None:
         self.store = store
         self.budget_bytes = budget_bytes
         self.memory = memory
-        self.executor: Executor = executor or SerialExecutor()
-        self.tile_rows = tile_rows
 
     keyed = True
 

@@ -281,7 +281,7 @@ class FineTuneSession:
         self.curve.test_accuracy.append(test_accuracy)
 
     def __getstate__(self) -> Dict[str, object]:
-        """Drop the derived eval slab from pickles (snapshots, workers)."""
+        """Drop the derived eval slab from snapshot pickles."""
         state = dict(self.__dict__)
         state["_eval_features"] = None
         return state

@@ -132,19 +132,6 @@ class ModelHub:
         self._build_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
-    # The build lock makes lazy model construction safe under the thread
-    # executor; it is recreated (not copied) across pickling so hubs can
-    # cross process boundaries with the fork-based executor.
-    def __getstate__(self) -> Dict[str, object]:
-        state = dict(self.__dict__)
-        state.pop("_build_lock", None)
-        return state
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self.__dict__.update(state)
-        self._build_lock = threading.Lock()
-
-    # ------------------------------------------------------------------ #
     @property
     def modality(self) -> str:
         """Modality served by this hub."""

@@ -98,8 +98,8 @@ class PretrainedModel:
     # ------------------------------------------------------------------ #
     # The head lock serialises lazy source-head training (it consumes the
     # model's own RNG stream) so concurrent proxy scoring cannot race it;
-    # it is recreated, not copied, across pickling so models can cross
-    # process boundaries with the fork-based executor.
+    # it is recreated, not copied, across pickling so session snapshots
+    # holding the model can be written to the plan store.
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         state.pop("_head_lock", None)
@@ -182,9 +182,9 @@ class PretrainedModel:
         """Classifier over the model's source label space (lazily trained).
 
         Training happens exactly once, under a lock: the fit consumes the
-        model's RNG stream, so an unguarded race would make the head's
-        weights depend on thread interleaving and break the parallel ==
-        serial guarantee of :mod:`repro.parallel`.
+        model's RNG stream, and the scheduler thread and the refresh/serve
+        threads share the hub, so an unguarded race would make the head's
+        weights depend on thread interleaving.
         """
         if self._source_head is None:
             with self._head_lock:

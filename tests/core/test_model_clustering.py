@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.cluster.hierarchical import AgglomerativeClustering
+from repro.cluster.nnchain import NNChainClustering
 from repro.core.config import ClusteringConfig
 from repro.core.model_clustering import ModelClusterer
 from repro.utils.exceptions import SelectionError
@@ -113,24 +115,27 @@ class TestModelClusterer:
 
 
 class TestAlgorithmDispatch:
-    def test_default_algorithm_is_nnchain(self):
-        assert ClusteringConfig().algorithm == "nnchain"
+    def test_default_algorithm_is_nnchain(self, nlp_matrix_small, monkeypatch):
+        engines = []
+        fit_predict = NNChainClustering.fit_predict
 
-    def test_unknown_algorithm_rejected(self):
-        from repro.utils.exceptions import ConfigurationError
+        def spy(engine, *args, **kwargs):
+            engines.append(engine)
+            return fit_predict(engine, *args, **kwargs)
 
-        with pytest.raises(ConfigurationError):
-            ClusteringConfig(algorithm="scipy")
+        monkeypatch.setattr(NNChainClustering, "fit_predict", spy)
+        ModelClusterer(ClusteringConfig()).cluster(nlp_matrix_small, cache=False)
+        assert len(engines) == 1
 
     @pytest.mark.parametrize("kwargs", [{}, {"num_clusters": 4}, {"distance_threshold": 0.3}])
-    def test_scan_and_nnchain_agree_on_the_zoo(self, nlp_matrix_small, kwargs):
-        """The oracle gate: both engines cluster the seeded zoo identically."""
-        chain = ModelClusterer(ClusteringConfig(algorithm="nnchain", **kwargs)).cluster(
-            nlp_matrix_small, cache=False
-        )
-        scan = ModelClusterer(ClusteringConfig(algorithm="scan", **kwargs)).cluster(
-            nlp_matrix_small, cache=False
-        )
+    def test_scan_and_nnchain_agree_on_the_zoo(self, nlp_matrix_small, kwargs, monkeypatch):
+        """The oracle gate: the scan clusters the seeded zoo like nnchain."""
+        import repro.core.model_clustering as module
+
+        config = ClusteringConfig(**kwargs)
+        chain = ModelClusterer(config).cluster(nlp_matrix_small, cache=False)
+        monkeypatch.setattr(module, "NNChainClustering", AgglomerativeClustering)
+        scan = ModelClusterer(config).cluster(nlp_matrix_small, cache=False)
         assert np.array_equal(chain.assignment.labels, scan.assignment.labels)
         assert chain.representatives == scan.representatives
         assert chain.extras == scan.extras

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import serial_stage_loop
 from repro.core.config import FineSelectionConfig
 from repro.core.selection import BruteForceSelection, FineSelection, SuccessiveHalving
 from repro.utils.exceptions import SelectionError
@@ -191,3 +192,33 @@ class TestFineSelection:
         ).run(["roberta-base"], mnli_task)
         assert fs.selected_model == "roberta-base"
         assert fs.runtime_epochs == CONFIG.total_epochs
+
+
+class TestPolicyRun:
+    """A policy's ``run`` (a one-request scheduler) equals the stage loop."""
+
+    def test_fine_selection_matches_oracle(
+        self, nlp_hub_small, nlp_matrix_small, nlp_suite_small, fine_tuner
+    ):
+        task = nlp_suite_small.task("mnli")
+        candidates = nlp_hub_small.model_names[:6]
+        engine = FineSelection(nlp_hub_small, nlp_matrix_small, fine_tuner)
+        reference = serial_stage_loop(engine, candidates, task)
+        result = engine.run(candidates, task)
+        assert result.selected_model == reference.selected_model
+        assert result.selected_accuracy == reference.selected_accuracy
+        assert result.runtime_epochs == reference.runtime_epochs
+        assert result.final_accuracies == reference.final_accuracies
+        assert result.stages == reference.stages
+
+    def test_successive_halving_matches_oracle(
+        self, nlp_hub_small, nlp_suite_small, fine_tuner
+    ):
+        task = nlp_suite_small.task("boolq")
+        candidates = nlp_hub_small.model_names[:4]
+        engine = SuccessiveHalving(nlp_hub_small, fine_tuner)
+        reference = serial_stage_loop(engine, candidates, task)
+        result = engine.run(candidates, task)
+        assert result.selected_model == reference.selected_model
+        assert result.final_accuracies == reference.final_accuracies
+        assert result.stages == reference.stages

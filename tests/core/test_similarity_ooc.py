@@ -1,5 +1,7 @@
 """Unit tests of the out-of-core Eq. 1 similarity paths."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -94,30 +96,52 @@ def test_ooc_does_not_populate_memory_cache(config, store):
     assert cache.get(similarity_key(matrix, method="performance", top_k=5)) is None
 
 
-@pytest.mark.parametrize("parallel", ["thread:4", "process:2"])
-def test_parallel_tile_workers_write_identical_bytes(parallel, config, tmp_path):
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("door", ["dense", "dense-update", "ooc", "ooc-update"])
+def test_tile_pool_writes_oracle_bytes(door, workers, monkeypatch, tmp_path):
+    """Any tile-pool size writes the oracle's bytes into either sink.
+
+    Every other model of ``new`` is added, so an update's 3-row tiles are
+    scattered and go through the ``(tile, n)`` block path.  Tiles run on
+    the calling thread only when the pool has one worker.
+    """
+    import repro.core.similarity as similarity_module
+
+    n, d, rows = 48, 6, 3
     rng = np.random.default_rng(3)
-    matrix = _matrix(rng, 31, 9)
-    dense = performance_similarity_matrix(matrix, cache=False)
-    spilled = performance_similarity_matrix_ooc(
-        matrix,
-        config=config,
-        cache=False,
-        store=MatrixStore(tmp_path / parallel.replace(":", "-")),
-        parallel=parallel,
-    )
-    assert np.array_equal(dense, spilled)
+    new = _matrix(rng, n, d)
+    old = new.submatrix(new.model_names[::2])
+    old_similarity = performance_similarity_matrix(old, cache=False)
+    oracle = _performance_similarity_matrix_loop(new)
 
+    tile_threads = []
+    similarity_into = similarity_module._similarity_into
 
-def test_explicit_tile_rows_respected(store, tmp_path):
-    rng = np.random.default_rng(4)
-    matrix = _matrix(rng, 10)
-    config = SimilarityConfig(spill_threshold_bytes=0, tile_rows=3)
-    spilled = performance_similarity_matrix_ooc(
-        matrix, config=config, cache=False, store=store
+    def spy(out, *args):
+        if out.shape[1] == n:  # not the update's probe
+            tile_threads.append(threading.get_ident())
+        similarity_into(out, *args)
+
+    monkeypatch.setattr(similarity_module, "_tile_workers", lambda: workers)
+    monkeypatch.setattr(similarity_module, "_similarity_into", spy)
+    # Each worker's slab share holds exactly ``rows`` rows.
+    config = SimilarityConfig(
+        max_bytes_in_flight=rows * workers * n * d * 8, spill_threshold_bytes=0
     )
-    dense = performance_similarity_matrix(matrix, cache=False)
-    assert np.array_equal(dense, spilled)
+    store = MatrixStore(tmp_path / "store")
+    if door == "dense":
+        result = performance_similarity_matrix(new, chunk_rows=rows, cache=False)
+    elif door == "dense-update":
+        result = update_similarity_matrix(
+            old, old_similarity, new, chunk_rows=rows, cache=False
+        )
+    else:
+        result = _through(door, old, old_similarity, new, config, store)
+    assert isinstance(result, np.memmap) == door.startswith("ooc")
+    assert np.array_equal(result, oracle)
+    assert len(tile_threads) >= 4
+    on_caller = [ident == threading.get_ident() for ident in tile_threads]
+    assert all(on_caller) if workers == 1 else not any(on_caller)
 
 
 def test_ooc_rejects_bad_top_k(config, store):

@@ -130,7 +130,7 @@ def _preamble(path: pathlib.Path, tmp_path) -> Dict[str, object]:
             "matrix": matrix,
             "my_cache": ArtifactCache(max_entries=8, disk_dir=tmp_path / "cache"),
         }
-    if path.name in ("parallelism.md", "fused-training.md"):
+    if path.name == "fused-training.md":
         suite = WorkloadSuite("nlp", seed=0, scale=DataScale.small())
         return {"suite": suite, "hub": ModelHub(suite, seed=0)}
     if path.name == "persistence.md":

@@ -30,9 +30,9 @@ class TestParser:
         )
         assert result.returncode == 0, result.stderr
         assert "--target" in result.stdout
-        assert "--parallel" in result.stdout
+        assert "--num-models" in result.stdout
 
-    @pytest.mark.parametrize("command", ["select", "batch", "experiments", "bench"])
+    @pytest.mark.parametrize("command", ["select", "batch", "experiments"])
     def test_every_subcommand_parses_help(self, command):
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args([command, "--help"])
@@ -42,6 +42,21 @@ class TestParser:
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args([])
         assert excinfo.value.code != 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bench"],
+            ["select", "--target", "mnli", "--parallel", "thread:2"],
+            ["zoo", "build", "--algorithm", "scan"],
+        ],
+        ids=["bench", "parallel", "algorithm"],
+    )
+    def test_removed_commands_and_flags_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert "error:" in capsys.readouterr().err
 
 
 class TestSelectCommand:
@@ -56,19 +71,6 @@ class TestSelectCommand:
         assert payload["target"] == "mnli"
         assert payload["recalled_models"]
         assert payload["total_cost"] > 0
-
-    def test_select_parallel_matches_serial(self):
-        serial = json.loads(
-            run_cli("select", "--target", "mnli", "--json", *COMMON)
-        )
-        threaded = json.loads(
-            run_cli(
-                "select", "--target", "mnli", "--json", "--parallel", "thread:4",
-                *COMMON,
-            )
-        )
-        assert serial["selected_model"] == threaded["selected_model"]
-        assert serial["total_cost"] == threaded["total_cost"]
 
     def test_unknown_target_exits_with_error(self):
         stream = io.StringIO()
@@ -168,24 +170,6 @@ class TestExperimentsCommand:
         assert "wrote 1 experiment block(s)" in out
         assert "table3" in out_file.read_text()
 
-
-class TestBenchCommand:
-    def test_bench_runs_and_reports_identical(self):
-        out = run_cli(
-            "bench", "--backend", "thread", "--workers", "2", "--tasks", "3",
-            *COMMON,
-        )
-        assert "identical results: True" in out
-        assert "serial" in out
-
-
-class TestParallelEnvVar:
-    def test_bench_honors_repro_parallel(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL", "thread:2")
-        out = run_cli("bench", "--tasks", "2", "--scale", "small",
-                      "--num-models", "8")
-        assert "thread:2" in out
-
     def test_experiments_unknown_id_is_friendly_error(self):
         stream = io.StringIO()
         code = main(["experiments", "--only", "fig99", "--scale", "small"],
@@ -203,16 +187,6 @@ class TestCliErrorPaths:
             )
         assert excinfo.value.code == 2
         assert "invalid choice: 'audio'" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("spec", ["warp:4", "thread:zero", "thread:0", ":"])
-    def test_malformed_parallel_spec_exits_2(self, spec, capsys):
-        stream = io.StringIO()
-        code = main(
-            ["select", "--target", "mnli", "--parallel", spec, *COMMON],
-            stream=stream,
-        )
-        assert code == 2
-        assert "error:" in capsys.readouterr().err
 
     def test_zoo_remove_nonexistent_model_exits_2(self, capsys):
         stream = io.StringIO()

@@ -73,20 +73,8 @@ class TestSelectionService:
         assert stats["uptime_seconds"] >= 0
         assert "memory" in stats["cache"]
 
-    def test_parallel_spec_reported(self, nlp_artifacts):
-        assert SelectionService(nlp_artifacts).parallel_spec == "serial"
-        threaded = SelectionService(nlp_artifacts, parallel="thread:4")
-        assert threaded.parallel_spec == "thread:4"
-
-    def test_parallel_service_matches_serial(self, service, nlp_artifacts):
-        threaded = SelectionService(nlp_artifacts, parallel="thread:4")
-        assert (
-            threaded.select("mnli").selected_model
-            == service.select("mnli").selected_model
-        )
-
     def test_concurrent_requests_are_consistent(self, nlp_artifacts, nlp_suite_small):
-        shared = SelectionService(nlp_artifacts, parallel="thread:2")
+        shared = SelectionService(nlp_artifacts)
         reference = {
             name: shared.select(name).selected_model
             for name in nlp_suite_small.target_names

@@ -1,16 +1,14 @@
 """Property suite: speculation is opt-in, honest, and never double-charges.
 
 Contracts of the curve-extrapolation early-stopping layer, driven by
-hypothesis over randomized request mixes, scheduling policies and executor
-backends:
+hypothesis over randomized request mixes and scheduling policies:
 
 * **Exactness** — a request submitted with ``extrapolate=False`` (or not
-  opted in at all) is bitwise-identical to the serial blocking path, on
-  every backend, even while speculative requests run concurrently in the
-  same scheduler.
+  opted in at all) is bitwise-identical to the serial blocking path, even
+  while speculative requests run concurrently in the same scheduler.
 * **Determinism** — speculative *decisions* (winner, stage records, prune
   set, costs) are a pure function of the request regardless of
-  interleaving, policy, or backend; that determinism is what makes the
+  interleaving or policy; that determinism is what makes the
   crash/resume prune replay possible.  The only context-dependent part of
   a speculative result is observability: the ``actual_final`` /
   ``actual_regret`` honesty fields appear exactly when some concurrent
@@ -128,7 +126,7 @@ def assert_decisions_equal(result, oracle):
     assert result.total_cost == oracle.total_cost
 
 
-def run_mix(artifacts, mix, *, backend=None, policy="fair_share", epoch_budget=8):
+def run_mix(artifacts, mix, *, policy="fair_share", epoch_budget=8):
     scheduler = EpochScheduler.for_artifacts(
         artifacts,
         config=SchedulerConfig(
@@ -137,7 +135,6 @@ def run_mix(artifacts, mix, *, backend=None, policy="fair_share", epoch_budget=8
             max_concurrent=len(mix),
             max_queue=len(mix),
         ),
-        parallel=backend,
     )
     handles = [
         scheduler.submit(target, top_k=top_k, extrapolate=speculative)
@@ -176,13 +173,12 @@ class TestExactnessIsolation:
     )
     @given(
         mix=mixed_requests,
-        backend=st.sampled_from([None, "serial", "thread:2", "thread:4"]),
         policy=st.sampled_from(["fair_share", "deadline"]),
     )
     def test_requests_match_their_oracle_in_any_mix(
-        self, artifacts, exact_oracle, speculative_oracle, mix, backend, policy
+        self, artifacts, exact_oracle, speculative_oracle, mix, policy
     ):
-        _, results = run_mix(artifacts, mix, backend=backend, policy=policy)
+        _, results = run_mix(artifacts, mix, policy=policy)
         for (target, top_k, speculative), result in zip(mix, results):
             oracle = (speculative_oracle if speculative else exact_oracle)[
                 (target, top_k)
@@ -277,12 +273,9 @@ class TestRegretAccounting:
         deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
-    @given(
-        shape=st.tuples(st.sampled_from(TARGETS), st.sampled_from(TOP_KS)),
-        backend=st.sampled_from([None, "thread:2"]),
-    )
+    @given(shape=st.tuples(st.sampled_from(TARGETS), st.sampled_from(TOP_KS)))
     def test_observed_realized_regret_covers_the_winner_gap(
-        self, artifacts, exact_oracle, shape, backend
+        self, artifacts, exact_oracle, shape
     ):
         """Run the speculative and exact twins side by side: the shared
         sessions make every realized outcome observable, so the honesty
@@ -292,7 +285,6 @@ class TestRegretAccounting:
         _, results = run_mix(
             artifacts,
             [(target, top_k, True), (target, top_k, False)],
-            backend=backend,
         )
         speculative, exact = results
         assert_decisions_equal(exact, exact_oracle[(target, top_k)])

@@ -8,8 +8,8 @@ claim across the surfaces where it could break:
   activation, group size, epoch splits) trained fused must reproduce the
   serial per-head trajectories exactly: curves, training histories,
   parameters, optimiser state.
-* **Scheduler level** — random request mixes on every executor backend
-  with fusion on must answer bitwise-identically to recall plus the
+* **Scheduler level** — random request mixes and epoch budgets with
+  fusion on must answer bitwise-identically to recall plus the
   blocking stage loop of ``oracles.serial_stage_loop``, with charged-epoch accounting intact (charged = trained +
   reused in the pool report).
 * **Crash/resume** — a scheduler killed mid-run and recovered with fusion
@@ -155,7 +155,7 @@ class TestEngineGeometryMixes:
 
 
 # --------------------------------------------------------------------------- #
-# scheduler level: request mixes x backends
+# scheduler level: request mixes x epoch budgets
 # --------------------------------------------------------------------------- #
 
 requests_strategy = st.lists(
@@ -173,11 +173,10 @@ class TestSchedulerEquivalence:
     )
     @given(
         mix=requests_strategy,
-        backend=st.sampled_from(["serial", "thread:2", "thread:4", "process:2"]),
         epoch_budget=st.integers(min_value=2, max_value=12),
     )
     def test_fused_requests_equal_serial_runs(
-        self, artifacts, serial_oracle, mix, backend, epoch_budget
+        self, artifacts, serial_oracle, mix, epoch_budget
     ):
         scheduler = EpochScheduler.for_artifacts(
             artifacts,
@@ -187,7 +186,6 @@ class TestSchedulerEquivalence:
                 max_queue=len(mix),
                 fused_training=True,
             ),
-            parallel=backend,
         )
         handles = [scheduler.submit(target, top_k=top_k) for target, top_k in mix]
         scheduler.run_until_idle()
@@ -332,10 +330,9 @@ class TestExtrapolationDecisions:
     @given(
         target=st.sampled_from(TARGETS),
         top_k=st.sampled_from([5, 8]),
-        backend=st.sampled_from(["serial", "thread:2"]),
     )
     def test_prune_decisions_identical_with_and_without_fusion(
-        self, speculative_artifacts, target, top_k, backend
+        self, speculative_artifacts, target, top_k
     ):
         def run(fused):
             scheduler = EpochScheduler.for_artifacts(
@@ -345,7 +342,6 @@ class TestExtrapolationDecisions:
                     max_queue=1,
                     fused_training=fused,
                 ),
-                parallel=backend,
             )
             handle = scheduler.submit(target, top_k=top_k, extrapolate=True)
             scheduler.run_until_idle()

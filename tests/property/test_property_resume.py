@@ -2,8 +2,8 @@
 
 The crash-safety contract of :mod:`repro.persist` must hold for *every*
 configuration, not just the ones the example-based fault tests pick: any
-target, any ``top_k``, any scheduling policy, any epoch budget, any
-executor backend, a crash at any step boundary.  Hypothesis drives
+target, any ``top_k``, any scheduling policy, any epoch budget, a crash
+at any step boundary.  Hypothesis drives
 randomized (configuration, crash point) pairs through a kill/restart cycle
 and holds the resumed result to the serial oracle — bitwise.
 
@@ -95,11 +95,11 @@ def assert_bitwise_equal(result, serial):
 
 
 def crash_then_resume(
-    artifacts, root, target, top_k, ordinal, *, config=None, backend=None
+    artifacts, root, target, top_k, ordinal, *, config=None
 ):
     """One kill/restart cycle; returns (result, scheduler2, replayable)."""
     scheduler1 = EpochScheduler.for_artifacts(
-        artifacts, persist=PlanStore(root), config=config, parallel=backend
+        artifacts, persist=PlanStore(root), config=config
     )
     hits = {"n": 0}
 
@@ -123,7 +123,7 @@ def crash_then_resume(
         for record in PlanJournal(path).of_type("step")
     )
     scheduler2 = EpochScheduler.for_artifacts(
-        artifacts, persist=store, config=config, parallel=backend
+        artifacts, persist=store, config=config
     )
     recovered = scheduler2.recover()
     assert len(recovered) == 1
@@ -174,14 +174,13 @@ class TestResumeEquivalence:
         assert_bitwise_equal(result, serial_oracle[(target, top_k)])
         assert_no_double_charge(scheduler, result, replayable)
 
-    @pytest.mark.parametrize("backend", ["serial", "thread:2", "process:2"])
-    def test_resume_equivalence_across_backends(
-        self, artifacts, serial_oracle, step_counts, tmp_path, backend
+    def test_mid_run_crash_resumes_bitwise_identical(
+        self, artifacts, serial_oracle, step_counts, tmp_path
     ):
         target, top_k = "mnli", 5
         ordinal = max(2, step_counts[(target, top_k)] // 2)
         result, scheduler, replayable = crash_then_resume(
-            artifacts, tmp_path / "store", target, top_k, ordinal, backend=backend
+            artifacts, tmp_path / "store", target, top_k, ordinal
         )
         assert_bitwise_equal(result, serial_oracle[(target, top_k)])
         assert_no_double_charge(scheduler, result, replayable)

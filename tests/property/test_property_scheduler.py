@@ -4,7 +4,7 @@ The acceptance property of the epoch scheduler — a request's result is
 bitwise-identical (winner, stage records, validation scores, costs) to the
 pre-refactor serial path — must hold for *every* scheduling configuration:
 any policy, any epoch budget, any concurrency, any interleaving with other
-requests, any executor backend.  Hypothesis drives randomized mixes
+requests.  Hypothesis drives randomized mixes
 through the scheduler and compares each request against the serial oracle
 — coarse recall followed by ``oracles.serial_stage_loop``, the blocking
 stage-by-stage loop over private sessions — computed once per session.
@@ -98,33 +98,6 @@ class TestSchedulerEquivalence:
                 max_concurrent=max_concurrent,
                 max_queue=len(mix),
             ),
-        )
-        handles = [
-            scheduler.submit(target, top_k=top_k) for target, top_k in mix
-        ]
-        scheduler.run_until_idle()
-        for (target, top_k), handle in zip(mix, handles):
-            assert_bitwise_equal(
-                scheduler.result(handle), serial_oracle[(target, top_k)]
-            )
-
-    @settings(
-        max_examples=6,
-        deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
-    @given(
-        mix=requests_strategy,
-        backend=st.sampled_from(["serial", "thread:2", "thread:4"]),
-    )
-    def test_equivalence_across_executor_backends(
-        self, artifacts, serial_oracle, mix, backend
-    ):
-        scheduler = EpochScheduler.for_artifacts(
-            artifacts,
-            config=SchedulerConfig(max_concurrent=4, epoch_budget=6,
-                                   max_queue=len(mix)),
-            parallel=backend,
         )
         handles = [
             scheduler.submit(target, top_k=top_k) for target, top_k in mix

@@ -1,9 +1,9 @@
 """Scheduler-level tests for fused (stacked-kernel) round training.
 
-The contract under test: whatever ``fused_training`` is set to, and
-whatever executor backend runs the round, the scheduler's answers —
-selected models, curves, epoch accounting — are bitwise-identical to
-recall plus the blocking stage loop of ``oracles.serial_stage_loop``.  Fusion may only change *speed*, observable
+The contract under test: whatever ``fused_training`` is set to, the
+scheduler's answers — selected models, curves, epoch accounting — are
+bitwise-identical to recall plus the blocking stage loop of
+``oracles.serial_stage_loop``.  Fusion may only change *speed*, observable
 through the ``stats()["train"]`` counters.
 """
 
@@ -42,7 +42,7 @@ def serial_answers(artifacts):
     }
 
 
-def run_scheduler(artifacts, *, fused, parallel=None, **overrides):
+def run_scheduler(artifacts, *, fused, **overrides):
     config = SchedulerConfig(
         max_concurrent=4,
         epoch_budget=4,
@@ -50,9 +50,7 @@ def run_scheduler(artifacts, *, fused, parallel=None, **overrides):
         fused_training=fused,
         **overrides,
     )
-    scheduler = EpochScheduler.for_artifacts(
-        artifacts, config=config, parallel=parallel
-    )
+    scheduler = EpochScheduler.for_artifacts(artifacts, config=config)
     scheduler.start()
     try:
         requests = {name: scheduler.submit(name) for name in TARGETS}
@@ -87,13 +85,8 @@ class TestFusedConfig:
 
 
 class TestFusedRounds:
-    @pytest.mark.parametrize("backend", [None, "thread", "process"])
-    def test_results_identical_to_serial_selector(
-        self, artifacts, serial_results, backend
-    ):
-        fused_results, fused_stats = run_scheduler(
-            artifacts, fused=True, parallel=backend
-        )
+    def test_results_identical_to_serial_selector(self, artifacts, serial_results):
+        fused_results, fused_stats = run_scheduler(artifacts, fused=True)
         for name in TARGETS:
             assert_identical(fused_results[name], serial_results[name])
         train = fused_stats["train"]

@@ -86,14 +86,6 @@ class TestAdvance:
         assert b.entry.session.curve.val_accuracy == private.curve.val_accuracy
         assert b.entry.session.curve.test_accuracy == private.curve.test_accuracy
 
-    def test_adopt_behind_pooled_session_raises(self, pool, model, task, fine_tuner):
-        view = pool.acquire(model, task, version_key="v0")
-        pool.advance(view, 2)
-        stale = fine_tuner.start_session(model, task)
-        stale.train_epochs(1)
-        with pytest.raises(SelectionError, match="behind the pooled one"):
-            view.entry.adopt(stale)
-
 
 class TestEviction:
     def test_evict_version_drops_idle_entries(self, pool, model, task):

@@ -1,6 +1,8 @@
 """Tests for repro.zoo.models.PretrainedModel."""
 
 import functools
+import pickle
+import threading
 import zlib
 
 import numpy as np
@@ -86,6 +88,31 @@ class TestSourceHead:
     def test_source_head_is_cached(self, nlp_hub_small):
         model = nlp_hub_small.get("bert-base-uncased")
         assert model.source_head() is model.source_head()
+
+    def test_concurrent_source_head_trains_once(self, nlp_suite_small):
+        """Lazy source-head training is lock-guarded: racing threads all get
+        the same head object (weights independent of interleaving)."""
+        model = ModelHub(nlp_suite_small, seed=0).get("bert-base-uncased")
+        barrier = threading.Barrier(4, timeout=10)
+        heads = []
+
+        def grab():
+            barrier.wait()
+            heads.append(model.source_head())
+
+        threads = [threading.Thread(target=grab) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert len(heads) == 4
+        assert all(head is heads[0] for head in heads)
+
+    def test_model_with_trained_head_pickles(self, nlp_suite_small):
+        model = ModelHub(nlp_suite_small, seed=0).get("roberta-base")
+        model.source_head()
+        clone = pickle.loads(pickle.dumps(model))
+        assert clone.source_head() is clone._source_head
 
 
 class TestTransferStructure:

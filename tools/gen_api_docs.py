@@ -1,7 +1,7 @@
 """Generate the markdown API reference under ``docs/api/``.
 
 ``make docs-api`` renders the public docstrings of the library's packages
-(core, cluster, metrics, zoo, cache, parallel, store, service) into one
+listed in ``DOCUMENTED`` into one
 markdown page per package plus an index.  The output is deterministic
 (sorted modules, sorted symbols, docstrings taken verbatim), so the pages
 are committed and CI verifies they are current with ``make docs-api-check``
@@ -35,7 +35,6 @@ DOCUMENTED = [
     ("repro.nn", "NumPy neural substrate and stacked (fused) kernels"),
     ("repro.zoo", "Simulated checkpoint repository"),
     ("repro.cache", "Content-hash artifact cache"),
-    ("repro.parallel", "Executor subsystem"),
     ("repro.sched", "Epoch-granular online scheduler"),
     ("repro.persist", "Crash-safe plan journals and session snapshots"),
     ("repro.store", "Memory-mapped matrix store"),
