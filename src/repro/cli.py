@@ -121,19 +121,6 @@ def _build_service(args: argparse.Namespace):
     )
 
 
-def _build_hub(args: argparse.Namespace):
-    """Workload suite + (optionally truncated) hub from the common flags."""
-    from repro.data.workloads import DataScale, suite_for_modality
-    from repro.zoo.hub import ModelHub
-
-    data_scale = DataScale.default() if args.scale == "full" else DataScale.small()
-    suite = suite_for_modality(args.modality, seed=args.seed, scale=data_scale)
-    hub = ModelHub(suite, seed=args.seed)
-    if args.num_models is not None:
-        hub = hub.subset(hub.model_names[: args.num_models])
-    return suite, hub
-
-
 # JSON payload helpers are shared with the serve front-end.
 _result_payload = result_payload
 
@@ -284,25 +271,7 @@ def _cmd_serve(args: argparse.Namespace, stream) -> int:
         banner["store_dir"] = args.store_dir
         banner["recovered"] = front.recovered_count
         banner["store"] = store_summary(service._persist)
-    if args.port is not None:
-        server = front.serve_tcp(args.host, args.port)
-        banner["port"] = server.server_address[1]
-        json.dump(banner, stream)
-        print(file=stream, flush=True)
-        try:
-            server.serve_forever()
-        except KeyboardInterrupt:
-            pass
-        finally:
-            server.shutdown()
-            server.server_close()
-            service.close()
-        return 0
-    json.dump(banner, stream)
-    print(file=stream, flush=True)
-    code = front.serve_stream(sys.stdin, stream)
-    service.close()
-    return code
+    return _serve_front(front, banner, args, stream, cleanup=service.close)
 
 
 def _cmd_serve_routed(args: argparse.Namespace, stream) -> int:
@@ -381,11 +350,31 @@ def _cmd_serve_routed(args: argparse.Namespace, stream) -> int:
     except ValueError:
         pass  # not the main thread (in-process tests); watchdog covers us
 
-    if args.port is not None:
-        server = front.serve_tcp(args.host, args.port)
-        banner["port"] = server.server_address[1]
+    def cleanup() -> None:
+        front.close()
+        supervisor.stop()
+
+    return _serve_front(front, banner, args, stream, cleanup=cleanup)
+
+
+def _serve_front(front, banner: Dict[str, object], args: argparse.Namespace,
+                 stream, *, cleanup) -> int:
+    """Print the banner, serve TCP (``--port``) or stdin, then ``cleanup()``.
+
+    The banner is the first line on ``stream``; in TCP mode it carries the
+    bound port.  Stdin is read as bytes, decoded by the front end's line
+    loop exactly like a socket's.
+    """
+    try:
+        server = None
+        if args.port is not None:
+            server = front.serve_tcp(args.host, args.port)
+            banner["port"] = server.server_address[1]
         json.dump(banner, stream)
         print(file=stream, flush=True)
+        if server is None:
+            return front.serve_stream(getattr(sys.stdin, "buffer", sys.stdin),
+                                      stream)
         try:
             server.serve_forever()
         except KeyboardInterrupt:
@@ -393,17 +382,9 @@ def _cmd_serve_routed(args: argparse.Namespace, stream) -> int:
         finally:
             server.shutdown()
             server.server_close()
-            front.close()
-            supervisor.stop()
         return 0
-    json.dump(banner, stream)
-    print(file=stream, flush=True)
-    try:
-        code = front.serve_stream(sys.stdin, stream)
     finally:
-        front.close()
-        supervisor.stop()
-    return code
+        cleanup()
 
 
 def _cmd_zoo(args: argparse.Namespace, stream) -> int:
@@ -486,8 +467,10 @@ def _cmd_zoo_build(args: argparse.Namespace, stream) -> int:
 
     from repro.core.config import PipelineConfig, SimilarityConfig
     from repro.core.pipeline import OfflineArtifacts
+    from repro.service import modality_hub
 
-    suite, hub = _build_hub(args)
+    suite, hub = modality_hub(args.modality, scale=args.scale, seed=args.seed,
+                              num_models=args.num_models)
     defaults = SimilarityConfig()
     similarity = SimilarityConfig(
         max_bytes_in_flight=(

@@ -1,9 +1,9 @@
 """Consistent-hash router: one serve endpoint over N worker processes.
 
-:class:`RouterFrontEnd` speaks the exact JSON-lines serve protocol of
-:class:`repro.serving.ServeFrontEnd` — same ops, same event shapes, same
-structured error objects — so clients cannot tell ``--workers 8`` from a
-single process.  Behind the protocol it:
+:class:`RouterFrontEnd` is the second set of op handlers over the serve
+transport (:class:`repro.serving.JsonLinesFrontEnd`) — same ops, same
+event shapes, same structured error objects — so clients cannot tell
+``--workers 8`` from a single process.  Behind the protocol it:
 
 * **routes** every ``select`` by consistent-hashing the request's
   session-key prefix (:func:`repro.distrib.ring.route_key`) onto one
@@ -33,18 +33,22 @@ Topology, tuning and failure semantics are documented in
 
 from __future__ import annotations
 
-import json
 import logging
-import socketserver
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, TextIO, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.distrib.ring import HashRing, route_key
 from repro.distrib.supervisor import WorkerSupervisor
 from repro.distrib.wire import JsonLinesConnection
-from repro.serving import SocketLineWriter, error_payload
+from repro.serving import (
+    ClientStream,
+    JsonLinesFrontEnd,
+    echo_id,
+    error_payload,
+    select_field_error,
+)
 from repro.utils.exceptions import (
     BudgetExhaustedError,
     InternalError,
@@ -60,7 +64,7 @@ logger = logging.getLogger(__name__)
 _DRAIN_POLL = 0.05
 
 #: Seconds a drain waits per outstanding request before abandoning it
-#: (mirrors the single-process emitter's per-handle drain timeout).
+#: (the single-process emitter's per-handle drain timeout too).
 _DRAIN_TIMEOUT = 60.0
 
 
@@ -253,35 +257,24 @@ class _Collector:
         self.add(worker, None)
 
 
-class _RouterSession:
+class _RouterSession(ClientStream):
     """One connected client stream: its writer and id namespace."""
 
     def __init__(self, index: int, out) -> None:
+        super().__init__(out)
         self.index = index
-        self._out = out
-        self._write_lock = threading.Lock()
         #: client id -> (worker, wire id) of live requests (pruned on
-        #: terminal events, mirroring the single-process emitter).
+        #: terminal events, as the single-process emitter prunes).
         self.by_client: Dict[object, Tuple[str, str]] = {}
         #: (worker, wire id) -> client id, retained until the session
         #: closes so late worker replies can still be rewritten.
         self.wire_to_client: Dict[Tuple[str, str], object] = {}
-        self.shutdown_requested = False
-        self.closed = False
-
-    def emit(self, payload: Dict[str, object]) -> None:
-        try:
-            with self._write_lock:
-                self._out.write(json.dumps(payload) + "\n")
-                self._out.flush()
-        except (OSError, ValueError):
-            self.closed = True  # client gone; later events are dropped
 
 
 # --------------------------------------------------------------------------- #
 # the router front end
 # --------------------------------------------------------------------------- #
-class RouterFrontEnd:
+class RouterFrontEnd(JsonLinesFrontEnd):
     """Protocol-transparent consistent-hash router over a worker fleet."""
 
     def __init__(
@@ -609,71 +602,41 @@ class RouterFrontEnd:
                 session.emit(payload)
 
     # ------------------------------------------------------------------ #
-    # protocol dispatch (mirrors ServeFrontEnd.handle_line)
+    # ops
     # ------------------------------------------------------------------ #
     def handle_line(
         self, line: str, session: _RouterSession
     ) -> Optional[Dict[str, object]]:
-        try:
-            message = json.loads(line)
-        except json.JSONDecodeError as error:
-            return {"event": "error", "message": f"malformed JSON: {error}"}
-        if not isinstance(message, dict):
-            return {"event": "error", "message": "expected a JSON object"}
-        op = message.get("op")
-        request_id = message.get("id")
-        try:
-            if op == "select":
-                return self._handle_select(message, session)
-            if op == "poll":
-                return self._handle_poll(message, session)
-            if op == "resume":
-                return self._handle_resume(message, session)
-            if op == "stats":
-                return self._handle_stats(message, session)
-            if op == "refresh":
-                return self._handle_refresh(message, session)
-            if op == "ping":
-                payload = {
-                    "event": "pong",
-                    "workers": len(self._supervisor.workers()),
-                    "sessions": len(self._sessions),
-                }
-                if request_id is not None:
-                    payload["id"] = request_id
-                return payload
-            if op == "shutdown":
-                session.shutdown_requested = True
-                payload = {"event": "shutting_down"}
-                if request_id is not None:
-                    payload["id"] = request_id
-                return payload
-            return {"event": "error", "id": request_id,
-                    "message": f"unknown op {op!r}"}
-        except ReproError as error:
-            payload = {"event": "failed", **error_payload(error)}
-            if request_id is not None:
-                payload["id"] = request_id
-            return payload
+        """Dispatch one protocol line; return the immediate response (if any)."""
+        return self._dispatch_line(line, session)
+
+    def _op_ping(self, message, session) -> Dict[str, object]:
+        return {
+            "event": "pong",
+            "workers": len(self._supervisor.workers()),
+            "sessions": len(self._sessions),
+        }
 
     def _next_wire_id(self, session: _RouterSession, *, prefix: str = "") -> str:
         with self._lock:
             self._wire_seq += 1
             return f"c{session.index}-{prefix}{self._wire_seq}"
 
-    def _handle_select(self, message, session) -> Optional[Dict[str, object]]:
-        target = message.get("target")
-        if not isinstance(target, str) or not target:
-            return {"event": "error", "id": message.get("id"),
-                    "message": "select needs a 'target' string"}
+    def _op_select(self, message, session) -> Optional[Dict[str, object]]:
+        problem = select_field_error(message)
+        if problem is not None:
+            return {"event": "error", "id": message.get("id"), "message": problem}
+        target = message["target"]
         tenant = message.get("tenant")
         tenant = tenant if isinstance(tenant, str) and tenant else "default"
+        # Everything that can raise runs before admission: a slot taken
+        # here is released only through the route registered below.
+        worker = self._ring.lookup(route_key(self._version_key, target))
         self._admission.admit(tenant)  # raises -> structured failed event
         wire_id = self._next_wire_id(session)
         client_id = message.get("id")
         if client_id is None:
             client_id = f"req-{wire_id}"
-        worker = self._ring.lookup(route_key(self._version_key, target))
         forwarded = dict(message)
         forwarded["id"] = wire_id
         forwarded.pop("tenant", None)
@@ -694,7 +657,7 @@ class RouterFrontEnd:
             pass  # the relay's EOF recovery owns resubmission
         return None  # the worker's accepted event answers asynchronously
 
-    def _handle_poll(self, message, session) -> Optional[Dict[str, object]]:
+    def _op_poll(self, message, session) -> Optional[Dict[str, object]]:
         request_id = message.get("id")
         with self._lock:
             entry = session.by_client.get(request_id)
@@ -740,7 +703,7 @@ class RouterFrontEnd:
             except (ReproError, OSError):
                 collector.fail(name)
 
-    def _handle_resume(self, message, session) -> None:
+    def _op_resume(self, message, session) -> None:
         self._adopt_parked(session)  # startup recoveries join this stream
         request_id = message.get("id")
 
@@ -755,17 +718,14 @@ class RouterFrontEnd:
                     worker_rid = str(entry.get("id"))
                     route = self._register_recovered(worker, worker_rid, session)
                     requests.append({**entry, "id": route.client_id})
-            payload: Dict[str, object] = {
+            session.emit(echo_id({
                 "event": "recovered", "count": count, "requests": requests,
-            }
-            if request_id is not None:
-                payload["id"] = request_id
-            session.emit(payload)
+            }, request_id))
 
         self._broadcast({"op": "resume"}, merged)
         return None
 
-    def _handle_stats(self, message, session) -> None:
+    def _op_stats(self, message, session) -> None:
         request_id = message.get("id")
 
         def merged(replies) -> None:
@@ -776,15 +736,12 @@ class RouterFrontEnd:
                     for worker, reply in sorted(replies.items())
                 },
             }
-            payload: Dict[str, object] = {"event": "stats", "stats": stats}
-            if request_id is not None:
-                payload["id"] = request_id
-            session.emit(payload)
+            session.emit(echo_id({"event": "stats", "stats": stats}, request_id))
 
         self._broadcast({"op": "stats"}, merged)
         return None
 
-    def _handle_refresh(self, message, session) -> Optional[Dict[str, object]]:
+    def _op_refresh(self, message, session) -> Optional[Dict[str, object]]:
         """Zero-downtime zoo refresh: apply worker by worker, then cut
         routing over to the new version for subsequent admissions."""
         added = message.get("added") or []
@@ -829,7 +786,7 @@ class RouterFrontEnd:
                         "message": f"workers diverged on refresh: {sorted(versions)}"}
             old_version, self._version_key = self._version_key, versions.pop()
         first = next(iter(replies.values()))
-        payload: Dict[str, object] = {
+        return {
             "event": "refreshed",
             "zoo_version": self._version_key,
             "old_version": old_version,
@@ -838,14 +795,11 @@ class RouterFrontEnd:
             "reclustered": first.get("reclustered"),
             "workers": len(replies),
         }
-        if request_id is not None:
-            payload["id"] = request_id
-        return payload
 
     # ------------------------------------------------------------------ #
-    # session lifecycle
+    # stream hooks
     # ------------------------------------------------------------------ #
-    def _attach_session(self, out) -> _RouterSession:
+    def _attach(self, out) -> _RouterSession:
         with self._lock:
             index = self._session_seq
             self._session_seq += 1
@@ -857,7 +811,7 @@ class RouterFrontEnd:
         self._adopt_parked(session)
         return session
 
-    def _drain_session(self, session: _RouterSession) -> None:
+    def _drain(self, session: _RouterSession) -> None:
         """Wait out the session's in-flight requests, then abandon
         stragglers with the same ShutdownTimeout failure a single
         process emits."""
@@ -892,7 +846,7 @@ class RouterFrontEnd:
                 payload["target"] = route.target
             self._deliver(route, payload)
 
-    def _detach_session(self, session: _RouterSession) -> None:
+    def _detach(self, session: _RouterSession) -> None:
         with self._lock:
             session.closed = True
             self._sessions.pop(session.index, None)
@@ -907,62 +861,6 @@ class RouterFrontEnd:
                 self._routes.pop((route.worker, route.wire_id), None)
             if route.tenant is not None:
                 self._admission.release(route.tenant)
-
-    # ------------------------------------------------------------------ #
-    # serving
-    # ------------------------------------------------------------------ #
-    def serve_stream(self, lines, out: TextIO) -> int:
-        """Serve line-delimited JSON requests until EOF/shutdown."""
-        session = self._attach_session(out)
-        try:
-            for line in lines:
-                line = line.strip()
-                if not line:
-                    continue
-                response = self.handle_line(line, session)
-                if response is not None:
-                    session.emit(response)
-                if session.shutdown_requested:
-                    break
-            self._drain_session(session)
-        finally:
-            self._detach_session(session)
-        return 0
-
-    def serve_tcp(self, host: str, port: int):
-        """Threading TCP server speaking the same line protocol.
-
-        Same contract as :meth:`ServeFrontEnd.serve_tcp`: the caller owns
-        the returned server's lifecycle and reads the bound port off
-        ``server.server_address``.
-        """
-        front = self
-
-        class Handler(socketserver.StreamRequestHandler):
-            disable_nagle_algorithm = True  # see ServeFrontEnd.serve_tcp
-
-            def handle(self) -> None:
-                out = SocketLineWriter(self.wfile)
-                session = front._attach_session(out)
-                try:
-                    for raw in self.rfile:
-                        line = raw.decode("utf-8").strip()
-                        if not line:
-                            continue
-                        response = front.handle_line(line, session)
-                        if response is not None:
-                            session.emit(response)
-                        if session.shutdown_requested:
-                            break
-                    front._drain_session(session)
-                finally:
-                    front._detach_session(session)
-
-        class Server(socketserver.ThreadingTCPServer):
-            allow_reuse_address = True
-            daemon_threads = True
-
-        return Server((host, port), Handler)
 
     def close(self) -> None:
         """Stop relaying (the owner stops the supervisor itself)."""

@@ -175,10 +175,6 @@ class ExperimentContext:
             self._target_truth = truth
         return self._target_truth
 
-    def target_accuracy(self, target_name: str, model_name: str) -> float:
-        """Ground-truth final test accuracy of ``model_name`` on ``target_name``."""
-        return self.target_ground_truth()[target_name][model_name].final_test
-
     def best_target_model(self, target_name: str) -> Tuple[str, float]:
         """Ground-truth best model and accuracy on ``target_name``."""
         curves = self.target_ground_truth()[target_name]

@@ -97,16 +97,6 @@ class PlanStore:
         """Every journal file currently in the store (sorted for determinism)."""
         return sorted(self.journals_dir.glob("*.jsonl"))
 
-    def drop_journal(self, plan_key: str) -> bool:
-        """Delete one journal (cache and file); returns whether it existed."""
-        with self._lock:
-            self._journals.pop(plan_key, None)
-        path = self.journal_path(plan_key)
-        if path.exists():
-            path.unlink(missing_ok=True)
-            return True
-        return False
-
     # ------------------------------------------------------------------ #
     # session snapshots
     # ------------------------------------------------------------------ #
@@ -155,10 +145,6 @@ class PlanStore:
                 published, session.epochs_trained
             )
         return session
-
-    def session_keys_on_disk(self) -> List[str]:
-        """Sanitised session-key stems of every stored snapshot (sorted)."""
-        return sorted(path.stem for path in self.sessions_dir.glob("*.pkl"))
 
     # ------------------------------------------------------------------ #
     # maintenance

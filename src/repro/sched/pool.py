@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from repro.cache import fingerprint_model, fingerprint_task, session_key
 from repro.core.plan import SessionView
@@ -230,11 +230,6 @@ class SessionPool:
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
-
-    def checkpoint_keys(self) -> List[str]:
-        """Epoch-qualified keys of every pooled checkpoint (for debugging)."""
-        with self._lock:
-            return [entry.checkpoint_key() for entry in self._entries.values()]
 
     def stats(self) -> Dict[str, int]:
         """Hit/miss/reuse counters of the pool.

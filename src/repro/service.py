@@ -72,6 +72,28 @@ from repro.zoo.hub import ModelHub
 TargetLike = Union[str, ClassificationTask]
 
 
+def modality_hub(
+    modality: str,
+    *,
+    scale: str = "full",
+    seed: int = 0,
+    num_models: Optional[int] = None,
+):
+    """Workload suite and model hub of ``modality``, as ``(suite, hub)``.
+
+    ``scale`` is ``"full"`` (paper-sized datasets) or ``"small"`` (fast
+    smoke runs); ``num_models`` keeps the first models of the catalogue.
+    """
+    if scale not in ("full", "small"):
+        raise ConfigurationError("scale must be 'full' or 'small'")
+    data_scale = DataScale.default() if scale == "full" else DataScale.small()
+    suite = suite_for_modality(modality, seed=seed, scale=data_scale)
+    hub = ModelHub(suite, seed=seed)
+    if num_models is not None:
+        hub = hub.subset(hub.model_names[:num_models])
+    return suite, hub
+
+
 class SelectionService:
     """Answer many selection requests off one warm set of offline artifacts.
 
@@ -179,18 +201,11 @@ class SelectionService:
         store_dir: Optional[str] = None,
         extrapolation: Optional[ExtrapolationConfig] = None,
     ) -> "SelectionService":
-        """Build the simulated repository for ``modality`` and serve it.
-
-        ``scale`` is ``"full"`` (paper-sized datasets) or ``"small"`` (fast
-        smoke runs); ``num_models`` optionally truncates the catalogue.
-        """
-        if scale not in ("full", "small"):
-            raise ConfigurationError("scale must be 'full' or 'small'")
-        data_scale = DataScale.default() if scale == "full" else DataScale.small()
-        suite = suite_for_modality(modality, seed=seed, scale=data_scale)
-        hub = ModelHub(suite, seed=seed)
-        if num_models is not None:
-            hub = hub.subset(hub.model_names[:num_models])
+        """Build the simulated repository for ``modality`` and serve it
+        (``scale`` and ``num_models`` as in :func:`modality_hub`)."""
+        suite, hub = modality_hub(
+            modality, scale=scale, seed=seed, num_models=num_models
+        )
         config = config or PipelineConfig.for_modality(modality)
         return cls.from_hub(
             hub, suite, config=config, scheduler=scheduler, seed=seed,

@@ -27,8 +27,16 @@ epoch scheduler.  One request or response per line:
 Responses echo the client-chosen ``id``.  Admission failures surface as
 ``failed`` events with the same structured error object the CLI's
 ``select``/``batch`` commands emit on budget exhaustion (see
-:func:`error_payload`).  The protocol, fairness policies and tuning knobs
-are documented in ``docs/serving.md``.
+:func:`error_payload`); a handler that raises anything else answers a
+``failed`` event with code ``internal`` and the stream goes on.  The
+protocol, fairness policies and tuning knobs are documented in
+``docs/serving.md``.
+
+:class:`JsonLinesFrontEnd` is the transport — line loop, TCP server,
+parse, dispatch, id echo — and :class:`ServeFrontEnd` the op handlers of
+one process; the routed tier's
+:class:`~repro.distrib.router.RouterFrontEnd` is the other set of
+handlers over the same transport.
 """
 
 from __future__ import annotations
@@ -41,7 +49,7 @@ import threading
 from typing import Dict, Optional, TextIO
 
 from repro.core.results import TwoPhaseResult
-from repro.utils.exceptions import ReproError
+from repro.utils.exceptions import InternalError, ReproError
 
 logger = logging.getLogger(__name__)
 
@@ -92,13 +100,177 @@ def error_payload(error: Exception) -> Dict[str, object]:
     }
 
 
-class ServeFrontEnd:
-    """Line-oriented JSON protocol over one :class:`SelectionService`.
+def echo_id(payload: Dict, request_id) -> Dict:
+    """``payload`` carrying the client's correlation id, when it sent one."""
+    if request_id is not None:
+        payload.setdefault("id", request_id)
+    return payload
+
+
+#: Numeric ``select`` fields and the JSON number type each must have.
+_SELECT_NUMBERS = (
+    ("top_k", int), ("total_epochs", int), ("raise_budget", int),
+    ("timeout", (int, float)), ("epoch_quota", (int, float)),
+)
+
+
+def select_field_error(message: Dict) -> Optional[str]:
+    """Why a ``select``'s fields are unusable (``None`` if fine).
+
+    Checked at ingress, before admission, so a wrongly typed field is an
+    ``error`` reply on either tier instead of an exception deep in the
+    scheduler.  A target with a lone surrogate (a ``\\ud800`` JSON
+    escape) cannot be encoded for hashing or the journal, so it is
+    rejected here too.
+    """
+    target = message.get("target")
+    if not isinstance(target, str) or not target:
+        return "select needs a 'target' string"
+    try:
+        target.encode("utf-8")
+    except UnicodeEncodeError:
+        return f"select needs a UTF-8 'target' string, got {target!r}"
+    for field, kinds in _SELECT_NUMBERS:
+        value = message.get(field)
+        if value is not None and (
+            isinstance(value, bool) or not isinstance(value, kinds)
+        ):
+            kind = "an integer" if kinds is int else "a number"
+            return f"select needs {kind} {field!r}, got {value!r}"
+    return None
+
+
+class ClientStream:
+    """One connected client: serialised event lines and the shutdown flag.
+
+    Writes from the request thread and from asynchronous deliverers share
+    one lock, so lines never interleave.  A failed write marks the stream
+    closed and drops the event: the client is gone.
+    """
+
+    def __init__(self, out) -> None:
+        self._out = out
+        self._write_lock = threading.Lock()
+        self.shutdown_requested = False
+        self.closed = False
+
+    def emit(self, payload: Dict) -> None:
+        try:
+            with self._write_lock:
+                self._out.write(json.dumps(payload) + "\n")
+                self._out.flush()
+        except (OSError, ValueError):
+            self.closed = True
+            logger.debug("event stream closed", exc_info=True)
+
+
+class JsonLinesFrontEnd:
+    """The serve protocol's transport, shared by both deployment shapes.
+
+    One line loop (stdin or a TCP connection), one JSON parse and op
+    dispatch, one correlation-id echo and one error mapping.  A front end
+    supplies a ``_op_<name>(message, stream)`` handler per op in
+    :data:`OPS` and three stream hooks: ``_attach(out)`` returns the
+    per-client stream state, ``_drain(stream)`` waits out its requests at
+    EOF or ``shutdown``, and ``_detach(stream)`` releases it.  Each front
+    end also defines its own ``handle_line(line, stream)``, which the loop
+    calls and which only delegates to :meth:`_dispatch_line`: a per-class
+    entry point that a tracer can wrap for one shape without the other.
+    """
+
+    OPS = ("select", "poll", "resume", "ping", "refresh", "stats", "shutdown")
+
+    def _dispatch_line(self, line: str, stream) -> Optional[Dict]:
+        try:
+            message = json.loads(line)
+        except json.JSONDecodeError as error:
+            return {"event": "error", "message": f"malformed JSON: {error}"}
+        if not isinstance(message, dict):
+            return {"event": "error", "message": "expected a JSON object"}
+        op = message.get("op")
+        request_id = message.get("id")
+        if op not in self.OPS:
+            return {"event": "error", "id": request_id,
+                    "message": f"unknown op {op!r}"}
+        try:
+            payload = getattr(self, f"_op_{op}")(message, stream)
+        except ReproError as error:
+            payload = {"event": "failed", **error_payload(error)}
+        except Exception as error:  # noqa: BLE001 — a stream must outlive a bug
+            logger.exception("op %r (id %r) raised", op, request_id)
+            payload = {"event": "failed", **error_payload(
+                InternalError(f"internal: op {op!r} failed: {error!r}")
+            )}
+        return echo_id(payload, request_id) if payload is not None else None
+
+    def _op_shutdown(self, message: Dict, stream) -> Dict:
+        stream.shutdown_requested = True
+        return {"event": "shutting_down"}
+
+    def serve_stream(self, lines, out: TextIO) -> int:
+        """Serve protocol lines until EOF or a ``shutdown`` op.
+
+        ``lines`` yields ``str`` or ``bytes``; a bytes line that is not
+        UTF-8 gets the ``malformed JSON`` reply and the stream reads on.
+        At EOF or ``shutdown`` the stream's requests are drained before
+        returning; once a write has failed (the client is gone) the loop
+        stops reading and nothing is drained.  Returns a process exit code.
+        """
+        stream = self._attach(out)
+        try:
+            for raw in lines:
+                try:
+                    line = raw.decode("utf-8") if isinstance(raw, bytes) else raw
+                except UnicodeDecodeError as error:
+                    response = {"event": "error",
+                                "message": f"malformed JSON: {error}"}
+                else:
+                    line = line.strip()
+                    if not line:
+                        continue
+                    response = self.handle_line(line, stream)
+                if response is not None:
+                    stream.emit(response)
+                if stream.shutdown_requested or stream.closed:
+                    break
+            if not stream.closed:
+                self._drain(stream)
+        finally:
+            self._detach(stream)
+        return 0
+
+    def serve_tcp(self, host: str, port: int):
+        """Bind a threading TCP server; each connection is one stream.
+
+        Returns the unstarted server; callers own its lifecycle
+        (``server.serve_forever()`` / ``server.shutdown()``).  The bound
+        port is ``server.server_address[1]`` (useful with ``port=0``).
+        """
+        front = self
+
+        class Handler(socketserver.StreamRequestHandler):
+            # Every line is a whole message: send it now, not after the
+            # peer's delayed ACK of the previous one.
+            disable_nagle_algorithm = True
+
+            def handle(self) -> None:
+                front.serve_stream(self.rfile, _SocketLineWriter(self.wfile))
+
+        class Server(socketserver.ThreadingTCPServer):
+            allow_reuse_address = True
+            daemon_threads = True
+
+        return Server((host, port), Handler)
+
+
+class ServeFrontEnd(JsonLinesFrontEnd):
+    """The serve protocol over one :class:`SelectionService`.
 
     One front end serves any number of streams/connections; submissions
     from all of them multiplex onto the service's single epoch scheduler,
     which is the point — concurrent clients share the training budget and
-    session pool.
+    session pool.  Each stream's events leave through its own emitter
+    thread (:class:`_EventEmitter`).
     """
 
     def __init__(
@@ -129,83 +301,32 @@ class ServeFrontEnd:
             return len(self._startup_recovered)
 
     # ------------------------------------------------------------------ #
-    # stdin/stdout mode
+    # stream hooks
     # ------------------------------------------------------------------ #
-    def serve_stream(self, lines, out: TextIO) -> int:
-        """Serve line-delimited JSON requests from ``lines`` until EOF/shutdown.
-
-        Events for in-flight requests are emitted asynchronously between
-        reads; at EOF (or an explicit ``shutdown`` op) outstanding requests
-        are drained before returning.  Returns a process exit code.
-        """
+    def _attach(self, out) -> "_EventEmitter":
         emitter = _EventEmitter(out)
         emitter.start()
         self._adopt_recovered(emitter)
-        try:
-            for line in lines:
-                line = line.strip()
-                if not line:
-                    continue
-                response = self.handle_line(line, emitter)
-                if response is not None:
-                    emitter.emit(response)
-                if emitter.shutdown_requested:
-                    break
-        finally:
-            emitter.drain_and_stop()
-        return 0
+        return emitter
 
+    def _drain(self, emitter: "_EventEmitter") -> None:
+        emitter.drain()
+
+    def _detach(self, emitter: "_EventEmitter") -> None:
+        emitter.stop()
+
+    # ------------------------------------------------------------------ #
+    # ops
+    # ------------------------------------------------------------------ #
     def handle_line(self, line: str, emitter: "_EventEmitter") -> Optional[Dict]:
         """Dispatch one protocol line; return the immediate response (if any)."""
-        try:
-            message = json.loads(line)
-        except json.JSONDecodeError as error:
-            return {"event": "error", "message": f"malformed JSON: {error}"}
-        if not isinstance(message, dict):
-            return {"event": "error", "message": "expected a JSON object"}
-        op = message.get("op")
-        request_id = message.get("id")
-        try:
-            if op == "select":
-                return self._handle_select(message, emitter)
-            if op == "poll":
-                return self._handle_poll(message, emitter)
-            if op == "resume":
-                return self._handle_resume(request_id, emitter)
-            if op == "ping":
-                # Cheap liveness probe: answered from the scheduler's lock
-                # without touching artifacts — heartbeat traffic must stay
-                # O(1) however loaded the service is.
-                payload = {"event": "pong", **self.service.load()}
-                if request_id is not None:
-                    payload["id"] = request_id
-                return payload
-            if op == "refresh":
-                return self._handle_refresh(message)
-            if op == "stats":
-                payload = {"event": "stats", "stats": self.service.stats()}
-                if request_id is not None:
-                    payload["id"] = request_id
-                return payload
-            if op == "shutdown":
-                emitter.shutdown_requested = True
-                payload = {"event": "shutting_down"}
-                if request_id is not None:
-                    payload["id"] = request_id
-                return payload
-            return {"event": "error", "id": request_id,
-                    "message": f"unknown op {op!r}"}
-        except ReproError as error:
-            payload = {"event": "failed", **error_payload(error)}
-            if request_id is not None:
-                payload["id"] = request_id
-            return payload
+        return self._dispatch_line(line, emitter)
 
-    def _handle_select(self, message: Dict, emitter: "_EventEmitter") -> Optional[Dict]:
-        target = message.get("target")
-        if not isinstance(target, str) or not target:
-            return {"event": "error", "id": message.get("id"),
-                    "message": "select needs a 'target' string"}
+    def _op_select(self, message: Dict, emitter: "_EventEmitter") -> Optional[Dict]:
+        problem = select_field_error(message)
+        if problem is not None:
+            return {"event": "error", "id": message.get("id"), "message": problem}
+        target = message["target"]
         total_epochs = message.get("total_epochs", message.get("raise_budget"))
         # Per-request speculative mode: "exact" wins over "extrapolate";
         # absent both, the service default applies.
@@ -230,7 +351,7 @@ class ServeFrontEnd:
         emitter.track(request_id, handle)
         return None
 
-    def _handle_poll(self, message: Dict, emitter: "_EventEmitter") -> Dict:
+    def _op_poll(self, message: Dict, emitter: "_EventEmitter") -> Dict:
         request_id = message.get("id")
         handle = emitter.tracked(request_id)
         if handle is None:
@@ -242,7 +363,16 @@ class ServeFrontEnd:
         snapshot["request"] = snapshot.pop("id", None)
         return {"event": "status", "id": request_id, **snapshot}
 
-    def _handle_refresh(self, message: Dict) -> Dict:
+    def _op_ping(self, message: Dict, emitter: "_EventEmitter") -> Dict:
+        # Cheap liveness probe: answered from the scheduler's lock without
+        # touching artifacts — heartbeat traffic must stay O(1) however
+        # loaded the service is.
+        return {"event": "pong", **self.service.load()}
+
+    def _op_stats(self, message: Dict, emitter: "_EventEmitter") -> Dict:
+        return {"event": "stats", "stats": self.service.stats()}
+
+    def _op_refresh(self, message: Dict, emitter: "_EventEmitter") -> Dict:
         """Apply a zoo update in place: in-flight requests drain on the old
         epoch, later admissions see the new one (``docs/zoo-updates.md``)."""
         added = message.get("added") or []
@@ -251,7 +381,7 @@ class ServeFrontEnd:
             return {"event": "error", "id": message.get("id"),
                     "message": "refresh needs 'added' and/or 'removed' model names"}
         result = self.service.refresh(added=added, removed=removed)
-        payload: Dict[str, object] = {
+        return {
             "event": "refreshed",
             "zoo_version": result.new_version.key,
             "old_version": result.old_version.key,
@@ -259,80 +389,29 @@ class ServeFrontEnd:
             "removed": len(result.removed),
             "reclustered": result.reclustered,
         }
-        if message.get("id") is not None:
-            payload["id"] = message["id"]
-        return payload
 
-    def _handle_resume(self, request_id, emitter: "_EventEmitter") -> None:
+    def _op_resume(self, message: Dict, emitter: "_EventEmitter") -> None:
         """Recover journaled in-flight requests and track them here."""
         self._adopt_recovered(emitter)  # startup recoveries join this stream
         tracked = [
             (f"recovered-{handle.id}", handle) for handle in self.service.recover()
         ]
-        payload: Dict[str, object] = {
+        # As with ``accepted``: the listing precedes the handles' events.
+        emitter.emit(echo_id({
             "event": "recovered",
             "count": len(tracked),
             "requests": [
                 {"id": rid, "target": handle.target_name, "request": handle.id}
                 for rid, handle in tracked
             ],
-        }
-        if request_id is not None:
-            payload["id"] = request_id
-        # As with ``accepted``: the listing precedes the handles' events.
-        emitter.emit(payload)
+        }, message.get("id")))
         for rid, handle in tracked:
             emitter.track(rid, handle)
         return None
 
-    # ------------------------------------------------------------------ #
-    # TCP mode
-    # ------------------------------------------------------------------ #
-    def serve_tcp(self, host: str, port: int):
-        """Bind a threading TCP server speaking the same line protocol.
 
-        Returns the started server; callers own its lifecycle
-        (``server.serve_forever()`` / ``server.shutdown()``).  The bound
-        port is ``server.server_address[1]`` (useful with ``port=0``).
-        """
-        front = self
-
-        class Handler(socketserver.StreamRequestHandler):
-            # Every line is a whole message: send it now, not after the
-            # peer's delayed ACK of the previous one.
-            disable_nagle_algorithm = True
-
-            def handle(self) -> None:
-                out = SocketLineWriter(self.wfile)
-                emitter = _EventEmitter(out)
-                emitter.start()
-                front._adopt_recovered(emitter)
-                try:
-                    for raw in self.rfile:
-                        line = raw.decode("utf-8").strip()
-                        if not line:
-                            continue
-                        response = front.handle_line(line, emitter)
-                        if response is not None:
-                            emitter.emit(response)
-                        if emitter.shutdown_requested:
-                            break
-                finally:
-                    emitter.drain_and_stop()
-
-        class Server(socketserver.ThreadingTCPServer):
-            allow_reuse_address = True
-            daemon_threads = True
-
-        return Server((host, port), Handler)
-
-
-class SocketLineWriter:
-    """Minimal text adapter over a binary socket file.
-
-    Shared with the distributed router (:mod:`repro.distrib.router`), whose
-    TCP handler writes the same line-delimited JSON events.
-    """
+class _SocketLineWriter:
+    """Minimal text adapter over a binary socket file (one TCP stream)."""
 
     def __init__(self, wfile) -> None:
         self._wfile = wfile
@@ -348,7 +427,7 @@ class SocketLineWriter:
 _STOP = object()
 
 
-class _EventEmitter:
+class _EventEmitter(ClientStream):
     """Streams request lifecycle events for one client stream.
 
     Every tracked handle gets a listener (:meth:`SelectionRequest
@@ -357,19 +436,16 @@ class _EventEmitter:
     per notification it emits a ``progress`` event for each newly
     completed stage, and for a terminal request its ``result``/``failed``
     event — so events leave as soon as the scheduler produces them, while
-    socket writes never run on the scheduler's thread.  All writes share
-    one lock so event lines never interleave.
+    socket writes never run on the scheduler's thread.
     """
 
     def __init__(self, out) -> None:
-        self._out = out
-        self._write_lock = threading.Lock()
+        super().__init__(out)
         #: Tracked id -> [handle, stages already reported].
         self._tracked: Dict[object, list] = {}
         self._lock = threading.Lock()
         self._notifications: "queue.SimpleQueue" = queue.SimpleQueue()
         self._thread: Optional[threading.Thread] = None
-        self.shutdown_requested = False
 
     # ------------------------------------------------------------------ #
     def start(self) -> None:
@@ -377,11 +453,6 @@ class _EventEmitter:
             target=self._run, name="repro-serve-emitter", daemon=True
         )
         self._thread.start()
-
-    def emit(self, payload: Dict) -> None:
-        with self._write_lock:
-            self._out.write(json.dumps(payload) + "\n")
-            self._out.flush()
 
     def track(self, request_id, handle) -> None:
         with self._lock:
@@ -403,15 +474,13 @@ class _EventEmitter:
                 return
             try:
                 self._deliver(*item)
-            except (OSError, ValueError):
-                # The client went away mid-write; keep draining so later
-                # notifications (and the stop sentinel) are still consumed.
-                logger.debug("event stream closed", exc_info=True)
+            except Exception:  # noqa: BLE001 — keep draining the queue
+                logger.exception("event delivery for %r failed", item[0])
 
     def _deliver(self, request_id, handle, abandon: bool) -> None:
         """Emit what one notification made new for ``handle``.
 
-        ``abandon`` (from :meth:`drain_and_stop`) ends the request's
+        ``abandon`` (from :meth:`drain`) ends the request's
         stream even though it is still running.
         """
         with self._lock:
@@ -457,8 +526,8 @@ class _EventEmitter:
         payload["latency_seconds"] = handle.latency_seconds()
         return {"event": "result", "id": request_id, **payload}
 
-    def drain_and_stop(self) -> None:
-        """Wait out every tracked request, emit its terminal event, stop."""
+    def drain(self) -> None:
+        """Wait out every tracked request and queue its terminal event."""
         with self._lock:
             pending = [(rid, entry[0]) for rid, entry in self._tracked.items()]
         for request_id, handle in pending:
@@ -466,6 +535,9 @@ class _EventEmitter:
             # terminal call may still be on its way when STOP is queued.
             finished = handle.wait(timeout=60.0)
             self._notifications.put((request_id, handle, not finished))
+
+    def stop(self) -> None:
+        """Emit what is queued, then end the emitter thread."""
         self._notifications.put(_STOP)
         if self._thread is not None:
             self._thread.join(timeout=5.0)

@@ -9,7 +9,7 @@ stream regardless of evaluation order.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -175,8 +175,3 @@ def seeded_standard_normal(seeds: np.ndarray, width: int) -> np.ndarray:
         bit_gen = np.random.PCG64(_FixedState(state))
         out[row] = np.random.Generator(bit_gen).standard_normal(width)
     return out
-
-
-def optional_seed(seed: SeedLike, fallback: Optional[int] = None) -> SeedLike:
-    """Return ``seed`` if given, otherwise ``fallback``."""
-    return fallback if seed is None else seed

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -324,15 +324,3 @@ class FineTuner:
         session = self.start_session(model, task, config=cfg)
         session.train_epochs(epochs if epochs is not None else cfg.epochs)
         return session.curve
-
-    def fine_tune_many(
-        self,
-        models: Sequence[PretrainedModel],
-        task: ClassificationTask,
-        *,
-        epochs: Optional[int] = None,
-    ) -> Dict[str, LearningCurve]:
-        """Fine-tune every model in ``models`` on ``task`` (brute-force helper)."""
-        return {
-            model.name: self.fine_tune(model, task, epochs=epochs) for model in models
-        }

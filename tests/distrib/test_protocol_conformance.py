@@ -6,7 +6,9 @@ over two workers — and every reply is compared: same event names, same
 key shapes, and (for everything deterministic) byte-identical payloads
 once the legitimately-volatile fields (``id``, ``latency_seconds``) are
 stripped.  A client library written against one tier must work, byte for
-byte, against the other.
+byte, against the other.  The scenario includes bad input — a line that
+is not UTF-8 and selects with wrongly typed fields — which both tiers
+answer with the same ``error`` replies on a connection that stays open.
 
 The second half is the headline acceptance check: eight concurrent
 requests sharded over two workers produce results bitwise-identical to
@@ -40,7 +42,24 @@ FULL_PAYLOAD_PROBES = (
     "unknown_op",
     "poll_unknown_id",
     "timeout_failure",
+    "non_utf8_line",
+    "select_non_utf8_target",
+    "select_surrogate_target",
+    "select_bad_top_k",
+    "select_bad_total_epochs",
+    "select_bad_raise_budget",
+    "select_bad_timeout",
+    "select_bad_epoch_quota",
     "shutdown",
+)
+
+#: A select field of the wrong JSON type per probe, answered at ingress.
+BAD_SELECT_FIELDS = (
+    ("top_k", "five"),
+    ("total_epochs", "x"),
+    ("raise_budget", "x"),
+    ("timeout", "soon"),
+    ("epoch_quota", "lots"),
 )
 
 
@@ -63,6 +82,22 @@ def run_scenario(serve: ServeProcess) -> dict:
     serve.send({"op": "select", "target": "boolq", "top_k": 3,
                 "timeout": 0.001, "id": "late"})
     transcript["timeout_failure"] = serve.wait_for("failed", id="late")
+
+    # Ingress errors are replies on a stream that stays open: the probes
+    # after these (stats, ping, shutdown) still get their answers.
+    serve.sock.sendall(b'\xff\xfe{"op": "ping", "id": "raw"}\n')
+    transcript["non_utf8_line"] = serve.wait_for("error")
+    serve.sock.sendall(b'{"op": "select", "target": "mn\xffli", "id": "b8"}\n')
+    transcript["select_non_utf8_target"] = serve.wait_for("error")
+    # A lone-surrogate escape is valid JSON but no UTF-8 string: it must
+    # be refused before the router admits it (a slot taken by a select
+    # that then raised was never given back).
+    serve.send({"op": "select", "target": "\ud800", "id": "sur"})
+    transcript["select_surrogate_target"] = serve.wait_for("error", id="sur")
+    for field, value in BAD_SELECT_FIELDS:
+        rid = f"bad-{field}"
+        serve.send({"op": "select", "target": "mnli", field: value, "id": rid})
+        transcript[f"select_bad_{field}"] = serve.wait_for("error", id=rid)
 
     serve.send({"op": "stats", "id": "st"})
     transcript["stats"] = serve.wait_for("stats", id="st")
@@ -128,6 +163,31 @@ class TestProtocolConformance:
         error = routed["timeout_failure"]["error"]
         assert sorted(error) == ["code", "message", "type"]
         assert error["code"] == "timeout"
+
+    def test_ingress_errors_are_replies(self, routed_transcript):
+        _, routed = routed_transcript
+        assert routed["non_utf8_line"] == {
+            "event": "error",
+            "message": "malformed JSON: 'utf-8' codec can't decode byte 0xff"
+                       " in position 0: invalid start byte",
+        }
+        assert routed["select_non_utf8_target"] == {
+            "event": "error",
+            "message": "malformed JSON: 'utf-8' codec can't decode byte 0xff"
+                       " in position 30: invalid start byte",
+        }
+        assert routed["select_surrogate_target"] == {
+            "event": "error", "id": "sur",
+            "message": "select needs a UTF-8 'target' string, got '\\ud800'",
+        }
+        # Every select of the scenario is terminal by ``stats``, and no
+        # refused one kept an admission slot.
+        assert routed["stats"]["stats"]["router"]["admission"]["inflight"] == 0
+        for field, value in BAD_SELECT_FIELDS:
+            reply = routed[f"select_bad_{field}"]
+            assert reply["id"] == f"bad-{field}"
+            assert repr(field) in reply["message"]
+            assert repr(value) in reply["message"]
 
     def test_aggregated_probes_still_correlate(
         self, single_transcript, routed_transcript

@@ -5,6 +5,7 @@ events; the router's ``_dispatch`` raises on the first.  The relay must
 log it, count it in ``stats()["relay_errors"]`` and go on to dispatch the
 next — no process, no supervisor, no zoo.  When the failed event belongs
 to a client's request, that client gets exactly one ``failed`` event.
+A select that raises before it is routed keeps no admission slot.
 """
 
 import io
@@ -115,7 +116,7 @@ def test_relay_failure_sends_one_failed_event_to_the_client():
 
     router._dispatch = flaky_dispatch
     out = _Lines()
-    session = router._attach_session(out)
+    session = router._attach(out)
     try:
         reply = router.handle_line(
             json.dumps({"op": "select", "id": "job-1", "target": "mnli"}),
@@ -142,6 +143,40 @@ def test_relay_failure_sends_one_failed_event_to_the_client():
         assert stats["relay_errors"] == 1
         assert stats["pending_by_worker"] == {}
         assert stats["admission"]["inflight"] == 0
+    finally:
+        worker.close()
+        relay.join(timeout=10)
+        router.close()
+        listener.close()
+
+
+def test_select_raising_before_routing_keeps_no_admission_slot():
+    listener = socket.create_server(("127.0.0.1", 0))
+    supervisor = _FakeSupervisor(listener.getsockname()[1])
+    accepted = {}
+    accepter = threading.Thread(
+        target=lambda: accepted.setdefault("conn", listener.accept()[0])
+    )
+    accepter.start()
+    router = RouterFrontEnd(supervisor)
+    accepter.join(timeout=10)
+    worker = accepted["conn"]
+    relay = router._links["w0"].thread
+
+    def broken_lookup(key):
+        raise RuntimeError("ring lookup failed")
+
+    router._ring.lookup = broken_lookup
+    session = router._attach(_Lines())
+    try:
+        for index in range(3):
+            reply = router.handle_line(
+                json.dumps({"op": "select", "id": index, "target": "mnli"}),
+                session,
+            )
+            assert reply["event"] == "failed" and reply["id"] == index
+            assert reply["error"]["code"] == "internal"
+        assert router.stats()["admission"]["inflight"] == 0
     finally:
         worker.close()
         relay.join(timeout=10)

@@ -4,6 +4,7 @@ import io
 import json
 import socket
 import threading
+from types import SimpleNamespace
 
 import pytest
 
@@ -126,6 +127,84 @@ class TestServeStdin:
         events = parse_lines(out.getvalue())
         failed = [e for e in events if e["event"] == "failed"]
         assert failed and failed[0]["error"]["code"] == "budget_exhausted"
+
+
+class TestIngressErrors:
+    """Bad input is answered on the stream, which keeps serving."""
+
+    def test_non_utf8_stdin_line_is_malformed_json(self, monkeypatch):
+        raw = b"\xff\xfe\n" + json.dumps({"op": "ping", "id": "p"}).encode() + b"\n"
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(raw)))
+        out = io.StringIO()
+        assert main(["serve", *COMMON], stream=out) == 0
+        banner, error, pong = parse_lines(out.getvalue())
+        assert banner["event"] == "serving"
+        assert error == {
+            "event": "error",
+            "message": "malformed JSON: 'utf-8' codec can't decode byte 0xff"
+                       " in position 0: invalid start byte",
+        }
+        assert pong["event"] == "pong" and pong["id"] == "p"
+
+    def test_closed_output_stops_reading(self):
+        class Gone(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError
+
+        read = []
+
+        def lines():
+            for index in range(5):
+                read.append(index)
+                yield json.dumps({"op": "ping", "id": index})
+
+        front = ServeFrontEnd(SimpleNamespace(load=dict))
+        assert front.serve_stream(lines(), Gone()) == 0
+        assert read == [0]
+
+    @pytest.mark.parametrize("field,value", [
+        ("top_k", "five"), ("top_k", 2.5), ("total_epochs", "x"),
+        ("raise_budget", True), ("timeout", "soon"), ("epoch_quota", [1]),
+    ])
+    def test_wrongly_typed_select_field_is_an_error_reply(
+        self, service, field, value
+    ):
+        front = ServeFrontEnd(service)
+        out = io.StringIO()
+        lines = [
+            json.dumps({"op": "select", "target": "mnli", field: value, "id": "s"}),
+            json.dumps({"op": "ping", "id": "p"}),
+        ]
+        assert front.serve_stream(lines, out) == 0
+        error, pong = parse_lines(out.getvalue())
+        assert error["event"] == "error" and error["id"] == "s"
+        assert repr(field) in error["message"]
+        assert pong["event"] == "pong"
+
+    def test_raising_handler_fails_internal_and_stream_continues(self, caplog):
+        def broken_stats():
+            raise RuntimeError("stats exploded")
+
+        fake = SimpleNamespace(stats=broken_stats, load=lambda: {"queued": 0})
+        out = io.StringIO()
+        lines = [json.dumps({"op": "stats", "id": "s"}),
+                 json.dumps({"op": "ping", "id": "p"})]
+        assert ServeFrontEnd(fake).serve_stream(lines, out) == 0
+        failed, pong = parse_lines(out.getvalue())
+        assert failed["event"] == "failed" and failed["id"] == "s"
+        assert failed["error"]["code"] == "internal"
+        assert "stats exploded" in failed["error"]["message"]
+        assert pong == {"event": "pong", "queued": 0, "id": "p"}
+        assert "stats exploded" in caplog.text
+
+    def test_unhashable_op_is_an_unknown_op(self):
+        out = io.StringIO()
+        ServeFrontEnd(SimpleNamespace()).serve_stream(
+            [json.dumps({"op": ["select"], "id": "u"})], out
+        )
+        assert parse_lines(out.getvalue()) == [
+            {"event": "error", "id": "u", "message": "unknown op ['select']"}
+        ]
 
 
 class TestServeTcp:

@@ -50,7 +50,8 @@ class Stream:
         self.emitter.start()
 
     def events(self):
-        self.emitter.drain_and_stop()
+        self.emitter.drain()
+        self.emitter.stop()
         return [json.loads(line) for line in self.out.getvalue().splitlines()]
 
 

@@ -164,9 +164,3 @@ class TestFineTuner:
         fast = tuner.fine_tune(model, task, epochs=2, config=FineTuneConfig(learning_rate=5e-2, epochs=2))
         slow = tuner.fine_tune(model, task, epochs=2, config=FineTuneConfig(learning_rate=1e-3, epochs=2))
         assert fast.val_accuracy != slow.val_accuracy
-
-    def test_fine_tune_many(self, nlp_hub_small, nlp_suite_small, fine_tuner):
-        models = [nlp_hub_small.get(name) for name in nlp_hub_small.model_names[:3]]
-        curves = fine_tuner.fine_tune_many(models, nlp_suite_small.task("sst2"), epochs=1)
-        assert set(curves) == {model.name for model in models}
-        assert all(curve.epochs == 1 for curve in curves.values())
