@@ -165,28 +165,17 @@ def distance_key(similarity_cache_key: str) -> str:
     return f"dist:{similarity_cache_key}"
 
 
-def session_key(
-    zoo_version: str,
-    model_fingerprint: str,
-    task_fingerprint: str,
-    *,
-    epochs: Optional[int] = None,
-) -> str:
-    """Key of one fine-tuning session lineage (or checkpoint) in a pool.
+def session_key(zoo_version: str, model_fingerprint: str, task_fingerprint: str) -> str:
+    """Key of one fine-tuning session lineage in a pool.
 
     :class:`repro.sched.pool.SessionPool` memoises partially-trained
-    fine-tuning sessions under the epoch-free form of this key — a session
-    advances in place, so the entry always holds the *latest* checkpoint
-    of the ``(zoo_version, model, task)`` lineage.  With ``epochs`` the key
-    names one specific checkpoint (``zoo_version, model, task-fingerprint,
-    epochs_trained``), which is how pool entries are reported in stats and
-    logs.  ``zoo_version`` is part of the identity so a zoo refresh
-    implicitly invalidates every session of the superseded version.
+    fine-tuning sessions under this key — a session advances in place, so
+    the entry always holds the *latest* checkpoint of the
+    ``(zoo_version, model, task)`` lineage.  ``zoo_version`` is part of the
+    identity so a zoo refresh implicitly invalidates every session of the
+    superseded version.
     """
-    base = f"session:zoo={zoo_version}:{model_fingerprint}:{task_fingerprint}"
-    if epochs is None:
-        return base
-    return f"{base}:e={epochs}"
+    return f"session:zoo={zoo_version}:{model_fingerprint}:{task_fingerprint}"
 
 
 def plan_key(

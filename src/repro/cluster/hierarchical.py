@@ -188,11 +188,6 @@ class AgglomerativeClustering:
             return float(block.min())
         return float(block.max())
 
-    def _linkage_distance(
-        self, distances: np.ndarray, members_a: List[int], members_b: List[int]
-    ) -> float:
-        return self._linkage_block(distances[np.ix_(members_a, members_b)])
-
 
 def hierarchical_cluster(
     item_names: Sequence[str],

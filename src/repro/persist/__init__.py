@@ -10,8 +10,8 @@ package makes selection requests durable instead:
   the final result.  Recovery reads the longest valid prefix; torn tails
   from a crash are detected by per-record checksums and dropped.
 * :class:`~repro.persist.store.PlanStore` — the on-disk store pairing
-  journals with atomically-published session snapshots (pickled
-  :class:`~repro.zoo.finetune.FineTuneSession` objects keyed by
+  journals with atomically-published session snapshots (the pickled
+  ``(tuner fingerprint, head, curve)`` of each session, keyed by
   :func:`repro.cache.session_key`), plus the startup sweep for orphaned
   temp files and the refresh-time ``evict_version`` sweep.
 * :mod:`~repro.persist.recovery` — the startup scan classifying journaled

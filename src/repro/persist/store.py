@@ -9,10 +9,11 @@ the content-hash keys of :mod:`repro.cache`:
   policy, ``top_k``);
 * ``sessions/<session-key>.pkl`` — the latest snapshot of each shared
   fine-tuning session lineage, keyed by :func:`repro.cache.session_key`.
-  Snapshots are whole pickled
-  :class:`~repro.zoo.finetune.FineTuneSession` objects, so a restored
-  session continues training bitwise-identically to one that never left
-  memory.
+  A snapshot holds only what training changes: the pickled record
+  ``(fingerprint_tuner(tuner), head, curve)``.  A restarted pool starts
+  the session afresh from the live hub and task, then adopts the head and
+  curve when the tuner fingerprint is its own, so the restored session
+  continues training bitwise-identically to one that never left memory.
 
 Snapshots are published like :class:`~repro.store.MatrixStore` entries:
 written to a writer-unique temporary file and moved into place with an
@@ -33,11 +34,18 @@ import os
 import pickle
 import threading
 from pathlib import Path
-from typing import Dict, List, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 from repro.persist.hooks import fire_crash_point
 from repro.persist.journal import PlanJournal
 from repro.store.matrix import _UNSAFE_FILENAME, _writer_suffix, sweep_stale_temp_files
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.nn.network import MLPClassifier
+    from repro.zoo.finetune import FineTuneSession, LearningCurve
+
+#: A published session snapshot: ``(tuner fingerprint, head, curve)``.
+Snapshot = Tuple[str, "MLPClassifier", "LearningCurve"]
 
 
 class PlanStore:
@@ -100,22 +108,28 @@ class PlanStore:
     # ------------------------------------------------------------------ #
     # session snapshots
     # ------------------------------------------------------------------ #
-    def save_session(self, session_key: str, session) -> bool:
-        """Publish the latest snapshot of one session lineage (atomic).
+    def save_session(
+        self, session_key: str, tuner_fingerprint: str, session: FineTuneSession
+    ) -> bool:
+        """Publish ``(tuner_fingerprint, head, curve)`` of one lineage (atomic).
 
         Skips the write when the session has not advanced past the last
-        published snapshot.  Returns whether a snapshot was written.
+        snapshot this store published.  Returns whether one was written.
         """
         epochs = session.epochs_trained
         with self._lock:
             if self._published_epochs.get(session_key, -1) >= epochs:
                 return False
+        record = pickle.dumps(
+            (tuner_fingerprint, session.head, session.curve),
+            protocol=pickle.HIGHEST_PROTOCOL,
+        )
         final = self.session_path(session_key)
         tmp = final.with_name(final.name + _writer_suffix())
         with open(tmp, "wb") as handle:
-            pickle.dump(session, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            handle.flush()
+            handle.write(record)
             if self.fsync:
+                handle.flush()
                 os.fsync(handle.fileno())
         fire_crash_point("publish", key=session_key, epochs=epochs)
         os.replace(tmp, final)
@@ -123,28 +137,22 @@ class PlanStore:
             self._published_epochs[session_key] = epochs
         return True
 
-    def load_session(self, session_key: str):
-        """Load the latest snapshot of ``session_key`` (or ``None``).
+    def load_session(self, session_key: str) -> Optional[Snapshot]:
+        """The ``(tuner_fingerprint, head, curve)`` snapshot of ``session_key``.
 
-        A missing, truncated or otherwise unreadable snapshot behaves like
-        a miss — the caller starts a fresh session and training replays
-        from the journal's accounting instead of crashing recovery.
+        A missing, truncated, unreadable or old-format snapshot is
+        ``None`` — the caller trains a fresh session and replays from the
+        journal's accounting instead of crashing recovery.
         """
-        path = self.session_path(session_key)
-        if not path.exists():
-            return None
         try:
-            with open(path, "rb") as handle:
-                session = pickle.load(handle)
+            with open(self.session_path(session_key), "rb") as handle:
+                record = pickle.load(handle)
         except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
                 ImportError, IndexError):
             return None
-        with self._lock:
-            published = self._published_epochs.get(session_key, -1)
-            self._published_epochs[session_key] = max(
-                published, session.epochs_trained
-            )
-        return session
+        if not (isinstance(record, tuple) and len(record) == 3):
+            return None
+        return record
 
     # ------------------------------------------------------------------ #
     # maintenance

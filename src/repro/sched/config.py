@@ -65,10 +65,6 @@ class SchedulerConfig:
         change results — the first fused epoch of each new geometry is
         verified bitwise against the serial oracle, and any divergence
         delegates the group back to the per-session path.
-    fused_min_group:
-        Smallest round group worth stacking; rounds with fewer
-        same-geometry sessions than this run the plain per-session path
-        (stacking a singleton only adds copying overhead).
     """
 
     policy: str = "fair_share"
@@ -78,7 +74,6 @@ class SchedulerConfig:
     max_epochs_per_request: Optional[int] = None
     timeout_seconds: Optional[float] = None
     fused_training: bool = True
-    fused_min_group: int = 2
 
     def __post_init__(self) -> None:
         if self.policy not in POLICIES:
@@ -98,5 +93,3 @@ class SchedulerConfig:
             )
         if self.timeout_seconds is not None and self.timeout_seconds <= 0:
             raise ConfigurationError("timeout_seconds must be positive when given")
-        if self.fused_min_group < 2:
-            raise ConfigurationError("fused_min_group must be >= 2")

@@ -29,9 +29,10 @@ import threading
 from collections import OrderedDict
 from typing import Callable, Dict, Optional
 
-from repro.cache import fingerprint_model, fingerprint_task, session_key
+from repro.cache import fingerprint_model, fingerprint_task, fingerprint_tuner, session_key
 from repro.core.plan import SessionView
 from repro.data.tasks import ClassificationTask
+from repro.persist.store import Snapshot
 from repro.utils.exceptions import SelectionError
 from repro.zoo.finetune import FineTuneSession, FineTuner
 from repro.zoo.models import PretrainedModel
@@ -58,10 +59,6 @@ class PoolEntry:
     def epochs_trained(self) -> int:
         """Epochs the shared session has recorded so far."""
         return self.session.epochs_trained
-
-    def checkpoint_key(self) -> str:
-        """Epoch-qualified identity of the entry's current checkpoint."""
-        return f"{self.key}:e={self.epochs_trained}"
 
     def ensure_epochs(self, target: int) -> int:
         """Train the shared session forward to ``target`` epochs (if behind).
@@ -104,6 +101,9 @@ class SessionPool:
         if max_sessions < 1:
             raise SelectionError("max_sessions must be >= 1")
         self.fine_tuner = fine_tuner
+        #: Identity of the tuner's sessions; a snapshot is adopted only
+        #: when it was trained under the same fingerprint.
+        self.tuner_fingerprint = fingerprint_tuner(fine_tuner)
         self.max_sessions = int(max_sessions)
         self._entries: "OrderedDict[str, PoolEntry]" = OrderedDict()
         self._lock = threading.Lock()
@@ -123,17 +123,18 @@ class SessionPool:
         task: ClassificationTask,
         *,
         version_key: str,
-        loader: Optional[Callable[[str], Optional[FineTuneSession]]] = None,
+        loader: Optional[Callable[[str], Optional[Snapshot]]] = None,
     ) -> PooledSessionView:
         """Lease a view on the ``(version, model, task)`` session lineage.
 
         A pool hit returns a view positioned at epoch 0 over the existing
         (possibly already-trained) shared session; a miss starts a fresh
         session through the pool's fine-tuner.  ``loader``, when given, is
-        consulted with the session key before starting fresh — the durable
+        consulted with the session key on a miss — the durable
         :class:`~repro.persist.store.PlanStore` passes its snapshot loader
-        here, so a restarted process repopulates the pool with the epochs
-        a previous process already paid for.
+        here.  A ``(tuner_fingerprint, head, curve)`` snapshot trained under
+        this pool's tuner replaces the fresh session's head and curve, so a
+        restarted process keeps the epochs a previous one already paid for.
         """
         # Whole-task identity: a re-split task (same train split, other
         # val/test labels) must never read this task's validation curves.
@@ -148,11 +149,11 @@ class SessionPool:
                 self._entries.move_to_end(key)
                 self._hits += 1
             else:
-                session = loader(key) if loader is not None else None
-                if session is not None:
+                session = self.fine_tuner.start_session(model, task)
+                snapshot = loader(key) if loader is not None else None
+                if snapshot is not None and snapshot[0] == self.tuner_fingerprint:
+                    session.head, session.curve = snapshot[1], snapshot[2]
                     self._restored += 1
-                else:
-                    session = self.fine_tuner.start_session(model, task)
                 entry = PoolEntry(key, session)
                 self._entries[key] = entry
                 self._misses += 1
@@ -166,24 +167,8 @@ class SessionPool:
             view.entry.leases = max(0, view.entry.leases - 1)
 
     # ------------------------------------------------------------------ #
-    # training
+    # accounting
     # ------------------------------------------------------------------ #
-    def advance(self, view: PooledSessionView, epochs: int) -> int:
-        """Advance ``view`` by ``epochs``, training only what is missing.
-
-        The charged cost is always ``epochs`` (the algorithm's accounting
-        must stay identical to the serial path); the *actual* training is
-        ``epochs`` minus whatever prefix the shared session already has.
-        Returns the epochs actually trained.
-        """
-        target = view.position + int(epochs)
-        trained = view.entry.ensure_epochs(target)
-        view.adopt(view.entry.session, advance=epochs)
-        with self._lock:
-            self._epochs_trained += trained
-            self._epochs_reused += int(epochs) - trained
-        return trained
-
     def record_round(self, *, charged: int, trained: int) -> None:
         """Account one externally executed scheduling round.
 

@@ -71,6 +71,10 @@ from repro.utils.exceptions import (
 
 logger = logging.getLogger(__name__)
 
+#: Smallest same-geometry round group worth stacking; smaller groups run
+#: the per-session path (stacking a singleton only adds copying overhead).
+FUSED_MIN_GROUP = 2
+
 #: Request lifecycle states (``SelectionRequest.state``).
 QUEUED = "queued"
 RECALL = "recall"
@@ -245,7 +249,6 @@ class EpochScheduler:
         self.config = config or SchedulerConfig()
         self._persist = persist
         self._pool = SessionPool(context_provider().fine_tuner)
-        self._tuner_fingerprint = fingerprint_tuner(self._pool.fine_tuner)
         self._on_complete = on_complete
         self._lock = threading.RLock()
         self._wake = threading.Condition(self._lock)
@@ -373,7 +376,7 @@ class EpochScheduler:
         if policy is not None:
             tuner = getattr(policy, "fine_tuner", None)
             if tuner is not None and (
-                fingerprint_tuner(tuner) != self._tuner_fingerprint
+                fingerprint_tuner(tuner) != self._pool.tuner_fingerprint
             ):
                 raise SchedulerError(
                     f"policy {policy.method!r} fine-tunes with another tuner "
@@ -1045,7 +1048,11 @@ class EpochScheduler:
                 # ahead of the journal — harmless, since views only read
                 # the curve prefix at their own position.
                 try:
-                    self._persist.save_session(view.entry.key, view.entry.session)
+                    self._persist.save_session(
+                        view.entry.key,
+                        self._pool.tuner_fingerprint,
+                        view.entry.session,
+                    )
                 except OSError:
                     with self._lock:
                         self._journal_errors += 1
@@ -1088,7 +1095,7 @@ class EpochScheduler:
         Ops whose sessions share a fusion signature, current epoch and
         round target form one ``("fused", indices)`` unit (stacked-kernel
         training); everything else — singletons, groups below
-        ``fused_min_group``, geometries a probe has condemned, sessions
+        :data:`FUSED_MIN_GROUP`, geometries a probe has condemned, sessions
         without a fusion surface — stays on the per-session path as
         ``("single", [index])`` units.
         """
@@ -1108,9 +1115,7 @@ class EpochScheduler:
             verdicts = dict(self._fused_verdicts)
         units: List[Tuple[str, List[int]]] = []
         for key, indices in groups.items():
-            if len(indices) >= self.config.fused_min_group and verdicts.get(
-                key[0], True
-            ):
+            if len(indices) >= FUSED_MIN_GROUP and verdicts.get(key[0], True):
                 units.append(("fused", indices))
             else:
                 units.extend(("single", [index]) for index in indices)
@@ -1146,7 +1151,7 @@ class EpochScheduler:
                 for item, position in zip(items, positions)
                 if position == start and start < target
             ]
-            if len(fused_items) >= self.config.fused_min_group:
+            if len(fused_items) >= FUSED_MIN_GROUP:
                 sessions = [view.entry.session for view, _ in fused_items]
                 try:
                     group = FusedSessionGroup(sessions)
@@ -1355,7 +1360,6 @@ class EpochScheduler:
                 "session_pool": self._pool.stats(),
                 "train": {
                     "fused_training": self.config.fused_training,
-                    "fused_min_group": self.config.fused_min_group,
                     "fused_groups": self._fused_groups,
                     "fused_sessions": self._fused_sessions,
                     "fused_epochs": self._fused_epochs,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -142,12 +142,14 @@ class FineTuneSession:
         self.task = task
         self.config = config
         self._train_features = model.encode(task.train.features)
-        self._val_features = model.encode(task.val.features)
-        self._test_features = model.encode(task.test.features)
-        #: Lazily built ``[val; test]`` slab for the single-pass epoch
-        #: evaluation; derived data, dropped from pickles (see
-        #: :meth:`__getstate__`) and rebuilt on first use.
-        self._eval_features: Optional[np.ndarray] = None
+        val_features = model.encode(task.val.features)
+        #: One ``[val; test]`` slab for the single-pass epoch evaluation;
+        #: the per-split features are views into it.
+        self._eval_features = np.concatenate(
+            [val_features, model.encode(task.test.features)], axis=0
+        )
+        self._val_features = self._eval_features[: val_features.shape[0]]
+        self._test_features = self._eval_features[val_features.shape[0]:]
         self.head = MLPClassifier(
             input_dim=model.hidden_dim,
             num_classes=task.num_classes,
@@ -190,7 +192,7 @@ class FineTuneSession:
         accuracies are bitwise-identical to the two-pass form (gated by
         ``benchmarks/bench_fused_training.py``).
         """
-        logits = self.head.decision_function(self._eval_slab())
+        logits = self.head.decision_function(self._eval_features)
         predictions = np.argmax(logits, axis=1)
         n_val = self._val_features.shape[0]
         return (
@@ -221,19 +223,12 @@ class FineTuneSession:
 
     @property
     def eval_split(self) -> int:
-        """Row where the test split starts inside :meth:`_eval_slab`."""
+        """Row where the test split starts inside :meth:`eval_features`."""
         return self._val_features.shape[0]
-
-    def _eval_slab(self) -> np.ndarray:
-        if self._eval_features is None:
-            self._eval_features = np.concatenate(
-                [self._val_features, self._test_features], axis=0
-            )
-        return self._eval_features
 
     def eval_features(self) -> np.ndarray:
         """Concatenated ``[val; test]`` feature slab ``(n_val + n_test, d)``."""
-        return self._eval_slab()
+        return self._eval_features
 
     def fusion_signature(self) -> Tuple:
         """Geometry key deciding which sessions can train in one fused group.
@@ -279,17 +274,6 @@ class FineTuneSession:
         self.curve.train_loss.append(train_loss)
         self.curve.val_accuracy.append(val_accuracy)
         self.curve.test_accuracy.append(test_accuracy)
-
-    def __getstate__(self) -> Dict[str, object]:
-        """Drop the derived eval slab from snapshot pickles."""
-        state = dict(self.__dict__)
-        state["_eval_features"] = None
-        return state
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        """Restore a pickled session (older snapshots lack the slab slot)."""
-        self.__dict__.update(state)
-        self.__dict__.setdefault("_eval_features", None)
 
 
 class FineTuner:

@@ -93,20 +93,8 @@ class PretrainedModel:
         self.representation_noise = 0.3 + 1.4 * (1.0 - entry.quality)
         self._noise_key = int(self._rng.integers(0, 2**31 - 1))
         self._source_head: Optional[MLPClassifier] = None
-        self._head_lock = threading.Lock()
-
-    # ------------------------------------------------------------------ #
-    # The head lock serialises lazy source-head training (it consumes the
-    # model's own RNG stream) so concurrent proxy scoring cannot race it;
-    # it is recreated, not copied, across pickling so session snapshots
-    # holding the model can be written to the plan store.
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state.pop("_head_lock", None)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
+        # Serialises lazy source-head training (it consumes the model's own
+        # RNG stream) so concurrent proxy scoring cannot race it.
         self._head_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #

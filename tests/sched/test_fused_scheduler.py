@@ -13,7 +13,7 @@ from oracles import serial_two_phase
 from repro.core.batch import build_phase_engines
 from repro.core.pipeline import OfflineArtifacts
 from repro.sched import EpochScheduler, SchedulerConfig
-from repro.utils.exceptions import ConfigurationError
+from repro.sched import scheduler as scheduler_module
 from repro.zoo.finetune import FineTuner
 
 TARGETS = ("mnli", "boolq")
@@ -42,13 +42,12 @@ def serial_answers(artifacts):
     }
 
 
-def run_scheduler(artifacts, *, fused, **overrides):
+def run_scheduler(artifacts, *, fused):
     config = SchedulerConfig(
         max_concurrent=4,
         epoch_budget=4,
         max_queue=8,
         fused_training=fused,
-        **overrides,
     )
     scheduler = EpochScheduler.for_artifacts(artifacts, config=config)
     scheduler.start()
@@ -77,11 +76,6 @@ class TestFusedConfig:
     def test_fused_training_defaults_on(self):
         config = SchedulerConfig()
         assert config.fused_training is True
-        assert config.fused_min_group == 2
-
-    def test_min_group_validation(self):
-        with pytest.raises(ConfigurationError):
-            SchedulerConfig(fused_min_group=1)
 
 
 class TestFusedRounds:
@@ -139,9 +133,10 @@ class TestFusedRounds:
         assert train["verified_geometries"] == 0
 
     def test_min_group_above_round_size_stays_serial(
-        self, artifacts, serial_results
+        self, artifacts, serial_results, monkeypatch
     ):
-        results, stats = run_scheduler(artifacts, fused=True, fused_min_group=64)
+        monkeypatch.setattr(scheduler_module, "FUSED_MIN_GROUP", 64)
+        results, stats = run_scheduler(artifacts, fused=True)
         for name in TARGETS:
             assert_identical(results[name], serial_results[name])
         assert stats["train"]["fused_groups"] == 0

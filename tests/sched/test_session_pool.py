@@ -51,15 +51,22 @@ class TestAcquire:
             "v0-abc", fingerprint_model(model), fingerprint_task(task, split="all")
         )
         assert view.entry.key == expected
-        assert view.entry.checkpoint_key() == f"{expected}:e=0"
+
+
+def advance(pool, view, epochs):
+    """Advance ``view`` the way a scheduler round does; return epochs trained."""
+    trained = view.entry.ensure_epochs(view.position + epochs)
+    view.adopt(view.entry.session, advance=epochs)
+    pool.record_round(charged=epochs, trained=trained)
+    return trained
 
 
 class TestAdvance:
     def test_reuse_avoids_retraining(self, pool, model, task):
         a = pool.acquire(model, task, version_key="v0")
         b = pool.acquire(model, task, version_key="v0")
-        trained_a = pool.advance(a, 2)
-        trained_b = pool.advance(b, 2)  # fully served from the shared prefix
+        trained_a = advance(pool, a, 2)
+        trained_b = advance(pool, b, 2)  # fully served from the shared prefix
         assert (trained_a, trained_b) == (2, 0)
         stats = pool.stats()
         assert stats["epochs_trained"] == 2
@@ -68,8 +75,8 @@ class TestAdvance:
     def test_views_read_their_own_epochs(self, pool, model, task):
         a = pool.acquire(model, task, version_key="v0")
         b = pool.acquire(model, task, version_key="v0")
-        pool.advance(a, 3)
-        pool.advance(b, 1)
+        advance(pool, a, 3)
+        advance(pool, b, 1)
         curve = a.entry.session.curve
         assert a.validation_accuracy() == curve.val_accuracy[2]
         assert b.validation_accuracy() == curve.val_accuracy[0]
@@ -78,9 +85,9 @@ class TestAdvance:
         """A pooled continuation is bitwise-equal to a private session."""
         pool = SessionPool(fine_tuner)
         a = pool.acquire(model, task, version_key="v0")
-        pool.advance(a, 1)
+        advance(pool, a, 1)
         b = pool.acquire(model, task, version_key="v0")
-        pool.advance(b, 3)  # trains 2 more on top of a's prefix
+        advance(pool, b, 3)  # trains 2 more on top of a's prefix
         private = fine_tuner.start_session(model, task)
         private.train_epochs(3)
         assert b.entry.session.curve.val_accuracy == private.curve.val_accuracy

@@ -112,20 +112,19 @@ class TestFineTuneSession:
         assert val_accuracy == session.validation_accuracy()
         assert test_accuracy == session.test_accuracy()
 
-    def test_pickle_roundtrip_drops_and_rebuilds_eval_slab(
+    def test_split_features_are_views_of_one_eval_slab(
         self, nlp_hub_small, nlp_suite_small, fine_tuner
     ):
-        import pickle
-
         session = fine_tuner.start_session(
             nlp_hub_small.get("roberta-base"), nlp_suite_small.task("cola")
         )
-        session.train_epochs(1)
-        before = session.evaluate()
-        assert session._eval_features is not None
-        clone = pickle.loads(pickle.dumps(session))
-        assert clone._eval_features is None
-        assert clone.evaluate() == before
+        slab = session.eval_features()
+        assert np.shares_memory(session._val_features, slab)
+        assert np.shares_memory(session._test_features, slab)
+        assert session._val_features.shape[0] == session.eval_split
+        assert slab.shape[0] == (
+            session._val_features.shape[0] + session._test_features.shape[0]
+        )
 
     def test_train_epochs_rejects_non_positive(
         self, nlp_hub_small, nlp_suite_small, fine_tuner

@@ -1,7 +1,6 @@
 """Tests for repro.zoo.models.PretrainedModel."""
 
 import functools
-import pickle
 import threading
 import zlib
 
@@ -107,12 +106,6 @@ class TestSourceHead:
             thread.join()
         assert len(heads) == 4
         assert all(head is heads[0] for head in heads)
-
-    def test_model_with_trained_head_pickles(self, nlp_suite_small):
-        model = ModelHub(nlp_suite_small, seed=0).get("roberta-base")
-        model.source_head()
-        clone = pickle.loads(pickle.dumps(model))
-        assert clone.source_head() is clone._source_head
 
 
 class TestTransferStructure:
