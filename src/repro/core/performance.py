@@ -36,10 +36,6 @@ class PerformanceMatrix:
         Full learning curves keyed by ``(model_name, dataset_name)``.
     epochs:
         Number of offline fine-tuning epochs per cell.
-    train_fraction:
-        Fraction of each benchmark training split the offline runs used
-        (recorded so incremental updates can refuse to mix subsampled and
-        full-data columns).
     """
 
     dataset_names: List[str]
@@ -47,7 +43,6 @@ class PerformanceMatrix:
     values: np.ndarray
     curves: Dict[Tuple[str, str], LearningCurve] = field(default_factory=dict)
     epochs: int = 5
-    train_fraction: float = 1.0
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=float)
@@ -127,7 +122,6 @@ class PerformanceMatrix:
             values=self.values[:, indices].copy(),
             curves=curves,
             epochs=self.epochs,
-            train_fraction=self.train_fraction,
         )
 
     # ------------------------------------------------------------------ #
@@ -140,7 +134,6 @@ class PerformanceMatrix:
             "model_names": list(self.model_names),
             "values": self.values.tolist(),
             "epochs": self.epochs,
-            "train_fraction": self.train_fraction,
             "curves": [
                 {
                     "model": model,
@@ -172,7 +165,6 @@ class PerformanceMatrix:
             values=np.asarray(payload["values"], dtype=float),
             curves=curves,
             epochs=int(payload.get("epochs", 5)),
-            train_fraction=float(payload.get("train_fraction", 1.0)),
         )
 
     def to_json(self) -> str:
@@ -191,45 +183,26 @@ def build_performance_matrix(
     *,
     fine_tuner: Optional[FineTuner] = None,
     epochs: Optional[int] = None,
-    train_fraction: float = 1.0,
     benchmark_names: Optional[Sequence[str]] = None,
 ) -> PerformanceMatrix:
     """Fine-tune every hub checkpoint on every benchmark dataset.
 
-    This is the paper's offline phase (40x24 runs for NLP, 30x10 for CV).
-    ``train_fraction`` optionally subsamples each benchmark training split,
-    matching the paper's observation that a subset of the training data is
-    enough to compare relative accuracies.
+    This is the paper's offline phase (40x24 runs for NLP, 30x10 for CV),
+    run benchmark by benchmark through :meth:`FineTuner.fine_tune_many`.
     """
-    suite = suite or hub.suite
-    if suite.modality != hub.modality:
-        raise SelectionError(
-            f"hub modality {hub.modality!r} does not match suite {suite.modality!r}"
-        )
+    suite = _checked_suite(hub, suite)
     tuner = fine_tuner or FineTuner(FineTuneConfig(), seed=0)
     num_epochs = epochs if epochs is not None else (5 if hub.modality == "nlp" else 4)
     dataset_names = list(benchmark_names) if benchmark_names else list(suite.benchmark_names)
-    model_names = hub.model_names
-
-    values = np.zeros((len(dataset_names), len(model_names)))
-    curves: Dict[Tuple[str, str], LearningCurve] = {}
-    subsample_rng = np.random.default_rng(0)
-    for column, model_name in enumerate(model_names):
-        model = hub.get(model_name)
-        for row, dataset_name in enumerate(dataset_names):
-            task = suite.task(dataset_name)
-            if train_fraction < 1.0:
-                task = _with_subsampled_train(task, train_fraction, subsample_rng)
-            curve = tuner.fine_tune(model, task, epochs=num_epochs)
-            values[row, column] = curve.final_test
-            curves[(model_name, dataset_name)] = curve
+    values, curves = _fine_tune_columns(
+        tuner, hub.models(), suite, dataset_names, num_epochs
+    )
     return PerformanceMatrix(
         dataset_names=dataset_names,
-        model_names=model_names,
+        model_names=hub.model_names,
         values=values,
         curves=curves,
         epochs=num_epochs,
-        train_fraction=float(train_fraction),
     )
 
 
@@ -252,22 +225,9 @@ def update_performance_matrix(
     Fine-tuning randomness is keyed per ``(model, dataset)`` pair (named
     random streams), so the result is bitwise-identical to
     :func:`build_performance_matrix` over the updated hub with the same
-    ``fine_tuner`` seed; the property suite enforces this.  Matrices built
-    with ``train_fraction < 1`` are rejected: their offline runs subsampled
-    the training splits with a *sequential* (order-dependent) stream, so
-    copied and fresh columns could not be comparable — rebuild from scratch
-    instead.
+    ``fine_tuner`` seed; the property suite enforces this.
     """
-    suite = suite or hub.suite
-    if suite.modality != hub.modality:
-        raise SelectionError(
-            f"hub modality {hub.modality!r} does not match suite {suite.modality!r}"
-        )
-    if old.train_fraction != 1.0:
-        raise SelectionError(
-            f"incremental update requires a full-data offline matrix, got "
-            f"train_fraction={old.train_fraction}; rebuild from scratch instead"
-        )
+    suite = _checked_suite(hub, suite)
     num_epochs = epochs if epochs is not None else old.epochs
     if num_epochs != old.epochs:
         raise SelectionError(
@@ -277,22 +237,18 @@ def update_performance_matrix(
     dataset_names = list(old.dataset_names)
     model_names = hub.model_names
     old_index = {name: i for i, name in enumerate(old.model_names)}
+    added = [column for column, name in enumerate(model_names) if name not in old_index]
 
     tuner = fine_tuner or FineTuner(FineTuneConfig(), seed=0)
+    fresh, curves = _fine_tune_columns(
+        tuner, [hub.get(model_names[c]) for c in added], suite, dataset_names, num_epochs
+    )
     values = np.zeros((len(dataset_names), len(model_names)))
-    curves: Dict[Tuple[str, str], LearningCurve] = {}
-    kept = set()
+    values[:, added] = fresh
     for column, model_name in enumerate(model_names):
         if model_name in old_index:
             values[:, column] = old.values[:, old_index[model_name]]
-            kept.add(model_name)
-            continue
-        model = hub.get(model_name)
-        for row, dataset_name in enumerate(dataset_names):
-            task = suite.task(dataset_name)
-            curve = tuner.fine_tune(model, task, epochs=num_epochs)
-            values[row, column] = curve.final_test
-            curves[(model_name, dataset_name)] = curve
+    kept = set(model_names)
     curves.update(
         {key: curve for key, curve in old.curves.items() if key[0] in kept}
     )
@@ -305,13 +261,35 @@ def update_performance_matrix(
     )
 
 
-def _with_subsampled_train(task, fraction: float, rng: np.random.Generator):
-    """Clone ``task`` with a subsampled training split (val/test untouched)."""
-    from repro.data.tasks import ClassificationTask
+def _checked_suite(hub: ModelHub, suite: Optional[WorkloadSuite]) -> WorkloadSuite:
+    """``suite`` (default: the hub's own), checked against the hub's modality."""
+    suite = suite or hub.suite
+    if suite.modality != hub.modality:
+        raise SelectionError(
+            f"hub modality {hub.modality!r} does not match suite {suite.modality!r}"
+        )
+    return suite
 
-    return ClassificationTask(
-        task.spec,
-        train=task.train.subsample(fraction, rng),
-        val=task.val,
-        test=task.test,
-    )
+
+def _fine_tune_columns(
+    tuner: FineTuner,
+    models: Sequence,
+    suite: WorkloadSuite,
+    dataset_names: Sequence[str],
+    epochs: int,
+) -> Tuple[np.ndarray, Dict[Tuple[str, str], LearningCurve]]:
+    """Fine-tune ``models`` on every benchmark: ``(datasets x models)`` values
+    and the curves, keyed in model-major order."""
+    rows = [
+        tuner.fine_tune_many(models, suite.task(name), epochs=epochs)
+        for name in dataset_names
+    ]
+    values = np.zeros((len(dataset_names), len(models)))
+    for row, row_curves in enumerate(rows):
+        values[row] = [curve.final_test for curve in row_curves]
+    curves = {
+        (model.name, name): rows[row][column]
+        for column, model in enumerate(models)
+        for row, name in enumerate(dataset_names)
+    }
+    return values, curves

@@ -164,13 +164,14 @@ class ExperimentContext:
         performance"), reused by Fig. 1, Fig. 5, Fig. 7 and Table VII.
         """
         if self._target_truth is None:
-            tuner = self.fine_tuner
+            models = self.hub.models()
             truth: Dict[str, Dict[str, LearningCurve]] = {}
             for target_name in self.suite.target_names:
-                task = self.suite.task(target_name)
+                curves = self.fine_tuner.fine_tune_many(
+                    models, self.suite.task(target_name), epochs=self.offline_epochs
+                )
                 truth[target_name] = {
-                    model.name: tuner.fine_tune(model, task, epochs=self.offline_epochs)
-                    for model in self.hub.models()
+                    model.name: curve for model, curve in zip(models, curves)
                 }
             self._target_truth = truth
         return self._target_truth

@@ -47,12 +47,13 @@ def run(
         config = FineTuneConfig(
             epochs=context.offline_epochs, learning_rate=learning_rate
         )
-        curves = {}
-        for model_name in recall.recalled_models:
-            model = context.hub.get(model_name)
-            curves[model_name] = context.fine_tuner.fine_tune(
-                model, task, config=config
+        models = [context.hub.get(name) for name in recall.recalled_models]
+        curves = dict(
+            zip(
+                recall.recalled_models,
+                context.fine_tuner.fine_tune_many(models, task, config=config),
             )
+        )
         first_val = np.array([curve.val_accuracy[0] for curve in curves.values()])
         final_test = np.array([curve.final_test for curve in curves.values()])
         settings[setting_name] = {

@@ -61,7 +61,14 @@ __all__ = [
     "fused_fit_epoch",
     "stacked_predictions",
     "heads_compatible",
+    "FUSED_MIN_GROUP",
 ]
+
+#: Smallest same-geometry session group worth stacking; smaller groups run
+#: the per-session path (stacking a singleton only adds copying overhead).
+#: Shared by the online scheduler's rounds and the offline fine-tuning
+#: groups.
+FUSED_MIN_GROUP = 2
 
 
 def _layer_structure(head: MLPClassifier) -> Tuple:

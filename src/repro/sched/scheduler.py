@@ -47,7 +47,7 @@ from repro.core.extrapolation import ExtrapolationConfig, resolve_extrapolation
 from repro.core.plan import SelectionPlan, TrainStep
 from repro.core.results import RecallResult, SelectionResult, TwoPhaseResult
 from repro.data.tasks import ClassificationTask
-from repro.nn.batched import FusedSessionGroup
+from repro.nn.batched import FUSED_MIN_GROUP, FusedSessionGroup
 from repro.persist.codec import (
     decode_recall,
     decode_result,
@@ -70,10 +70,6 @@ from repro.utils.exceptions import (
 )
 
 logger = logging.getLogger(__name__)
-
-#: Smallest same-geometry round group worth stacking; smaller groups run
-#: the per-session path (stacking a singleton only adds copying overhead).
-FUSED_MIN_GROUP = 2
 
 #: Request lifecycle states (``SelectionRequest.state``).
 QUEUED = "queued"
@@ -1095,7 +1091,7 @@ class EpochScheduler:
         Ops whose sessions share a fusion signature, current epoch and
         round target form one ``("fused", indices)`` unit (stacked-kernel
         training); everything else — singletons, groups below
-        :data:`FUSED_MIN_GROUP`, geometries a probe has condemned, sessions
+        :data:`~repro.nn.batched.FUSED_MIN_GROUP`, geometries a probe has condemned, sessions
         without a fusion surface — stays on the per-session path as
         ``("single", [index])`` units.
         """

@@ -17,16 +17,24 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.data.tasks import ClassificationTask
+from repro.nn.batched import FUSED_MIN_GROUP, FusedSessionGroup
 from repro.nn.metrics import accuracy
 from repro.nn.network import MLPClassifier
 from repro.utils.exceptions import ConfigurationError, DataError
 from repro.utils.rng import RngFactory
-from repro.zoo.models import PretrainedModel
+from repro.zoo.models import PretrainedModel, encode_models
+
+#: Most sessions one offline fine-tuning group holds at once.  Peak memory
+#: grows with the group (every member's encoded splits and stacked heads
+#: are live together); 10 keeps the in-process NLP build within ~2 MB of
+#: the serial build's peak while keeping most of the fused speed-up (see
+#: ``docs/fused-training.md``).
+OFFLINE_GROUP = 10
 
 
 @dataclass(frozen=True)
@@ -120,7 +128,8 @@ class LearningCurve:
 class FineTuneSession:
     """Incremental fine-tuning of one model on one task.
 
-    The session encodes the task's splits once, then trains the head in
+    The session holds the model's encodings of the task's three splits
+    (see :meth:`FineTuner.start_sessions`) and trains the head in
     epoch-sized stages.  Selection algorithms advance surviving sessions and
     simply stop calling :meth:`train_epochs` for filtered models, which is
     how the epoch accounting in the paper's Tables V/VI arises.
@@ -132,22 +141,17 @@ class FineTuneSession:
         task: ClassificationTask,
         config: FineTuneConfig,
         rng: np.random.Generator,
+        train_features: np.ndarray,
+        val_features: np.ndarray,
+        test_features: np.ndarray,
     ) -> None:
-        if model.modality != task.modality:
-            raise ConfigurationError(
-                f"cannot fine-tune {model.modality!r} model {model.name!r} on "
-                f"{task.modality!r} task {task.name!r}"
-            )
         self.model = model
         self.task = task
         self.config = config
-        self._train_features = model.encode(task.train.features)
-        val_features = model.encode(task.val.features)
+        self._train_features = train_features
         #: One ``[val; test]`` slab for the single-pass epoch evaluation;
         #: the per-split features are views into it.
-        self._eval_features = np.concatenate(
-            [val_features, model.encode(task.test.features)], axis=0
-        )
+        self._eval_features = np.concatenate([val_features, test_features], axis=0)
         self._val_features = self._eval_features[: val_features.shape[0]]
         self._test_features = self._eval_features[val_features.shape[0]:]
         self.head = MLPClassifier(
@@ -283,6 +287,43 @@ class FineTuner:
         self.config = config or FineTuneConfig()
         self._rng_factory = RngFactory(seed)
 
+    def start_sessions(
+        self,
+        models: Sequence[PretrainedModel],
+        task: ClassificationTask,
+        *,
+        config: Optional[FineTuneConfig] = None,
+    ) -> List[FineTuneSession]:
+        """Fine-tuning sessions of every model on ``task``, one per model.
+
+        Each split is encoded once for the whole group
+        (:func:`~repro.zoo.models.encode_models`); session ``s`` gets slice
+        ``s`` of each slab and its own ``(model, task)`` random stream.
+        """
+        cfg = config or self.config
+        for model in models:
+            if model.modality != task.modality:
+                raise ConfigurationError(
+                    f"cannot fine-tune {model.modality!r} model {model.name!r} on "
+                    f"{task.modality!r} task {task.name!r}"
+                )
+        train, val, test = (
+            encode_models(models, split.features)
+            for split in (task.train, task.val, task.test)
+        )
+        return [
+            FineTuneSession(
+                model,
+                task,
+                cfg,
+                self._rng_factory.named("finetune", model.name, task.name, cfg.learning_rate),
+                train[s],
+                val[s],
+                test[s],
+            )
+            for s, model in enumerate(models)
+        ]
+
     def start_session(
         self,
         model: PretrainedModel,
@@ -291,9 +332,50 @@ class FineTuner:
         config: Optional[FineTuneConfig] = None,
     ) -> FineTuneSession:
         """Create an incremental fine-tuning session for ``(model, task)``."""
+        return self.start_sessions([model], task, config=config)[0]
+
+    def fine_tune_many(
+        self,
+        models: Sequence[PretrainedModel],
+        task: ClassificationTask,
+        *,
+        epochs: Optional[int] = None,
+        config: Optional[FineTuneConfig] = None,
+    ) -> List[LearningCurve]:
+        """Fully fine-tune every model on ``task``; curves in ``models`` order.
+
+        The models train in groups of at most :data:`OFFLINE_GROUP`, in
+        order.  A group of at least :data:`~repro.nn.batched.FUSED_MIN_GROUP`
+        sessions training two or more epochs advances as one
+        :class:`~repro.nn.batched.FusedSessionGroup` (its first epoch is the
+        bitwise probe); otherwise each session trains serially, since with
+        one epoch the probe would only duplicate it.  Either way every curve
+        equals a serial :meth:`fine_tune` bitwise.
+        """
         cfg = config or self.config
-        rng = self._rng_factory.named("finetune", model.name, task.name, cfg.learning_rate)
-        return FineTuneSession(model, task, cfg, rng)
+        num_epochs = epochs if epochs is not None else cfg.epochs
+        models = list(models)
+        curves: List[LearningCurve] = []
+        for start in range(0, len(models), OFFLINE_GROUP):
+            group = models[start : start + OFFLINE_GROUP]
+            curves.extend(self._fine_tune_group(group, task, cfg, num_epochs))
+        return curves
+
+    def _fine_tune_group(
+        self,
+        models: Sequence[PretrainedModel],
+        task: ClassificationTask,
+        config: FineTuneConfig,
+        epochs: int,
+    ) -> List[LearningCurve]:
+        """Train one offline group; its sessions die when this returns."""
+        sessions = self.start_sessions(models, task, config=config)
+        if len(sessions) >= FUSED_MIN_GROUP and epochs >= 2:
+            FusedSessionGroup(sessions).advance(epochs, probe=True)
+        else:
+            for session in sessions:
+                session.train_epochs(epochs)
+        return [session.curve for session in sessions]
 
     def fine_tune(
         self,
@@ -304,7 +386,4 @@ class FineTuner:
         config: Optional[FineTuneConfig] = None,
     ) -> LearningCurve:
         """Run a full fine-tuning and return its learning curve."""
-        cfg = config or self.config
-        session = self.start_session(model, task, config=cfg)
-        session.train_epochs(epochs if epochs is not None else cfg.epochs)
-        return session.curve
+        return self.fine_tune_many([model], task, epochs=epochs, config=config)[0]

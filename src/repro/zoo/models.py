@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import threading
 import zlib
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -124,46 +124,17 @@ class PretrainedModel:
         return self.entry.source_classes
 
     # ------------------------------------------------------------------ #
-    def encode(self, features: np.ndarray, *, deterministic: bool = True) -> np.ndarray:
+    def encode(self, features: np.ndarray) -> np.ndarray:
         """Map raw features to the model's representation space.
 
         The encoder projects onto concept coordinates, scales each concept
         by the model's gain (how well the checkpoint covers it), projects
         into the hidden space and applies a mild saturation.  Noise is
-        deterministic per input by default so repeated encodings of the
-        same sample agree (as a frozen real encoder would).
+        deterministic per input so repeated encodings of the same sample
+        agree (as a frozen real encoder would).  One-model form of
+        :func:`encode_models`.
         """
-        features = np.asarray(features, dtype=float)
-        if features.ndim != 2 or features.shape[1] != self.space.feature_dim:
-            raise DataError(
-                f"expected features of shape (n, {self.space.feature_dim}), "
-                f"got {features.shape}"
-            )
-        concepts = self.space.project(features)
-        gained = concepts * self.concept_gains[None, :]
-        hidden = gained @ self.projection
-        hidden = np.tanh(hidden / 2.0) * 2.0
-        if self.representation_noise > 0:
-            noise = self._deterministic_noise(features, hidden.shape)
-            hidden = hidden + self.representation_noise * noise
-        return hidden
-
-    def _deterministic_noise(self, features: np.ndarray, shape) -> np.ndarray:
-        """Noise that is reproducible per input row yet statistically white.
-
-        Each row is hashed (together with a per-model key) into a seed for a
-        small generator, so encoding the same sample twice yields the same
-        representation — as a frozen real encoder would — while the noise
-        carries no information about the class signal.  All rows are seeded
-        in one vectorised pass that is bitwise equal to a per-row
-        ``np.random.default_rng(seed).standard_normal``.
-        """
-        rounded = np.round(features, decimals=8)
-        seeds = [
-            (zlib.crc32(row.tobytes()) ^ self._noise_key) & 0x7FFFFFFF
-            for row in rounded
-        ]
-        return seeded_standard_normal(np.array(seeds, dtype=np.int64), shape[1])
+        return encode_models([self], features)[0]
 
     # ------------------------------------------------------------------ #
     def source_head(self) -> MLPClassifier:
@@ -223,3 +194,53 @@ class PretrainedModel:
             f"PretrainedModel(name={self.name!r}, modality={self.modality!r}, "
             f"quality={self.quality:.2f})"
         )
+
+
+def encode_models(models: Sequence[PretrainedModel], features: np.ndarray) -> np.ndarray:
+    """Encode ``features`` with every model of ``models`` in one pass.
+
+    Returns an ``(S, n, d)`` slab whose slice ``s`` is ``models[s]``'s
+    representation.  The concept projection, the rounding and the crc32
+    row hash do not depend on the model, so they run once; each row's
+    noise seed is its hash XOR the model's noise key, and all ``S * n``
+    noise rows are drawn in one
+    :func:`~repro.utils.rng.seeded_standard_normal` call.  Each slice then
+    applies its model's gains, projection, saturation and noise scale.
+
+    The noise is reproducible per input row yet statistically white: the
+    same sample always encodes the same way, while the noise carries no
+    information about the class signal.  The models must share one domain
+    space and ``hidden_dim`` (any group drawn from one hub does).
+    """
+    models = list(models)
+    if not models:
+        raise ConfigurationError("encode_models needs at least one model")
+    space, width = models[0].space, models[0].hidden_dim
+    if any(model.space is not space or model.hidden_dim != width for model in models):
+        raise ConfigurationError(
+            "models encoded together must share their domain space and hidden_dim"
+        )
+    features = np.asarray(features, dtype=float)
+    if features.ndim != 2 or features.shape[1] != space.feature_dim:
+        raise DataError(
+            f"expected features of shape (n, {space.feature_dim}), got {features.shape}"
+        )
+    concepts = space.project(features)
+    rows = np.array(
+        [zlib.crc32(row.tobytes()) for row in np.round(features, decimals=8)],
+        dtype=np.int64,
+    )
+    keys = np.array([model._noise_key for model in models], dtype=np.int64)
+    seeds = (rows[None, :] ^ keys[:, None]) & 0x7FFFFFFF
+    noise = seeded_standard_normal(seeds.reshape(-1), width).reshape(
+        len(models), rows.shape[0], width
+    )
+    out = np.empty_like(noise)
+    for s, model in enumerate(models):
+        gained = concepts * model.concept_gains[None, :]
+        hidden = gained @ model.projection
+        hidden = np.tanh(hidden / 2.0) * 2.0
+        if model.representation_noise > 0:
+            hidden = hidden + model.representation_noise * noise[s]
+        out[s] = hidden
+    return out

@@ -3,9 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.core.performance import PerformanceMatrix, build_performance_matrix
+from oracles import build_matrix_loop, update_matrix_loop
+from repro.core.performance import (
+    PerformanceMatrix,
+    build_performance_matrix,
+    update_performance_matrix,
+)
+from repro.nn.batched import FusedSessionGroup
 from repro.utils.exceptions import DataError
-from repro.zoo.finetune import LearningCurve
+from repro.zoo.finetune import OFFLINE_GROUP, FineTuneConfig, FineTuner, LearningCurve
 
 
 class TestPerformanceMatrixStructure:
@@ -103,17 +109,6 @@ class TestBuilder:
         )
         assert strong > weak
 
-    def test_subsampled_training_fraction(self, nlp_hub_small, nlp_suite_small, fine_tuner):
-        matrix = build_performance_matrix(
-            nlp_hub_small.subset(["bert-base-uncased"]),
-            nlp_suite_small,
-            fine_tuner=fine_tuner,
-            epochs=1,
-            train_fraction=0.5,
-            benchmark_names=["sst2"],
-        )
-        assert matrix.values.shape == (1, 1)
-
     def test_benchmark_names_filter(self, nlp_hub_small, nlp_suite_small, fine_tuner):
         matrix = build_performance_matrix(
             nlp_hub_small.subset(["bert-base-uncased", "roberta-base"]),
@@ -124,3 +119,80 @@ class TestBuilder:
         )
         assert matrix.dataset_names == ["sst2", "cola"]
         assert matrix.epochs == 1
+
+
+def assert_same_matrix(got, expected):
+    """Bitwise values, every curve list and the curve key order."""
+    assert got.dataset_names == expected.dataset_names
+    assert got.model_names == expected.model_names
+    assert got.epochs == expected.epochs
+    assert np.array_equal(got.values.view(np.uint64), expected.values.view(np.uint64))
+    assert list(got.curves) == list(expected.curves)
+    for key, curve in expected.curves.items():
+        mine = got.curves[key]
+        assert mine.val_accuracy == curve.val_accuracy, key
+        assert mine.test_accuracy == curve.test_accuracy, key
+        assert mine.train_loss == curve.train_loss, key
+
+
+class TestGroupedBuildMatchesOracle:
+    """The benchmark-outer, grouped and fused build equals the serial
+    model-major loop it replaced."""
+
+    @pytest.mark.parametrize("modality", ["nlp", "cv"])
+    @pytest.mark.parametrize("epochs", [1, 2, 3])
+    def test_build(self, request, modality, epochs):
+        hub = request.getfixturevalue(f"{modality}_hub_small")
+        suite = request.getfixturevalue(f"{modality}_suite_small")
+        tuner = FineTuner(FineTuneConfig(epochs=3), seed=0)
+        got = build_performance_matrix(hub, suite, fine_tuner=tuner, epochs=epochs)
+        assert_same_matrix(got, build_matrix_loop(hub, suite, tuner, epochs))
+
+    @pytest.mark.parametrize("added", [0, 1, 3])
+    def test_update(self, nlp_hub_small, nlp_suite_small, added):
+        tuner = FineTuner(FineTuneConfig(epochs=2), seed=0)
+        names = nlp_hub_small.model_names
+        old_hub = nlp_hub_small.subset(names[: len(names) - added])
+        old = build_performance_matrix(
+            old_hub, nlp_suite_small, fine_tuner=tuner, epochs=2,
+            benchmark_names=["cola", "sst2", "rte"],
+        )
+        new_hub = nlp_hub_small.subset(names[1:])
+        got = update_performance_matrix(old, new_hub, nlp_suite_small, fine_tuner=tuner)
+        assert_same_matrix(got, update_matrix_loop(old, new_hub, nlp_suite_small, tuner))
+
+
+class TestOfflineGroups:
+    @pytest.fixture()
+    def advances(self, monkeypatch):
+        calls = []
+        original = FusedSessionGroup.advance
+
+        def spy(self, epochs, *, probe=True):
+            report = original(self, epochs, probe=probe)
+            calls.append(report)
+            return report
+
+        monkeypatch.setattr(FusedSessionGroup, "advance", spy)
+        return calls
+
+    def test_groups_are_bounded_and_fused(self, nlp_hub_small, nlp_suite_small, advances):
+        assert len(nlp_hub_small) == 12
+        build_performance_matrix(
+            nlp_hub_small, nlp_suite_small, fine_tuner=FineTuner(seed=0), epochs=3,
+            benchmark_names=["cola", "sst2"],
+        )
+        assert [report.sessions for report in advances] == [OFFLINE_GROUP, 2] * 2
+        assert all(report.verified and not report.delegated for report in advances)
+        assert all(report.probe_epochs == report.sessions for report in advances)
+
+    @pytest.mark.parametrize("epochs, models", [(1, 12), (3, 1)])
+    def test_one_epoch_or_one_model_makes_no_group(
+        self, nlp_hub_small, nlp_suite_small, advances, epochs, models
+    ):
+        build_performance_matrix(
+            nlp_hub_small.subset(nlp_hub_small.model_names[:models]),
+            nlp_suite_small, fine_tuner=FineTuner(seed=0), epochs=epochs,
+            benchmark_names=["cola", "sst2"],
+        )
+        assert advances == []

@@ -59,13 +59,13 @@ class TestArtifactRefresh:
 
     def test_refresh_fine_tunes_only_added_models(self, artifacts, monkeypatch):
         calls = []
-        original = FineTuner.fine_tune
+        original = FineTuner.start_sessions
 
-        def counting(self, model, task, **kwargs):
-            calls.append((model.name, task.name))
-            return original(self, model, task, **kwargs)
+        def counting(self, models, task, **kwargs):
+            calls.extend((model.name, task.name) for model in models)
+            return original(self, models, task, **kwargs)
 
-        monkeypatch.setattr(FineTuner, "fine_tune", counting)
+        monkeypatch.setattr(FineTuner, "start_sessions", counting)
         artifacts.refresh(added=[ADDED_MODEL], cache=False)
         # Exactly one offline run per benchmark dataset, all for the
         # added checkpoint — surviving columns were copied, not rebuilt.
@@ -158,13 +158,14 @@ class TestServiceRefresh:
     def test_refresh_does_not_rebuild_survivors(self, artifacts, monkeypatch):
         service = SelectionService(artifacts)
         calls = []
-        original = FineTuner.fine_tune
+        original = FineTuner.start_sessions
 
-        def counting(self, model, task, **kwargs):
-            calls.append(model.name)
-            return original(self, model, task, **kwargs)
+        def counting(self, models, task, **kwargs):
+            calls.extend(model.name for model in models)
+            return original(self, models, task, **kwargs)
 
-        monkeypatch.setattr(FineTuner, "fine_tune", counting)
+        monkeypatch.setattr(FineTuner, "start_sessions", counting)
         service.refresh(added=[ADDED_MODEL])
+        assert calls  # the spy sees the added model's offline runs
         offline_calls = [name for name in calls if name != ADDED_MODEL]
         assert not offline_calls  # surviving checkpoints were never touched

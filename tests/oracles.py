@@ -1,11 +1,14 @@
 """Reference loop implementations the library code must match.
 
-These are the original per-pair and per-row loops, and the blocking
-stage-by-stage selection loop.  The library no longer ships them; the unit
+These are the original per-pair and per-row loops, the per-model encoder
+and model-major offline build, and the blocking stage-by-stage selection
+loop.  The library no longer ships them; the unit
 and property suites compare the vectorised paths and the epoch scheduler
 against them bitwise.  Import with ``from oracles import ...`` (the
 ``tests`` directory is on ``sys.path`` under pytest's default import mode).
 """
+
+import zlib
 
 import numpy as np
 
@@ -15,6 +18,75 @@ from repro.core.plan import SelectionPlan, SessionView
 from repro.core.results import SelectionResult, TwoPhaseResult
 from repro.core.similarity import performance_similarity
 from repro.utils.exceptions import DataError
+
+
+def encode_loop(model, features) -> np.ndarray:
+    """Reference per-model encoder: one ``default_rng`` per noise row."""
+    features = np.asarray(features, dtype=float)
+    if features.ndim != 2 or features.shape[1] != model.space.feature_dim:
+        raise DataError(f"bad feature shape {features.shape}")
+    concepts = model.space.project(features)
+    gained = concepts * model.concept_gains[None, :]
+    hidden = gained @ model.projection
+    hidden = np.tanh(hidden / 2.0) * 2.0
+    if model.representation_noise > 0:
+        noise = np.empty(hidden.shape)
+        rounded = np.round(features, decimals=8)
+        for row in range(hidden.shape[0]):
+            digest = zlib.crc32(rounded[row].tobytes()) ^ model._noise_key
+            row_rng = np.random.default_rng(digest & 0x7FFFFFFF)
+            noise[row] = row_rng.standard_normal(hidden.shape[1])
+        hidden = hidden + model.representation_noise * noise
+    return hidden
+
+
+def build_matrix_loop(hub, suite, fine_tuner, epochs, benchmark_names=None):
+    """Reference offline build: one serial ``fine_tune`` per pair, model-major."""
+    dataset_names = list(benchmark_names or suite.benchmark_names)
+    values = np.zeros((len(dataset_names), len(hub.model_names)))
+    curves = {}
+    for column, model_name in enumerate(hub.model_names):
+        model = hub.get(model_name)
+        for row, dataset_name in enumerate(dataset_names):
+            curve = fine_tuner.fine_tune(model, suite.task(dataset_name), epochs=epochs)
+            values[row, column] = curve.final_test
+            curves[(model_name, dataset_name)] = curve
+    return PerformanceMatrix(
+        dataset_names=dataset_names,
+        model_names=hub.model_names,
+        values=values,
+        curves=curves,
+        epochs=epochs,
+    )
+
+
+def update_matrix_loop(old, hub, suite, fine_tuner) -> PerformanceMatrix:
+    """Reference incremental update: copy survivors, fine-tune added models
+    serially (model-major), then append the survivors' old curves."""
+    old_index = {name: i for i, name in enumerate(old.model_names)}
+    values = np.zeros((len(old.dataset_names), len(hub.model_names)))
+    curves = {}
+    for column, model_name in enumerate(hub.model_names):
+        if model_name in old_index:
+            values[:, column] = old.values[:, old_index[model_name]]
+            continue
+        model = hub.get(model_name)
+        for row, dataset_name in enumerate(old.dataset_names):
+            curve = fine_tuner.fine_tune(
+                model, suite.task(dataset_name), epochs=old.epochs
+            )
+            values[row, column] = curve.final_test
+            curves[(model_name, dataset_name)] = curve
+    curves.update(
+        {key: curve for key, curve in old.curves.items() if key[0] in hub.model_names}
+    )
+    return PerformanceMatrix(
+        dataset_names=list(old.dataset_names),
+        model_names=hub.model_names,
+        values=values,
+        curves=curves,
+        epochs=old.epochs,
+    )
 
 
 def _performance_similarity_matrix_loop(

@@ -1,25 +1,15 @@
 """Tests for repro.zoo.models.PretrainedModel."""
 
-import functools
 import threading
-import zlib
 
 import numpy as np
 import pytest
 
+from oracles import encode_loop
+
 from repro.utils.exceptions import ConfigurationError, DataError
 from repro.zoo.hub import ModelHub
-
-
-def _deterministic_noise_loop(model, features, shape):
-    """Oracle for ``PretrainedModel._deterministic_noise``: one generator per row."""
-    noise = np.empty(shape)
-    rounded = np.round(features, decimals=8)
-    for row in range(shape[0]):
-        digest = zlib.crc32(rounded[row].tobytes()) ^ model._noise_key
-        row_rng = np.random.default_rng(digest & 0x7FFFFFFF)
-        noise[row] = row_rng.standard_normal(shape[1])
-    return noise
+from repro.zoo.models import encode_models
 
 
 class TestEncoder:
@@ -50,9 +40,7 @@ class TestEncoder:
         weak = nlp_hub_small.get("CAMeL-Lab/bert-base-arabic-camelbert-mix-did-nadi")
         assert strong.representation_noise < weak.representation_noise
 
-    def test_encode_matches_per_row_oracle_on_every_model(
-        self, nlp_suite_small, monkeypatch
-    ):
+    def test_encode_matches_per_row_oracle_on_every_model(self, nlp_suite_small):
         hub = ModelHub(nlp_suite_small, seed=0)
         task = nlp_suite_small.task("mnli")
         assert len(hub.model_names) >= 40
@@ -61,11 +49,17 @@ class TestEncoder:
             assert model.representation_noise > 0
             for split in (task.train, task.val, task.test):
                 got = model.encode(split.features)
-                with monkeypatch.context() as patch:
-                    oracle = functools.partial(_deterministic_noise_loop, model)
-                    patch.setattr(model, "_deterministic_noise", oracle)
-                    expected = model.encode(split.features)
+                expected = encode_loop(model, split.features)
                 assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), name
+
+    def test_encode_models_rejects_mixed_or_empty_groups(self, nlp_hub_small, cv_hub_small):
+        nlp = nlp_hub_small.get("bert-base-uncased")
+        cv = cv_hub_small.get("google/vit-base-patch16-224")
+        features = np.zeros((2, nlp.space.feature_dim))
+        with pytest.raises(ConfigurationError):
+            encode_models([nlp, cv], features)
+        with pytest.raises(ConfigurationError):
+            encode_models([], features)
 
     def test_concept_gains_reflect_domain(self, nlp_hub_small):
         model = nlp_hub_small.get("bert-base-uncased")
