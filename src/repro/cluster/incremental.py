@@ -232,6 +232,7 @@ def update_clustering(
 
     # Representatives: keep old winners for untouched clusters, re-elect in
     # touched ones (membership changed there).
+    accuracies = new_matrix.average_accuracies()
     representatives: Dict[int, str] = {}
     for cluster_id, members in assignment.non_singleton_clusters().items():
         if cluster_id not in touched_final:
@@ -239,7 +240,7 @@ def update_clustering(
             if survivor_rep is not None:
                 representatives[cluster_id] = survivor_rep
                 continue
-        representatives[cluster_id] = max(members, key=new_matrix.average_accuracy)
+        representatives[cluster_id] = max(members, key=accuracies.__getitem__)
 
     extras = dict(old.extras)
     silhouette = ModelClusterer._safe_silhouette(

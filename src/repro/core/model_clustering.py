@@ -218,11 +218,11 @@ class ModelClusterer:
         assignment: ClusterAssignment, matrix: PerformanceMatrix
     ) -> Dict[int, str]:
         """Pick the member with the highest average benchmark accuracy."""
-        representatives: Dict[int, str] = {}
-        for cluster_id, members in assignment.non_singleton_clusters().items():
-            best = max(members, key=matrix.average_accuracy)
-            representatives[cluster_id] = best
-        return representatives
+        accuracies = matrix.average_accuracies()
+        return {
+            cluster_id: max(members, key=accuracies.__getitem__)
+            for cluster_id, members in assignment.non_singleton_clusters().items()
+        }
 
     @staticmethod
     def _safe_silhouette(

@@ -40,15 +40,3 @@ class DataSplit:
     def class_counts(self, num_classes: int) -> np.ndarray:
         """Per-class sample counts (length ``num_classes``)."""
         return np.bincount(self.labels, minlength=num_classes)
-
-    def subsample(self, fraction: float, rng: np.random.Generator) -> "DataSplit":
-        """Return a random subset containing ``fraction`` of the rows.
-
-        Used by the performance-matrix builder, which (as in the paper)
-        may fine-tune on a subset of each benchmark dataset.
-        """
-        if not 0.0 < fraction <= 1.0:
-            raise DataError(f"fraction must be in (0, 1], got {fraction}")
-        size = max(1, int(round(fraction * len(self))))
-        idx = rng.choice(len(self), size=size, replace=False)
-        return DataSplit(self.features[idx], self.labels[idx])

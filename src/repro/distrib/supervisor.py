@@ -29,6 +29,7 @@ alive:
 
 from __future__ import annotations
 
+import logging
 import os
 import select
 import subprocess
@@ -40,6 +41,8 @@ from typing import Callable, Dict, List, Optional
 from repro.distrib.wire import ping
 from repro.distrib.worker import PARENT_PID_ENV
 from repro.utils.exceptions import ConfigurationError
+
+logger = logging.getLogger(__name__)
 
 #: Exit code of the environment failpoint (mirrors the harness constant).
 _FAILPOINT_EXIT_CODE = 137
@@ -77,6 +80,7 @@ class _WorkerState:
         self.restarts = 0
         self.failed = False
         self.ping_strikes = 0
+        self.monitor_errors = 0
 
 
 class WorkerSupervisor:
@@ -234,7 +238,12 @@ class WorkerSupervisor:
             self._beats += 1
             ping_beat = self._beats % self._ping_every == 0
             for state in states:
-                self._check(state, ping_beat)
+                try:
+                    self._check(state, ping_beat)
+                except Exception:  # noqa: BLE001 — the monitor must never die
+                    with self._lock:
+                        state.monitor_errors += 1
+                    logger.exception("monitor check of worker %r failed", state.name)
             time.sleep(self.heartbeat_interval)
 
     def _check(self, state: _WorkerState, ping_beat: bool) -> None:
@@ -285,6 +294,10 @@ class WorkerSupervisor:
         try:
             handle = self._spawn(state.name, generation, restart=True)
         except Exception:
+            logger.exception(
+                "respawn of worker %r (generation %d) failed; marking it failed",
+                state.name, generation,
+            )
             with self._lock:
                 state.failed = True
                 state.handle = None
@@ -387,7 +400,11 @@ class WorkerSupervisor:
 
     # ------------------------------------------------------------------ #
     def stats(self) -> Dict[str, object]:
-        """Per-worker liveness: pid, port, generation, restart count."""
+        """Per-worker liveness: pid, port, generation, restart count.
+
+        ``monitor_errors`` counts heartbeat checks of the worker that
+        raised; the monitor logs each one and keeps watching.
+        """
         with self._lock:
             report = {}
             for name, state in sorted(self._states.items()):
@@ -399,5 +416,6 @@ class WorkerSupervisor:
                     "generation": state.generation,
                     "restarts": state.restarts,
                     "failed": state.failed,
+                    "monitor_errors": state.monitor_errors,
                 }
             return report

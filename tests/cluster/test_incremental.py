@@ -150,6 +150,66 @@ class TestUpdateClustering:
             update_clustering(clustering, matrix, np.ones((3, 3)), config=config)
 
 
+def _elect_by_lookup(clustering, matrix, old=None, touched=()):
+    """Each election keyed by ``matrix.average_accuracy(name)``, one name at a time."""
+    expected = {}
+    for cluster_id, members in clustering.non_singleton_clusters().items():
+        if old is not None and cluster_id not in touched:
+            survivor = old.representatives.get(old.cluster_of(members[0]))
+            if survivor is not None:
+                expected[cluster_id] = survivor
+                continue
+        expected[cluster_id] = max(members, key=matrix.average_accuracy)
+    return expected
+
+
+class TestRepresentativeElection:
+    """Elections read one ``average_accuracies()`` dict; the winners must
+    equal those of per-name ``average_accuracy`` lookups."""
+
+    def test_build_and_refresh_chain_match_per_name_lookups(self):
+        rng = np.random.default_rng(17)
+        centers = rng.uniform(0.2, 0.9, size=(6, 12))
+
+        def family_column(family):
+            return np.clip(centers[family] + rng.normal(0, 0.01, 12), 0, 1)
+
+        names = [f"f{i % 6}-{i}" for i in range(48)]
+        matrix = _matrix(
+            np.column_stack([family_column(i % 6) for i in range(48)]), names
+        )
+        config = ClusteringConfig(staleness_threshold=0.3)
+        clustering = ModelClusterer(config).cluster(matrix, cache=False)
+        assert clustering.non_singleton_clusters()
+        assert clustering.representatives == _elect_by_lookup(clustering, matrix)
+
+        reclustered = False
+        for step in range(12):
+            added = [f"f{step % 6}-new{step}", f"solo-new{step}"]
+            values = np.column_stack([
+                matrix.values[:, 1:],
+                family_column(step % 6),
+                rng.uniform(0, 1, 12),
+            ])
+            new_matrix = _matrix(values, matrix.model_names[1:] + added)
+            similarity = update_similarity_matrix(
+                matrix, clustering.similarity, new_matrix,
+                top_k=config.top_k, cache=False,
+            )
+            update = update_clustering(clustering, new_matrix, similarity, config=config)
+            new = update.clustering
+            if update.reclustered:
+                reclustered = True
+                expected = _elect_by_lookup(new, new_matrix)
+            else:
+                expected = _elect_by_lookup(
+                    new, new_matrix, old=clustering, touched=update.touched_clusters
+                )
+            assert new.representatives == expected
+            matrix, clustering = new_matrix, new
+        assert reclustered
+
+
 class TestUpdateSimilarityValidation:
     def test_changed_benchmarks_rejected(self, base):
         matrix, clustering, _ = base

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from repro.cluster.distance import pairwise_distances
-from repro.cluster.silhouette import silhouette_samples, silhouette_score
+from repro.cluster.silhouette import (
+    _pairwise_column_sums,
+    silhouette_samples,
+    silhouette_score,
+)
 from repro.utils.exceptions import DataError
 from oracles import _silhouette_samples_loop
 
@@ -92,3 +96,40 @@ class TestStreamingEqualsLoop:
             silhouette_samples(mapped, labels),
             _silhouette_samples_loop(distances, labels),
         )
+
+
+class TestPairwiseColumnSums:
+    """Tripwire: the column-sum replay must match numpy's own 1-D ``.sum()``.
+
+    A numpy release that changes its summation order fails this test
+    before any silhouette or golden snapshot drifts.
+    """
+
+    @pytest.mark.parametrize(
+        "widths", [range(0, 301), [511, 512, 513, 1000, 2049, 10_000]],
+        ids=["0-300", "large"],
+    )
+    def test_bitwise_equal_to_row_sums(self, widths):
+        rng = np.random.default_rng(2024)
+        for width in widths:
+            block = rng.normal(size=(6, width)) * rng.choice(
+                [1e-8, 1.0, 1e8], size=(6, width)
+            )
+            block[1] = -0.0
+            block[2] = -1e-9
+            block[3] = -1e-9 * rng.random(width)
+            block[4] = np.abs(block[4])
+            sums = _pairwise_column_sums(block, 0, width)
+            expected = np.array([row.sum() for row in block])
+            assert sums.tobytes() == expected.tobytes(), f"width {width}"
+
+    def test_all_negative_zero_rows_sum_to_positive_zero(self):
+        for width in (1, 3, 7, 8, 9, 129):
+            sums = _pairwise_column_sums(np.full((2, width), -0.0), 0, width)
+            assert sums.tobytes() == np.zeros(2).tobytes()
+
+    def test_sub_range_matches_slice_sum(self):
+        block = np.random.default_rng(8).normal(size=(4, 400))
+        sums = _pairwise_column_sums(block, 37, 331)
+        expected = np.array([row[37:331].sum() for row in block])
+        assert sums.tobytes() == expected.tobytes()

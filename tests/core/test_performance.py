@@ -46,6 +46,18 @@ class TestPerformanceMatrixStructure:
         average = nlp_matrix_small.average_accuracy("bert-base-uncased")
         assert np.isclose(average, nlp_matrix_small.model_vector("bert-base-uncased").mean())
 
+    def test_average_accuracies_equal_per_name_lookups(self):
+        rng = np.random.default_rng(5)
+        names = [f"m{i}" for i in range(300)]
+        matrix = PerformanceMatrix(
+            dataset_names=[f"d{i}" for i in range(24)],
+            model_names=names,
+            values=rng.uniform(0, 1, size=(24, 300)),
+        )
+        averages = matrix.average_accuracies()
+        assert list(averages) == names
+        assert all(averages[name] == matrix.average_accuracy(name) for name in names)
+
     def test_best_model_for(self, nlp_matrix_small):
         dataset = nlp_matrix_small.dataset_names[0]
         best = nlp_matrix_small.best_model_for(dataset)

@@ -31,23 +31,3 @@ class TestClassCounts:
         split = DataSplit(np.ones((5, 2)), np.array([0, 0, 1, 2, 2]))
         assert split.class_counts(4).tolist() == [2, 1, 2, 0]
 
-
-class TestSubsample:
-    def test_size(self):
-        split = DataSplit(np.arange(40).reshape(20, 2), np.zeros(20, dtype=int))
-        sub = split.subsample(0.5, np.random.default_rng(0))
-        assert len(sub) == 10
-
-    def test_rows_come_from_original(self):
-        features = np.arange(40).reshape(20, 2)
-        split = DataSplit(features, np.zeros(20, dtype=int))
-        sub = split.subsample(0.3, np.random.default_rng(0))
-        original_rows = {tuple(row) for row in features}
-        assert all(tuple(row) in original_rows for row in sub.features)
-
-    def test_invalid_fraction(self):
-        split = DataSplit(np.ones((4, 2)), np.zeros(4, dtype=int))
-        with pytest.raises(DataError):
-            split.subsample(0.0, np.random.default_rng(0))
-        with pytest.raises(DataError):
-            split.subsample(1.5, np.random.default_rng(0))

@@ -1,5 +1,8 @@
 """Property-based tests for the clustering substrate."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -106,6 +109,57 @@ class TestClusteringProperties:
             silhouette_samples(distances, labels),
             _silhouette_samples_loop(distances, labels),
         )
+
+
+@st.composite
+def labelled_distances(draw):
+    """A distance matrix and labels in one of four regimes.
+
+    ``random`` draws n and k freely; ``singletons`` gives several
+    one-member clusters; ``giant`` puts more than 128 members in one
+    cluster (the pairwise sum's recursive split); ``duplicates`` repeats
+    points, so whole rows of exact zeros and zero denominators occur.
+    """
+    regime = draw(st.sampled_from(["random", "singletons", "giant", "duplicates"]))
+    n = draw(st.integers(min_value=140 if regime == "giant" else 3, max_value=320))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    points = rng.normal(size=(n, 3))
+    if regime == "duplicates":
+        points = points[rng.integers(0, max(1, n // 4), size=n)]
+    distances = pairwise_distances(points)
+    k = draw(st.integers(min_value=2, max_value=max(2, n // 2)))
+    labels = rng.integers(0, k, size=n)
+    if regime == "singletons":
+        lonely = rng.choice(n, size=min(n, draw(st.integers(1, 6))), replace=False)
+        labels[lonely] = k + np.arange(lonely.size)
+    elif regime == "giant":
+        labels = np.where(rng.random(n) < 0.9, 0, labels + 1)
+    if np.unique(labels).size < 2:
+        labels[0] = labels.max() + 1
+    return distances, labels
+
+
+class TestSilhouetteColumnSums:
+    """The vectorised column sums against the per-row oracle, byte for byte.
+
+    ``tobytes()`` rather than ``array_equal`` so that the sign of a zero
+    counts too.
+    """
+
+    @given(labelled_distances(), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_bytes_equal_oracle(self, case, memmapped):
+        distances, labels = case
+        expected = _silhouette_samples_loop(distances, labels).tobytes()
+        if not memmapped:
+            assert silhouette_samples(distances, labels).tobytes() == expected
+            return
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "distances.npy"
+            np.save(path, distances)
+            mapped = np.load(path, mmap_mode="r")
+            assert silhouette_samples(mapped, labels).tobytes() == expected
+            del mapped
 
 
 def quantized_distances(draw_values, n):
