@@ -48,9 +48,9 @@ test-all:
 # CI entry points: `ci` on every change, `ci-full` on main.  The fast path
 # also smoke-runs the out-of-core kernels (equivalence gate at tiny n), the
 # concurrent-selection scheduler (serial==scheduled equivalence plus a
-# relaxed throughput gate at small n), the end-to-end Table VI workload
-# (every row checked against its expected answer) and verifies the
-# generated API reference is current.
+# relaxed throughput gate at small n), the four end-to-end workloads
+# (bench-e2e-smoke: every answer checked against its expected one) and
+# verifies the generated API reference is current.
 ci: test-fast bench-smoke bench-concurrent-smoke bench-distrib-smoke \
     bench-cluster-smoke bench-extrapolation-smoke bench-fused-smoke \
     bench-e2e-smoke docs-api-check

@@ -16,6 +16,13 @@ whether to spill: model clustering and the incremental zoo refresh each
 make one call to it.  :func:`check_distance_matrix` and
 :func:`upper_triangle_values` stream memmapped inputs block-wise for the
 same memory reason.
+
+Both :func:`similarity_to_distance` and :func:`check_distance_matrix` take
+an exact-symmetry fast path: one ``array_equal`` against the transpose
+settles every exactly symmetric matrix (every distance built here), and
+the full symmetrising or ``allclose`` pass runs only when it fails.  The
+shortcut changes no output byte and no verdict, so every caller still
+gets every check.
 """
 
 from __future__ import annotations
@@ -38,6 +45,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: validation / conversion helpers (also used by the clustering layer's
 #: working-copy and nearest-cache initialisation).
 STREAM_BLOCK_ROWS = 512
+
+#: Largest float whose double stays finite: above it ``(d + d) / 2`` is
+#: ``inf``, not ``d``, so the exact-symmetry shortcut must not apply.
+_HALF_MAX = np.finfo(float).max / 2.0
 
 
 def pairwise_distances(points: np.ndarray, *, metric: str = "euclidean") -> np.ndarray:
@@ -74,14 +85,21 @@ def similarity_to_distance(similarity: np.ndarray) -> np.ndarray:
     """Convert a similarity matrix in ``[0, 1]`` to a distance matrix.
 
     The paper's Eq. 1 produces similarities; the clustering engines work
-    on distances ``d = 1 - s`` with a zero diagonal.
+    on distances ``d = 1 - s`` with a zero diagonal, symmetrised as
+    ``(d + d.T) / 2``.  When ``d`` already equals its transpose exactly
+    (Eq. 1 always does) and no entry is large enough for ``d + d`` to
+    overflow, that average is the identity, so ``d`` is returned without
+    it: one exact comparison in place of the add and divide passes.
+    ``1 - s`` never yields ``-0.0``, so the shortcut is bitwise-identical.
     """
     sim = np.asarray(similarity, dtype=float)
     if sim.ndim != 2 or sim.shape[0] != sim.shape[1]:
         raise DataError(f"similarity must be a square matrix, got shape {sim.shape}")
     distance = 1.0 - sim
-    distance = np.clip(distance, 0.0, None)
+    np.clip(distance, 0.0, None, out=distance)
     np.fill_diagonal(distance, 0.0)
+    if np.array_equal(distance, distance.T) and not np.any(distance > _HALF_MAX):
+        return distance
     return (distance + distance.T) / 2.0
 
 
@@ -172,8 +190,13 @@ def distance_matrix_for(
 def check_distance_matrix(matrix: np.ndarray) -> np.ndarray:
     """Validate a precomputed distance matrix (square, symmetric, zero diagonal).
 
-    Memory-mapped inputs are validated block-by-block (bounded RAM); the
-    checks and their tolerances are identical to the dense path.
+    The checks: no entry below ``-1e-9``, symmetry to ``atol=1e-8`` and a
+    zero diagonal to ``atol=1e-8``.  Symmetry is first tested exactly
+    (``array_equal`` against the transpose), which decides any exactly
+    symmetric input in one cheap pass; only an input that fails it pays
+    for ``allclose``.  Memory-mapped inputs are validated block-by-block
+    (bounded RAM, per block pair for symmetry); the checks and their
+    tolerances are identical to the dense path.
     """
     if isinstance(matrix, np.ndarray) and matrix.dtype == np.float64:
         # Keep the instance as-is: np.asarray would demote an out-of-core
@@ -189,7 +212,7 @@ def check_distance_matrix(matrix: np.ndarray) -> np.ndarray:
         return arr
     if np.any(arr < -1e-9):
         raise DataError("distance matrix contains negative entries")
-    if not np.allclose(arr, arr.T, atol=1e-8):
+    if not _symmetric(arr, arr.T):
         raise DataError("distance matrix must be symmetric")
     if not np.allclose(np.diag(arr), 0.0, atol=1e-8):
         raise DataError("distance matrix must have a zero diagonal")
@@ -211,8 +234,18 @@ def _check_distance_memmap(arr: np.memmap) -> None:
         for col_start, col_stop in spans[i:]:
             block = arr[row_start:row_stop, col_start:col_stop]
             mirror = arr[col_start:col_stop, row_start:row_stop]
-            if not np.allclose(block, np.asarray(mirror).T, atol=1e-8):
+            if not _symmetric(np.asarray(block), np.asarray(mirror).T):
                 raise DataError("distance matrix must be symmetric")
+
+
+def _symmetric(block: np.ndarray, mirror: np.ndarray) -> bool:
+    """Symmetry test of :func:`check_distance_matrix`: equal to ``atol=1e-8``.
+
+    Exact equality implies closeness, so the cheap ``array_equal`` pass
+    decides every exactly symmetric input (any matrix built here) and the
+    ``allclose`` pass runs only when it fails; no verdict changes.
+    """
+    return np.array_equal(block, mirror) or np.allclose(block, mirror, atol=1e-8)
 
 
 def upper_triangle_values(matrix: np.ndarray, *, block_rows: int = STREAM_BLOCK_ROWS) -> np.ndarray:

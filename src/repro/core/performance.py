@@ -85,16 +85,14 @@ class PerformanceMatrix:
         return float(np.mean(self.model_vector(model_name)))
 
     def average_accuracies(self) -> Dict[str, float]:
-        """``acc(m_j)`` for every model, in one pass over the columns.
+        """``acc(m_j)`` for every model, in one reduction over the columns.
 
-        Each value is the same ``np.mean`` over the same contiguous column
-        :meth:`average_accuracy` takes, without its ``model_index`` scan.
+        Each value equals :meth:`average_accuracy` bitwise: a mean over the
+        contiguous last axis runs numpy's pairwise sum on each row, exactly
+        as ``np.mean`` does on that row alone.
         """
-        columns = np.ascontiguousarray(self.values.T)
-        return {
-            name: float(np.mean(columns[index]))
-            for index, name in enumerate(self.model_names)
-        }
+        means = np.ascontiguousarray(self.values.T).mean(axis=1)
+        return dict(zip(self.model_names, means.tolist()))
 
     def best_model_for(self, dataset_name: str) -> str:
         """Model with the maximum accuracy on ``dataset_name``."""

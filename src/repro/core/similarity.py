@@ -218,9 +218,11 @@ def _write_similarity(
     update with no survivors.  The content key is looked up in ``sink``
     first (an :class:`~repro.store.sink.ArraySink` or a
     :class:`~repro.store.sink.StoreSink`); on a miss the writer copies the
-    surviving pairs from ``old_similarity`` in row blocks, computes the
-    added rows tile by tile, mirrors them into the surviving rows' columns
-    and sets the unit diagonal.  A tile whose rows are contiguous is
+    surviving pairs from ``old_similarity`` in whole output row blocks (a
+    row ``take`` then a column ``take``; the added rows and columns this
+    fills with placeholders are overwritten next), computes the added rows
+    tile by tile, mirrors them into the surviving rows' columns and sets
+    the unit diagonal.  A tile whose rows are contiguous is
     computed straight into the output; only scattered added rows go
     through a ``(tile, n)`` block.
 
@@ -262,12 +264,17 @@ def _write_similarity(
             out[...] = 1.0
             return
         kept_new_arr = np.asarray(kept_new, dtype=int)
-        kept_old_arr = np.asarray(kept_old, dtype=int)
-        copy_rows = max(1, sink.budget_bytes // (n * 8))
-        for start, stop in iter_row_blocks(len(kept_new), copy_rows):
-            out[np.ix_(kept_new_arr[start:stop], kept_new_arr)] = old_similarity[
-                np.ix_(kept_old_arr[start:stop], kept_old_arr)
-            ]
+        if kept_new:
+            # Old index of every new position; an added position reads any
+            # valid index (0) because its row and column are tiled below.
+            source = np.zeros(n, dtype=np.intp)
+            source[kept_new_arr] = kept_old
+            copy_rows = max(1, sink.budget_bytes // (n * 8))
+            for start, stop in iter_row_blocks(n, copy_rows):
+                rows = np.take(old_similarity, source[start:stop], axis=0)
+                # mode="clip" (indices are valid) lets take write straight
+                # into the output rows instead of through a buffer.
+                np.take(rows, source, axis=1, out=out[start:stop], mode="clip")
         k = min(top_k, d)
         workers = _tile_workers()
         slab_bytes = max(4096, sink.budget_bytes // workers)
@@ -561,11 +568,3 @@ def similarity_matrix_for(
         return text_similarity_matrix(ordered, cache=cache)
     raise ConfigurationError(f"unknown similarity method {method!r}")
 
-
-def pairwise_model_similarity(
-    matrix: PerformanceMatrix, model_a: str, model_b: str, *, top_k: int = 5
-) -> float:
-    """Eq. 1 similarity between two named models."""
-    return performance_similarity(
-        matrix.model_vector(model_a), matrix.model_vector(model_b), top_k=top_k
-    )

@@ -374,7 +374,12 @@ class WorkerSupervisor:
                 self._changed.wait(timeout=remaining)
 
     def stop(self) -> None:
-        """Kill every worker and stop monitoring (idempotent)."""
+        """Kill every worker and stop monitoring (idempotent).
+
+        Teardown is best effort but never silent: a worker that cannot be
+        signalled or is still alive 10 s after SIGKILL, and a monitor
+        thread that outlives its join, are logged, and ``stop`` returns.
+        """
         with self._lock:
             if self._stopped:
                 return
@@ -388,15 +393,20 @@ class WorkerSupervisor:
             try:
                 handle.proc.kill()
             except OSError:
-                pass
+                logger.exception("could not kill worker %r (pid %d)", handle.name, handle.pid)
         for handle in handles:
             try:
                 handle.proc.wait(timeout=10)
-            except Exception:  # noqa: BLE001 — best-effort teardown
-                pass
+            except Exception:  # noqa: BLE001 — best-effort teardown, logged
+                logger.exception(
+                    "waiting for worker %r (pid %d) to exit after SIGKILL failed",
+                    handle.name, handle.pid,
+                )
         monitor = self._monitor
         if monitor is not None and monitor is not threading.current_thread():
             monitor.join(timeout=5.0)
+            if monitor.is_alive():
+                logger.error("monitor thread %r still running 5 s after stop", monitor.name)
 
     # ------------------------------------------------------------------ #
     def stats(self) -> Dict[str, object]:

@@ -58,6 +58,26 @@ class TestPerformanceMatrixStructure:
         assert list(averages) == names
         assert all(averages[name] == matrix.average_accuracy(name) for name in names)
 
+    @pytest.mark.parametrize(
+        "widths", [range(1, 301), [511, 512, 513, 2049, 10_000]], ids=["1-300", "wide"]
+    )
+    def test_average_accuracies_bytes_equal_column_means(self, widths):
+        # One axis-1 mean must replay np.mean's pairwise sum on every column.
+        rng = np.random.default_rng(11)
+        for width in widths:
+            values = rng.uniform(0, 1, size=(width, 3))
+            values[:, 2] = -0.0
+            matrix = PerformanceMatrix(
+                dataset_names=[f"d{i}" for i in range(width)],
+                model_names=["a", "b", "c"],
+                values=values,
+            )
+            averages = matrix.average_accuracies()
+            columns = np.ascontiguousarray(values.T)
+            for index, name in enumerate(matrix.model_names):
+                expected = np.float64(np.mean(columns[index]))
+                assert np.float64(averages[name]).tobytes() == expected.tobytes(), width
+
     def test_best_model_for(self, nlp_matrix_small):
         dataset = nlp_matrix_small.dataset_names[0]
         best = nlp_matrix_small.best_model_for(dataset)

@@ -6,7 +6,6 @@ import pytest
 from repro.cache import ArtifactCache
 from repro.core.performance import PerformanceMatrix
 from repro.core.similarity import (
-    pairwise_model_similarity,
     performance_similarity,
     performance_similarity_matrix,
     similarity_chunk_rows,
@@ -70,13 +69,11 @@ class TestSimilarityMatrices:
         assert np.allclose(similarity, similarity.T)
 
     def test_sibling_models_more_similar_than_unrelated(self, nlp_matrix_small):
-        sibling = pairwise_model_similarity(
-            nlp_matrix_small, "Jeevesh8/bert_ft_qqp-68", "Jeevesh8/bert_ft_qqp-9"
-        )
-        unrelated = pairwise_model_similarity(
-            nlp_matrix_small,
-            "Jeevesh8/bert_ft_qqp-68",
-            "CAMeL-Lab/bert-base-arabic-camelbert-mix-did-nadi",
+        vector = nlp_matrix_small.model_vector
+        anchor = vector("Jeevesh8/bert_ft_qqp-68")
+        sibling = performance_similarity(anchor, vector("Jeevesh8/bert_ft_qqp-9"))
+        unrelated = performance_similarity(
+            anchor, vector("CAMeL-Lab/bert-base-arabic-camelbert-mix-did-nadi")
         )
         assert sibling > unrelated
 

@@ -283,3 +283,36 @@ def test_update_doors_accept_either_old_backing(door, old_backing, config, store
     result = _through(door, old, old_similarity, new, config, store)
     assert isinstance(result, np.memmap) == (door == "ooc-update")
     assert np.array_equal(result, _performance_similarity_matrix_loop(new))
+
+
+def test_update_interleaved_adds_and_edge_removals_bytes_equal(config, store):
+    # Survivors' copy maps every new position to its old row and column:
+    # added models sit between survivors, and the first and last old
+    # columns are removed, so survivors move by varying offsets.
+    rng = np.random.default_rng(17)
+    old = _matrix(rng, 30)
+    fresh = _matrix(rng, 5, prefix="a")
+    removed = {"m0", "m13", "m29"}
+    survivors = [name for name in old.model_names if name not in removed]
+    names = []
+    for position, name in enumerate(survivors):
+        if position % 6 == 0 and position // 6 < 4:
+            names.append(fresh.model_names[position // 6])
+        names.append(name)
+    names.append(fresh.model_names[4])
+    source = dict(zip(old.model_names + fresh.model_names, np.hstack([old.values, fresh.values]).T))
+    new = PerformanceMatrix(
+        dataset_names=old.dataset_names,
+        model_names=names,
+        values=np.stack([source[name] for name in names], axis=1),
+    )
+    expected = performance_similarity_matrix(new, cache=False).tobytes()
+    old_dense = performance_similarity_matrix(old, cache=False)
+    dense = update_similarity_matrix(old, old_dense, new, cache=False)
+    assert dense.tobytes() == expected
+    old_spilled = performance_similarity_matrix_ooc(old, config=config, cache=False, store=store)
+    spilled = update_similarity_matrix_ooc(
+        old, old_spilled, new, config=config, cache=False, store=store
+    )
+    assert isinstance(spilled, np.memmap)
+    assert np.asarray(spilled).tobytes() == expected

@@ -1,6 +1,8 @@
-"""The supervisor's monitor thread survives a raising heartbeat check."""
+"""The supervisor's monitor survives a raising check; its teardown is never silent."""
 
 import json
+import logging
+import subprocess
 import sys
 
 from repro.distrib.supervisor import WorkerSupervisor
@@ -46,3 +48,29 @@ class TestMonitorContainment:
             assert stats["restarts"] == 1 and not stats["failed"]
         finally:
             supervisor.stop()
+
+
+class TestStopTeardown:
+    def test_worker_outliving_sigkill_is_logged_and_stop_returns(self, caplog):
+        supervisor = WorkerSupervisor(
+            ["w0"], _idle_argv, heartbeat_interval=0.05, ping_every=10**6
+        )
+        supervisor.start()
+        handle = supervisor.worker("w0")
+        real_wait = handle.proc.wait
+
+        def wait_timing_out(timeout=None):
+            raise subprocess.TimeoutExpired(handle.proc.args, timeout)
+
+        handle.proc.wait = wait_timing_out
+        try:
+            with caplog.at_level(logging.ERROR, logger="repro.distrib.supervisor"):
+                supervisor.stop()
+        finally:
+            real_wait(timeout=10)  # reap the killed worker
+        messages = [record.getMessage() for record in caplog.records]
+        assert (
+            f"waiting for worker 'w0' (pid {handle.pid}) to exit after SIGKILL failed"
+            in messages
+        )
+        assert not supervisor._monitor.is_alive()

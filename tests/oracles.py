@@ -104,6 +104,13 @@ def _performance_similarity_matrix_loop(
     return similarity
 
 
+def symmetrised_distance(similarity) -> np.ndarray:
+    """Reference ``d = 1 - s``: clip, zero diagonal, always ``(d + d.T) / 2``."""
+    distance = np.clip(1.0 - np.asarray(similarity, dtype=float), 0.0, None)
+    np.fill_diagonal(distance, 0.0)
+    return (distance + distance.T) / 2.0
+
+
 def _silhouette_samples_loop(
     distance_matrix: np.ndarray, labels: np.ndarray
 ) -> np.ndarray:
