@@ -73,10 +73,11 @@ docs-api-check:
 bench-incremental:
 	$(PY) benchmarks/bench_incremental_update.py --json-out benchmarks/bench_incremental_update.json
 
-# Out-of-core offline phase: full n=5000 budgeted build (minutes) and the
-# seconds-long smoke tier CI runs on every change.
+# Out-of-core offline phase: full n=5000 budgeted build under the 256 MB
+# tracemalloc gate (seconds; CI's full job) and the smoke tier CI runs on
+# every change.  Each tier writes its own JSON record.
 bench-ooc:
-	$(PY) benchmarks/bench_ooc_scaling.py
+	$(PY) benchmarks/bench_ooc_scaling.py --json-out benchmarks/bench_ooc_scaling_full.json
 
 bench-smoke:
 	$(PY) benchmarks/bench_ooc_scaling.py --smoke

@@ -13,9 +13,8 @@ Two tiers:
 
 * full (default): an equivalence phase (dense vs out-of-core offline build
   at ``n = 400``, bitwise), then the budgeted ``n = 5000`` build with the
-  memory gate.  Expect minutes of CPU: similarity and distance stream in
-  seconds, the clustering merge loop is the quadratic tail (see
-  ``docs/scaling.md``).
+  memory gate.  About ten seconds on a 2-vCPU host: similarity, distance
+  and the nnchain merge each stream in seconds (see ``docs/scaling.md``).
 * ``--smoke``: the equivalence phase at ``n = 96`` plus a miniature
   budgeted build at ``n = 256``, seconds in total — this is what
   ``make bench-smoke`` runs in CI on every change.

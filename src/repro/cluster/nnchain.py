@@ -124,7 +124,9 @@ def nn_chain_dendrogram(
     scratch = None
     if isinstance(distances, np.memmap):
         scratch = resolve_store(work_store).scratch((n, n), prefix="nnchain")
-        working = scratch.array
+        # A plain ndarray view of the same pages: memmap indexing pays for
+        # __getitem__/__array_finalize__ on every row read and write.
+        working = scratch.array.view(np.ndarray)
         for start, stop in iter_row_blocks(n, STREAM_BLOCK_ROWS):
             working[start:stop] = distances[start:stop]
     else:
@@ -146,8 +148,11 @@ def nn_chain_dendrogram(
                 chain = [0]
                 chain_distance = [np.inf]
             current = chain[-1]
-            row = np.asarray(working[current])
-            minimum = float(row.min())
+            row = working[current]
+            # argmin breaks remaining ties towards the lowest index,
+            # matching the scan's row-major first-occurrence rule.
+            nearest = int(np.argmin(row))
+            minimum = float(row[nearest])
             if np.count_nonzero(row == minimum) > 1:
                 raise TiedDistancesError(
                     "tied nearest-neighbor distances; fall back to the scan "
@@ -167,8 +172,8 @@ def nn_chain_dendrogram(
                 keep, retire = min(current, other), max(current, other)
                 merged_row = _lance_williams(
                     linkage,
-                    np.asarray(working[keep]),
-                    np.asarray(working[retire]),
+                    working[keep],
+                    working[retire],
                     float(size[keep]),
                     float(size[retire]),
                 )
@@ -182,10 +187,8 @@ def nn_chain_dendrogram(
                 size[retire] = 0
                 merges.append((keep, retire, height))
             else:
-                # Extend the chain towards the strictly nearest neighbor
-                # (argmin breaks remaining ties towards the lowest index,
-                # matching the scan's row-major first-occurrence rule).
-                chain.append(int(np.argmin(row)))
+                # Extend the chain towards the strictly nearest neighbor.
+                chain.append(nearest)
                 chain_distance.append(minimum)
     finally:
         if scratch is not None:

@@ -34,10 +34,12 @@ class SimilarityConfig:
     Attributes
     ----------
     max_bytes_in_flight:
-        Bound on the broadcast difference slabs ``(rows, n, d)`` of all
-        tile threads together while streaming Eq. 1 row tiles.  Smaller
-        values lower peak memory at the cost of more Python-loop
-        iterations; results are bitwise-identical for any value.
+        Bound on the broadcast difference slabs (at most ``(rows, n, d)``
+        each) of all tile threads together while streaming Eq. 1 row
+        tiles.  The writer never uses more than 16 MiB of it
+        (``DEFAULT_CHUNK_BUDGET_BYTES``), so slabs stay cache-sized; a
+        smaller value lowers peak memory at the cost of more Python-loop
+        iterations.  Results are bitwise-identical for any value.
     spill_threshold_bytes:
         Once the dense similarity matrix alone (``8 n^2`` bytes) would
         reach this size, the offline phase spills it (and the derived

@@ -11,8 +11,11 @@ card and uses cosine similarity.
 
 :func:`performance_similarity_matrix` is the hot path of the offline phase
 and is fully vectorized: the pairwise ``|a_i - a_j|`` differences are
-broadcast into ``(rows, n, d)`` slabs and the top-``k`` selection uses
-:func:`numpy.partition` instead of a full sort; the slab size bounds peak
+broadcast into ``(rows, c, d)`` slabs and the top-``k`` selection uses
+:func:`numpy.partition` instead of a full sort.  Eq. 1 is symmetric, so
+each unordered pair is computed once: a tile of rows reaches only the
+columns from its own first row on (``c = n - first`` on a full build) and
+mirrors the block into the transposed entries.  The slab size bounds peak
 memory (see :func:`similarity_chunk_rows`).  Results are additionally
 memoised in the process-wide :mod:`repro.cache` keyed on the performance
 matrix's content fingerprint, so repeated experiment runs reuse the work.
@@ -21,8 +24,8 @@ Four front doors — the full build, the incremental
 :func:`update_similarity_matrix` and their out-of-core ``_ooc`` twins —
 choose a *sink* and hand it to one private writer, which owns the key
 lookup, the degenerate shapes, the copy of surviving pairs, the added-row
-tiles, the mirrored columns and the unit diagonal.  A full build is an
-update with no survivors.  The dense sink returns an in-RAM array; past
+tiles and their mirrored columns, and the unit diagonal.  A full build is
+an update with no survivors.  The dense sink returns an in-RAM array; past
 checkpoint-hub scale, where the ``(n, n)`` result stops fitting in RAM,
 the store sink writes the same tiles to a memory-mapped file in the
 :mod:`repro.store` matrix store — bitwise-identical output, peak memory
@@ -221,16 +224,24 @@ def _write_similarity(
     surviving pairs from ``old_similarity`` in whole output row blocks (a
     row ``take`` then a column ``take``; the added rows and columns this
     fills with placeholders are overwritten next), computes the added rows
-    tile by tile, mirrors them into the surviving rows' columns and sets
-    the unit diagonal.  A tile whose rows are contiguous is
-    computed straight into the output; only scattered added rows go
-    through a ``(tile, n)`` block.
+    tile by tile and sets the unit diagonal.
+
+    Each unordered pair is computed once.  A tile of added rows computes
+    against only the columns no earlier tile has covered — every survivor
+    plus the added models from the tile's own first row on — writes that
+    block and mirrors it into the transposed entries.  A full build has no
+    survivors, so tile ``[a, b)`` computes ``out[a:b, a:n]`` straight into
+    the output and mirrors ``out[b:n, a:b] = out[a:b, b:n].T``: about
+    ``n²/2 + n·rows/2`` lanes instead of ``n²``.  Scattered rows or
+    columns go through a ``(tile, columns)`` block instead.
 
     Tiles write disjoint entries, so they map over a thread pool of
     ``min(_tile_workers(), tiles)`` threads (inline when that is 1); NumPy
     releases the GIL in the broadcast and partition kernels.  Each thread
-    holds its own ``(rows, n, d)`` slab, so the slab budget is the sink's
-    budget divided by :func:`_tile_workers` and the total stays within it.
+    holds its own slab of at most ``(rows, n, d)``, sized to
+    ``min(sink budget, DEFAULT_CHUNK_BUDGET_BYTES)`` divided by
+    :func:`_tile_workers`, so the total stays within the sink's budget and
+    each slab stays cache-sized.
 
     Every entry depends only on its own pair of vectors, so copied,
     mirrored and freshly computed entries are bitwise-identical to a full
@@ -263,12 +274,11 @@ def _write_similarity(
         if n <= 1 or d == 0:
             out[...] = 1.0
             return
-        kept_new_arr = np.asarray(kept_new, dtype=int)
         if kept_new:
             # Old index of every new position; an added position reads any
             # valid index (0) because its row and column are tiled below.
             source = np.zeros(n, dtype=np.intp)
-            source[kept_new_arr] = kept_old
+            source[kept_new] = kept_old
             copy_rows = max(1, sink.budget_bytes // (n * 8))
             for start, stop in iter_row_blocks(n, copy_rows):
                 rows = np.take(old_similarity, source[start:stop], axis=0)
@@ -277,20 +287,33 @@ def _write_similarity(
                 np.take(rows, source, axis=1, out=out[start:stop], mode="clip")
         k = min(top_k, d)
         workers = _tile_workers()
-        slab_bytes = max(4096, sink.budget_bytes // workers)
+        # Slabs that fit the cache run several times faster, so even a
+        # larger sink budget buys no wider slab; it stays an upper bound.
+        budget = min(sink.budget_bytes, DEFAULT_CHUNK_BUDGET_BYTES)
+        slab_bytes = max(4096, budget // workers)
         rows = chunk_rows or similarity_chunk_rows(n, d, budget_bytes=slab_bytes)
         added = np.asarray(added_new, dtype=int)
 
         def tile(span) -> None:
+            # Columns no earlier tile has covered: every survivor and the
+            # added models from this tile's first row on.  Entries left of
+            # them were mirrored in by the earlier tiles.
             index = added[span[0] : span[1]]
-            first, last = int(index[0]), int(index[-1]) + 1
-            contiguous = last - first == index.size
-            block = out[first:last] if contiguous else np.empty((index.size, n))
-            _similarity_into(block, vectors[index], vectors, k, rows)
-            if not contiguous:
-                out[index] = block
-            if kept_new:
-                out[np.ix_(kept_new_arr, index)] = block[:, kept_new_arr].T
+            covered = np.zeros(n, dtype=bool)
+            covered[added[: span[0]]] = True
+            cols = np.flatnonzero(~covered)
+            grid = _grid(index, cols)
+            if isinstance(grid[0], slice):
+                block = out[grid]
+                _similarity_into(block, vectors[grid[0]], vectors[grid[1]], k, rows)
+            else:
+                block = np.empty((index.size, cols.size))
+                _similarity_into(block, vectors[index], vectors[cols], k, rows)
+                out[grid] = block
+            covered[index] = True
+            mirror = np.flatnonzero(~covered[cols])
+            if mirror.size:
+                out[_grid(cols[mirror], index)] = block[:, _run(mirror)].T
 
         spans = list(iter_row_blocks(added.size, rows))
         workers = min(workers, len(spans))
@@ -303,6 +326,22 @@ def _write_similarity(
         np.fill_diagonal(out, 1.0)
 
     return sink.write(key, n, fill)
+
+
+def _run(index: np.ndarray):
+    """``index`` (sorted, unique) as a slice when it is one contiguous run."""
+    if index.size and int(index[-1]) - int(index[0]) + 1 == index.size:
+        return slice(int(index[0]), int(index[-1]) + 1)
+    return index
+
+
+def _grid(rows: np.ndarray, cols: np.ndarray):
+    """Index of the ``rows x cols`` sub-grid: two slices (a view) when both
+    are contiguous runs, otherwise an :func:`numpy.ix_` mesh."""
+    row_run, col_run = _run(rows), _run(cols)
+    if isinstance(row_run, slice) and isinstance(col_run, slice):
+        return row_run, col_run
+    return np.ix_(rows, cols)
 
 
 def _tile_workers() -> int:
@@ -333,9 +372,11 @@ def performance_similarity_matrix(
     """Pairwise Eq. 1 similarities of every model in ``matrix``.
 
     Fully vectorized: broadcasts pairwise accuracy differences into
-    ``(rows, n, d)`` slabs of at most :data:`DEFAULT_CHUNK_BUDGET_BYTES`
-    and selects the ``top_k`` largest per pair with a linear-time
-    partition.  The slab size bounds peak memory without changing any
+    slabs of at most :data:`DEFAULT_CHUNK_BUDGET_BYTES` and selects the
+    ``top_k`` largest per pair with a linear-time partition.  Each
+    unordered pair is computed once — a tile of rows reaches only the
+    columns from its own first row on and is mirrored into the lower
+    triangle.  The slab size bounds peak memory without changing any
     output value.
 
     Results are memoised in the process-wide artifact cache under the
@@ -349,8 +390,8 @@ def performance_similarity_matrix(
     top_k:
         Number of largest per-dataset differences averaged (paper: k = 5).
     chunk_rows:
-        Explicit rows-per-slab override; ``None`` picks the largest slab
-        that fits the default memory budget.
+        Explicit rows-per-tile override; ``None`` picks the largest tile
+        whose ``(rows, n, d)`` slab fits the default memory budget.
     cache:
         ``None``/``True`` for the process default cache, ``False`` to
         disable, or a specific :class:`~repro.cache.ArtifactCache`.

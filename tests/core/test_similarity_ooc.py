@@ -118,7 +118,7 @@ def test_tile_pool_writes_oracle_bytes(door, workers, monkeypatch, tmp_path):
     similarity_into = similarity_module._similarity_into
 
     def spy(out, *args):
-        if out.shape[1] == n:  # not the update's probe
+        if out.shape != (1, 1):  # not the update's probe
             tile_threads.append(threading.get_ident())
         similarity_into(out, *args)
 
@@ -142,6 +142,69 @@ def test_tile_pool_writes_oracle_bytes(door, workers, monkeypatch, tmp_path):
     assert len(tile_threads) >= 4
     on_caller = [ident == threading.get_ident() for ident in tile_threads]
     assert all(on_caller) if workers == 1 else not any(on_caller)
+
+
+N_TRIANGLE = 23
+
+
+@pytest.mark.parametrize("sink_kind", ["dense", "store"])
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("rows", [1, 2, 3, 7, N_TRIANGLE])
+def test_each_unordered_pair_is_computed_once(rows, workers, sink_kind, monkeypatch, tmp_path):
+    """A full build's tile ``[a, b)`` computes only columns ``a..n``.
+
+    The rest of its rows is mirrored in from earlier tiles, so the lanes
+    sum to ``rows_t * (n - first_t)`` over the tiles.  The full build and
+    an update whose added models are scattered among the survivors both
+    write the oracle's bytes.
+    """
+    import repro.core.similarity as similarity_module
+    from repro.store.sink import ArraySink, StoreSink
+
+    n, d = N_TRIANGLE, 7
+    rng = np.random.default_rng(29)
+    new = _matrix(rng, n, d)
+    gone = _matrix(rng, 2, d, prefix="gone")
+    survivors = new.model_names[::2]  # the odd positions are added
+    old = PerformanceMatrix(
+        dataset_names=new.dataset_names,
+        model_names=survivors + gone.model_names,
+        values=np.hstack([new.submatrix(survivors).values, gone.values]),
+    )
+    old_similarity = _performance_similarity_matrix_loop(old)
+    oracle = _performance_similarity_matrix_loop(new).tobytes()
+
+    lanes = []
+    similarity_into = similarity_module._similarity_into
+
+    def spy(out, row_vectors, col_vectors, *args):
+        lanes.append(row_vectors.shape[0] * col_vectors.shape[0])
+        similarity_into(out, row_vectors, col_vectors, *args)
+
+    monkeypatch.setattr(similarity_module, "_tile_workers", lambda: workers)
+    monkeypatch.setattr(similarity_module, "_similarity_into", spy)
+
+    def sink(name):
+        if sink_kind == "dense":
+            return ArraySink(None, budget_bytes=1 << 20)
+        return StoreSink(MatrixStore(tmp_path / name), budget_bytes=1 << 20)
+
+    full = similarity_module._write_similarity(sink("full"), new, top_k=5, chunk_rows=rows)
+    firsts = range(0, n, rows)
+    expected = sum((min(first + rows, n) - first) * (n - first) for first in firsts)
+    assert sum(lanes) == expected
+    assert expected <= n * (n + 1) // 2 + n * rows / 2
+    assert np.asarray(full).tobytes() == oracle
+
+    lanes.clear()
+    updated = similarity_module._write_similarity(
+        sink("update"), new, top_k=5, previous=(old, old_similarity), chunk_rows=rows
+    )
+    added, kept = n // 2, n - n // 2
+    firsts = range(0, added, rows)
+    expected = sum((min(first + rows, added) - first) * (kept + added - first) for first in firsts)
+    assert sum(lanes) == 1 + expected  # one lane is the top_k probe
+    assert np.asarray(updated).tobytes() == oracle
 
 
 def test_ooc_rejects_bad_top_k(config, store):
