@@ -49,11 +49,14 @@ test-all:
 # also smoke-runs the out-of-core kernels (equivalence gate at tiny n), the
 # concurrent-selection scheduler (serial==scheduled equivalence plus a
 # relaxed throughput gate at small n), the four end-to-end workloads
-# (bench-e2e-smoke: every answer checked against its expected one) and
-# verifies the generated API reference is current.
+# (bench-e2e-smoke: every answer checked against its expected one),
+# verifies the generated API reference is current, executes every fenced
+# Python block in README/docs (docs-check) and runs the three examples
+# (examples) — seconds each, and the README quickstart and the examples are
+# what a new user runs first.
 ci: test-fast bench-smoke bench-concurrent-smoke bench-distrib-smoke \
     bench-cluster-smoke bench-extrapolation-smoke bench-fused-smoke \
-    bench-e2e-smoke docs-api-check
+    bench-e2e-smoke docs-api-check docs-check examples
 
 ci-full: test-all docs-check
 

@@ -3,9 +3,9 @@
 Measures what the scheduler overhaul buys a service under load: 8
 concurrent selection requests over a task mix with overlapping candidate
 clusters are submitted to one :class:`~repro.sched.scheduler.EpochScheduler`
-and compared against submitting the same mix *sequentially* through the
-blocking :class:`~repro.core.pipeline.TwoPhaseSelector` path (one request
-at a time, private sessions, exactly the pre-scheduler deployment).
+and compared against submitting the same mix *sequentially*, each request
+on a fresh :meth:`~repro.service.SelectionService.inline_scheduler` (one
+request at a time, private sessions, exactly the pre-scheduler deployment).
 
 The win is **session reuse**, not parallelism: overlapping requests share
 partially-trained ``(model, task)`` checkpoints through the
@@ -37,7 +37,7 @@ import sys
 import time
 from typing import Dict, List, Tuple
 
-from repro.core.pipeline import OfflineArtifacts, TwoPhaseSelector
+from repro.core.pipeline import OfflineArtifacts
 from repro.core.config import PipelineConfig
 from repro.core.results import TwoPhaseResult
 from repro.data.workloads import DataScale, suite_for_modality
@@ -83,13 +83,20 @@ def run_sequential(
     artifacts: OfflineArtifacts, mix: List[str], *, seed: int
 ) -> Tuple[float, List[TwoPhaseResult], List[float]]:
     """The baseline: one blocking request at a time, private sessions."""
-    selector = TwoPhaseSelector(artifacts, seed=seed)
+    from repro.service import SelectionService
+    from repro.zoo.finetune import FineTuner
+
+    service = SelectionService(artifacts, fine_tuner=FineTuner(seed=seed))
     results: List[TwoPhaseResult] = []
     latencies: List[float] = []
     started = time.perf_counter()
     for target in mix:
         t0 = time.perf_counter()
-        results.append(selector.select(target))
+        # A fresh call-scoped pool per request: nothing is reused.
+        scheduler = service.inline_scheduler(1)
+        request = scheduler.submit(target)
+        scheduler.run_until_idle()
+        results.append(scheduler.result(request))
         latencies.append(time.perf_counter() - t0)
     return time.perf_counter() - started, results, latencies
 

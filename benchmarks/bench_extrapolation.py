@@ -48,7 +48,7 @@ import time
 from typing import Dict, List, Tuple
 
 from repro.core.config import PipelineConfig
-from repro.core.pipeline import OfflineArtifacts, TwoPhaseSelector
+from repro.core.pipeline import OfflineArtifacts
 from repro.core.results import TwoPhaseResult
 from repro.data.workloads import DataScale, suite_for_modality
 from repro.sched import EpochScheduler, SchedulerConfig
@@ -127,9 +127,21 @@ def run_scheduled(
 def run_sequential(
     artifacts: OfflineArtifacts, mix: List[str], *, seed: int, top_k: int
 ) -> List[TwoPhaseResult]:
-    """The blocking always-exact baseline the exact scheduled run must match."""
-    selector = TwoPhaseSelector(artifacts, seed=seed)
-    return [selector.select(target, top_k=top_k) for target in mix]
+    """The blocking always-exact baseline the exact scheduled run must match.
+
+    Each request runs alone on a fresh call-scoped scheduler.
+    """
+    from repro.service import SelectionService
+    from repro.zoo.finetune import FineTuner
+
+    service = SelectionService(artifacts, fine_tuner=FineTuner(seed=seed))
+    results = []
+    for target in mix:
+        scheduler = service.inline_scheduler(1)
+        request = scheduler.submit(target, top_k=top_k)
+        scheduler.run_until_idle()
+        results.append(scheduler.result(request))
+    return results
 
 
 def results_identical(a: TwoPhaseResult, b: TwoPhaseResult) -> bool:

@@ -13,7 +13,7 @@ from repro.experiments import fig5_recall_quality
 
 
 def test_fig5_recall_quality(nlp_context, cv_context, benchmark):
-    benchmark(lambda: nlp_context.selector.recall_only("mnli", top_k=10))
+    benchmark(lambda: nlp_context.selector.recall("mnli", top_k=10))
 
     all_records = []
     for context in (nlp_context, cv_context):

@@ -39,11 +39,12 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.core.pipeline import OfflineArtifacts, TwoPhaseSelector
+from repro.core.pipeline import OfflineArtifacts
 from repro.core.config import PipelineConfig
 from repro.data.workloads import DataScale, suite_for_modality
 from repro.nn.batched import FusedSessionGroup
 from repro.sched import EpochScheduler, SchedulerConfig
+from repro.service import SelectionService
 from repro.zoo.finetune import FineTuneConfig, FineTuner
 from repro.zoo.hub import ModelHub
 
@@ -168,8 +169,10 @@ def scheduler_pass(*, smoke: bool, seed: int) -> Dict[str, object]:
         hub, suite, config=PipelineConfig.for_modality("nlp")
     )
     mix = (list(suite.target_names) or list(suite.dataset_names))[:2]
-    oracle = TwoPhaseSelector(artifacts)
-    expected = {target: oracle.select(target) for target in set(mix)}
+    oracle = SelectionService(artifacts).inline_scheduler(len(mix))
+    requests = {target: oracle.submit(target) for target in set(mix)}
+    oracle.run_until_idle()
+    expected = {target: oracle.result(request) for target, request in requests.items()}
 
     def run(fused: bool):
         # Unbounded round budget: each round drains a whole selection
@@ -203,7 +206,7 @@ def scheduler_pass(*, smoke: bool, seed: int) -> Dict[str, object]:
             ):
                 raise SystemExit(
                     f"FAIL: scheduled result for {target!r} diverges from "
-                    "the serial selector"
+                    "the library answer"
                 )
     return {
         "requests": len(mix),

@@ -38,10 +38,11 @@ import tempfile
 import time
 from typing import Dict
 
-from repro.core.pipeline import OfflineArtifacts, TwoPhaseSelector
+from repro.core.pipeline import OfflineArtifacts
 from repro.data.workloads import DataScale, suite_for_modality
 from repro.persist import PlanStore, SimulatedCrash, install_hook, remove_hook
 from repro.sched import EpochScheduler
+from repro.service import SelectionService
 from repro.zoo.hub import ModelHub
 
 TARGET, TOP_K = "mnli", 5
@@ -64,6 +65,14 @@ def results_equal(a, b) -> bool:
     )
 
 
+def select_alone(artifacts: OfflineArtifacts):
+    """The uncrashed answer: one request on a fresh call-scoped scheduler."""
+    scheduler = SelectionService(artifacts).inline_scheduler(1)
+    request = scheduler.submit(TARGET, top_k=TOP_K)
+    scheduler.run_until_idle()
+    return scheduler.result(request)
+
+
 def crash_at_step(scheduler: EpochScheduler, ordinal: int) -> None:
     hits = {"n": 0}
 
@@ -84,7 +93,7 @@ def crash_at_step(scheduler: EpochScheduler, ordinal: int) -> None:
 
 def run(*, smoke: bool, seed: int) -> Dict[str, object]:
     artifacts = build_artifacts(smoke=smoke, seed=seed)
-    oracle = TwoPhaseSelector(artifacts).select(TARGET, top_k=TOP_K)
+    oracle = select_alone(artifacts)
     store_dir = tempfile.mkdtemp(prefix="bench-resume-")
     record: Dict[str, object] = {
         "config": "smoke" if smoke else "full",
@@ -151,7 +160,7 @@ def run(*, smoke: bool, seed: int) -> Dict[str, object]:
             ),
         ),
     )
-    raised_oracle = TwoPhaseSelector(raised_artifacts).select(TARGET, top_k=TOP_K)
+    raised_oracle = select_alone(raised_artifacts)
     s4 = EpochScheduler.for_artifacts(artifacts, persist=PlanStore(store_dir))
     r4 = s4.submit(TARGET, top_k=TOP_K, total_epochs=raised_budget)
     s4.run_until_idle()

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import argparse
 
-from repro.core import PipelineConfig, TwoPhaseSelector
+from repro import SelectionService
+from repro.core import PipelineConfig
 from repro.data import DataScale, cv_suite
 from repro.zoo import ModelHub
 
@@ -35,9 +36,9 @@ def main() -> None:
     hub = ModelHub(suite, seed=0)
     print(f"Repository: {len(hub)} CV checkpoints; target: {args.target}")
 
-    selector = TwoPhaseSelector.from_hub(hub, suite, config=PipelineConfig.for_modality("cv"))
-    clustering = selector.artifacts.clustering
-    matrix = selector.artifacts.matrix
+    service = SelectionService.from_hub(hub, suite, config=PipelineConfig.for_modality("cv"))
+    clustering = service.artifacts.clustering
+    matrix = service.artifacts.matrix
 
     print("\nOffline model clusters (non-singleton):")
     for cluster_id, members in sorted(
@@ -48,7 +49,7 @@ def main() -> None:
               f"{representative.split('/')[-1]}): "
               + ", ".join(sorted(name.split("/")[-1] for name in members)))
 
-    result = selector.select(args.target)
+    result = service.select(args.target)
     print(f"\nRecalled candidates for {args.target} (top {len(result.recall.recalled_models)}):")
     print(f"{'model':55s} {'cluster':>7s} {'prior_acc':>9s} {'recall_score':>12s}")
     for name in result.recall.recalled_models:

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import argparse
 
+from repro import SelectionService
 from repro.core import (
     BruteForceSelection,
-    FineSelection,
     PipelineConfig,
     SuccessiveHalving,
-    TwoPhaseSelector,
 )
 from repro.core.config import FineSelectionConfig
 from repro.data import DataScale, nlp_suite
@@ -47,7 +46,7 @@ def main() -> None:
     print(f"Repository : {len(hub)} checkpoints\n")
 
     print("[offline] building performance matrix + clustering (done once, reused for any target)")
-    selector = TwoPhaseSelector.from_hub(hub, suite, config=config, fine_tuner=tuner)
+    service = SelectionService.from_hub(hub, suite, config=config, fine_tuner=tuner)
 
     print("[1/3] brute force: fine-tune every checkpoint for 5 epochs")
     brute_force = BruteForceSelection(hub, tuner, config=fs_config).run(hub.model_names, task)
@@ -56,7 +55,7 @@ def main() -> None:
     halving = SuccessiveHalving(hub, tuner, config=fs_config).run(hub.model_names, task)
 
     print("[3/3] two-phase pipeline: coarse-recall (LEEP on cluster representatives) + fine-selection")
-    two_phase = selector.select(args.target)
+    two_phase = service.select(args.target)
 
     print("\nmethod               selected model                                  acc    cost(epochs)")
     print("-" * 100)

@@ -15,7 +15,8 @@ from __future__ import annotations
 import argparse
 import time
 
-from repro.core import PipelineConfig, TwoPhaseSelector
+from repro import SelectionService
+from repro.core import PipelineConfig
 from repro.data import DataScale, nlp_suite
 from repro.zoo import ModelHub
 
@@ -37,13 +38,15 @@ def main() -> None:
 
     print("\n[offline] building performance matrix and model clusters ...")
     start = time.perf_counter()
-    selector = TwoPhaseSelector.from_hub(hub, suite, config=PipelineConfig.for_modality("nlp"))
+    service = SelectionService.from_hub(
+        hub, suite, config=PipelineConfig.for_modality("nlp")
+    )
     print(f"[offline] done in {time.perf_counter() - start:.1f}s "
-          f"({selector.cluster_summary()})")
+          f"({service.cluster_summary()})")
 
     print(f"\n[online] selecting a model for target {args.target!r} ...")
     start = time.perf_counter()
-    result = selector.select(args.target, top_k=args.top_k)
+    result = service.select(args.target, top_k=args.top_k)
     elapsed = time.perf_counter() - start
 
     print(f"[online] done in {elapsed:.1f}s")

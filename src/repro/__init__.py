@@ -26,14 +26,14 @@ zoo:
 
 Quickstart::
 
+    from repro import SelectionService
     from repro.data import nlp_suite
     from repro.zoo import ModelHub
-    from repro.core import TwoPhaseSelector
 
     suite = nlp_suite(seed=0)
     hub = ModelHub(suite, seed=0)
-    selector = TwoPhaseSelector.from_hub(hub, suite)
-    result = selector.select("mnli")
+    service = SelectionService.from_hub(hub, suite)
+    result = service.select("mnli")
     print(result.selected_model, result.selected_accuracy, result.total_cost)
 """
 
@@ -48,7 +48,6 @@ from repro.core import (
     SimilarityConfig,
     SuccessiveHalving,
     TwoPhaseResult,
-    TwoPhaseSelector,
     build_performance_matrix,
 )
 from repro.data import DataScale, WorkloadSuite, cv_suite, nlp_suite
@@ -70,7 +69,6 @@ __all__ = [
     "SimilarityConfig",
     "SuccessiveHalving",
     "TwoPhaseResult",
-    "TwoPhaseSelector",
     "build_performance_matrix",
     "DataScale",
     "WorkloadSuite",

@@ -17,12 +17,13 @@ The public API follows the paper's structure:
   (:mod:`repro.core.convergence`); plain
   :class:`~repro.core.selection.SuccessiveHalving` and
   :class:`~repro.core.selection.BruteForceSelection` are the baselines.
-* **End-to-end** — :class:`~repro.core.pipeline.TwoPhaseSelector` wires both
-  phases behind one ``select(target)`` call; ``select_many`` answers a
-  whole batch of target tasks off one shared clustering with aggregated
-  epoch accounting (a :class:`~repro.core.batch.BatchSelectionReport`).
-  Both run on :class:`~repro.sched.scheduler.EpochScheduler`, the one
-  online engine.
+* **End-to-end** — :class:`~repro.core.pipeline.OfflineArtifacts` holds the
+  offline phase's products; :class:`~repro.service.SelectionService` wires
+  both online phases behind one ``select(target)`` call, and ``select_many``
+  answers a whole batch of target tasks off one shared clustering with
+  aggregated epoch accounting (a
+  :class:`~repro.core.batch.BatchSelectionReport`).  Both run on
+  :class:`~repro.sched.scheduler.EpochScheduler`, the one online engine.
 """
 
 from repro.core.batch import BatchSelectionReport
@@ -50,7 +51,7 @@ from repro.core.performance import (
     build_performance_matrix,
     update_performance_matrix,
 )
-from repro.core.pipeline import OfflineArtifacts, RefreshResult, TwoPhaseSelector
+from repro.core.pipeline import OfflineArtifacts, RefreshResult
 from repro.core.plan import SelectionPlan, SessionView, StagePolicy, TrainStep
 from repro.core.recall import CoarseRecall, RandomRecall
 from repro.core.results import (
@@ -95,7 +96,6 @@ __all__ = [
     "update_performance_matrix",
     "OfflineArtifacts",
     "RefreshResult",
-    "TwoPhaseSelector",
     "SelectionPlan",
     "SessionView",
     "StagePolicy",

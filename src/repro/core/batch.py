@@ -3,10 +3,9 @@
 The paper's offline artifacts (performance matrix + model clustering) are
 independent of the target task, so a production deployment serving many
 selection queries should build them once and amortise them.
-:meth:`~repro.core.pipeline.TwoPhaseSelector.select_many` does exactly
-that: it submits every target as one request to a per-call
-:class:`~repro.sched.scheduler.EpochScheduler` sharing one clustering and
-one pair of online engines, and aggregates the per-task
+:meth:`~repro.service.SelectionService.select_many` does exactly that: it
+submits every target as one request to the service's scheduler, sharing one
+clustering and one pair of online engines, and aggregates the per-task
 :class:`~repro.core.results.SelectionResult` records into one
 :class:`BatchSelectionReport`.  This module holds the report type and the
 helpers every online entry point shares: :func:`build_phase_engines`,
@@ -14,14 +13,14 @@ helpers every online entry point shares: :func:`build_phase_engines`,
 
 Typical use::
 
-    from repro.core import TwoPhaseSelector
+    from repro import SelectionService
     from repro.data import nlp_suite
     from repro.zoo import ModelHub
 
     suite = nlp_suite(seed=0)
     hub = ModelHub(suite, seed=0)
-    selector = TwoPhaseSelector.from_hub(hub, suite)
-    report = selector.select_many(["mnli", "boolq"])
+    service = SelectionService.from_hub(hub, suite)
+    report = service.select_many(["mnli", "boolq"])
     report.selected_models()            # {'mnli': ..., 'boolq': ...}
     report.totals()["total_cost"]       # summed epoch-equivalent cost
 """
@@ -48,11 +47,10 @@ TargetLike = Union[str, ClassificationTask]
 def build_phase_engines(artifacts, fine_tuner: FineTuner, *, extrapolation=None):
     """Construct the online-phase engine pair for one set of offline artifacts.
 
-    Shared by :class:`~repro.core.pipeline.TwoPhaseSelector`,
-    :class:`~repro.service.SelectionService` and
-    :meth:`~repro.sched.scheduler.EpochScheduler.for_artifacts` so the
-    entry points can never drift in how they wire :class:`CoarseRecall`
-    and :class:`FineSelection`.  ``extrapolation`` (an
+    Shared by :class:`~repro.service.SelectionService` and
+    :meth:`~repro.sched.scheduler.EpochScheduler.for_artifacts` so the two
+    can never drift in how they wire :class:`CoarseRecall` and
+    :class:`FineSelection`.  ``extrapolation`` (an
     :class:`~repro.core.extrapolation.ExtrapolationConfig`) sets the fine
     selection's default speculative early-stopping mode; ``None`` is exact.
     """
@@ -73,7 +71,7 @@ def build_phase_engines(artifacts, fine_tuner: FineTuner, *, extrapolation=None)
 def resolve_target_task(suite, target: TargetLike) -> ClassificationTask:
     """Resolve a target given by name or task object against ``suite``.
 
-    Shared by :class:`~repro.core.pipeline.TwoPhaseSelector` and
+    Shared by :class:`~repro.service.SelectionService` and
     :class:`~repro.sched.scheduler.EpochScheduler`.
     """
     if isinstance(target, ClassificationTask):

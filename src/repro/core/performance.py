@@ -52,6 +52,13 @@ class PerformanceMatrix:
                 f"performance matrix shape {self.values.shape} does not match "
                 f"datasets x models {expected}"
             )
+        finite = np.isfinite(self.values)
+        if not finite.all():
+            row, col = np.argwhere(~finite)[0]
+            raise DataError(
+                f"performance matrix cell ({self.dataset_names[row]!r}, "
+                f"{self.model_names[col]!r}) is {self.values[row, col]}, not finite"
+            )
 
     # ------------------------------------------------------------------ #
     # lookups

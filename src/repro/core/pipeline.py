@@ -1,4 +1,4 @@
-"""End-to-end two-phase selector.
+"""The offline phase: artifacts built once per repository version.
 
 :class:`OfflineArtifacts` packages everything the online phases need and is
 built once per model-repository *version* (the paper's offline phase): the
@@ -6,13 +6,8 @@ performance matrix and the model clustering.  Past the
 :class:`~repro.core.config.SimilarityConfig` spill threshold the build runs
 out-of-core — similarity and distance live as memory-mapped files in the
 :mod:`repro.store` matrix store, bitwise-equal to the in-RAM path (see
-``docs/scaling.md``).  :class:`TwoPhaseSelector` then answers
-``select(target_task)`` queries by running coarse-recall followed by
-fine-selection on a per-call :class:`~repro.sched.scheduler.EpochScheduler`
-(the one online engine), returning a
-:class:`~repro.core.results.TwoPhaseResult` whose cost accounting matches the
-paper's Table VI (proxy inference charged at half an epoch per scored cluster
-plus the fine-tuning epochs actually spent).
+``docs/scaling.md``).  :class:`~repro.service.SelectionService` answers
+online queries against them.
 
 The repository underneath the artifacts is *mutable*:
 :meth:`OfflineArtifacts.refresh` derives the artifacts of the next zoo
@@ -26,17 +21,11 @@ full re-cluster) — instead of recomputing the whole offline phase.  See
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Union
 
 from repro.cache import CacheLike, fingerprint_matrix, resolve_cache
 from repro.cluster.distance import offline_matrices
 from repro.cluster.incremental import update_clustering
-from repro.core.batch import (
-    BatchSelectionReport,
-    build_phase_engines,
-    resolve_target_batch,
-    resolve_target_task,
-)
 from repro.core.config import PipelineConfig
 from repro.core.model_clustering import ModelClusterer, ModelClustering
 from repro.core.performance import (
@@ -44,16 +33,11 @@ from repro.core.performance import (
     build_performance_matrix,
     update_performance_matrix,
 )
-from repro.core.results import TwoPhaseResult
-from repro.data.tasks import ClassificationTask
 from repro.data.workloads import WorkloadSuite
 from repro.utils.exceptions import ConfigurationError
 from repro.zoo.catalog import ModelCatalogEntry
 from repro.zoo.finetune import FineTuner
 from repro.zoo.hub import ModelHub, ZooVersion
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.sched.scheduler import EpochScheduler
 
 
 def purge_superseded_artifacts(
@@ -288,102 +272,3 @@ class OfflineArtifacts:
             evicted_entries=evicted,
         )
 
-
-class TwoPhaseSelector:
-    """The paper's complete coarse-recall + fine-selection pipeline."""
-
-    def __init__(
-        self,
-        artifacts: OfflineArtifacts,
-        *,
-        fine_tuner: Optional[FineTuner] = None,
-        seed: int = 0,
-    ) -> None:
-        self.artifacts = artifacts
-        self.fine_tuner = fine_tuner or FineTuner(seed=seed)
-        self._recall, self._fine_selection = build_phase_engines(
-            artifacts, self.fine_tuner
-        )
-
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_hub(
-        cls,
-        hub: ModelHub,
-        suite: Optional[WorkloadSuite] = None,
-        *,
-        config: Optional[PipelineConfig] = None,
-        fine_tuner: Optional[FineTuner] = None,
-        seed: int = 0,
-    ) -> "TwoPhaseSelector":
-        """Build the offline artifacts and wrap them in a selector."""
-        artifacts = OfflineArtifacts.build(hub, suite, config=config, fine_tuner=fine_tuner)
-        return cls(artifacts, fine_tuner=fine_tuner, seed=seed)
-
-    # ------------------------------------------------------------------ #
-    def _resolve_task(self, target: Union[str, ClassificationTask]) -> ClassificationTask:
-        return resolve_target_task(self.artifacts.suite, target)
-
-    def select(
-        self,
-        target: Union[str, ClassificationTask],
-        *,
-        top_k: Optional[int] = None,
-    ) -> TwoPhaseResult:
-        """Select the best checkpoint for ``target`` with the two-phase method.
-
-        The one-target case of :meth:`select_many`.
-        """
-        task = self._resolve_task(target)
-        return self.select_many([task], top_k=top_k).result_for(task.name)
-
-    def select_many(
-        self,
-        targets: Sequence[Union[str, ClassificationTask]],
-        *,
-        top_k: Optional[int] = None,
-    ) -> BatchSelectionReport:
-        """Select checkpoints for a batch of targets off the shared clustering.
-
-        Every target is one request on the call's :meth:`inline_scheduler`,
-        so overlapping requests share partially-trained sessions.  Results
-        come back in submission order, each task's recall proxy cost on its
-        ``SelectionResult.extra_epoch_cost``.
-        """
-        tasks = resolve_target_batch(self.artifacts.suite, targets)
-        scheduler = self.inline_scheduler(len(tasks))
-        requests = [scheduler.submit(task, top_k=top_k) for task in tasks]
-        scheduler.run_until_idle()
-        return BatchSelectionReport(
-            {task.name: scheduler.result(req) for task, req in zip(tasks, requests)}
-        )
-
-    def inline_scheduler(self, requests: int) -> "EpochScheduler":
-        """A store-less scheduler, over this selector's engines, for one call.
-
-        Its session pool lives for the call.  Every one of the ``requests``
-        is admitted at once and the unbounded epoch budget makes each round
-        one full stage wave.
-        """
-        from repro.sched.config import SchedulerConfig
-        from repro.sched.scheduler import EpochScheduler
-
-        return EpochScheduler.for_artifacts(
-            self.artifacts,
-            fine_tuner=self.fine_tuner,
-            recall=self._recall,
-            fine_selection=self._fine_selection,
-            config=SchedulerConfig(
-                max_concurrent=requests, max_queue=requests, epoch_budget=None
-            ),
-        )
-
-    def recall_only(
-        self, target: Union[str, ClassificationTask], *, top_k: Optional[int] = None
-    ):
-        """Run only the coarse-recall phase (used by Fig. 5 and Table VII)."""
-        return self._recall.recall(self._resolve_task(target), top_k=top_k)
-
-    def cluster_summary(self) -> Dict[str, float]:
-        """Summary statistics of the offline model clustering."""
-        return self.artifacts.clustering.summary()

@@ -11,8 +11,8 @@ stage has completed, applying the algorithm's filtering rule through its
 
 One driver exists: :class:`repro.sched.scheduler.EpochScheduler`
 interleaves the steps of many plans over a shared epoch budget.  Every
-entry point — a single :meth:`~repro.core.pipeline.TwoPhaseSelector.select`,
-a batch, a served request, and a selection policy's own ``run`` over
+entry point — a single :meth:`~repro.service.SelectionService.select`,
+a batch, a Table VI row, and a selection policy's own ``run`` over
 fixed candidates — submits to one.  A request's
 :class:`~repro.core.results.SelectionResult` does not depend on the
 scheduling because every stochastic quantity lives in the per-``(model,

@@ -19,10 +19,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.config import PipelineConfig
 from repro.core.model_clustering import ModelClusterer, ModelClustering
 from repro.core.performance import PerformanceMatrix, build_performance_matrix
-from repro.core.pipeline import OfflineArtifacts, TwoPhaseSelector
+from repro.core.pipeline import OfflineArtifacts
 from repro.core.results import SelectionResult
 from repro.data.tasks import ClassificationTask
 from repro.data.workloads import DataScale, WorkloadSuite, suite_for_modality
+from repro.service import SelectionService
 from repro.utils.exceptions import ConfigurationError
 from repro.zoo.finetune import FineTuner, LearningCurve
 from repro.zoo.hub import ModelHub
@@ -55,7 +56,7 @@ class ExperimentContext:
     _hub: Optional[ModelHub] = field(default=None, repr=False)
     _matrix: Optional[PerformanceMatrix] = field(default=None, repr=False)
     _clustering: Optional[ModelClustering] = field(default=None, repr=False)
-    _selector: Optional[TwoPhaseSelector] = field(default=None, repr=False)
+    _selector: Optional[SelectionService] = field(default=None, repr=False)
     _target_truth: Optional[Dict[str, Dict[str, LearningCurve]]] = field(
         default=None, repr=False
     )
@@ -128,8 +129,8 @@ class ExperimentContext:
         return self._clustering
 
     @property
-    def selector(self) -> TwoPhaseSelector:
-        """End-to-end two-phase selector sharing the cached artifacts."""
+    def selector(self) -> SelectionService:
+        """Selection service over the cached artifacts (both engines built)."""
         if self._selector is None:
             artifacts = OfflineArtifacts(
                 hub=self.hub,
@@ -138,7 +139,7 @@ class ExperimentContext:
                 clustering=self.clustering,
                 config=self.config,
             )
-            self._selector = TwoPhaseSelector(artifacts, fine_tuner=self.fine_tuner)
+            self._selector = SelectionService(artifacts, fine_tuner=self.fine_tuner)
         return self._selector
 
     def run_policies(
@@ -175,12 +176,6 @@ class ExperimentContext:
                 }
             self._target_truth = truth
         return self._target_truth
-
-    def best_target_model(self, target_name: str) -> Tuple[str, float]:
-        """Ground-truth best model and accuracy on ``target_name``."""
-        curves = self.target_ground_truth()[target_name]
-        best = max(curves, key=lambda name: curves[name].final_test)
-        return best, curves[best].final_test
 
     @property
     def target_names(self) -> List[str]:
@@ -223,5 +218,8 @@ def get_context(
 
 
 def clear_context_cache() -> None:
-    """Drop all memoised contexts (mainly for tests)."""
+    """Drop all memoised contexts (mainly for tests), stopping their services."""
+    for context in _CONTEXT_CACHE.values():
+        if context._selector is not None:
+            context._selector.close()
     _CONTEXT_CACHE.clear()

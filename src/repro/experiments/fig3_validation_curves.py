@@ -41,7 +41,7 @@ def run(
     """Fine-tune the top-K recalled models on the target under both settings."""
     target = target_name or ("mnli" if context.modality == "nlp" else "oxford_flowers")
     task = context.suite.task(target)
-    recall = context.selector.recall_only(target, top_k=top_k)
+    recall = context.selector.recall(target, top_k=top_k)
     settings: Dict[str, Dict[str, object]] = {}
     for setting_name, learning_rate in LEARNING_RATE_SETTINGS.items():
         config = FineTuneConfig(

@@ -35,7 +35,7 @@ def run(
         task = context.suite.task(target)
         accuracies = {name: curve.final_test for name, curve in truth[target].items()}
         best_model = max(accuracies, key=accuracies.get)
-        full_ranking = context.selector.recall_only(
+        full_ranking = context.selector.recall(
             target, top_k=len(context.hub)
         ).recalled_models
         best_rank = full_ranking.index(best_model) + 1 if best_model in full_ranking else None

@@ -38,7 +38,7 @@ def run(
     for target in target_names:
         task = context.suite.task(target)
         accuracies = {name: curve.final_test for name, curve in truth[target].items()}
-        recalled = context.selector.recall_only(target, top_k=top_k).recalled_models
+        recalled = context.selector.recall(target, top_k=top_k).recalled_models
         pools = {f"top{len(recalled)}": recalled}
         if include_full_repository:
             pools[f"all{len(context.hub)}"] = context.hub.model_names

@@ -100,9 +100,9 @@ def run_batched_selection(
     """Run the two-phase pipeline for a batch of targets of one modality.
 
     Uses the memoised :class:`~repro.experiments.context.ExperimentContext`
-    selector (and its offline artifacts), so the offline phase is shared
-    with every other experiment of the same ``(modality, scale, seed)``
-    triple.  ``targets`` defaults to every target dataset of the modality's
+    selection service (and its offline artifacts), so the offline phase is
+    shared with every other experiment of the same ``(modality, scale,
+    seed)`` triple.  ``targets`` defaults to every target dataset of the modality's
     workload suite.
     """
     context = get_context(modality, scale=scale, seed=seed)

@@ -35,7 +35,7 @@ def run(
     records: List[Dict[str, object]] = []
     for target in target_names:
         task = context.suite.task(target)
-        recalled = context.selector.recall_only(target, top_k=top_k).recalled_models
+        recalled = context.selector.recall(target, top_k=top_k).recalled_models
         for threshold in thresholds:
             config = FineSelectionConfig(
                 total_epochs=context.offline_epochs, threshold=threshold

@@ -33,7 +33,7 @@ def run(
     target_names = list(targets) if targets else context.target_names
     for target in target_names:
         task = context.suite.task(target)
-        recalled = context.selector.recall_only(target, top_k=top_k).recalled_models
+        recalled = context.selector.recall(target, top_k=top_k).recalled_models
         pools: Dict[str, List[str]] = {"recalled": list(recalled)}
         if include_full_repository:
             pools["all"] = list(context.hub.model_names)

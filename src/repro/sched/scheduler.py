@@ -24,10 +24,11 @@ partially-trained checkpoints through the
 trained can be far below the epochs charged.
 
 This is the only engine that trains a plan; every selection call is a set
-of requests on one scheduler.  A library call (``select_many``, a policy's
-``run``, one Table VI row) drives a store-less scheduler of its own with
-:meth:`run_until_idle`; the service answers every call on one long-lived
-scheduler driven by its background thread (:meth:`start`).
+of requests on one scheduler.  A policy's ``run`` or one Table VI row
+drives a store-less scheduler of its own with :meth:`run_until_idle`
+(:meth:`~repro.service.SelectionService.inline_scheduler`); the service
+answers ``select``/``select_many`` on one long-lived scheduler driven by its
+background thread (:meth:`start`).
 """
 
 from __future__ import annotations
@@ -287,27 +288,21 @@ class EpochScheduler:
         artifacts,
         *,
         fine_tuner=None,
-        recall=None,
-        fine_selection=None,
         config: Optional[SchedulerConfig] = None,
         on_complete: Optional[Callable[[SelectionRequest], None]] = None,
         persist: Optional[PlanStore] = None,
     ) -> "EpochScheduler":
         """Scheduler over one fixed set of offline artifacts.
 
-        Engines default to a fresh pair built exactly as
-        :class:`~repro.core.pipeline.TwoPhaseSelector` builds them
-        (``build_phase_engines``), guaranteeing the entry points cannot
-        drift.
+        Its engines are a fresh pair built exactly as
+        :class:`~repro.service.SelectionService` builds them
+        (``build_phase_engines``), so the two cannot drift.
         """
         from repro.core.batch import build_phase_engines
         from repro.zoo.finetune import FineTuner
 
         tuner = fine_tuner or FineTuner(seed=0)
-        if (recall is None) != (fine_selection is None):
-            raise SchedulerError("recall and fine_selection must be supplied together")
-        if recall is None:
-            recall, fine_selection = build_phase_engines(artifacts, tuner)
+        recall, fine_selection = build_phase_engines(artifacts, tuner)
         version = getattr(artifacts, "version", None)
         context = SchedulerContext(
             artifacts=artifacts,

@@ -14,8 +14,10 @@ returns a handle at once, :meth:`poll` streams per-stage progress,
 :meth:`result` blocks for the outcome, and :meth:`select` is
 ``result(submit(...))``.  Concurrent requests interleave at epoch
 granularity and reuse each other's partially-trained sessions through the
-:class:`~repro.sched.pool.SessionPool`; results are bitwise-identical to a
-:class:`~repro.core.pipeline.TwoPhaseSelector` call (see ``docs/serving.md``).
+:class:`~repro.sched.pool.SessionPool`; results are bitwise-identical to the
+blocking stage-by-stage loop of ``tests/oracles.py`` (see ``docs/serving.md``).
+:meth:`SelectionService.inline_scheduler` is the one other scheduler: a
+store-less one for a single call, whose session pool dies with it.
 
 The service is thread-safe: the engines it shares across requests hold no
 per-request mutable state, lazy checkpoint construction is lock-guarded in
@@ -258,6 +260,22 @@ class SelectionService:
             fine_tuner=self._fine_tuner,
         )
 
+    def inline_scheduler(self, requests: int) -> EpochScheduler:
+        """A store-less scheduler over the served engines, for one call.
+
+        The caller drives it with ``run_until_idle``, and its session pool
+        lives for the call.  Every one of the ``requests`` is admitted at
+        once and the unbounded epoch budget makes each round one full stage
+        wave.  ``submit(task, policy=, candidates=)`` runs a baseline
+        beside the two-phase requests on shared sessions.
+        """
+        return EpochScheduler(
+            self._scheduler_context,
+            config=SchedulerConfig(
+                max_concurrent=requests, max_queue=requests, epoch_budget=None
+            ),
+        )
+
     def _on_request_complete(self, request: SelectionRequest) -> None:
         if request.result is not None:
             self._account(cost=request.result.total_cost)
@@ -291,8 +309,8 @@ class SelectionService:
 
         The request trains cooperatively with every other in-flight
         request (fair-share or deadline order, shared epoch budget and
-        session pool) and its result is bitwise-identical to a
-        :class:`~repro.core.pipeline.TwoPhaseSelector` answer.
+        session pool) and its result is bitwise-identical to the same
+        request run alone.
         ``total_epochs`` overrides this request's fine
         selection budget (the raise-budget verb — with a plan store, a
         finished request resubmitted under a larger budget continues from

@@ -1,10 +1,12 @@
-"""Tests for batched multi-task selection (``TwoPhaseSelector.select_many``)."""
+"""Tests for batched multi-task selection (``SelectionService.select_many``)."""
 
 import pytest
 
+from oracles import serial_select
 from repro.core.batch import BatchSelectionReport
-from repro.core.pipeline import OfflineArtifacts, TwoPhaseSelector
+from repro.core.pipeline import OfflineArtifacts
 from repro.core.results import aggregate_epoch_accounting
+from repro.service import SelectionService
 from repro.utils.exceptions import SelectionError
 
 
@@ -19,12 +21,19 @@ def nlp_artifacts(nlp_hub_small, nlp_suite_small, test_pipeline_config, fine_tun
 
 
 @pytest.fixture(scope="module")
-def batch_report(nlp_artifacts, nlp_suite_small):
-    return TwoPhaseSelector(nlp_artifacts).select_many(nlp_suite_small.target_names)
+def service(nlp_artifacts):
+    service = SelectionService(nlp_artifacts)
+    yield service
+    service.close()
+
+
+@pytest.fixture(scope="module")
+def batch_report(service, nlp_suite_small):
+    return service.select_many(nlp_suite_small.target_names)
 
 
 class TestBatchedSelectionRunner:
-    """The batch entry point: one private scheduler for every target."""
+    """The batch entry point: every target a request on one scheduler."""
 
     def test_one_result_per_target_in_order(self, batch_report, nlp_suite_small):
         assert batch_report.target_names == list(nlp_suite_small.target_names)
@@ -34,9 +43,8 @@ class TestBatchedSelectionRunner:
             assert result.selected_model in result.recall.recalled_models
 
     def test_matches_single_task_selector(self, nlp_artifacts, batch_report):
-        selector = TwoPhaseSelector(nlp_artifacts)
         for name in batch_report.target_names:
-            single = selector.select(name)
+            single = serial_select(nlp_artifacts, name)
             batched = batch_report.result_for(name)
             assert single.selected_model == batched.selected_model
             assert single.selection.runtime_epochs == batched.selection.runtime_epochs
@@ -67,23 +75,23 @@ class TestBatchedSelectionRunner:
             sum(accuracies) / len(accuracies)
         )
 
-    def test_accepts_task_objects_and_top_k(self, nlp_artifacts, nlp_suite_small):
+    def test_accepts_task_objects_and_top_k(self, service, nlp_suite_small):
         task = nlp_suite_small.task("mnli")
-        report = TwoPhaseSelector(nlp_artifacts).select_many([task], top_k=3)
+        report = service.select_many([task], top_k=3)
         assert report.target_names == ["mnli"]
         assert len(report.result_for("mnli").recall.recalled_models) == 3
 
-    def test_rejects_empty_batch(self, nlp_artifacts):
+    def test_rejects_empty_batch(self, service):
         with pytest.raises(SelectionError):
-            TwoPhaseSelector(nlp_artifacts).select_many([])
+            service.select_many([])
 
-    def test_rejects_duplicate_targets(self, nlp_artifacts):
+    def test_rejects_duplicate_targets(self, service):
         with pytest.raises(SelectionError, match="duplicate"):
-            TwoPhaseSelector(nlp_artifacts).select_many(["mnli", "mnli"])
+            service.select_many(["mnli", "mnli"])
 
-    def test_rejects_unknown_target(self, nlp_artifacts):
+    def test_rejects_unknown_target(self, service):
         with pytest.raises(SelectionError, match="unknown target"):
-            TwoPhaseSelector(nlp_artifacts).select_many(["no-such-dataset"])
+            service.select_many(["no-such-dataset"])
 
     def test_report_rejects_unknown_target(self, batch_report):
         with pytest.raises(SelectionError):
@@ -92,20 +100,22 @@ class TestBatchedSelectionRunner:
     def test_from_hub_builds_offline_artifacts(
         self, nlp_hub_small, nlp_suite_small, test_pipeline_config
     ):
-        selector = TwoPhaseSelector.from_hub(
+        service = SelectionService.from_hub(
             nlp_hub_small, nlp_suite_small, config=test_pipeline_config
         )
-        report = selector.select_many(["boolq"])
+        try:
+            report = service.select_many(["boolq"])
+        finally:
+            service.close()
         assert set(report.selected_models()) == {"boolq"}
 
 
-class TestTwoPhaseSelectorSelectMany:
-    def test_select_many_matches_batch_runner(self, nlp_artifacts, nlp_suite_small):
-        selector = TwoPhaseSelector(nlp_artifacts)
-        report = selector.select_many(nlp_suite_small.target_names)
+class TestSelectionServiceSelectMany:
+    def test_select_many_matches_batch_runner(self, service, nlp_suite_small):
+        report = service.select_many(nlp_suite_small.target_names)
         assert isinstance(report, BatchSelectionReport)
         for name in nlp_suite_small.target_names:
-            assert report.result_for(name).selected_model == selector.select(
+            assert report.result_for(name).selected_model == service.select(
                 name
             ).selected_model
 

@@ -109,6 +109,23 @@ class TestPerformanceMatrixStructure:
         with pytest.raises(DataError):
             PerformanceMatrix(["d1"], ["m1", "m2"], np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cell_rejected_where_it_enters(self, bad):
+        # Unchecked, a NaN cell surfaced only at clustering time as a
+        # misleading "distance matrix must be symmetric".
+        values = np.full((2, 3), 0.5)
+        values[1, 2] = bad
+        values[1, 0] = np.nan  # a later cell in row order is not the one named
+        values[0, 1] = bad
+        payload = {"dataset_names": ["d0", "d1"], "model_names": ["m0", "m1", "m2"],
+                   "values": values.tolist()}
+        for build in (
+            lambda: PerformanceMatrix(["d0", "d1"], ["m0", "m1", "m2"], values),
+            lambda: PerformanceMatrix.from_dict(payload),
+        ):
+            with pytest.raises(DataError, match=r"\('d0', 'm1'\).*not finite"):
+                build()
+
 
 class TestSerialization:
     def test_json_round_trip(self, nlp_matrix_small):

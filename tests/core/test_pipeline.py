@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core.config import PipelineConfig
-from repro.core.pipeline import OfflineArtifacts, TwoPhaseSelector
+from repro.core.pipeline import OfflineArtifacts
+from repro.service import SelectionService
 from repro.utils.exceptions import SelectionError
 
 
@@ -20,7 +20,9 @@ def artifacts(nlp_hub_small, nlp_suite_small, nlp_matrix_small, nlp_clustering_s
 
 @pytest.fixture(scope="module")
 def selector(artifacts, fine_tuner):
-    return TwoPhaseSelector(artifacts, fine_tuner=fine_tuner)
+    service = SelectionService(artifacts, fine_tuner=fine_tuner)
+    yield service
+    service.close()
 
 
 class TestOfflineArtifacts:
@@ -33,7 +35,7 @@ class TestOfflineArtifacts:
         assert artifacts.clustering.assignment.num_clusters >= 1
 
 
-class TestTwoPhaseSelector:
+class TestTwoPhaseSelection:
     def test_select_by_name(self, selector, nlp_hub_small, test_pipeline_config):
         result = selector.select("mnli", top_k=5)
         assert result.selected_model in nlp_hub_small.model_names
@@ -54,7 +56,7 @@ class TestTwoPhaseSelector:
             selector.select("imagenet")
 
     def test_recall_only(self, selector):
-        recall = selector.recall_only("mnli", top_k=3)
+        recall = selector.recall("mnli", top_k=3)
         assert len(recall.recalled_models) == 3
 
     def test_cluster_summary(self, selector, nlp_hub_small):
@@ -62,8 +64,12 @@ class TestTwoPhaseSelector:
         assert summary["num_models"] == len(nlp_hub_small)
 
     def test_results_reproducible(self, artifacts, fine_tuner):
-        a = TwoPhaseSelector(artifacts, fine_tuner=fine_tuner).select("mnli", top_k=5)
-        b = TwoPhaseSelector(artifacts, fine_tuner=fine_tuner).select("mnli", top_k=5)
+        services = [SelectionService(artifacts, fine_tuner=fine_tuner) for _ in range(2)]
+        try:
+            a, b = (service.select("mnli", top_k=5) for service in services)
+        finally:
+            for service in services:
+                service.close()
         assert a.selected_model == b.selected_model
         assert a.recall.recalled_models == b.recall.recalled_models
         assert a.total_cost == b.total_cost

@@ -17,7 +17,7 @@ import repro.metrics.registry as registry
 from repro.cache import fingerprint_task
 from repro.core.config import ClusteringConfig, RecallConfig
 from repro.core.model_clustering import ModelClusterer
-from repro.core.pipeline import OfflineArtifacts, TwoPhaseSelector
+from repro.core.pipeline import OfflineArtifacts
 from repro.core.recall import CoarseRecall
 from repro.metrics.leep import LeepScorer
 from repro.metrics.registry import get_scorer, register_scorer
@@ -200,12 +200,19 @@ class TestSharedTable:
         assert warm.total_cost == cold.total_cost
 
     def test_selector_paths_share_the_table(self, scorers, counting_artifacts):
-        selector = TwoPhaseSelector(counting_artifacts)
-        selector.select("mnli")
-        assert scorers
-        scorers.clear()
-        selector.select_many(["mnli"])
-        selector.recall_only("mnli")
+        service = SelectionService(counting_artifacts)
+        try:
+            service.select("mnli")
+            assert scorers
+            scorers.clear()
+            service.select_many(["mnli"])
+            service.recall("mnli")
+            # A call-scoped scheduler (one Table VI row) reads the same table.
+            scheduler = service.inline_scheduler(1)
+            scheduler.submit("mnli")
+            scheduler.run_until_idle()
+        finally:
+            service.close()
         assert scorers == []
 
 

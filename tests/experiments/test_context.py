@@ -48,14 +48,6 @@ class TestExperimentContext:
         for curves in truth.values():
             assert set(curves) == set(context.hub.model_names)
 
-    def test_best_target_model(self):
-        context = ExperimentContext("cv", scale="small", num_models=5)
-        best, accuracy = context.best_target_model("beans")
-        assert best in context.hub.model_names
-        assert accuracy == max(
-            curve.final_test for curve in context.target_ground_truth()["beans"].values()
-        )
-
 
 class TestGetContext:
     def test_memoised_per_key(self):

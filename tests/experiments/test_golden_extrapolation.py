@@ -29,8 +29,9 @@ import pathlib
 
 import numpy as np
 import pytest
+from oracles import serial_select
 
-from repro.core.pipeline import OfflineArtifacts, TwoPhaseSelector
+from repro.core.pipeline import OfflineArtifacts
 from repro.experiments.context import ExperimentContext
 from repro.sched import EpochScheduler, SchedulerConfig
 from repro.zoo.finetune import FineTuner
@@ -104,10 +105,9 @@ def run_scheduled(artifacts, target, *, extrapolate):
 
 class TestGoldenExtrapolationRegret:
     def test_regret_report_matches_golden(self, context, spec_artifacts):
-        selector = TwoPhaseSelector(spec_artifacts, fine_tuner=FineTuner(seed=0))
         records = {}
         for target in TARGETS:
-            serial = selector.select(target, top_k=TOP_K)
+            serial = serial_select(spec_artifacts, target, top_k=TOP_K)
             exact = run_scheduled(spec_artifacts, target, extrapolate=False)
             speculative = run_scheduled(spec_artifacts, target, extrapolate=True)
 

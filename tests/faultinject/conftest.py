@@ -14,8 +14,9 @@ result must match bitwise.
 import pathlib
 
 import pytest
+from oracles import serial_select
 
-from repro.core.pipeline import OfflineArtifacts, TwoPhaseSelector
+from repro.core.pipeline import OfflineArtifacts
 from repro.persist import clear_hooks
 
 _FAULT_DIR = pathlib.Path(__file__).parent
@@ -50,8 +51,7 @@ def artifacts(nlp_hub_small, nlp_suite_small, test_pipeline_config, fine_tuner):
 @pytest.fixture(scope="module")
 def serial_oracle(artifacts):
     """The blocking path's result for the target the crash tests replay."""
-    selector = TwoPhaseSelector(artifacts)
     return {
-        ("mnli", 5): selector.select("mnli", top_k=5),
-        ("boolq", 3): selector.select("boolq", top_k=3),
+        ("mnli", 5): serial_select(artifacts, "mnli", top_k=5),
+        ("boolq", 3): serial_select(artifacts, "boolq", top_k=3),
     }

@@ -16,6 +16,7 @@ import dataclasses
 import pytest
 
 from harness import assert_bitwise_equal, counting, crash_at
+from oracles import serial_select
 
 from repro.persist import PlanJournal, PlanStore, SimulatedCrash
 from repro.sched import EpochScheduler
@@ -146,7 +147,6 @@ class TestBudgetRaise:
         import dataclasses
 
         from repro.core.config import FineSelectionConfig
-        from repro.core.pipeline import TwoPhaseSelector
 
         root = tmp_path / "raise"
         # First lifetime: run the default budget to completion.
@@ -166,9 +166,10 @@ class TestBudgetRaise:
                 ),
             ),
         )
-        oracle6 = TwoPhaseSelector(
-            artifacts6, fine_tuner=FineTuner(fine_tuner.config, seed=0)
-        ).select(TARGET, top_k=TOP_K)
+        oracle6 = serial_select(
+            artifacts6, TARGET, top_k=TOP_K,
+            fine_tuner=FineTuner(fine_tuner.config, seed=0),
+        )
 
         # Second lifetime: same journal, raised budget.
         s2 = make_scheduler(artifacts, PlanStore(root), fine_tuner)

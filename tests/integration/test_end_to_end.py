@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from repro.core.config import FineSelectionConfig, PipelineConfig, RecallConfig
-from repro.core.pipeline import OfflineArtifacts, TwoPhaseSelector
+from repro.core.pipeline import OfflineArtifacts
 from repro.core.selection import BruteForceSelection, SuccessiveHalving
+from repro.service import SelectionService
 from repro.zoo.finetune import FineTuner
 
 
@@ -23,6 +24,13 @@ def nlp_artifacts(nlp_hub_small, nlp_suite_small, nlp_matrix_small, nlp_clusteri
         clustering=nlp_clustering_small,
         config=test_pipeline_config,
     )
+
+
+@pytest.fixture(scope="module")
+def nlp_selector(nlp_artifacts, fine_tuner):
+    service = SelectionService(nlp_artifacts, fine_tuner=fine_tuner)
+    yield service
+    service.close()
 
 
 @pytest.fixture(scope="module")
@@ -39,16 +47,17 @@ def cv_selector(cv_hub_small, cv_suite_small, cv_matrix_small, fine_tuner, test_
         clustering=clustering,
         config=test_pipeline_config,
     )
-    return TwoPhaseSelector(artifacts, fine_tuner=fine_tuner)
+    service = SelectionService(artifacts, fine_tuner=fine_tuner)
+    yield service
+    service.close()
 
 
 class TestNlpEndToEnd:
-    def test_two_phase_cheaper_and_competitive(self, nlp_artifacts, fine_tuner, nlp_hub_small, nlp_suite_small):
-        selector = TwoPhaseSelector(nlp_artifacts, fine_tuner=fine_tuner)
+    def test_two_phase_cheaper_and_competitive(self, nlp_selector, fine_tuner, nlp_hub_small, nlp_suite_small):
         config = FineSelectionConfig(total_epochs=3)
         task = nlp_suite_small.task("mnli")
 
-        two_phase = selector.select("mnli", top_k=6)
+        two_phase = nlp_selector.select("mnli", top_k=6)
         brute_force = BruteForceSelection(nlp_hub_small, fine_tuner, config=config).run(
             nlp_hub_small.model_names, task
         )
@@ -62,20 +71,18 @@ class TestNlpEndToEnd:
         # The selected model is competitive with the brute-force winner.
         assert two_phase.selected_accuracy >= brute_force.selected_accuracy - 0.15
 
-    def test_selected_model_not_a_weak_checkpoint(self, nlp_artifacts, fine_tuner):
+    def test_selected_model_not_a_weak_checkpoint(self, nlp_selector):
         """The two-phase pipeline should never pick the out-of-domain checkpoints."""
-        selector = TwoPhaseSelector(nlp_artifacts, fine_tuner=fine_tuner)
         weak = {
             "aliosm/sha3bor-metre-detector-arabertv2-base",
             "CAMeL-Lab/bert-base-arabic-camelbert-mix-did-nadi",
         }
         for target in ("mnli", "boolq"):
-            result = selector.select(target, top_k=6)
+            result = nlp_selector.select(target, top_k=6)
             assert result.selected_model not in weak
 
-    def test_recall_covers_strong_models(self, nlp_artifacts, fine_tuner):
-        selector = TwoPhaseSelector(nlp_artifacts, fine_tuner=fine_tuner)
-        recall = selector.recall_only("mnli", top_k=6)
+    def test_recall_covers_strong_models(self, nlp_selector):
+        recall = nlp_selector.recall("mnli", top_k=6)
         strong = {"roberta-base", "bert-base-uncased", "ishan/bert-base-uncased-mnli",
                   "Jeevesh8/feather_berts_46", "albert-base-v2", "distilbert-base-uncased"}
         assert len(set(recall.recalled_models) & strong) >= 3

@@ -7,6 +7,7 @@ import threading
 from types import SimpleNamespace
 
 import pytest
+from oracles import serial_select
 
 from repro.cli import build_parser, main
 from repro.serving import EXIT_SCHEDULER, ServeFrontEnd, error_payload
@@ -239,9 +240,7 @@ class TestServeTcp:
 
 class TestScheduledCliPaths:
     def test_select_with_timeout_matches_selector(self, service):
-        from repro.core.pipeline import TwoPhaseSelector
-
-        library = TwoPhaseSelector(service.artifacts).select("mnli")
+        library = serial_select(service.artifacts, "mnli")
         scheduled = io.StringIO()
         assert main(
             ["select", "--target", "mnli", "--json", "--timeout", "600",

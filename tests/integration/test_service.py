@@ -4,6 +4,7 @@ import threading
 from dataclasses import replace
 
 import pytest
+from oracles import serial_select
 
 from repro.core.extrapolation import ExtrapolationConfig
 from repro.core.pipeline import OfflineArtifacts
@@ -36,12 +37,21 @@ class TestSelectionService:
         assert result.selected_model in service.artifacts.hub.model_names
 
     def test_select_matches_bare_selector(self, service, nlp_artifacts):
-        from repro.core.pipeline import TwoPhaseSelector
-
-        direct = TwoPhaseSelector(nlp_artifacts).select("mnli")
+        direct = serial_select(nlp_artifacts, "mnli")
         served = service.select("mnli")
-        assert served.selected_model == direct.selected_model
-        assert served.total_cost == direct.total_cost
+        assert served == direct
+
+    def test_inline_scheduler_is_call_scoped(self, nlp_artifacts):
+        fresh = SelectionService(nlp_artifacts)
+        scheduler = fresh.inline_scheduler(2)
+        assert scheduler.pool is not fresh.inline_scheduler(2).pool
+        assert scheduler.config.epoch_budget is None
+        assert scheduler.config.max_concurrent == scheduler.config.max_queue == 2
+        requests = [scheduler.submit(target) for target in ("mnli", "boolq")]
+        scheduler.run_until_idle()
+        assert scheduler.result(requests[0]) == serial_select(nlp_artifacts, "mnli")
+        # The service's own long-lived scheduler never started.
+        assert fresh.stats()["scheduler"] is None
 
     def test_select_many(self, service, nlp_suite_small):
         report = service.select_many(nlp_suite_small.target_names)

@@ -11,9 +11,10 @@ canonical keys while the superseded version's entries are evicted.
 
 import numpy as np
 import pytest
+from oracles import serial_select
 
 from repro.cache import ArtifactCache, distance_key, similarity_key
-from repro.core.pipeline import OfflineArtifacts, TwoPhaseSelector
+from repro.core.pipeline import OfflineArtifacts
 from repro.service import SelectionService
 from repro.utils.exceptions import ConfigurationError
 from repro.zoo.finetune import FineTuneConfig, FineTuner
@@ -115,10 +116,11 @@ class TestServiceRefresh:
             added=[ADDED_MODEL], removed=[artifacts.hub.model_names[0]]
         )
         served = service.select("mnli")
-        # Oracle: a selector built directly over the refreshed artifacts.
-        oracle = TwoPhaseSelector(
-            result.artifacts, fine_tuner=FineTuner(FineTuneConfig(epochs=3), seed=0)
-        ).select("mnli")
+        # Oracle: the serial loop run directly over the refreshed artifacts.
+        oracle = serial_select(
+            result.artifacts, "mnli",
+            fine_tuner=FineTuner(FineTuneConfig(epochs=3), seed=0),
+        )
         assert served.selected_model == oracle.selected_model
         assert served.total_cost == oracle.total_cost
         assert before in artifacts.hub.model_names  # old epoch untouched

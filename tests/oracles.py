@@ -13,11 +13,13 @@ import zlib
 import numpy as np
 
 from repro.cluster.distance import check_distance_matrix
+from repro.core.batch import build_phase_engines, resolve_target_task
 from repro.core.performance import PerformanceMatrix
 from repro.core.plan import SelectionPlan, SessionView
 from repro.core.results import SelectionResult, TwoPhaseResult
 from repro.core.similarity import performance_similarity
 from repro.utils.exceptions import DataError
+from repro.zoo.finetune import FineTuner
 
 
 def encode_loop(model, features) -> np.ndarray:
@@ -176,3 +178,10 @@ def serial_two_phase(recall, policy, task, *, top_k=None) -> TwoPhaseResult:
     return TwoPhaseResult(
         target_name=task.name, recall=recall_result, selection=selection
     )
+
+
+def serial_select(artifacts, target, *, top_k=None, fine_tuner=None) -> TwoPhaseResult:
+    """:func:`serial_two_phase` over a fresh engine pair for ``artifacts``."""
+    recall, policy = build_phase_engines(artifacts, fine_tuner or FineTuner(seed=0))
+    task = resolve_target_task(artifacts.suite, target)
+    return serial_two_phase(recall, policy, task, top_k=top_k)

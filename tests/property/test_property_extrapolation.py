@@ -29,8 +29,9 @@ import dataclasses
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from oracles import serial_select
 
-from repro.core.pipeline import OfflineArtifacts, TwoPhaseSelector
+from repro.core.pipeline import OfflineArtifacts
 from repro.sched import EpochScheduler, SchedulerConfig
 
 pytestmark = pytest.mark.extrapolation
@@ -67,9 +68,8 @@ def artifacts(nlp_hub_small, nlp_suite_small, test_pipeline_config, fine_tuner):
 @pytest.fixture(scope="module")
 def exact_oracle(artifacts):
     """The serial blocking path — what every exact request must match."""
-    selector = TwoPhaseSelector(artifacts)
     return {
-        (target, top_k): selector.select(target, top_k=top_k)
+        (target, top_k): serial_select(artifacts, target, top_k=top_k)
         for target in TARGETS
         for top_k in TOP_KS
     }

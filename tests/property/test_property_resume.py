@@ -20,8 +20,9 @@ import itertools
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from oracles import serial_select
 
-from repro.core.pipeline import OfflineArtifacts, TwoPhaseSelector
+from repro.core.pipeline import OfflineArtifacts
 from repro.persist import (
     PlanJournal,
     PlanStore,
@@ -50,9 +51,8 @@ def artifacts(nlp_hub_small, nlp_suite_small, test_pipeline_config, fine_tuner):
 
 @pytest.fixture(scope="module")
 def serial_oracle(artifacts):
-    selector = TwoPhaseSelector(artifacts)
     return {
-        (target, top_k): selector.select(target, top_k=top_k)
+        (target, top_k): serial_select(artifacts, target, top_k=top_k)
         for target in TARGETS
         for top_k in (None, 3, 5)
     }
@@ -217,7 +217,7 @@ class TestBudgetRaiseProperty:
                 ),
             ),
         )
-        oracle = TwoPhaseSelector(raised_artifacts).select(target, top_k=top_k)
+        oracle = serial_select(raised_artifacts, target, top_k=top_k)
 
         s2 = EpochScheduler.for_artifacts(artifacts, persist=PlanStore(root))
         r2 = s2.submit(target, top_k=top_k, total_epochs=raise_to)

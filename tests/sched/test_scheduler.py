@@ -3,12 +3,15 @@
 import threading
 
 import pytest
+from oracles import serial_select
 
 from repro.core.batch import build_phase_engines
-from repro.core.pipeline import OfflineArtifacts, TwoPhaseSelector
+from repro.core.pipeline import OfflineArtifacts
 from repro.core.selection import BruteForceSelection, SuccessiveHalving
 from repro.data.tasks import ClassificationTask
 from repro.sched import EpochScheduler, SchedulerConfig
+from repro.sched.scheduler import SchedulerContext
+from repro.service import SelectionService
 from repro.utils.exceptions import (
     BudgetExhaustedError,
     ConfigurationError,
@@ -33,8 +36,7 @@ def artifacts(nlp_hub_small, nlp_suite_small, test_pipeline_config, fine_tuner):
 
 @pytest.fixture(scope="module")
 def serial_results(artifacts):
-    selector = TwoPhaseSelector(artifacts)
-    return {name: selector.select(name) for name in ("mnli", "boolq")}
+    return {name: serial_select(artifacts, name) for name in ("mnli", "boolq")}
 
 
 def make_scheduler(artifacts, **overrides):
@@ -146,7 +148,7 @@ class TestPolicyRequests:
             method(hub, FineTuner(seed=0), config=config)
             for method in (BruteForceSelection, SuccessiveHalving)
         ]
-        scheduler = TwoPhaseSelector(artifacts).inline_scheduler(3)
+        scheduler = SelectionService(artifacts).inline_scheduler(3)
         requests = [scheduler.submit(task)] + [
             scheduler.submit(task, policy=policy, candidates=hub.model_names)
             for policy in policies
@@ -252,10 +254,15 @@ class TestBackgroundThread:
             return real_filter(*args, **kwargs)
 
         policy.filter_stage = filter_fails_once
-        scheduler = EpochScheduler.for_artifacts(
-            artifacts,
+        context = SchedulerContext(
+            artifacts=artifacts,
             recall=recall,
             fine_selection=policy,
+            version_key=artifacts.version.key,
+            fine_tuner=fine_tuner,
+        )
+        scheduler = EpochScheduler(
+            lambda: context,
             config=SchedulerConfig(max_concurrent=4, epoch_budget=4, max_queue=8),
         )
         doomed = [scheduler.submit(target) for target in ("mnli", "boolq")]
