@@ -2,7 +2,8 @@
 
 PY := PYTHONPATH=src python
 
-.PHONY: test test-fast test-fault test-distrib test-extrapolation test-all \
+.PHONY: test test-fast test-offline-property test-fault test-distrib \
+        test-extrapolation test-all \
         ci ci-full \
         docs-check docs-api docs-api-check bench-incremental \
         bench-ooc bench-smoke bench-concurrent \
@@ -20,6 +21,13 @@ test:
 # slow integration runs — the loop for every-change CI.
 test-fast:
 	$(PY) -m pytest -x -q -m "not slow and not property and not golden and not faultinject and not distrib"
+
+# Offline property suites: the randomized bitwise gates of the incremental
+# zoo refresh, the clustering substrate and the out-of-core phase (seconds).
+# The fast tier's `not property` filter skips them, so `ci` runs them here.
+test-offline-property:
+	$(PY) -m pytest -x -q tests/property/test_property_incremental.py \
+	    tests/property/test_property_cluster.py tests/property/test_property_ooc.py
 
 # Fault tier: the crash/fault-injection suite (kill at every durability
 # boundary, corrupt journals, SIGKILL real serve processes) plus the
@@ -46,7 +54,9 @@ test-all:
 	$(PY) -m pytest -q
 
 # CI entry points: `ci` on every change, `ci-full` on main.  The fast path
-# also smoke-runs the out-of-core kernels (equivalence gate at tiny n), the
+# also runs the offline property suites (test-offline-property: the bitwise
+# gates of the zoo refresh, clustering and out-of-core paths), smoke-runs
+# the out-of-core kernels (equivalence gate at tiny n), the
 # concurrent-selection scheduler (serial==scheduled equivalence plus a
 # relaxed throughput gate at small n), the four end-to-end workloads
 # (bench-e2e-smoke: every answer checked against its expected one),
@@ -54,7 +64,7 @@ test-all:
 # Python block in README/docs (docs-check) and runs the three examples
 # (examples) — seconds each, and the README quickstart and the examples are
 # what a new user runs first.
-ci: test-fast bench-smoke bench-concurrent-smoke bench-distrib-smoke \
+ci: test-fast test-offline-property bench-smoke bench-concurrent-smoke bench-distrib-smoke \
     bench-cluster-smoke bench-extrapolation-smoke bench-fused-smoke \
     bench-e2e-smoke docs-api-check docs-check examples
 

@@ -487,12 +487,11 @@ def _cmd_zoo_build(args: argparse.Namespace, stream) -> int:
     elapsed = time.perf_counter() - started
     matrix = artifacts.clustering.similarity
     spilled = isinstance(matrix, np.memmap)
-    summary = artifacts.clustering.summary()
     payload: Dict[str, object] = {
         "modality": args.modality,
         "num_models": len(artifacts.hub),
         "num_benchmarks": len(artifacts.matrix.dataset_names),
-        "num_clusters": int(summary["num_clusters"]),
+        "num_clusters": artifacts.clustering.assignment.num_clusters,
         "similarity_backing": "memmap" if spilled else "memory",
         "similarity_bytes": int(matrix.nbytes),
         "max_bytes_in_flight": similarity.max_bytes_in_flight,

@@ -9,7 +9,9 @@ runs; :func:`distance_memmap_for` reads row blocks of a (memmapped)
 similarity on demand and publishes the distance in the :mod:`repro.store`
 matrix store, so the clustering layer never holds a dense ``(n, n)``
 matrix in RAM.  :func:`similarity_to_distance` remains the symmetrising
-conversion for text-baseline and custom similarities.
+conversion for text-baseline and custom similarities;
+:func:`distance_rows` gives chosen rows of it byte for byte (the zoo
+refresh's added models) without converting the rest.
 
 :func:`offline_matrices` is the one place the offline phase decides
 whether to spill: model clustering and the incremental zoo refresh each
@@ -101,6 +103,32 @@ def similarity_to_distance(similarity: np.ndarray) -> np.ndarray:
     if np.array_equal(distance, distance.T) and not np.any(distance > _HALF_MAX):
         return distance
     return (distance + distance.T) / 2.0
+
+
+def distance_rows(similarity: np.ndarray, rows) -> np.ndarray:
+    """Rows ``rows`` of ``similarity_to_distance(similarity)``, byte for byte.
+
+    Reads only those rows and the matching columns, so a zoo refresh pays
+    ``O(len(rows) * n)`` for the added models instead of the full
+    conversion, and a memmapped similarity is never densified.  Each
+    entry follows the full conversion's rules: ``1 - s``, clip at 0, zero
+    diagonal; an entry equal to its mirror and no larger than
+    ``finfo.max / 2`` is returned as is (there ``(d + d) / 2 == d``),
+    any other becomes ``(d[i, j] + d[j, i]) / 2`` (a NaN never equals its
+    mirror, and an overflowing pair averages to ``inf``), which is what
+    the full symmetrising pass writes at that entry.
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    local = np.arange(rows.size)
+    ahead = 1.0 - np.asarray(similarity[rows], dtype=float)
+    behind = 1.0 - np.asarray(similarity[:, rows], dtype=float).T
+    for side in (ahead, behind):
+        np.clip(side, 0.0, None, out=side)
+        side[local, rows] = 0.0
+    inexact = (ahead != behind) | (ahead > _HALF_MAX)
+    if inexact.any():
+        ahead[inexact] = (ahead[inexact] + behind[inexact]) / 2.0
+    return ahead
 
 
 def _distance_tile(similarity_rows: np.ndarray, start: int) -> np.ndarray:

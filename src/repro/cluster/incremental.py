@@ -11,6 +11,13 @@ instead *patches* an existing :class:`~repro.core.model_clustering.ModelClusteri
   used — or become new singleton clusters when no cluster is within the
   recorded merge threshold.
 
+A refresh computes only what it reads: with a recorded merge threshold it
+converts just the added models' similarity rows to distances
+(:func:`~repro.cluster.distance.distance_rows`, byte-equal to the same
+rows of the full conversion), and it computes no silhouette — the
+clustering scores itself on first read of
+:attr:`~repro.core.model_clustering.ModelClustering.silhouette`.
+
 The incremental guarantees — enforced by the property suite
 (``tests/property/test_property_incremental.py``) — are *structural*,
 stated relative to the previous epoch:
@@ -41,7 +48,11 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.cluster.assignments import ClusterAssignment
-from repro.cluster.distance import similarity_to_distance, upper_triangle_values
+from repro.cluster.distance import (
+    distance_rows,
+    similarity_to_distance,
+    upper_triangle_values,
+)
 from repro.core.config import ClusteringConfig
 from repro.core.model_clustering import ModelClusterer, ModelClustering
 from repro.core.performance import PerformanceMatrix
@@ -79,12 +90,23 @@ class ClusteringUpdate:
 def _average_linkage_to_clusters(
     distance_row: np.ndarray, labels: np.ndarray
 ) -> Dict[int, float]:
-    """Mean distance from one model to every current cluster's members."""
-    out: Dict[int, float] = {}
-    for cluster_id in np.unique(labels):
-        members = np.flatnonzero(labels == cluster_id)
-        out[int(cluster_id)] = float(distance_row[members].mean())
-    return out
+    """Mean distance from one model to every current cluster's members.
+
+    One stable argsort groups the members by cluster; each cluster's run
+    holds its members' distances in ascending index order, exactly the
+    operands (and order) of ``distance_row[labels == c].mean()``, so every
+    mean is bitwise equal to the per-cluster mask loop kept in
+    ``tests/oracles.py``.
+    """
+    order = np.argsort(labels, kind="stable")
+    grouped_labels = labels[order]
+    gathered = distance_row[order]
+    starts = np.flatnonzero(np.diff(grouped_labels)) + 1
+    bounds = zip(np.concatenate(([0], starts)), np.concatenate((starts, [labels.size])))
+    return {
+        int(grouped_labels[start]): float(gathered[start:stop].mean())
+        for start, stop in bounds
+    }
 
 
 def update_clustering(
@@ -110,9 +132,12 @@ def update_clustering(
     from-scratch run, whose quantile threshold would be re-estimated).
 
     ``distance`` optionally supplies the precomputed
-    ``similarity_to_distance(new_similarity)`` conversion so callers that
-    already hold it (e.g. the refresh path warming the distance cache)
-    avoid a second ``O(n^2)`` pass.  ``similarity_config`` carries the
+    ``similarity_to_distance(new_similarity)`` conversion (e.g. from the
+    service refresh, which warms the canonical distance cache entry); it is
+    used as given.  Without it only the added rows are converted, unless no
+    merge threshold was recorded (k-means, count-capped hierarchies): then
+    the full conversion runs to re-estimate the threshold quantile, as it
+    does inside a full re-cluster.  ``similarity_config`` carries the
     out-of-core memory policy through to a threshold-triggered full
     re-cluster, so its scratch working matrix spills into the configured
     store rather than the process default.
@@ -138,7 +163,8 @@ def update_clustering(
         )
     old_names = old.model_names
     old_set, new_set = set(old_names), set(new_names)
-    added = [name for name in new_names if name not in old_set]
+    added_index = [index for index, name in enumerate(new_names) if name not in old_set]
+    added = [new_names[index] for index in added_index]
     removed = [name for name in old_names if name not in new_set]
 
     stale_before = float(old.extras.get("stale_models", 0.0))
@@ -178,15 +204,22 @@ def update_clustering(
             staleness=stale_before / max(1, len(new_names)),
         )
 
-    if distance is None:
-        distance = similarity_to_distance(new_similarity)
     # The join criterion of the last full run; additions fall back to a
     # fresh quantile estimate when it was never recorded (e.g. a clustering
     # built with an explicit cluster count, or k-means).
     threshold = old.extras.get("distance_threshold")
     if threshold is None:
+        if distance is None:
+            distance = similarity_to_distance(new_similarity)
         off_diagonal = upper_triangle_values(distance)
         threshold = float(np.quantile(off_diagonal, config.threshold_quantile))
+    # Only the added rows are read below: convert just those unless the
+    # caller already holds the whole distance.
+    added_rows = (
+        distance_rows(new_similarity, added_index)
+        if distance is None
+        else np.asarray(distance[added_index])
+    )
 
     # Surviving models keep their old cluster label (re-indexed later).
     old_label_of = dict(zip(old_names, old.assignment.labels.tolist()))
@@ -203,14 +236,10 @@ def update_clustering(
 
     # Place additions sequentially so siblings added together can share a
     # new cluster instead of each starting its own singleton.
-    for index, name in enumerate(new_names):
-        if labels[index] != -1:
-            continue
+    for index, row in zip(added_index, added_rows):
         placed = np.flatnonzero(labels != -1)
         if placed.size:
-            linkage = _average_linkage_to_clusters(
-                distance[index, placed], labels[placed]
-            )
+            linkage = _average_linkage_to_clusters(row[placed], labels[placed])
             best = min(linkage, key=lambda cid: (linkage[cid], cid))
             if linkage[best] <= threshold:
                 labels[index] = best
@@ -243,9 +272,6 @@ def update_clustering(
         representatives[cluster_id] = max(members, key=accuracies.__getitem__)
 
     extras = dict(old.extras)
-    silhouette = ModelClusterer._safe_silhouette(
-        distance, assignment.labels, extras=extras
-    )
     extras["stale_models"] = stale_after
     extras["distance_threshold"] = float(threshold)
     clustering = ModelClustering(
@@ -253,7 +279,6 @@ def update_clustering(
         similarity=new_similarity,
         representatives=representatives,
         config=config,
-        silhouette=silhouette,
         extras=extras,
     )
     return ClusteringUpdate(

@@ -10,18 +10,25 @@ the coarse-recall phase computes proxy scores only for these representatives.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from pathlib import Path
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.cache import CacheLike
 from repro.cluster.assignments import ClusterAssignment
-from repro.cluster.distance import offline_matrices, upper_triangle_values
+from repro.cluster.distance import (
+    distance_rows,
+    offline_matrices,
+    similarity_to_distance,
+    upper_triangle_values,
+)
 from repro.cluster.kmeans import KMeans
 from repro.cluster.nnchain import NNChainClustering
 from repro.cluster.silhouette import silhouette_score
 from repro.core.config import ClusteringConfig, SimilarityConfig
 from repro.core.performance import PerformanceMatrix
+from repro.store import iter_row_blocks, resolve_store
 from repro.utils.exceptions import DataError, SelectionError
 
 #: Silhouette diagnostics are skipped past this repository size: the score
@@ -30,6 +37,26 @@ from repro.utils.exceptions import DataError, SelectionError
 #: applies identically to the in-RAM and out-of-core paths so their
 #: clusterings stay comparable field-for-field.
 SILHOUETTE_MAX_MODELS = 2048
+
+#: Rows of an out-of-core silhouette's scratch distance converted per step:
+#: under :data:`SILHOUETTE_MAX_MODELS` each step gathers at most 1 MiB of
+#: similarity columns.
+_SILHOUETTE_FILL_ROWS = 64
+
+
+def _silhouette_skipped(n: int, extras: Optional[Dict[str, float]] = None) -> bool:
+    """Whether the silhouette of ``n`` models is skipped by the size cap.
+
+    When ``extras`` is given the verdict is recorded there as
+    ``extras["silhouette_skipped"] = 1.0`` (or the key is dropped).
+    """
+    skipped = n > SILHOUETTE_MAX_MODELS
+    if extras is not None:
+        if skipped:
+            extras["silhouette_skipped"] = 1.0
+        else:
+            extras.pop("silhouette_skipped", None)
+    return skipped
 
 
 @dataclass
@@ -47,14 +74,48 @@ class ModelClustering:
         Representative model per non-singleton cluster id.
     config:
         The clustering configuration used.
+    extras:
+        Bookkeeping for incremental updates (``stale_models``,
+        ``distance_threshold``), ``ooc`` for a spilled build, and
+        ``silhouette_skipped`` when the repository is past
+        :data:`SILHOUETTE_MAX_MODELS` (recorded at construction).
+
+    The :attr:`silhouette` quality score is computed on first read, not at
+    construction: selection never reads it, so builds and refreshes do not
+    pay for it.
     """
 
     assignment: ClusterAssignment
     similarity: np.ndarray
     representatives: Dict[int, str]
     config: ClusteringConfig
-    silhouette: Optional[float] = None
     extras: Dict[str, float] = field(default_factory=dict)
+    #: ``(score,)`` once :attr:`silhouette` has been read.
+    _silhouette: Optional[Tuple[Optional[float]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        _silhouette_skipped(len(self.assignment.labels), self.extras)
+
+    @property
+    def silhouette(self) -> Optional[float]:
+        """Silhouette score of the labels on ``d = 1 - similarity``.
+
+        Computed on the first read, from the similarity this clustering
+        holds, and kept; the distance it is computed on is dropped (a
+        memmapped similarity is converted block by block into a scratch
+        file beside it, never densified).  Two threads that both read
+        first compute the same value.  ``None`` past
+        :data:`SILHOUETTE_MAX_MODELS` models or for degenerate labels.
+        """
+        cached = self._silhouette
+        if cached is None:
+            cached = (
+                ModelClusterer._safe_silhouette(self.similarity, self.assignment.labels),
+            )
+            self._silhouette = cached
+        return cached[0]
 
     @property
     def model_names(self) -> List[str]:
@@ -84,11 +145,6 @@ class ModelClustering:
                 f"cluster {cluster_id} has no representative (singleton cluster?)"
             )
         return self.representatives[cluster_id]
-
-    def is_singleton(self, model_name: str) -> bool:
-        """Whether ``model_name`` sits in a singleton cluster."""
-        cluster_id = self.cluster_of(model_name)
-        return len(self.cluster_members(cluster_id)) == 1
 
     def similarity_between(self, model_a: str, model_b: str) -> float:
         """Similarity of two models as used by the clustering."""
@@ -166,7 +222,6 @@ class ModelClusterer:
         assignment = ClusterAssignment.from_labels(matrix.model_names, labels)
         representatives = self._elect_representatives(assignment, matrix)
         extras: Dict[str, float] = {"stale_models": 0.0}
-        score = self._safe_silhouette(distance, assignment.labels, extras=extras)
         if threshold is not None:
             extras["distance_threshold"] = float(threshold)
         if isinstance(similarity, np.memmap):
@@ -176,7 +231,6 @@ class ModelClusterer:
             similarity=similarity,
             representatives=representatives,
             config=self.config,
-            silhouette=score,
             extras=extras,
         )
 
@@ -226,12 +280,19 @@ class ModelClusterer:
 
     @staticmethod
     def _safe_silhouette(
-        distance: np.ndarray,
+        similarity: np.ndarray,
         labels: np.ndarray,
         *,
         extras: Optional[Dict[str, float]] = None,
     ) -> Optional[float]:
-        """Silhouette score, or ``None`` when it cannot / should not run.
+        """Silhouette score on ``d = 1 - similarity``, or ``None`` when it cannot / should not run.
+
+        The one silhouette path of :class:`ModelClustering`.  The distance
+        is :func:`~repro.cluster.distance.similarity_to_distance` of the
+        similarity, so the score is byte-equal to one computed on the
+        distance the clustering engines ran on.  A memmapped similarity is
+        converted with :func:`~repro.cluster.distance.distance_rows` into a
+        matrix-store scratch file beside it, which the silhouette streams.
 
         Past :data:`SILHOUETTE_MAX_MODELS` the skip is recorded as
         ``extras["silhouette_skipped"] = 1.0`` (when a dict is supplied)
@@ -240,13 +301,17 @@ class ModelClusterer:
         label sets (fewer than two clusters, or all singletons) stay a
         plain ``None`` — there the score is undefined, not skipped.
         """
-        if distance.shape[0] > SILHOUETTE_MAX_MODELS:
-            if extras is not None:
-                extras["silhouette_skipped"] = 1.0
+        n = similarity.shape[0]
+        if _silhouette_skipped(n, extras):
             return None
-        if extras is not None:
-            extras.pop("silhouette_skipped", None)
         unique = set(labels.tolist())
-        if len(unique) < 2 or len(unique) >= distance.shape[0]:
+        if len(unique) < 2 or len(unique) >= n:
             return None
-        return silhouette_score(distance, labels)
+        if not isinstance(similarity, np.memmap):
+            return silhouette_score(similarity_to_distance(similarity), labels)
+        filename = getattr(similarity, "filename", None)
+        store = resolve_store(Path(filename).parent if filename else None)
+        with store.scratch((n, n), prefix="silhouette") as distance:
+            for start, stop in iter_row_blocks(n, _SILHOUETTE_FILL_ROWS):
+                distance[start:stop] = distance_rows(similarity, np.arange(start, stop))
+            return silhouette_score(distance, labels)

@@ -91,7 +91,8 @@ class TestUpdateClustering:
         )
         update = update_clustering(clustering, new_matrix, similarity, config=config)
         assert not update.reclustered
-        assert update.clustering.is_singleton("outlier")
+        clustering = update.clustering
+        assert len(clustering.cluster_members(clustering.cluster_of("outlier"))) == 1
 
     def test_untouched_clusters_keep_their_representative(self, base):
         matrix, clustering, config = base

@@ -46,7 +46,10 @@ class TestModelClusterer:
     def test_singleton_helpers_consistent(self, nlp_clustering_small):
         singles = set(nlp_clustering_small.singleton_models())
         for name in nlp_clustering_small.model_names:
-            assert nlp_clustering_small.is_singleton(name) == (name in singles)
+            members = nlp_clustering_small.cluster_members(
+                nlp_clustering_small.cluster_of(name)
+            )
+            assert (len(members) == 1) == (name in singles)
 
     def test_similarity_between(self, nlp_clustering_small):
         value = nlp_clustering_small.similarity_between(

@@ -13,7 +13,9 @@ import zlib
 import numpy as np
 
 from repro.cluster.distance import check_distance_matrix
+from repro.cluster.silhouette import silhouette_score
 from repro.core.batch import build_phase_engines, resolve_target_task
+from repro.core.model_clustering import SILHOUETTE_MAX_MODELS
 from repro.core.performance import PerformanceMatrix
 from repro.core.plan import SelectionPlan, SessionView
 from repro.core.results import SelectionResult, TwoPhaseResult
@@ -143,6 +145,29 @@ def _silhouette_samples_loop(
         denominator = max(intra, inter)
         values[i] = 0.0 if denominator == 0 else (inter - intra) / denominator
     return values
+
+
+def eager_silhouette(distance, labels):
+    """Reference clustering silhouette: scored on the distance the clustering ran on.
+
+    What a clustering computed at construction before the score became
+    lazy: ``None`` past ``SILHOUETTE_MAX_MODELS`` or for degenerate labels
+    (fewer than two clusters, or all singletons), else the mean silhouette.
+    """
+    n = distance.shape[0]
+    unique = set(np.asarray(labels).tolist())
+    if n > SILHOUETTE_MAX_MODELS or len(unique) < 2 or len(unique) >= n:
+        return None
+    return silhouette_score(distance, labels)
+
+
+def average_linkage_loop(distance_row, labels) -> dict:
+    """Reference per-cluster linkage: one mask and one ``.mean()`` per cluster."""
+    out = {}
+    for cluster_id in np.unique(labels):
+        members = np.flatnonzero(labels == cluster_id)
+        out[int(cluster_id)] = float(distance_row[members].mean())
+    return out
 
 
 def serial_stage_loop(policy, candidates, task) -> SelectionResult:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.cluster.distance import pairwise_distances, similarity_to_distance
+from repro.cluster.distance import distance_rows, pairwise_distances, similarity_to_distance
 from repro.cluster.hierarchical import AgglomerativeClustering
 from repro.cluster.nnchain import NNChainClustering
 from repro.cluster.kmeans import KMeans
@@ -64,6 +64,31 @@ class TestDistanceProperties:
         distance = similarity_to_distance(similarity)
         assert np.all(distance >= 0.0)
         assert np.allclose(np.diag(distance), 0.0)
+
+    @given(
+        st.integers(min_value=1, max_value=9).flatmap(
+            lambda n: st.tuples(
+                hnp.arrays(
+                    dtype=float,
+                    shape=(n, n),
+                    elements=st.floats(allow_nan=True, allow_infinity=True)
+                    | st.sampled_from([0.0, 0.5, 1.0, -1e308]),
+                ),
+                st.booleans(),
+                st.lists(st.integers(min_value=0, max_value=n - 1), max_size=n),
+            )
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_distance_rows_bytes_equal_the_full_conversion(self, case):
+        """Exact and inexact symmetry, NaN, inf and entries above
+        ``finfo.max / 2`` all convert row-wise as the whole matrix does."""
+        similarity, mirrored, rows = case
+        if mirrored:  # mostly exactly symmetric, the Eq. 1 shape
+            similarity = np.triu(similarity) + np.triu(similarity, 1).T
+        with np.errstate(over="ignore", invalid="ignore"):
+            full = similarity_to_distance(similarity)
+            assert distance_rows(similarity, rows).tobytes() == full[rows].tobytes()
 
 
 class TestClusteringProperties:

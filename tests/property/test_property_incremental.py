@@ -18,7 +18,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.incremental import update_clustering
+from repro.cluster.distance import similarity_to_distance
+from repro.cluster.incremental import _average_linkage_to_clusters, update_clustering
 from repro.core.config import ClusteringConfig
 from repro.core.model_clustering import ModelClusterer
 from repro.core.performance import PerformanceMatrix
@@ -26,6 +27,7 @@ from repro.core.similarity import (
     performance_similarity_matrix,
     update_similarity_matrix,
 )
+from oracles import average_linkage_loop
 
 
 def _matrix(values: np.ndarray, names) -> PerformanceMatrix:
@@ -208,3 +210,66 @@ class TestIncrementalClusteringBounds:
             update.clustering.assignment.labels, oracle.assignment.labels
         )
         assert update.clustering.representatives == oracle.representatives
+
+    @given(update_sequences(min_models=3, max_datasets=6))
+    @settings(max_examples=30, deadline=None)
+    def test_added_row_distance_places_like_the_full_distance(self, sequence):
+        """Converting only the added rows places every addition exactly as
+        the full ``similarity_to_distance`` handed in by a caller does."""
+        d, rng, names, values, steps = sequence
+        config = ClusteringConfig(staleness_threshold=1.0)
+        matrix = _matrix(values, names)
+        clustering = ModelClusterer(config).cluster(matrix, cache=False)
+        for removed, added in steps:
+            survivors = [n for n in matrix.model_names if n not in set(removed)]
+            kept_idx = [matrix.model_names.index(n) for n in survivors]
+            new_values = np.concatenate(
+                [matrix.values[:, kept_idx], rng.uniform(0.0, 1.0, (d, len(added)))],
+                axis=1,
+            )
+            new_matrix = _matrix(new_values, survivors + added)
+            if len(new_matrix.model_names) < 2:
+                break
+            new_similarity = update_similarity_matrix(
+                matrix, clustering.similarity, new_matrix,
+                top_k=config.top_k, cache=False,
+            )
+            rows_only = update_clustering(clustering, new_matrix, new_similarity, config=config)
+            full = update_clustering(
+                clustering, new_matrix, new_similarity, config=config,
+                distance=similarity_to_distance(new_similarity),
+            )
+            assert np.array_equal(
+                rows_only.clustering.assignment.labels, full.clustering.assignment.labels
+            )
+            assert rows_only.clustering.representatives == full.clustering.representatives
+            assert rows_only.touched_clusters == full.touched_clusters
+            assert rows_only.clustering.extras == full.clustering.extras
+            matrix, clustering = new_matrix, rows_only.clustering
+
+
+@st.composite
+def linkage_inputs(draw):
+    """One distance row and labels: ties, singletons and a cluster past 128."""
+    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
+    rng = np.random.default_rng(seed)
+    big_label = draw(st.integers(min_value=-3, max_value=20))
+    big_size = draw(st.integers(min_value=129, max_value=300))
+    rest = draw(st.lists(st.integers(min_value=-3, max_value=20), max_size=60))
+    labels = np.array([big_label] * big_size + rest)
+    rng.shuffle(labels)
+    # Mixed magnitudes, so a different summation order changes low bits.
+    row = rng.uniform(0.0, 1.0, labels.size) * 10.0 ** rng.integers(-8, 8, labels.size)
+    return row, labels
+
+
+class TestAverageLinkageGrouping:
+    @given(linkage_inputs())
+    @settings(max_examples=60, deadline=None)
+    def test_grouped_means_bitwise_equal_the_mask_loop(self, inputs):
+        row, labels = inputs
+        grouped = _average_linkage_to_clusters(row, labels)
+        expected = average_linkage_loop(row, labels)
+        assert {c: v.hex() for c, v in grouped.items()} == {
+            c: v.hex() for c, v in expected.items()
+        }
