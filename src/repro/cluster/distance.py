@@ -11,7 +11,8 @@ matrix store, so the clustering layer never holds a dense ``(n, n)``
 matrix in RAM.  :func:`similarity_to_distance` remains the symmetrising
 conversion for text-baseline and custom similarities;
 :func:`distance_rows` gives chosen rows of it byte for byte (the zoo
-refresh's added models) without converting the rest.
+refresh's added models) without converting the rest, and
+:func:`check_distance_rows` checks just those rows.
 
 :func:`offline_matrices` is the one place the offline phase decides
 whether to spill: model clustering and the incremental zoo refresh each
@@ -245,6 +246,21 @@ def check_distance_matrix(matrix: np.ndarray) -> np.ndarray:
     if not np.allclose(np.diag(arr), 0.0, atol=1e-8):
         raise DataError("distance matrix must have a zero diagonal")
     return arr
+
+
+def check_distance_rows(block: np.ndarray) -> np.ndarray:
+    """:func:`check_distance_matrix`'s verdict on rows of a converted similarity.
+
+    ``block`` holds chosen rows of :func:`similarity_to_distance`, as
+    :func:`distance_rows` returns them.  That conversion is non-negative
+    with a zero diagonal by construction and equals its transpose except
+    where an entry is NaN (a NaN never equals its mirror), so on these rows
+    the full check reduces to one ``O(rows x n)`` NaN test with the same
+    verdict.  A zoo refresh checks the added rows it reads this way.
+    """
+    if np.isnan(block).any():
+        raise DataError("distance matrix must be symmetric")
+    return block
 
 
 def _check_distance_memmap(arr: np.memmap) -> None:

@@ -12,7 +12,7 @@ instead *patches* an existing :class:`~repro.core.model_clustering.ModelClusteri
   recorded merge threshold.
 
 A refresh computes only what it reads: with a recorded merge threshold it
-converts just the added models' similarity rows to distances
+converts and checks just the added models' similarity rows as distances
 (:func:`~repro.cluster.distance.distance_rows`, byte-equal to the same
 rows of the full conversion), and it computes no silhouette — the
 clustering scores itself on first read of
@@ -49,6 +49,8 @@ import numpy as np
 
 from repro.cluster.assignments import ClusterAssignment
 from repro.cluster.distance import (
+    check_distance_matrix,
+    check_distance_rows,
     distance_rows,
     similarity_to_distance,
     upper_triangle_values,
@@ -90,23 +92,12 @@ class ClusteringUpdate:
 def _average_linkage_to_clusters(
     distance_row: np.ndarray, labels: np.ndarray
 ) -> Dict[int, float]:
-    """Mean distance from one model to every current cluster's members.
-
-    One stable argsort groups the members by cluster; each cluster's run
-    holds its members' distances in ascending index order, exactly the
-    operands (and order) of ``distance_row[labels == c].mean()``, so every
-    mean is bitwise equal to the per-cluster mask loop kept in
-    ``tests/oracles.py``.
-    """
-    order = np.argsort(labels, kind="stable")
-    grouped_labels = labels[order]
-    gathered = distance_row[order]
-    starts = np.flatnonzero(np.diff(grouped_labels)) + 1
-    bounds = zip(np.concatenate(([0], starts)), np.concatenate((starts, [labels.size])))
-    return {
-        int(grouped_labels[start]): float(gathered[start:stop].mean())
-        for start, stop in bounds
-    }
+    """Mean distance from one model to every current cluster's members."""
+    out: Dict[int, float] = {}
+    for cluster_id in np.unique(labels):
+        members = np.flatnonzero(labels == cluster_id)
+        out[int(cluster_id)] = float(distance_row[members].mean())
+    return out
 
 
 def update_clustering(
@@ -131,13 +122,17 @@ def update_clustering(
     guarantees (they are relative to the previous epoch, not to a
     from-scratch run, whose quantile threshold would be re-estimated).
 
-    ``distance`` optionally supplies the precomputed
+    Placement reads only the added models' distance rows, converted from
+    ``new_similarity`` (:func:`~repro.cluster.distance.distance_rows`) and
+    checked as :func:`~repro.cluster.distance.check_distance_matrix` would
+    check them: a NaN similarity raises :class:`DataError`.  ``distance``
+    optionally supplies the precomputed
     ``similarity_to_distance(new_similarity)`` conversion (e.g. from the
     service refresh, which warms the canonical distance cache entry); it is
-    used as given.  Without it only the added rows are converted, unless no
-    merge threshold was recorded (k-means, count-capped hierarchies): then
-    the full conversion runs to re-estimate the threshold quantile, as it
-    does inside a full re-cluster.  ``similarity_config`` carries the
+    read only where the whole matrix is: by a full re-cluster, and, when no
+    merge threshold was recorded (k-means, count-capped hierarchies), to
+    re-estimate the threshold quantile after ``check_distance_matrix``
+    (without it the full conversion runs there).  ``similarity_config`` carries the
     out-of-core memory policy through to a threshold-triggered full
     re-cluster, so its scratch working matrix spills into the configured
     store rather than the process default.
@@ -211,15 +206,11 @@ def update_clustering(
     if threshold is None:
         if distance is None:
             distance = similarity_to_distance(new_similarity)
-        off_diagonal = upper_triangle_values(distance)
+        off_diagonal = upper_triangle_values(check_distance_matrix(distance))
         threshold = float(np.quantile(off_diagonal, config.threshold_quantile))
-    # Only the added rows are read below: convert just those unless the
-    # caller already holds the whole distance.
-    added_rows = (
-        distance_rows(new_similarity, added_index)
-        if distance is None
-        else np.asarray(distance[added_index])
-    )
+    # Placement reads only the added rows: convert just those, whether or
+    # not the caller holds the whole distance, and check what is read.
+    added_rows = check_distance_rows(distance_rows(new_similarity, added_index))
 
     # Surviving models keep their old cluster label (re-indexed later).
     old_label_of = dict(zip(old_names, old.assignment.labels.tolist()))

@@ -44,21 +44,6 @@ SILHOUETTE_MAX_MODELS = 2048
 _SILHOUETTE_FILL_ROWS = 64
 
 
-def _silhouette_skipped(n: int, extras: Optional[Dict[str, float]] = None) -> bool:
-    """Whether the silhouette of ``n`` models is skipped by the size cap.
-
-    When ``extras`` is given the verdict is recorded there as
-    ``extras["silhouette_skipped"] = 1.0`` (or the key is dropped).
-    """
-    skipped = n > SILHOUETTE_MAX_MODELS
-    if extras is not None:
-        if skipped:
-            extras["silhouette_skipped"] = 1.0
-        else:
-            extras.pop("silhouette_skipped", None)
-    return skipped
-
-
 @dataclass
 class ModelClustering:
     """Result of clustering a model repository.
@@ -96,7 +81,10 @@ class ModelClustering:
     )
 
     def __post_init__(self) -> None:
-        _silhouette_skipped(len(self.assignment.labels), self.extras)
+        if len(self.assignment.labels) > SILHOUETTE_MAX_MODELS:
+            self.extras["silhouette_skipped"] = 1.0
+        else:
+            self.extras.pop("silhouette_skipped", None)
 
     @property
     def silhouette(self) -> Optional[float]:
@@ -279,12 +267,7 @@ class ModelClusterer:
         }
 
     @staticmethod
-    def _safe_silhouette(
-        similarity: np.ndarray,
-        labels: np.ndarray,
-        *,
-        extras: Optional[Dict[str, float]] = None,
-    ) -> Optional[float]:
+    def _safe_silhouette(similarity: np.ndarray, labels: np.ndarray) -> Optional[float]:
         """Silhouette score on ``d = 1 - similarity``, or ``None`` when it cannot / should not run.
 
         The one silhouette path of :class:`ModelClustering`.  The distance
@@ -294,15 +277,13 @@ class ModelClusterer:
         converted with :func:`~repro.cluster.distance.distance_rows` into a
         matrix-store scratch file beside it, which the silhouette streams.
 
-        Past :data:`SILHOUETTE_MAX_MODELS` the skip is recorded as
-        ``extras["silhouette_skipped"] = 1.0`` (when a dict is supplied)
-        so an out-of-core clustering reports *why* its silhouette is
-        missing instead of silently dropping the diagnostic; degenerate
-        label sets (fewer than two clusters, or all singletons) stay a
-        plain ``None`` — there the score is undefined, not skipped.
+        ``None`` past :data:`SILHOUETTE_MAX_MODELS` models (the skip
+        :class:`ModelClustering` records in ``extras`` at construction) and
+        for degenerate label sets (fewer than two clusters, or all
+        singletons), where the score is undefined.
         """
         n = similarity.shape[0]
-        if _silhouette_skipped(n, extras):
+        if n > SILHOUETTE_MAX_MODELS:
             return None
         unique = set(labels.tolist())
         if len(unique) < 2 or len(unique) >= n:

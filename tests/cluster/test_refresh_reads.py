@@ -21,12 +21,18 @@ import repro.cluster.distance as distance_module
 import repro.cluster.incremental as incremental_module
 import repro.cluster.silhouette as silhouette_module
 import repro.core.model_clustering as clustering_module
-from repro.cluster.distance import distance_rows, offline_matrices, similarity_to_distance
+from repro.cluster.distance import (
+    check_distance_rows,
+    distance_rows,
+    offline_matrices,
+    similarity_to_distance,
+)
 from repro.cluster.incremental import update_clustering
 from repro.core.config import ClusteringConfig, SimilarityConfig
 from repro.core.model_clustering import ModelClusterer
 from repro.core.performance import PerformanceMatrix
 from repro.core.similarity import update_similarity_matrix
+from repro.utils.exceptions import DataError
 from oracles import eager_silhouette, symmetrised_distance
 
 
@@ -238,3 +244,52 @@ class TestRefreshReadsOnlyAddedRows:
             full = similarity_to_distance(np.asarray(similarity))
             for rows in ([], [0], [3, 0], [1, 2, 5, 6, 7, 8], list(range(9))):
                 assert distance_rows(similarity, rows).tobytes() == full[rows].tobytes()
+
+
+class TestRefreshChecksWhatItReads:
+    @staticmethod
+    def _swap(config, seed):
+        matrices = _chain_steps(_zoo(seed, 44), 40, 1, 4, seed)
+        matrix, new_matrix = next(matrices), next(matrices)
+        clustering = ModelClusterer(config).cluster(matrix, cache=False)
+        similarity = update_similarity_matrix(
+            matrix, clustering.similarity, new_matrix, top_k=config.top_k, cache=False
+        )
+        old = set(matrix.model_names)
+        added = [i for i, name in enumerate(new_matrix.model_names) if name not in old]
+        return clustering, new_matrix, similarity, added
+
+    def test_nan_in_an_added_row_raises(self):
+        clustering, new_matrix, similarity, added = self._swap(CONFIG, 606)
+        assert "distance_threshold" in clustering.extras
+        similarity = similarity.copy()
+        similarity[0, added[-1]] = np.nan  # seen from the added row as its mirror
+        with pytest.raises(DataError, match="symmetric"):
+            update_clustering(clustering, new_matrix, similarity, config=CONFIG)
+
+    def test_a_callers_distance_does_not_steer_placement(self):
+        clustering, new_matrix, similarity, _ = self._swap(CONFIG, 607)
+        own = update_clustering(clustering, new_matrix, similarity, config=CONFIG)
+        given = update_clustering(
+            clustering, new_matrix, similarity, config=CONFIG,
+            distance=similarity_to_distance(similarity)[::-1, ::-1].copy(),
+        )
+        assert np.array_equal(own.clustering.assignment.labels, given.clustering.assignment.labels)
+
+    def test_an_unchecked_distance_is_refused_where_it_is_read(self):
+        config = ClusteringConfig(num_clusters=6)  # records no merge threshold
+        clustering, new_matrix, similarity, _ = self._swap(config, 608)
+        assert "distance_threshold" not in clustering.extras
+        with pytest.raises(DataError, match="negative"):
+            update_clustering(
+                clustering, new_matrix, similarity, config=config,
+                distance=-similarity_to_distance(similarity),
+            )
+
+    def test_rows_check_gives_the_full_check_verdict(self):
+        similarity = np.random.default_rng(9).uniform(size=(6, 6))
+        similarity = (similarity + similarity.T) / 2.0
+        assert check_distance_rows(distance_rows(similarity, [1, 4])) is not None
+        similarity[4, 2] = np.nan
+        with pytest.raises(DataError, match="symmetric"):
+            check_distance_rows(distance_rows(similarity, [2]))

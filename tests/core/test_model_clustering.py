@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.cluster.assignments import ClusterAssignment
 from repro.cluster.hierarchical import AgglomerativeClustering
 from repro.cluster.nnchain import NNChainClustering
 from repro.core.config import ClusteringConfig
-from repro.core.model_clustering import ModelClusterer
+from repro.core.model_clustering import ModelClusterer, ModelClustering
 from repro.utils.exceptions import SelectionError
 
 
@@ -159,9 +160,11 @@ class TestSilhouetteSkipReporting:
         assert "silhouette_skipped" not in nlp_clustering_small.extras
 
     def test_degenerate_labels_are_none_but_not_skipped(self):
-        extras = {}
-        value = ModelClusterer._safe_silhouette(
-            np.zeros((3, 3)), np.zeros(3, dtype=int), extras=extras
+        clustering = ModelClustering(
+            assignment=ClusterAssignment.from_labels(["a", "b", "c"], np.zeros(3, dtype=int)),
+            similarity=np.ones((3, 3)),
+            representatives={0: "a"},
+            config=ClusteringConfig(),
         )
-        assert value is None
-        assert extras == {}
+        assert clustering.silhouette is None
+        assert "silhouette_skipped" not in clustering.extras

@@ -161,15 +161,6 @@ def eager_silhouette(distance, labels):
     return silhouette_score(distance, labels)
 
 
-def average_linkage_loop(distance_row, labels) -> dict:
-    """Reference per-cluster linkage: one mask and one ``.mean()`` per cluster."""
-    out = {}
-    for cluster_id in np.unique(labels):
-        members = np.flatnonzero(labels == cluster_id)
-        out[int(cluster_id)] = float(distance_row[members].mean())
-    return out
-
-
 def serial_stage_loop(policy, candidates, task) -> SelectionResult:
     """Reference blocking selection: one stage at a time, private sessions.
 

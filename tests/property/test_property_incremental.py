@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.distance import similarity_to_distance
-from repro.cluster.incremental import _average_linkage_to_clusters, update_clustering
+from repro.cluster.incremental import update_clustering
 from repro.core.config import ClusteringConfig
 from repro.core.model_clustering import ModelClusterer
 from repro.core.performance import PerformanceMatrix
@@ -27,7 +27,6 @@ from repro.core.similarity import (
     performance_similarity_matrix,
     update_similarity_matrix,
 )
-from oracles import average_linkage_loop
 
 
 def _matrix(values: np.ndarray, names) -> PerformanceMatrix:
@@ -214,8 +213,9 @@ class TestIncrementalClusteringBounds:
     @given(update_sequences(min_models=3, max_datasets=6))
     @settings(max_examples=30, deadline=None)
     def test_added_row_distance_places_like_the_full_distance(self, sequence):
-        """Converting only the added rows places every addition exactly as
-        the full ``similarity_to_distance`` handed in by a caller does."""
+        """A caller's full ``similarity_to_distance`` changes no outcome of a
+        refresh that keeps its threshold: placement reads the added rows of
+        the similarity either way."""
         d, rng, names, values, steps = sequence
         config = ClusteringConfig(staleness_threshold=1.0)
         matrix = _matrix(values, names)
@@ -246,30 +246,3 @@ class TestIncrementalClusteringBounds:
             assert rows_only.touched_clusters == full.touched_clusters
             assert rows_only.clustering.extras == full.clustering.extras
             matrix, clustering = new_matrix, rows_only.clustering
-
-
-@st.composite
-def linkage_inputs(draw):
-    """One distance row and labels: ties, singletons and a cluster past 128."""
-    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
-    rng = np.random.default_rng(seed)
-    big_label = draw(st.integers(min_value=-3, max_value=20))
-    big_size = draw(st.integers(min_value=129, max_value=300))
-    rest = draw(st.lists(st.integers(min_value=-3, max_value=20), max_size=60))
-    labels = np.array([big_label] * big_size + rest)
-    rng.shuffle(labels)
-    # Mixed magnitudes, so a different summation order changes low bits.
-    row = rng.uniform(0.0, 1.0, labels.size) * 10.0 ** rng.integers(-8, 8, labels.size)
-    return row, labels
-
-
-class TestAverageLinkageGrouping:
-    @given(linkage_inputs())
-    @settings(max_examples=60, deadline=None)
-    def test_grouped_means_bitwise_equal_the_mask_loop(self, inputs):
-        row, labels = inputs
-        grouped = _average_linkage_to_clusters(row, labels)
-        expected = average_linkage_loop(row, labels)
-        assert {c: v.hex() for c, v in grouped.items()} == {
-            c: v.hex() for c, v in expected.items()
-        }
