@@ -11,11 +11,12 @@ instead *patches* an existing :class:`~repro.core.model_clustering.ModelClusteri
   used — or become new singleton clusters when no cluster is within the
   recorded merge threshold.
 
-A refresh computes only what it reads: with a recorded merge threshold it
-converts and checks just the added models' similarity rows as distances
+A refresh computes only what it reads: placement converts and checks just
+the added models' similarity rows as distances
 (:func:`~repro.cluster.distance.distance_rows`, byte-equal to the same
-rows of the full conversion), and it computes no silhouette — the
-clustering scores itself on first read of
+rows of the full conversion), the whole distance is read only to
+re-estimate a merge threshold that was never recorded, and no silhouette
+is computed — the clustering scores itself on first read of
 :attr:`~repro.core.model_clustering.ModelClustering.silhouette`.
 
 The incremental guarantees — enforced by the property suite
@@ -132,10 +133,10 @@ def update_clustering(
     read only where the whole matrix is: by a full re-cluster, and, when no
     merge threshold was recorded (k-means, count-capped hierarchies), to
     re-estimate the threshold quantile after ``check_distance_matrix``
-    (without it the full conversion runs there).  ``similarity_config`` carries the
-    out-of-core memory policy through to a threshold-triggered full
-    re-cluster, so its scratch working matrix spills into the configured
-    store rather than the process default.
+    (without it the full conversion runs there).  ``similarity_config``
+    carries the out-of-core memory policy through to a threshold-triggered
+    full re-cluster, so its scratch working matrix spills into the
+    configured store rather than the process default.
 
     When the accumulated stale fraction — incrementally placed or removed
     models since the last full run — would exceed

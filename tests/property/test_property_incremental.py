@@ -18,7 +18,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.distance import similarity_to_distance
 from repro.cluster.incremental import update_clustering
 from repro.core.config import ClusteringConfig
 from repro.core.model_clustering import ModelClusterer
@@ -209,40 +208,3 @@ class TestIncrementalClusteringBounds:
             update.clustering.assignment.labels, oracle.assignment.labels
         )
         assert update.clustering.representatives == oracle.representatives
-
-    @given(update_sequences(min_models=3, max_datasets=6))
-    @settings(max_examples=30, deadline=None)
-    def test_added_row_distance_places_like_the_full_distance(self, sequence):
-        """A caller's full ``similarity_to_distance`` changes no outcome of a
-        refresh that keeps its threshold: placement reads the added rows of
-        the similarity either way."""
-        d, rng, names, values, steps = sequence
-        config = ClusteringConfig(staleness_threshold=1.0)
-        matrix = _matrix(values, names)
-        clustering = ModelClusterer(config).cluster(matrix, cache=False)
-        for removed, added in steps:
-            survivors = [n for n in matrix.model_names if n not in set(removed)]
-            kept_idx = [matrix.model_names.index(n) for n in survivors]
-            new_values = np.concatenate(
-                [matrix.values[:, kept_idx], rng.uniform(0.0, 1.0, (d, len(added)))],
-                axis=1,
-            )
-            new_matrix = _matrix(new_values, survivors + added)
-            if len(new_matrix.model_names) < 2:
-                break
-            new_similarity = update_similarity_matrix(
-                matrix, clustering.similarity, new_matrix,
-                top_k=config.top_k, cache=False,
-            )
-            rows_only = update_clustering(clustering, new_matrix, new_similarity, config=config)
-            full = update_clustering(
-                clustering, new_matrix, new_similarity, config=config,
-                distance=similarity_to_distance(new_similarity),
-            )
-            assert np.array_equal(
-                rows_only.clustering.assignment.labels, full.clustering.assignment.labels
-            )
-            assert rows_only.clustering.representatives == full.clustering.representatives
-            assert rows_only.touched_clusters == full.touched_clusters
-            assert rows_only.clustering.extras == full.clustering.extras
-            matrix, clustering = new_matrix, rows_only.clustering
