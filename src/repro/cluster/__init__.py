@@ -8,13 +8,12 @@ reproduction carries no external ML dependencies.
 """
 
 from repro.cluster.distance import pairwise_distances, similarity_to_distance
-from repro.cluster.hierarchical import AgglomerativeClustering, hierarchical_cluster
-from repro.cluster.kmeans import KMeans, kmeans_cluster
+from repro.cluster.hierarchical import AgglomerativeClustering
+from repro.cluster.kmeans import KMeans
 from repro.cluster.nnchain import (
     NNChainClustering,
     TiedDistancesError,
     nn_chain_dendrogram,
-    nnchain_cluster,
 )
 from repro.cluster.silhouette import silhouette_samples, silhouette_score
 from repro.cluster.assignments import ClusterAssignment
@@ -23,13 +22,10 @@ __all__ = [
     "pairwise_distances",
     "similarity_to_distance",
     "AgglomerativeClustering",
-    "hierarchical_cluster",
     "KMeans",
-    "kmeans_cluster",
     "NNChainClustering",
     "TiedDistancesError",
     "nn_chain_dendrogram",
-    "nnchain_cluster",
     "silhouette_samples",
     "silhouette_score",
     "ClusterAssignment",

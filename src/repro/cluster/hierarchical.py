@@ -10,14 +10,29 @@ the paper's mix of non-singleton and singleton clusters.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
-from repro.cluster.assignments import ClusterAssignment
 from repro.cluster.distance import STREAM_BLOCK_ROWS, check_distance_matrix
 from repro.store import StoreLike, iter_row_blocks, resolve_store
 from repro.utils.exceptions import ConfigurationError, DataError
+
+
+def _check_stopping_rules(
+    num_clusters: Optional[int], distance_threshold: Optional[float], linkage: str
+) -> None:
+    """Validate an agglomerative clusterer's stopping rules and linkage."""
+    if num_clusters is None and distance_threshold is None:
+        raise ConfigurationError(
+            "one of num_clusters or distance_threshold must be given"
+        )
+    if num_clusters is not None and num_clusters < 1:
+        raise ConfigurationError("num_clusters must be >= 1")
+    if distance_threshold is not None and distance_threshold < 0:
+        raise ConfigurationError("distance_threshold must be >= 0")
+    if linkage not in ("average", "single", "complete"):
+        raise ConfigurationError(f"unknown linkage {linkage!r}")
 
 
 class AgglomerativeClustering:
@@ -43,16 +58,7 @@ class AgglomerativeClustering:
         distance_threshold: Optional[float] = None,
         linkage: str = "average",
     ) -> None:
-        if num_clusters is None and distance_threshold is None:
-            raise ConfigurationError(
-                "one of num_clusters or distance_threshold must be given"
-            )
-        if num_clusters is not None and num_clusters < 1:
-            raise ConfigurationError("num_clusters must be >= 1")
-        if distance_threshold is not None and distance_threshold < 0:
-            raise ConfigurationError("distance_threshold must be >= 0")
-        if linkage not in ("average", "single", "complete"):
-            raise ConfigurationError(f"unknown linkage {linkage!r}")
+        _check_stopping_rules(num_clusters, distance_threshold, linkage)
         self.num_clusters = num_clusters
         self.distance_threshold = distance_threshold
         self.linkage = linkage
@@ -187,27 +193,3 @@ class AgglomerativeClustering:
         if self.linkage == "single":
             return float(block.min())
         return float(block.max())
-
-
-def hierarchical_cluster(
-    item_names: Sequence[str],
-    distance_matrix: np.ndarray,
-    *,
-    num_clusters: Optional[int] = None,
-    distance_threshold: Optional[float] = None,
-    linkage: str = "average",
-    work_store: StoreLike = None,
-) -> ClusterAssignment:
-    """Convenience wrapper returning a :class:`ClusterAssignment`.
-
-    ``work_store`` names the matrix store that receives the scratch
-    working matrix of a memory-mapped input (default: the process-default
-    store), exactly as in :meth:`AgglomerativeClustering.fit_predict`.
-    """
-    algorithm = AgglomerativeClustering(
-        num_clusters=num_clusters,
-        distance_threshold=distance_threshold,
-        linkage=linkage,
-    )
-    labels = algorithm.fit_predict(distance_matrix, work_store=work_store)
-    return ClusterAssignment.from_labels(item_names, labels)

@@ -8,11 +8,10 @@ prediction (:mod:`repro.core.convergence`, Fig. 4).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from repro.cluster.assignments import ClusterAssignment
 from repro.utils.exceptions import ConfigurationError, DataError
 from repro.utils.rng import as_generator
 
@@ -124,15 +123,3 @@ class KMeans:
             + np.sum(centers**2, axis=1)[None, :]
             - 2.0 * points @ centers.T
         ).clip(min=0.0)
-
-
-def kmeans_cluster(
-    item_names: Sequence[str],
-    points: np.ndarray,
-    num_clusters: int,
-    *,
-    rng=None,
-) -> ClusterAssignment:
-    """Convenience wrapper returning a :class:`ClusterAssignment`."""
-    labels = KMeans(num_clusters, rng=rng).fit_predict(np.asarray(points, dtype=float))
-    return ClusterAssignment.from_labels(item_names, labels)

@@ -50,9 +50,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.cluster.assignments import ClusterAssignment
 from repro.cluster.distance import STREAM_BLOCK_ROWS, check_distance_matrix
-from repro.cluster.hierarchical import AgglomerativeClustering
+from repro.cluster.hierarchical import AgglomerativeClustering, _check_stopping_rules
 from repro.store import StoreLike, iter_row_blocks, resolve_store
 from repro.utils.exceptions import ConfigurationError, DataError
 
@@ -60,7 +59,6 @@ __all__ = [
     "NNChainClustering",
     "TiedDistancesError",
     "nn_chain_dendrogram",
-    "nnchain_cluster",
 ]
 
 
@@ -222,16 +220,7 @@ class NNChainClustering:
         distance_threshold: Optional[float] = None,
         linkage: str = "average",
     ) -> None:
-        if num_clusters is None and distance_threshold is None:
-            raise ConfigurationError(
-                "one of num_clusters or distance_threshold must be given"
-            )
-        if num_clusters is not None and num_clusters < 1:
-            raise ConfigurationError("num_clusters must be >= 1")
-        if distance_threshold is not None and distance_threshold < 0:
-            raise ConfigurationError("distance_threshold must be >= 0")
-        if linkage not in ("average", "single", "complete"):
-            raise ConfigurationError(f"unknown linkage {linkage!r}")
+        _check_stopping_rules(num_clusters, distance_threshold, linkage)
         self.num_clusters = num_clusters
         self.distance_threshold = distance_threshold
         self.linkage = linkage
@@ -312,22 +301,3 @@ class NNChainClustering:
             for member in clusters[slot]:
                 labels[member] = new_id
         return labels
-
-
-def nnchain_cluster(
-    item_names,
-    distance_matrix: np.ndarray,
-    *,
-    num_clusters: Optional[int] = None,
-    distance_threshold: Optional[float] = None,
-    linkage: str = "average",
-    work_store: StoreLike = None,
-) -> ClusterAssignment:
-    """Convenience wrapper returning a :class:`ClusterAssignment`."""
-    algorithm = NNChainClustering(
-        num_clusters=num_clusters,
-        distance_threshold=distance_threshold,
-        linkage=linkage,
-    )
-    labels = algorithm.fit_predict(distance_matrix, work_store=work_store)
-    return ClusterAssignment.from_labels(item_names, labels)

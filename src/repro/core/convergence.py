@@ -140,19 +140,6 @@ class ConvergenceTrendMiner:
         kmeans = KMeans(k, rng=np.random.default_rng(self._seed), num_init=4)
         return kmeans.fit_predict(values.reshape(-1, 1))
 
-    # ------------------------------------------------------------------ #
-    def predict_final_accuracy(
-        self,
-        model_name: str,
-        curves: Mapping[str, LearningCurve],
-        current_val: float,
-        *,
-        stage: int,
-    ) -> float:
-        """Convenience wrapper: mine trends at ``stage`` and apply Eq. 5/6."""
-        trend_set = self.mine(model_name, curves, stage=stage)
-        return trend_set.predict(current_val)
-
 
 #: Memo of mined trend sets keyed by ``(model, stage, num_trends)``; a
 #: ``None`` value records that the matrix holds no curves for the model.

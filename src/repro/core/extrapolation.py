@@ -40,7 +40,7 @@ which keeps results bitwise-identical to the paper-faithful path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional
+from typing import Mapping, Optional
 
 from repro.core.convergence import (
     ConvergenceTrendMiner,
@@ -210,13 +210,3 @@ def resolve_extrapolation(value=None) -> Optional[ExtrapolationConfig]:
         f"extrapolate must be None, a bool or an ExtrapolationConfig, "
         f"got {value!r}"
     )
-
-
-def prune_payload(records: Dict[str, Dict[str, object]]) -> Dict[str, object]:
-    """Aggregate per-arm prune records into the ``extras`` payload shape."""
-    return {
-        "pruned": {name: dict(record) for name, record in records.items()},
-        "epochs_saved": float(
-            sum(float(record["epochs_saved"]) for record in records.values())
-        ),
-    }

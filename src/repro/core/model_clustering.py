@@ -114,10 +114,6 @@ class ModelClustering:
         """Cluster id of ``model_name``."""
         return self.assignment.cluster_of(model_name)
 
-    def cluster_members(self, cluster_id: int) -> List[str]:
-        """Members of ``cluster_id``."""
-        return self.assignment.members(cluster_id)
-
     def non_singleton_clusters(self) -> Dict[int, List[str]]:
         """Clusters with more than one member."""
         return self.assignment.non_singleton_clusters()

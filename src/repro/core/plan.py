@@ -260,13 +260,6 @@ class SelectionPlan:
         self._inflight.add(step)
         return step
 
-    def claim_stage(self) -> List[TrainStep]:
-        """Hand out every remaining step of the current stage at once."""
-        self._open_stage()
-        steps, self._unclaimed = self._unclaimed, []
-        self._inflight.update(steps)
-        return steps
-
     def claim_step(self, model: str) -> Optional[TrainStep]:
         """Claim the current stage's step for one specific model (or ``None``).
 

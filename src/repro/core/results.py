@@ -40,11 +40,6 @@ class RecallResult:
     raw_proxy_scores: Dict[str, float] = field(default_factory=dict)
     epoch_cost: float = 0.0
 
-    @property
-    def top_model(self) -> str:
-        """Highest-scoring recalled model."""
-        return self.recalled_models[0]
-
     def rank_of(self, model_name: str) -> Optional[int]:
         """0-based rank of ``model_name`` among the recalled models (None if absent)."""
         try:
@@ -94,12 +89,6 @@ class SelectionResult:
     def total_cost(self) -> float:
         """Fine-tuning epochs plus any extra epoch-equivalent cost."""
         return float(self.runtime_epochs) + float(self.extra_epoch_cost)
-
-    def speedup_over(self, other: "SelectionResult") -> float:
-        """How many times cheaper this run is than ``other``."""
-        if self.total_cost <= 0:
-            return float("inf")
-        return other.total_cost / self.total_cost
 
 
 @dataclass

@@ -31,12 +31,3 @@ class DataSplit:
 
     def __len__(self) -> int:
         return int(self.features.shape[0])
-
-    @property
-    def num_features(self) -> int:
-        """Feature dimensionality."""
-        return int(self.features.shape[1])
-
-    def class_counts(self, num_classes: int) -> np.ndarray:
-        """Per-class sample counts (length ``num_classes``)."""
-        return np.bincount(self.labels, minlength=num_classes)

@@ -12,7 +12,7 @@ shows across the HuggingFace hub.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -83,11 +83,6 @@ class TaskSpec:
             raise ConfigurationError(
                 f"task {self.name!r}: class_imbalance must be in [0, 1)"
             )
-
-    @property
-    def difficulty(self) -> float:
-        """Noise-to-separation ratio; a rough proxy for task hardness."""
-        return float(self.noise / self.separation)
 
 
 class ClassificationTask:

@@ -15,8 +15,8 @@ domains, e.g. ``mnli`` near ``xnli``/``anli``/``sick``, reproducing the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -224,23 +224,6 @@ class WorkloadSuite:
     def targets(self) -> List[ClassificationTask]:
         """All target tasks in catalogue order."""
         return [self.task(name) for name in self.target_names]
-
-    def iter_tasks(self) -> Iterable[ClassificationTask]:
-        """Iterate over every task (benchmarks then targets)."""
-        for name in self.dataset_names:
-            yield self.task(name)
-
-    def with_scale(self, scale: DataScale) -> "WorkloadSuite":
-        """Return a new suite identical to this one but with other split sizes."""
-        return WorkloadSuite(
-            self.modality,
-            seed=self._rng_factory.root_seed,
-            scale=scale,
-            feature_dim=self.space.feature_dim,
-            num_concepts=self.space.num_concepts,
-            benchmark_names=self.benchmark_names,
-            target_names=self.target_names,
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

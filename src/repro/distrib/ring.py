@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.cache.keys import fingerprint_text
 from repro.utils.exceptions import ConfigurationError
@@ -118,7 +118,3 @@ class HashRing:
         if index == len(self._points):
             index = 0  # wrap past the top of the ring
         return self._points[index][1]
-
-    def assignments(self, keys: Sequence[str]) -> Dict[str, str]:
-        """Key -> node for every key (one bulk lookup, used by tests)."""
-        return {key: self.lookup(key) for key in keys}

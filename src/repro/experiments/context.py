@@ -215,11 +215,3 @@ def get_context(
             modality=modality, seed=seed, scale=resolved_scale, num_models=num_models
         )
     return _CONTEXT_CACHE[key]
-
-
-def clear_context_cache() -> None:
-    """Drop all memoised contexts (mainly for tests), stopping their services."""
-    for context in _CONTEXT_CACHE.values():
-        if context._selector is not None:
-            context._selector.close()
-    _CONTEXT_CACHE.clear()

@@ -63,16 +63,3 @@ class TextTable:
 
     def __str__(self) -> str:  # pragma: no cover - convenience
         return self.render()
-
-
-def render_records(
-    records: Sequence[Dict[str, Cell]],
-    columns: Sequence[str],
-    *,
-    title: Optional[str] = None,
-) -> str:
-    """Render a list of dict records as a text table."""
-    table = TextTable(columns, title=title)
-    for record in records:
-        table.add_dict_row(record)
-    return table.render()

@@ -20,7 +20,7 @@ from repro.metrics.knn import KnnScorer, knn_transfer_accuracy
 from repro.metrics.leep import LeepScorer, leep_score
 from repro.metrics.logme import LogMeScorer, log_maximum_evidence
 from repro.metrics.nce import NceScorer, nce_score
-from repro.metrics.normalization import min_max_normalize, rank_normalize
+from repro.metrics.normalization import min_max_normalize
 from repro.metrics.registry import available_scorers, get_scorer, register_scorer
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "NceScorer",
     "nce_score",
     "min_max_normalize",
-    "rank_normalize",
     "available_scorers",
     "get_scorer",
     "register_scorer",

@@ -8,7 +8,7 @@ must first be mapped into ``[0, 1]`` across the candidate pool.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,34 +30,3 @@ def min_max_normalize(scores: Sequence[float]) -> np.ndarray:
     if high - low < 1e-12:
         return np.ones_like(arr)
     return (arr - low) / (high - low)
-
-
-def rank_normalize(scores: Sequence[float]) -> np.ndarray:
-    """Map ``scores`` to their normalised ranks in ``[0, 1]`` (ties averaged)."""
-    arr = np.asarray(list(scores), dtype=float)
-    if arr.size == 0:
-        raise DataError("cannot normalise an empty score list")
-    if arr.size == 1:
-        return np.ones(1)
-    order = np.argsort(arr, kind="stable")
-    ranks = np.empty(arr.size, dtype=float)
-    ranks[order] = np.arange(arr.size, dtype=float)
-    # Average ranks of tied values.
-    for value in np.unique(arr):
-        mask = arr == value
-        if mask.sum() > 1:
-            ranks[mask] = ranks[mask].mean()
-    return ranks / (arr.size - 1)
-
-
-def normalize_score_dict(scores: Dict[str, float], *, method: str = "minmax") -> Dict[str, float]:
-    """Normalise a name->score mapping, preserving keys."""
-    keys = list(scores.keys())
-    values = [scores[key] for key in keys]
-    if method == "minmax":
-        normalised = min_max_normalize(values)
-    elif method == "rank":
-        normalised = rank_normalize(values)
-    else:
-        raise DataError(f"unknown normalisation method {method!r}")
-    return {key: float(value) for key, value in zip(keys, normalised)}

@@ -30,7 +30,6 @@ from repro.nn.batched import (
 )
 from repro.nn.layers import Dropout, Linear, Relu, Sequential, Tanh
 from repro.nn.losses import (
-    l2_penalty,
     softmax,
     softmax_cross_entropy,
     softmax_cross_entropy_stats,
@@ -45,7 +44,6 @@ __all__ = [
     "Relu",
     "Sequential",
     "Tanh",
-    "l2_penalty",
     "softmax",
     "softmax_cross_entropy",
     "softmax_cross_entropy_stats",

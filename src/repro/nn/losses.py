@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -96,10 +96,3 @@ def softmax_cross_entropy_stats(
     grad[np.arange(n), labels] -= 1.0
     grad /= n
     return loss, grad, predictions
-
-
-def l2_penalty(params: Iterable[np.ndarray], weight: float) -> float:
-    """L2 regularisation term ``weight/2 * sum(||p||^2)``."""
-    if weight == 0.0:
-        return 0.0
-    return 0.5 * weight * float(sum(np.sum(p * p) for p in params))

@@ -51,17 +51,3 @@ def macro_f1(y_true: np.ndarray, y_pred: np.ndarray, num_classes: int) -> float:
     if not scores:
         raise DataError("macro_f1 requires at least one class present in y_true")
     return float(np.mean(scores))
-
-
-def top_k_accuracy(y_true: np.ndarray, scores: np.ndarray, k: int) -> float:
-    """Fraction of rows whose true label is within the top-``k`` scores."""
-    y_true = np.asarray(y_true, dtype=int)
-    scores = np.asarray(scores, dtype=float)
-    if scores.ndim != 2 or scores.shape[0] != y_true.shape[0]:
-        raise DataError("scores must be (n, c) aligned with y_true")
-    if k <= 0:
-        raise DataError("k must be positive")
-    k = min(k, scores.shape[1])
-    top = np.argsort(-scores, axis=1)[:, :k]
-    hits = (top == y_true[:, None]).any(axis=1)
-    return float(np.mean(hits))

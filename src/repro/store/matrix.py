@@ -208,7 +208,8 @@ class MatrixStore:
     Parameters
     ----------
     root:
-        Directory holding the ``.npy`` files (created on demand).
+        Directory holding the ``.npy`` files (created on demand; a leading
+        ``~`` is expanded to the user's home directory).
 
     >>> import numpy as np, tempfile
     >>> store = MatrixStore(tempfile.mkdtemp())
@@ -222,7 +223,7 @@ class MatrixStore:
     """
 
     def __init__(self, root: Union[str, Path]) -> None:
-        self.root = Path(root)
+        self.root = Path(root).expanduser()
         self.root.mkdir(parents=True, exist_ok=True)
         #: Lookup, eviction and :meth:`put` counters.
         self.stats = CacheStats()
@@ -332,10 +333,6 @@ class MatrixStore:
         for path in self.root.glob("*.npy"):
             path.unlink(missing_ok=True)
         sweep_stale_temp_files(self.root)
-
-    def bytes_stored(self) -> int:
-        """Total size of the published matrices in the store."""
-        return sum(path.stat().st_size for path in self.root.glob("*.npy"))
 
 
 class ScratchMatrix:

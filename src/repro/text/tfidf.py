@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -77,8 +77,3 @@ class TfidfVectorizer:
     def fit_transform(self, documents: Sequence[str]) -> np.ndarray:
         """Fit on ``documents`` and return their TF-IDF rows."""
         return self.fit(documents).transform(documents)
-
-    @property
-    def feature_names(self) -> List[str]:
-        """Vocabulary terms ordered by their column index."""
-        return sorted(self.vocabulary_, key=self.vocabulary_.get)

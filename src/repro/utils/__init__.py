@@ -1,4 +1,4 @@
-"""Shared utilities: RNG management, validation, timing and serialization.
+"""Shared utilities: RNG management, validation and exceptions.
 
 These helpers are intentionally small and dependency-free so that every
 other subpackage (``repro.nn``, ``repro.zoo``, ``repro.core`` ...) can use
@@ -11,13 +11,10 @@ from repro.utils.exceptions import (
     ReproError,
     SelectionError,
 )
-from repro.utils.rng import RngFactory, as_generator, spawn_rng
-from repro.utils.timing import Stopwatch
+from repro.utils.rng import RngFactory, as_generator
 from repro.utils.validation import (
-    check_fraction,
     check_positive,
     check_probability_matrix,
-    check_same_length,
 )
 
 __all__ = [
@@ -27,10 +24,6 @@ __all__ = [
     "SelectionError",
     "RngFactory",
     "as_generator",
-    "spawn_rng",
-    "Stopwatch",
-    "check_fraction",
     "check_positive",
     "check_probability_matrix",
-    "check_same_length",
 ]

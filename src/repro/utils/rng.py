@@ -2,9 +2,9 @@
 
 Every stochastic component of the library accepts either an integer seed or
 a :class:`numpy.random.Generator`.  The helpers here normalise both into a
-generator and support spawning independent child streams so that, for
-example, every model in the hub fine-tunes with its own reproducible
-stream regardless of evaluation order.
+generator, and :class:`RngFactory` derives independent named streams so
+that, for example, every model in the hub fine-tunes with its own
+reproducible stream regardless of evaluation order.
 """
 
 from __future__ import annotations
@@ -26,19 +26,6 @@ def as_generator(seed: SeedLike = None) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def spawn_rng(rng: np.random.Generator, *labels: object) -> np.random.Generator:
-    """Derive an independent child generator from ``rng``.
-
-    The child stream is keyed by the hash of ``labels`` so that the same
-    parent seed and labels always produce the same child stream, no matter
-    how many other streams were drawn in between.
-    """
-    key = _stable_hash("/".join(str(label) for label in labels))
-    base = int(rng.integers(0, 2**31 - 1)) if not labels else 0
-    seed_seq = np.random.SeedSequence(entropy=key + base)
-    return np.random.default_rng(seed_seq)
 
 
 class RngFactory:
@@ -63,11 +50,6 @@ class RngFactory:
         key = "/".join(str(label) for label in labels)
         entropy = (self._root_seed, _stable_hash(key))
         return np.random.default_rng(np.random.SeedSequence(entropy=entropy))
-
-    def seed_for(self, *labels: object) -> int:
-        """Return a stable integer seed keyed by ``labels``."""
-        key = "/".join(str(label) for label in labels)
-        return (_stable_hash(key) ^ self._root_seed) % (2**31 - 1)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"RngFactory(root_seed={self._root_seed})"

@@ -7,8 +7,6 @@ the offending argument, so call sites stay one-liners.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.utils.exceptions import ConfigurationError, DataError
@@ -21,26 +19,6 @@ def check_positive(name: str, value: float, *, strict: bool = True) -> float:
     if not strict and value < 0:
         raise ConfigurationError(f"{name} must be >= 0, got {value!r}")
     return value
-
-
-def check_fraction(name: str, value: float, *, inclusive: bool = True) -> float:
-    """Ensure ``value`` lies in ``[0, 1]`` (or ``(0, 1)`` if not inclusive)."""
-    if inclusive:
-        if not 0.0 <= value <= 1.0:
-            raise ConfigurationError(f"{name} must be in [0, 1], got {value!r}")
-    else:
-        if not 0.0 < value < 1.0:
-            raise ConfigurationError(f"{name} must be in (0, 1), got {value!r}")
-    return value
-
-
-def check_same_length(name_a: str, a: Sequence, name_b: str, b: Sequence) -> None:
-    """Ensure two sequences have the same length."""
-    if len(a) != len(b):
-        raise DataError(
-            f"{name_a} and {name_b} must have the same length "
-            f"({len(a)} != {len(b)})"
-        )
 
 
 def check_probability_matrix(name: str, matrix: np.ndarray, *, atol: float = 1e-5) -> np.ndarray:

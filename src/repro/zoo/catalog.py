@@ -18,7 +18,7 @@ records what the reproduction needs to *simulate* the checkpoint:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Tuple
 
 from repro.utils.exceptions import ConfigurationError

@@ -15,7 +15,6 @@ selection algorithm decides which models survive.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -61,15 +60,6 @@ class FineTuneConfig:
         if self.batch_size <= 0:
             raise ConfigurationError("batch_size must be positive")
 
-    def with_epochs(self, epochs: int) -> "FineTuneConfig":
-        """Copy of this config with a different epoch budget.
-
-        Uses :func:`dataclasses.replace` so every field — including any
-        added after this method was written — is carried over verbatim
-        (guarded by a field-drift regression test).
-        """
-        return dataclasses.replace(self, epochs=epochs)
-
 
 @dataclass
 class LearningCurve:
@@ -87,25 +77,11 @@ class LearningCurve:
         return len(self.val_accuracy)
 
     @property
-    def final_val(self) -> float:
-        """Validation accuracy after the last completed epoch."""
-        if not self.val_accuracy:
-            raise DataError("learning curve has no recorded epochs")
-        return self.val_accuracy[-1]
-
-    @property
     def final_test(self) -> float:
         """Test accuracy after the last completed epoch."""
         if not self.test_accuracy:
             raise DataError("learning curve has no recorded epochs")
         return self.test_accuracy[-1]
-
-    @property
-    def best_val(self) -> float:
-        """Best validation accuracy over the run."""
-        if not self.val_accuracy:
-            raise DataError("learning curve has no recorded epochs")
-        return max(self.val_accuracy)
 
     def val_at(self, stage: int) -> float:
         """Validation accuracy at 1-based epoch ``stage`` (clamped to the end)."""

@@ -80,8 +80,3 @@ def render_model_card(entry: ModelCatalogEntry) -> str:
         ]
     )
     return "\n".join(lines)
-
-
-def render_all_cards(entries) -> Dict[str, str]:
-    """Render model cards for every entry, keyed by model name."""
-    return {entry.name: render_model_card(entry) for entry in entries}

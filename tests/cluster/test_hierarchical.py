@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.distance import pairwise_distances
-from repro.cluster.hierarchical import AgglomerativeClustering, hierarchical_cluster
+from repro.cluster.hierarchical import AgglomerativeClustering
 from repro.utils.exceptions import ConfigurationError, DataError
 
 
@@ -72,17 +72,9 @@ class TestAgglomerativeClustering:
         assert labels.tolist() == [0]
 
 
-def test_hierarchical_cluster_wrapper():
-    distances = two_blob_distances(np.random.default_rng(6), n_per_blob=3)
-    names = [f"m{i}" for i in range(6)]
-    assignment = hierarchical_cluster(names, distances, num_clusters=2)
-    assert assignment.num_clusters == 2
-    assert set(assignment.item_names) == set(names)
-
-
-def test_hierarchical_cluster_wrapper_plumbs_work_store(tmp_path):
-    """Regression: the wrapper used to drop ``work_store``, spilling the
-    scratch working matrix of a memmapped input to the process default."""
+def test_memmapped_input_spills_to_the_given_work_store(tmp_path):
+    """The scratch working matrix of a memmapped input goes to ``work_store``,
+    not the process default, and the labels equal the in-RAM ones."""
     from repro.store import MatrixStore
 
     calls = []
@@ -96,9 +88,8 @@ def test_hierarchical_cluster_wrapper_plumbs_work_store(tmp_path):
     path = tmp_path / "distances.npy"
     np.save(path, distances)
     mapped = np.load(path, mmap_mode="r")
-    names = [f"m{i}" for i in range(6)]
     spy = SpyStore(tmp_path / "store")
-    assignment = hierarchical_cluster(names, mapped, num_clusters=2, work_store=spy)
+    labels = AgglomerativeClustering(num_clusters=2).fit_predict(mapped, work_store=spy)
     assert calls == [(6, 6)]
-    dense = hierarchical_cluster(names, distances, num_clusters=2)
-    assert assignment.labels.tolist() == dense.labels.tolist()
+    dense = AgglomerativeClustering(num_clusters=2).fit_predict(distances)
+    assert labels.tolist() == dense.tolist()

@@ -92,7 +92,7 @@ class TestUpdateClustering:
         update = update_clustering(clustering, new_matrix, similarity, config=config)
         assert not update.reclustered
         clustering = update.clustering
-        assert len(clustering.cluster_members(clustering.cluster_of("outlier"))) == 1
+        assert len(clustering.assignment.members(clustering.cluster_of("outlier"))) == 1
 
     def test_untouched_clusters_keep_their_representative(self, base):
         matrix, clustering, config = base

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cluster.kmeans import KMeans, kmeans_cluster
+from repro.cluster.kmeans import KMeans
 from repro.utils.exceptions import ConfigurationError, DataError
 
 
@@ -69,12 +69,3 @@ class TestKMeans:
     def test_rejects_1d_points(self):
         with pytest.raises(DataError):
             KMeans(2, rng=0).fit_predict(np.ones(5))
-
-
-def test_kmeans_cluster_wrapper():
-    rng = np.random.default_rng(4)
-    points, _ = make_blobs(rng, np.array([[0.0, 0.0], [9.0, 9.0]]), n_per_center=5)
-    names = [f"item{i}" for i in range(10)]
-    assignment = kmeans_cluster(names, points, 2, rng=0)
-    assert assignment.num_clusters == 2
-    assert set(assignment.item_names) == set(names)

@@ -5,12 +5,7 @@ import pytest
 
 from repro.cluster.distance import pairwise_distances
 from repro.cluster.hierarchical import AgglomerativeClustering
-from repro.cluster.nnchain import (
-    NNChainClustering,
-    TiedDistancesError,
-    nn_chain_dendrogram,
-    nnchain_cluster,
-)
+from repro.cluster.nnchain import NNChainClustering, TiedDistancesError, nn_chain_dendrogram
 from repro.store import MatrixStore
 from repro.utils.exceptions import ConfigurationError, DataError
 
@@ -212,11 +207,3 @@ class TestMemmapPath:
         NNChainClustering(num_clusters=2).fit_predict(
             distances, work_store=ExplodingStore(tmp_path / "store")
         )
-
-
-def test_nnchain_cluster_wrapper():
-    distances = two_blob_distances(np.random.default_rng(6), n_per_blob=3)
-    names = [f"m{i}" for i in range(6)]
-    assignment = nnchain_cluster(names, distances, num_clusters=2)
-    assert assignment.num_clusters == 2
-    assert set(assignment.item_names) == set(names)

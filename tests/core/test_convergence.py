@@ -90,11 +90,6 @@ class TestMatchingAndPrediction:
         assert trend_set.predict(0.72) > 0.8
         assert trend_set.predict(0.31) < 0.6
 
-    def test_predict_final_accuracy_wrapper(self):
-        miner = ConvergenceTrendMiner(num_trends=2)
-        prediction = miner.predict_final_accuracy("m", make_curves(), 0.72, stage=1)
-        assert prediction > 0.8
-
     def test_trend_set_requires_trends(self):
         with pytest.raises(DataError):
             TrendSet(model_name="m", stage=1, trends=[])

@@ -15,7 +15,6 @@ from repro.core.extrapolation import (
     CurveExtrapolator,
     ExtrapolationConfig,
     max_remaining_gain,
-    prune_payload,
     resolve_extrapolation,
 )
 from repro.core.plan import SelectionPlan
@@ -310,18 +309,3 @@ class TestCohortExtra:
         kept, record = policy.filter_stage(0, list(live), live, cohort_extra=6)
         assert kept == list(live)
         assert record.removed_by_halving == []
-
-
-class TestPrunePayload:
-    def test_aggregates_records(self):
-        payload = prune_payload(
-            {
-                "a": {"epochs_saved": 2, "upper_bound": 0.5},
-                "b": {"epochs_saved": 3, "upper_bound": 0.4},
-            }
-        )
-        assert payload["epochs_saved"] == 5.0
-        assert set(payload["pruned"]) == {"a", "b"}
-
-    def test_empty(self):
-        assert prune_payload({}) == {"pruned": {}, "epochs_saved": 0.0}

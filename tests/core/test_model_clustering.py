@@ -47,7 +47,7 @@ class TestModelClusterer:
     def test_singleton_helpers_consistent(self, nlp_clustering_small):
         singles = set(nlp_clustering_small.singleton_models())
         for name in nlp_clustering_small.model_names:
-            members = nlp_clustering_small.cluster_members(
+            members = nlp_clustering_small.assignment.members(
                 nlp_clustering_small.cluster_of(name)
             )
             assert (len(members) == 1) == (name in singles)

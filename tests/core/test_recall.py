@@ -77,7 +77,7 @@ class TestCoarseRecall:
             recall.recall(nlp_suite_small.task("mnli"), top_k=0)
 
     def test_rank_of(self, mnli_result):
-        top = mnli_result.top_model
+        top = mnli_result.recalled_models[0]
         assert mnli_result.rank_of(top) == 0
         assert mnli_result.rank_of("not-a-model") is None
 

@@ -25,7 +25,7 @@ class TestRecallResult:
             recalled_models=["a", "b", "c"],
             recall_scores={"a": 0.9, "b": 0.8, "c": 0.7},
         )
-        assert result.top_model == "a"
+        assert result.rank_of("a") == 0
         assert result.rank_of("b") == 1
         assert result.rank_of("z") is None
 
@@ -34,16 +34,6 @@ class TestSelectionResult:
     def test_total_cost_includes_extra(self):
         result = make_selection(runtime=10.0, extra=2.5)
         assert result.total_cost == 12.5
-
-    def test_speedup_over(self):
-        fast = make_selection(runtime=10.0)
-        slow = make_selection(runtime=40.0)
-        assert fast.speedup_over(slow) == pytest.approx(4.0)
-        assert slow.speedup_over(fast) == pytest.approx(0.25)
-
-    def test_speedup_with_zero_cost(self):
-        free = make_selection(runtime=0.0)
-        assert free.speedup_over(make_selection(runtime=10.0)) == float("inf")
 
 
 class TestTwoPhaseResult:

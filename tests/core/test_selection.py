@@ -99,10 +99,6 @@ class TestSuccessiveHalving:
             candidates, mnli_task
         )
         assert sh.runtime_epochs < bf.runtime_epochs
-        # speedup_over(other) = other.cost / self.cost, so the cheaper SH run
-        # reports a speedup > 1 over brute force and vice versa.
-        assert sh.speedup_over(bf) > 1.0
-        assert bf.speedup_over(sh) < 1.0
 
 
 class TestFineSelection:

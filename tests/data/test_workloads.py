@@ -61,17 +61,6 @@ class TestTaskAccess:
         with pytest.raises(ConfigurationError):
             WorkloadSuite("nlp", benchmark_names=["not-a-dataset"])
 
-    def test_iter_tasks_covers_everything(self):
-        suite = WorkloadSuite(
-            "cv",
-            seed=0,
-            scale=DataScale.small(),
-            benchmark_names=["cifar10", "mnist"],
-            target_names=["beans"],
-        )
-        names = [task.name for task in suite.iter_tasks()]
-        assert names == ["cifar10", "mnist", "beans"]
-
 
 class TestDomainStructure:
     def test_related_targets_are_closer(self):
@@ -105,11 +94,3 @@ class TestDomainStructure:
         a = nlp_suite(seed=0, scale=DataScale.small())
         b = nlp_suite(seed=1, scale=DataScale.small())
         assert not np.array_equal(a.spec("mnli").domain, b.spec("mnli").domain)
-
-    def test_with_scale_preserves_filters(self):
-        suite = WorkloadSuite(
-            "nlp", seed=0, scale=DataScale.small(), benchmark_names=["cola", "sst2"]
-        )
-        resized = suite.with_scale(DataScale(num_train=40, num_val=16, num_test=16))
-        assert resized.benchmark_names == ["cola", "sst2"]
-        assert len(resized.task("cola").train) == 40

@@ -74,10 +74,21 @@ def _github_slug(heading: str) -> str:
 # fenced python blocks
 # --------------------------------------------------------------------------- #
 @pytest.fixture()
-def small_world(monkeypatch):
-    """Patch the default scale/catalogue down so doc snippets run quickly."""
+def small_world(monkeypatch, tmp_path):
+    """Patch the default scale/catalogue down so doc snippets run quickly.
+
+    A snippet may reconfigure the process-default cache (``cache.configure``)
+    or write under ``~``: the default cache is restored at teardown and
+    ``HOME`` points into ``tmp_path``, so no block leaks state into later
+    tests or files outside ``tmp_path``.
+    """
+    import repro.cache
     from repro.data.workloads import DataScale
     from repro.zoo import catalog, hub
+
+    default_cache = repro.cache._default_cache
+    monkeypatch.setattr(repro.cache, "_default_cache", default_cache)
+    monkeypatch.setenv("HOME", str(tmp_path))
 
     monkeypatch.setattr(DataScale, "default", classmethod(lambda cls: cls.small()))
     original = catalog.catalog_for_modality
@@ -88,6 +99,9 @@ def small_world(monkeypatch):
     monkeypatch.setattr(
         hub, "catalog_for_modality", lambda modality: original(modality)[:10]
     )
+    yield
+    monkeypatch.undo()
+    assert repro.cache._default_cache is default_cache
 
 
 @pytest.mark.parametrize(

@@ -2,20 +2,15 @@
 
 import pytest
 
-from repro.experiments.context import (
-    ExperimentContext,
-    clear_context_cache,
-    default_scale,
-    get_context,
-)
+from repro.experiments import context as context_module
+from repro.experiments.context import ExperimentContext, default_scale, get_context
 from repro.utils.exceptions import ConfigurationError
 
 
 @pytest.fixture(autouse=True)
-def _clean_cache():
-    clear_context_cache()
-    yield
-    clear_context_cache()
+def _clean_cache(monkeypatch):
+    """Each test memoises into its own empty context cache."""
+    monkeypatch.setattr(context_module, "_CONTEXT_CACHE", {})
 
 
 class TestExperimentContext:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.tables import TextTable, render_records
+from repro.experiments.tables import TextTable
 
 
 class TestTextTable:
@@ -38,11 +38,3 @@ class TestTextTable:
     def test_empty_columns_rejected(self):
         with pytest.raises(ValueError):
             TextTable([])
-
-
-def test_render_records():
-    text = render_records(
-        [{"x": 1, "y": 0.5}, {"x": 2, "y": 0.25}], ["x", "y"], title="records"
-    )
-    assert "records" in text
-    assert "0.250" in text

@@ -49,8 +49,7 @@ def test_build_spilled_equals_dense(small_world, tmp_path):
     )
     assert dense.clustering.representatives == spilled.clustering.representatives
     # The spilled artifacts really live in the configured store.
-    store = MatrixStore(tmp_path / "store")
-    assert store.bytes_stored() > 0
+    assert any((tmp_path / "store").glob("*.npy"))
 
 
 def test_refresh_spilled_equals_dense(small_world, tmp_path):

@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.metrics.normalization import (
-    min_max_normalize,
-    normalize_score_dict,
-    rank_normalize,
-)
+from repro.metrics.normalization import min_max_normalize
 from repro.utils.exceptions import DataError
 
 
@@ -32,31 +28,3 @@ class TestMinMaxNormalize:
     def test_rejects_non_finite(self):
         with pytest.raises(DataError):
             min_max_normalize([1.0, np.inf])
-
-
-class TestRankNormalize:
-    def test_unique_values(self):
-        out = rank_normalize([10.0, 30.0, 20.0])
-        assert np.allclose(out, [0.0, 1.0, 0.5])
-
-    def test_ties_get_average_rank(self):
-        out = rank_normalize([1.0, 1.0, 2.0])
-        assert np.isclose(out[0], out[1])
-
-    def test_single_value(self):
-        assert np.array_equal(rank_normalize([5.0]), np.ones(1))
-
-
-class TestNormalizeScoreDict:
-    def test_minmax_preserves_keys(self):
-        scores = {"a": -1.0, "b": 1.0}
-        out = normalize_score_dict(scores)
-        assert out["a"] == 0.0 and out["b"] == 1.0
-
-    def test_rank_method(self):
-        out = normalize_score_dict({"a": 5.0, "b": 1.0, "c": 3.0}, method="rank")
-        assert out["a"] == 1.0 and out["b"] == 0.0
-
-    def test_unknown_method(self):
-        with pytest.raises(DataError):
-            normalize_score_dict({"a": 1.0}, method="zscore")

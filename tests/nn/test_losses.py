@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.losses import l2_penalty, log_softmax, softmax, softmax_cross_entropy
+from repro.nn.losses import log_softmax, softmax, softmax_cross_entropy
 from repro.utils.exceptions import DataError
 
 
@@ -67,12 +67,3 @@ class TestSoftmaxCrossEntropy:
     def test_rejects_1d_logits(self):
         with pytest.raises(DataError):
             softmax_cross_entropy(np.zeros(3), np.array([0]))
-
-
-class TestL2Penalty:
-    def test_zero_weight_is_zero(self):
-        assert l2_penalty([np.ones((2, 2))], 0.0) == 0.0
-
-    def test_value(self):
-        params = [np.array([1.0, 2.0]), np.array([[2.0]])]
-        assert np.isclose(l2_penalty(params, 0.1), 0.05 * (1 + 4 + 4))

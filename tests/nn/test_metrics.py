@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.metrics import accuracy, confusion_matrix, macro_f1, top_k_accuracy
+from repro.nn.metrics import accuracy, confusion_matrix, macro_f1
 from repro.utils.exceptions import DataError
 
 
@@ -46,19 +46,3 @@ class TestMacroF1:
 
     def test_all_wrong_is_zero(self):
         assert macro_f1(np.array([0, 1]), np.array([1, 0]), 2) == 0.0
-
-
-class TestTopKAccuracy:
-    def test_top1_matches_accuracy(self):
-        scores = np.array([[0.9, 0.1], [0.2, 0.8], [0.7, 0.3]])
-        y = np.array([0, 1, 1])
-        assert np.isclose(top_k_accuracy(y, scores, 1), 2 / 3)
-
-    def test_top_k_equal_classes_is_one(self):
-        scores = np.random.default_rng(0).normal(size=(5, 3))
-        y = np.array([0, 1, 2, 0, 1])
-        assert top_k_accuracy(y, scores, 3) == 1.0
-
-    def test_invalid_k(self):
-        with pytest.raises(DataError):
-            top_k_accuracy(np.array([0]), np.array([[0.5, 0.5]]), 0)

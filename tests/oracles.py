@@ -178,7 +178,7 @@ def serial_stage_loop(policy, candidates, task) -> SelectionResult:
         ),
     )
     while not plan.done:
-        for step in plan.claim_stage():
+        for step in list(iter(plan.claim_next, None)):
             view = plan.views[step.model]
             view.session.train_epochs(step.epochs)
             view.adopt(view.session, advance=step.epochs)

@@ -9,7 +9,7 @@ from repro.metrics.hscore import h_score
 from repro.metrics.knn import knn_transfer_accuracy
 from repro.metrics.leep import leep_score
 from repro.metrics.nce import nce_score
-from repro.metrics.normalization import min_max_normalize, rank_normalize
+from repro.metrics.normalization import min_max_normalize
 
 
 @st.composite
@@ -126,15 +126,3 @@ class TestNormalizationProperties:
             for j in range(len(values)):
                 if values[i] < values[j]:
                     assert normalised[i] <= normalised[j] + 1e-12
-
-    @given(
-        st.lists(
-            st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
-            min_size=1,
-            max_size=20,
-        )
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_rank_normalize_in_unit_interval(self, values):
-        normalised = rank_normalize(values)
-        assert np.all(normalised >= 0.0) and np.all(normalised <= 1.0)

@@ -80,7 +80,7 @@ class TestPlanStateMachine:
 
     def test_stage_advances_only_when_all_steps_complete(self, engine, task):
         plan = build_plan(engine, CANDIDATES, task)
-        steps = plan.claim_stage()
+        steps = list(iter(plan.claim_next, None))
         for step in steps[:-1]:
             view = plan.views[step.model]
             view.session.train_epochs(step.epochs)
@@ -124,7 +124,7 @@ class TestPlanStateMachine:
         with pytest.raises(SelectionError, match="not finished"):
             plan.two_phase_result()
         while not plan.done:
-            for step in plan.claim_stage():
+            for step in list(iter(plan.claim_next, None)):
                 view = plan.views[step.model]
                 view.session.train_epochs(step.epochs)
                 view.adopt(view.session, advance=step.epochs)

@@ -59,9 +59,3 @@ class TestTfidfVectorizer:
     def test_empty_corpus_rejected(self):
         with pytest.raises(DataError):
             TfidfVectorizer().fit([])
-
-    def test_feature_names_align_with_columns(self):
-        vectorizer = TfidfVectorizer().fit(CORPUS)
-        names = vectorizer.feature_names
-        assert len(names) == len(vectorizer.vocabulary_)
-        assert all(vectorizer.vocabulary_[name] == index for index, name in enumerate(names))

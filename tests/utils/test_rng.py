@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.utils.rng import RngFactory, as_generator, spawn_rng, stable_hash
+from repro.utils.rng import RngFactory, as_generator, stable_hash
 
 
 class TestAsGenerator:
@@ -44,11 +44,6 @@ class TestRngFactory:
         b = RngFactory(2).named("x").integers(0, 10**6, size=8)
         assert not np.array_equal(a, b)
 
-    def test_seed_for_stable(self):
-        factory = RngFactory(5)
-        assert factory.seed_for("a", 1) == factory.seed_for("a", 1)
-        assert factory.seed_for("a", 1) != factory.seed_for("a", 2)
-
     def test_root_seed_property(self):
         assert RngFactory(9).root_seed == 9
 
@@ -64,24 +59,19 @@ class TestStableHash:
         assert stable_hash("anything") >= 0
 
 
-def test_spawn_rng_returns_generator():
-    child = spawn_rng(np.random.default_rng(0), "child")
-    assert isinstance(child, np.random.Generator)
-
-
-_SPAWN_SCRIPT = (
-    "import json, numpy as np; from repro.utils.rng import spawn_rng; "
-    "child = spawn_rng(np.random.default_rng(0), 'model', 3); "
-    "print(json.dumps(child.integers(0, 2**31, size=4).tolist()))"
+_NAMED_SCRIPT = (
+    "import json; from repro.utils.rng import RngFactory; "
+    "stream = RngFactory(0).named('model', 3); "
+    "print(json.dumps(stream.integers(0, 2**31, size=4).tolist()))"
 )
 
 
-def _spawn_draws_with_hashseed(hashseed: str) -> list:
+def _named_draws_with_hashseed(hashseed: str) -> list:
     src = str(Path(__file__).resolve().parents[2] / "src")
     env = dict(os.environ, PYTHONHASHSEED=hashseed)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out = subprocess.run(
-        [sys.executable, "-c", _SPAWN_SCRIPT],
+        [sys.executable, "-c", _NAMED_SCRIPT],
         env=env,
         capture_output=True,
         text=True,
@@ -90,5 +80,5 @@ def _spawn_draws_with_hashseed(hashseed: str) -> list:
     return json.loads(out.stdout)
 
 
-def test_spawn_rng_is_stable_across_processes():
-    assert _spawn_draws_with_hashseed("1") == _spawn_draws_with_hashseed("2")
+def test_named_stream_is_stable_across_processes():
+    assert _named_draws_with_hashseed("1") == _named_draws_with_hashseed("2")

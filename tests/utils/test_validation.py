@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from repro.utils.exceptions import ConfigurationError, DataError
-from repro.utils.validation import (
-    check_fraction,
-    check_labels,
-    check_positive,
-    check_probability_matrix,
-    check_same_length,
-)
+from repro.utils.validation import check_labels, check_positive, check_probability_matrix
 
 
 class TestCheckPositive:
@@ -27,29 +21,6 @@ class TestCheckPositive:
     def test_rejects_negative_even_when_not_strict(self):
         with pytest.raises(ConfigurationError):
             check_positive("x", -1, strict=False)
-
-
-class TestCheckFraction:
-    def test_accepts_bounds_inclusive(self):
-        assert check_fraction("f", 0.0) == 0.0
-        assert check_fraction("f", 1.0) == 1.0
-
-    def test_rejects_bounds_exclusive(self):
-        with pytest.raises(ConfigurationError):
-            check_fraction("f", 0.0, inclusive=False)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ConfigurationError):
-            check_fraction("f", 1.2)
-
-
-class TestCheckSameLength:
-    def test_accepts_equal(self):
-        check_same_length("a", [1, 2], "b", [3, 4])
-
-    def test_rejects_unequal(self):
-        with pytest.raises(DataError, match="same length"):
-            check_same_length("a", [1], "b", [1, 2])
 
 
 class TestCheckProbabilityMatrix:

@@ -12,39 +12,6 @@ class TestFineTuneConfig:
         config = FineTuneConfig()
         assert config.epochs == 5
 
-    def test_with_epochs(self):
-        assert FineTuneConfig().with_epochs(2).epochs == 2
-
-    def test_with_epochs_preserves_every_field(self):
-        """Field-drift regression: with_epochs must carry over EVERY field.
-
-        Builds a config where every field differs from its default, so a
-        field added to FineTuneConfig but forgotten by a hand-rolled copy
-        would silently reset — dataclasses.replace cannot, and this test
-        proves it for all present and future fields.
-        """
-        import dataclasses
-
-        custom = FineTuneConfig(
-            epochs=7,
-            learning_rate=3e-3,
-            batch_size=16,
-            hidden_dims=(48, 24),
-            weight_decay=5e-5,
-            optimizer="momentum",
-            activation="tanh",
-        )
-        for f in dataclasses.fields(FineTuneConfig):
-            assert getattr(custom, f.name) != f.default, (
-                f"test setup stale: field {f.name!r} must differ from its "
-                "default to detect drift"
-            )
-        copy = custom.with_epochs(9)
-        assert copy.epochs == 9
-        for f in dataclasses.fields(FineTuneConfig):
-            if f.name != "epochs":
-                assert getattr(copy, f.name) == getattr(custom, f.name)
-
     @pytest.mark.parametrize("kwargs", [
         {"epochs": 0},
         {"learning_rate": 0.0},
@@ -59,9 +26,7 @@ class TestLearningCurve:
     def test_final_properties(self):
         curve = LearningCurve("m", "d", val_accuracy=[0.5, 0.7], test_accuracy=[0.4, 0.6])
         assert curve.epochs == 2
-        assert curve.final_val == 0.7
         assert curve.final_test == 0.6
-        assert curve.best_val == 0.7
 
     def test_val_at_clamps(self):
         curve = LearningCurve("m", "d", val_accuracy=[0.5, 0.7], test_accuracy=[0.4, 0.6])
@@ -72,7 +37,7 @@ class TestLearningCurve:
     def test_empty_curve_raises(self):
         curve = LearningCurve("m", "d")
         with pytest.raises(DataError):
-            _ = curve.final_val
+            _ = curve.final_test
         with pytest.raises(DataError):
             curve.val_at(1)
 
@@ -141,7 +106,7 @@ class TestFineTuneSession:
         model = nlp_hub_small.get("roberta-base")
         task = nlp_suite_small.task("sst2")
         curve = fine_tuner.fine_tune(model, task, epochs=4)
-        assert curve.final_val >= curve.val_accuracy[0] - 0.1
+        assert curve.val_accuracy[-1] >= curve.val_accuracy[0] - 0.1
         assert curve.final_test > 1.0 / task.num_classes + 0.05
 
 

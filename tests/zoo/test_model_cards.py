@@ -1,7 +1,7 @@
 """Tests for repro.zoo.model_cards."""
 
-from repro.zoo.catalog import cv_catalog, nlp_catalog
-from repro.zoo.model_cards import render_all_cards, render_model_card
+from repro.zoo.catalog import nlp_catalog
+from repro.zoo.model_cards import render_model_card
 
 
 class TestRenderModelCard:
@@ -27,12 +27,8 @@ class TestRenderModelCard:
         assert render_model_card(entry) == render_model_card(entry)
 
     def test_cards_differ_between_models(self):
-        cards = render_all_cards(nlp_catalog()[:5])
-        assert len(set(cards.values())) == 5
-
-    def test_render_all_cards_covers_catalogue(self):
-        cards = render_all_cards(cv_catalog())
-        assert len(cards) == 30
+        cards = {render_model_card(entry) for entry in nlp_catalog()[:5]}
+        assert len(cards) == 5
 
     def test_sibling_checkpoints_have_similar_cards(self):
         """Same-family fine-tunes should share most of their card text (this is
