@@ -252,7 +252,6 @@ def _cmd_serve(args: argparse.Namespace, stream) -> int:
     front = ServeFrontEnd(service, default_timeout=args.timeout,
                           recover=recover)
     config = service._scheduler_config
-    version = service.artifacts.version
     banner = {
         "event": "serving",
         "modality": args.modality,
@@ -262,7 +261,7 @@ def _cmd_serve(args: argparse.Namespace, stream) -> int:
         "epoch_budget": config.epoch_budget,
         "max_queue": config.max_queue,
         "fused_training": config.fused_training,
-        "zoo_version": version.key if version is not None else "v0",
+        "zoo_version": service.artifacts.version.key,
         "extrapolation": bool(getattr(args, "extrapolate", False)),
     }
     if args.store_dir is not None:
@@ -401,11 +400,13 @@ def _cmd_zoo(args: argparse.Namespace, stream) -> int:
             print("error: zoo refresh needs --add and/or --remove", file=sys.stderr)
             return 2
     service = _build_service(args)
-    before = service.cluster_summary()
+    before = service.artifacts
     started = time.perf_counter()
     result = service.refresh(added=added, removed=removed)
     elapsed = time.perf_counter() - started
-    after = service.cluster_summary()
+    after = result.artifacts
+    clusters_before = before.clustering.assignment.num_clusters
+    clusters_after = after.clustering.assignment.num_clusters
 
     verified = None
     if args.verify:
@@ -427,7 +428,7 @@ def _cmd_zoo(args: argparse.Namespace, stream) -> int:
     if args.json:
         payload = result.summary()
         payload["elapsed_seconds"] = elapsed
-        payload["num_clusters"] = after["num_clusters"]
+        payload["num_clusters"] = float(clusters_after)
         if verified is not None:
             payload["verified"] = verified
         json.dump(payload, stream, indent=2)
@@ -437,11 +438,11 @@ def _cmd_zoo(args: argparse.Namespace, stream) -> int:
         print(f"added        : {len(result.added)} {result.added}", file=stream)
         print(f"removed      : {len(result.removed)} {result.removed}", file=stream)
         print(
-            f"models       : {int(before['num_models'])} -> {int(after['num_models'])}",
+            f"models       : {len(before.hub)} -> {len(after.hub)}",
             file=stream,
         )
         print(
-            f"clusters     : {int(before['num_clusters'])} -> {int(after['num_clusters'])}",
+            f"clusters     : {clusters_before} -> {clusters_after}",
             file=stream,
         )
         recluster_note = "full re-cluster" if result.reclustered else "incremental"

@@ -14,9 +14,12 @@ conversion for text-baseline and custom similarities;
 refresh's added models) without converting the rest, and
 :func:`check_distance_rows` checks just those rows.
 
-:func:`offline_matrices` is the one place the offline phase decides
-whether to spill: model clustering and the incremental zoo refresh each
-make one call to it.  :func:`check_distance_matrix` and
+:func:`offline_similarity` is the one place the offline phase decides
+whether to spill; a zoo refresh calls it alone, because placing added
+models reads only their rows.  :func:`offline_matrices` is the one place
+a clustering distance is derived, for a build, a full re-cluster and the
+threshold quantile of a refresh alike: an out-of-core similarity always
+gets an out-of-core distance.  :func:`check_distance_matrix` and
 :func:`upper_triangle_values` stream memmapped inputs block-wise for the
 same memory reason.
 
@@ -373,7 +376,7 @@ def _is_canonical_spill(
         return False
 
 
-def offline_matrices(
+def offline_similarity(
     matrix: "PerformanceMatrix",
     *,
     method: str = "performance",
@@ -382,65 +385,75 @@ def offline_matrices(
     cache: CacheLike = None,
     config: Optional["SimilarityConfig"] = None,
     previous: Optional[Tuple["PerformanceMatrix", np.ndarray]] = None,
-    similarity: Optional[np.ndarray] = None,
-    distance: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, np.ndarray, Optional[MatrixStore]]:
-    """Similarity and distance of ``matrix`` for clustering, in RAM or spilled.
+) -> np.ndarray:
+    """Similarity of ``matrix`` for clustering, in RAM or spilled.
 
     The one place the offline phase decides whether to go out-of-core:
     with a ``config`` whose :meth:`~repro.core.config.SimilarityConfig.should_spill`
-    holds for an Eq. 1 repository, both matrices are memory-mapped files in
-    the matrix store; otherwise they are dense arrays (and the Eq. 1
-    distance is memoised when ``cache`` is enabled).  ``previous``
-    (``(old_matrix, old_similarity)``) turns the similarity into an
-    incremental update.  A given ``similarity`` (and optionally its
-    ``distance``) is used as is; its distance stays out-of-core only when
-    it is the store's canonical Eq. 1 entry, so a *custom* similarity can
-    never populate the canonical distance key.
+    holds for an Eq. 1 repository, the similarity is a memory-mapped file
+    in the matrix store under its canonical key; otherwise it is a dense
+    array (memoised when ``cache`` is enabled).  ``previous``
+    (``(old_matrix, old_similarity)``) turns it into an incremental update,
+    as the zoo refresh computes it.
+    """
+    from repro.core import similarity as eq1
+
+    if config is not None and method == "performance" and config.should_spill(
+        len(matrix.model_names)
+    ):
+        if previous is not None:
+            return eq1.update_similarity_matrix_ooc(
+                *previous, matrix, top_k=top_k, config=config, cache=cache
+            )
+        return eq1.performance_similarity_matrix_ooc(
+            matrix, top_k=top_k, config=config, cache=cache
+        )
+    if previous is not None:
+        return eq1.update_similarity_matrix(*previous, matrix, top_k=top_k, cache=cache)
+    return eq1.similarity_matrix_for(
+        matrix, method=method, top_k=top_k, model_cards=model_cards, cache=cache
+    )
+
+
+def offline_matrices(
+    matrix: "PerformanceMatrix",
+    *,
+    method: str = "performance",
+    top_k: int = 5,
+    model_cards: Optional[Dict[str, str]] = None,
+    cache: CacheLike = None,
+    config: Optional["SimilarityConfig"] = None,
+    similarity: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray, Optional[MatrixStore]]:
+    """Similarity and distance of ``matrix`` for clustering, in RAM or spilled.
+
+    The one place a clustering distance is derived.  Without a
+    ``similarity`` it is computed by :func:`offline_similarity` and its
+    Eq. 1 distance is memoised when ``cache`` is enabled.  A given
+    ``similarity`` is used as is and its distance is not cached.  Either
+    way, a similarity that is the store's canonical Eq. 1 entry gets an
+    out-of-core distance in the same store, so a spilled matrix is never
+    densified and a *custom* similarity can never populate the canonical
+    distance key.
 
     Returns ``(similarity, distance, work_store)``: ``work_store`` is the
     store a spilled distance's clustering scratch belongs in, else ``None``.
     """
-    from repro.core import similarity as eq1
-
-    if similarity is not None:
-        if distance is None:
-            if config is not None and _is_canonical_spill(similarity, matrix, top_k, config):
-                # Keep a memmapped similarity out-of-core end to end: the
-                # dense conversion would allocate the 8 n^2 bytes the spill
-                # exists to avoid.
-                distance = distance_memmap_for(matrix, similarity, top_k=top_k, config=config)
-            else:
-                distance = similarity_to_distance(similarity)
-    elif (
-        config is not None
-        and method == "performance"
-        and config.should_spill(len(matrix.model_names))
-    ):
-        if previous is not None:
-            similarity = eq1.update_similarity_matrix_ooc(
-                *previous, matrix, top_k=top_k, config=config, cache=cache
-            )
-        else:
-            similarity = eq1.performance_similarity_matrix_ooc(
-                matrix, top_k=top_k, config=config, cache=cache
-            )
+    computed = similarity is None
+    if computed:
+        similarity = offline_similarity(
+            matrix, method=method, top_k=top_k, model_cards=model_cards,
+            cache=cache, config=config,
+        )
+    if config is not None and _is_canonical_spill(similarity, matrix, top_k, config):
         distance = distance_memmap_for(matrix, similarity, top_k=top_k, config=config)
+    elif computed and resolve_cache(cache) is not None:
+        # Memoised conversion: a repeat build resolves with one lookup.
+        distance = distance_matrix_for(
+            matrix, method=method, top_k=top_k, model_cards=model_cards, cache=cache
+        )
     else:
-        if previous is not None:
-            similarity = eq1.update_similarity_matrix(*previous, matrix, top_k=top_k, cache=cache)
-        else:
-            similarity = eq1.similarity_matrix_for(
-                matrix, method=method, top_k=top_k, model_cards=model_cards, cache=cache
-            )
-        if resolve_cache(cache) is not None:
-            # Memoised conversion: a repeat resolves with one lookup, and a
-            # refreshed epoch's distance is warm under its canonical key.
-            distance = distance_matrix_for(
-                matrix, method=method, top_k=top_k, model_cards=model_cards, cache=cache
-            )
-        else:
-            distance = similarity_to_distance(similarity)
+        distance = similarity_to_distance(similarity)
     work_store = None
     if config is not None and isinstance(distance, np.memmap):
         work_store = resolve_store(config.store_dir)

@@ -11,12 +11,14 @@ instead *patches* an existing :class:`~repro.core.model_clustering.ModelClusteri
   used — or become new singleton clusters when no cluster is within the
   recorded merge threshold.
 
-A refresh computes only what it reads: placement converts and checks just
-the added models' similarity rows as distances
-(:func:`~repro.cluster.distance.distance_rows`, byte-equal to the same
-rows of the full conversion), the whole distance is read only to
-re-estimate a merge threshold that was never recorded, and no silhouette
-is computed — the clustering scores itself on first read of
+A refresh computes only what it reads.  It takes the similarity alone:
+placement converts and checks just the added models' similarity rows as
+distances (:func:`~repro.cluster.distance.distance_rows`, byte-equal to
+the same rows of the full conversion).  The whole distance is derived,
+through :func:`~repro.cluster.distance.offline_matrices` and so
+out-of-core for a spilled similarity, only by a full re-cluster and to
+re-estimate a merge threshold that was never recorded.  No silhouette is
+computed: the clustering scores itself on first read of
 :attr:`~repro.core.model_clustering.ModelClustering.silhouette`.
 
 The incremental guarantees — enforced by the property suite
@@ -53,7 +55,7 @@ from repro.cluster.distance import (
     check_distance_matrix,
     check_distance_rows,
     distance_rows,
-    similarity_to_distance,
+    offline_matrices,
     upper_triangle_values,
 )
 from repro.core.config import ClusteringConfig
@@ -107,8 +109,6 @@ def update_clustering(
     new_similarity: np.ndarray,
     *,
     config: Optional[ClusteringConfig] = None,
-    seed: int = 0,
-    distance: Optional[np.ndarray] = None,
     similarity_config=None,
 ) -> ClusteringUpdate:
     """Patch ``old`` to cover the models of ``new_matrix``.
@@ -126,17 +126,16 @@ def update_clustering(
     Placement reads only the added models' distance rows, converted from
     ``new_similarity`` (:func:`~repro.cluster.distance.distance_rows`) and
     checked as :func:`~repro.cluster.distance.check_distance_matrix` would
-    check them: a NaN similarity raises :class:`DataError`.  ``distance``
-    optionally supplies the precomputed
-    ``similarity_to_distance(new_similarity)`` conversion (e.g. from the
-    service refresh, which warms the canonical distance cache entry); it is
-    read only where the whole matrix is: by a full re-cluster, and, when no
-    merge threshold was recorded (k-means, count-capped hierarchies), to
-    re-estimate the threshold quantile after ``check_distance_matrix``
-    (without it the full conversion runs there).  ``similarity_config``
-    carries the out-of-core memory policy through to a threshold-triggered
-    full re-cluster, so its scratch working matrix spills into the
-    configured store rather than the process default.
+    check them: a NaN similarity raises :class:`DataError`.  The whole
+    distance is derived only where it is read, by
+    :func:`~repro.cluster.distance.offline_matrices`: by a full re-cluster,
+    and, when no merge threshold was recorded (k-means, count-capped
+    hierarchies), to re-estimate the threshold quantile after
+    ``check_distance_matrix``.  ``similarity_config`` carries the
+    out-of-core memory policy to both: a canonical spilled similarity gets
+    an out-of-core distance in the configured store, and a re-cluster's
+    scratch working matrix spills there rather than into the process
+    default.
 
     When the accumulated stale fraction — incrementally placed or removed
     models since the last full run — would exceed
@@ -167,16 +166,14 @@ def update_clustering(
     stale_after = stale_before + len(added) + len(removed)
     staleness = stale_after / max(1, len(new_names))
 
-    def full_recluster() -> ClusteringUpdate:
-        clusterer = ModelClusterer(config, seed=seed)
-        # Hand the precomputed (possibly memmapped) distance through so the
-        # re-cluster neither repeats the O(n^2) conversion nor densifies an
-        # out-of-core matrix.
-        clustering = clusterer.cluster(
-            new_matrix,
-            similarity=new_similarity,
-            distance=distance,
-            similarity_config=similarity_config,
+    if len(new_names) < 2:
+        raise DataError(
+            "incremental clustering requires at least two surviving models; "
+            "the repository shrank below the clusterable minimum"
+        )
+    if staleness > config.staleness_threshold:
+        clustering = ModelClusterer(config).cluster(
+            new_matrix, similarity=new_similarity, similarity_config=similarity_config
         )
         return ClusteringUpdate(
             clustering=clustering,
@@ -185,14 +182,6 @@ def update_clustering(
             removed=removed,
             staleness=0.0,
         )
-
-    if len(new_names) < 2:
-        raise DataError(
-            "incremental clustering requires at least two surviving models; "
-            "the repository shrank below the clusterable minimum"
-        )
-    if staleness > config.staleness_threshold:
-        return full_recluster()
     if not added and not removed:
         return ClusteringUpdate(
             clustering=old,
@@ -205,12 +194,13 @@ def update_clustering(
     # built with an explicit cluster count, or k-means).
     threshold = old.extras.get("distance_threshold")
     if threshold is None:
-        if distance is None:
-            distance = similarity_to_distance(new_similarity)
+        _, distance, _ = offline_matrices(
+            new_matrix, top_k=config.top_k, config=similarity_config, similarity=new_similarity
+        )
         off_diagonal = upper_triangle_values(check_distance_matrix(distance))
         threshold = float(np.quantile(off_diagonal, config.threshold_quantile))
-    # Placement reads only the added rows: convert just those, whether or
-    # not the caller holds the whole distance, and check what is read.
+    # Placement reads only the added rows: convert just those and check
+    # what is read.
     added_rows = check_distance_rows(distance_rows(new_similarity, added_index))
 
     # Surviving models keep their old cluster label (re-indexed later).

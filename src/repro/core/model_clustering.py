@@ -166,7 +166,6 @@ class ModelClusterer:
         *,
         model_cards: Optional[Dict[str, str]] = None,
         similarity: Optional[np.ndarray] = None,
-        distance: Optional[np.ndarray] = None,
         cache: CacheLike = None,
         similarity_config: Optional[SimilarityConfig] = None,
     ) -> ModelClustering:
@@ -176,8 +175,9 @@ class ModelClusterer:
         from the artifact cache when available (``cache=False`` opts out).
         A precomputed ``similarity`` (aligned with ``matrix.model_names``,
         e.g. from an incremental update) skips the similarity computation
-        and the cache entirely; ``distance`` optionally supplies its
-        (possibly memmapped) conversion so no caller-side work is repeated.
+        and the cache entirely; its distance is derived by
+        :func:`~repro.cluster.distance.offline_matrices`, out-of-core when
+        it is the store's canonical spilled entry.
 
         When ``similarity_config`` is given and the repository crosses its
         spill threshold, the similarity and distance matrices are computed
@@ -200,7 +200,6 @@ class ModelClusterer:
             cache=cache,
             config=similarity_config,
             similarity=similarity,
-            distance=distance,
         )
         labels, threshold = self._run_algorithm(distance, work_store=work_store)
         assignment = ClusterAssignment.from_labels(matrix.model_names, labels)

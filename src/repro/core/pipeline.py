@@ -14,8 +14,10 @@ The repository underneath the artifacts is *mutable*:
 version (checkpoints added and/or removed) incrementally — fine-tuning only
 the new models, updating only the changed rows of the similarity matrix and
 patching the clustering in place (with a staleness-bounded fallback to a
-full re-cluster) — instead of recomputing the whole offline phase.  See
-``docs/zoo-updates.md``.
+full re-cluster) — instead of recomputing the whole offline phase.  It
+computes no full distance unless the clustering is rebuilt, and purges
+nothing: :meth:`repro.service.SelectionService.refresh` purges the
+superseded version after its swap.  See ``docs/zoo-updates.md``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Union
 
 from repro.cache import CacheLike, fingerprint_matrix, resolve_cache
-from repro.cluster.distance import offline_matrices
+from repro.cluster.distance import offline_similarity
 from repro.cluster.incremental import update_clustering
 from repro.core.config import PipelineConfig
 from repro.core.model_clustering import ModelClusterer, ModelClustering
@@ -86,8 +88,10 @@ class RefreshResult:
     staleness:
         Stale-model fraction of the new clustering (0.0 after a re-cluster).
     evicted_entries:
-        Superseded-version artifacts purged on eviction: in-memory cache
-        entries plus spilled matrix-store files.
+        Superseded-version artifacts purged by
+        :meth:`repro.service.SelectionService.refresh` after its swap:
+        in-memory cache entries, spilled matrix-store files and plan-store
+        files; 0 for a bare :meth:`OfflineArtifacts.refresh`.
     """
 
     artifacts: "OfflineArtifacts"
@@ -115,19 +119,22 @@ class RefreshResult:
 
 @dataclass
 class OfflineArtifacts:
-    """Offline products shared by every online query against one repository."""
+    """Offline products shared by every online query against one repository.
+
+    ``version`` is ``hub.version``, taken once at construction: the hub
+    fingerprints its whole catalogue on every read of it.
+    """
 
     hub: ModelHub
     suite: WorkloadSuite
     matrix: PerformanceMatrix
     clustering: ModelClustering
     config: PipelineConfig
-    version: Optional[ZooVersion] = None
+    version: ZooVersion = field(init=False)
     fine_tuner: Optional[FineTuner] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        if self.version is None:
-            self.version = self.hub.version
+        self.version = self.hub.version
 
     @classmethod
     def build(
@@ -153,7 +160,7 @@ class OfflineArtifacts:
             matrix,
             model_cards=hub.model_cards(),
             cache=cache,
-            similarity_config=getattr(config, "similarity", None),
+            similarity_config=config.similarity,
         )
         return cls(
             hub=hub,
@@ -161,7 +168,6 @@ class OfflineArtifacts:
             matrix=matrix,
             clustering=clustering,
             config=config,
-            version=hub.version,
             fine_tuner=fine_tuner,
         )
 
@@ -170,9 +176,7 @@ class OfflineArtifacts:
         *,
         added: Iterable[Union[str, ModelCatalogEntry]] = (),
         removed: Iterable[str] = (),
-        fine_tuner: Optional[FineTuner] = None,
         cache: CacheLike = None,
-        evict_superseded: bool = True,
     ) -> RefreshResult:
         """Incrementally derive the artifacts of the next zoo version.
 
@@ -187,28 +191,27 @@ class OfflineArtifacts:
         :mod:`repro.cluster.incremental`), all enforced by the property
         suite.
 
-        The new artifacts land in the artifact cache under the same keys a
-        cold rebuild would use, and entries of the superseded version are
-        evicted rather than left to age out.  ``self`` is not mutated, so a
-        service can keep serving the old epoch until it swaps — a caller
-        that keeps the old epoch live during the swap should pass
-        ``evict_superseded=False`` and purge after the cut-over (as
-        :meth:`repro.service.SelectionService.refresh` does), otherwise
-        in-flight old-epoch requests can repopulate the purged entries.
+        Only the new similarity is computed, in RAM or out-of-core as the
+        similarity config decides, and it lands in the artifact cache or
+        matrix store under the key a cold rebuild would use.  The whole
+        distance is derived only if the clustering is rebuilt.  ``self`` is
+        not mutated and nothing is evicted, so a service can keep serving
+        the old epoch until it swaps;
+        :meth:`repro.service.SelectionService.refresh` purges the
+        superseded version's entries after the cut-over, when no in-flight
+        old-epoch request can repopulate them.
 
-        ``fine_tuner`` defaults to the tuner recorded at build time: added
-        models must train under the *offline* tuner, not an online one, for
-        the incremental result to match a from-scratch rebuild bitwise.
+        Added models train under the tuner recorded at build time, the
+        *offline* tuner, so the incremental result matches a from-scratch
+        rebuild bitwise.
         """
         added = list(added)
         removed = list(removed)
         if not added and not removed:
             raise ConfigurationError("refresh requires at least one added or removed model")
-        tuner = fine_tuner or self.fine_tuner
-        old_version = self.hub.version
         new_hub = self.hub.with_changes(added=added, removed=removed)
         new_matrix = update_performance_matrix(
-            self.matrix, new_hub, self.suite, fine_tuner=tuner
+            self.matrix, new_hub, self.suite, fine_tuner=self.fine_tuner
         )
         old_names = set(self.hub.model_names)
         new_names = set(new_hub.model_names)
@@ -216,12 +219,12 @@ class OfflineArtifacts:
         removed_names = [name for name in self.hub.model_names if name not in new_names]
 
         clustering_config = self.config.clustering
-        similarity_config = getattr(self.config, "similarity", None)
+        similarity_config = self.config.similarity
         if clustering_config.similarity == "performance":
             # Surviving tiles are copied and added rows computed under the
             # new epoch's canonical keys, in RAM or out-of-core as the
             # similarity config decides — bitwise-equal to a cold rebuild.
-            new_similarity, new_distance, _ = offline_matrices(
+            new_similarity = offline_similarity(
                 new_matrix,
                 top_k=clustering_config.top_k,
                 cache=cache,
@@ -233,7 +236,6 @@ class OfflineArtifacts:
                 new_matrix,
                 new_similarity,
                 config=clustering_config,
-                distance=new_distance,
                 similarity_config=similarity_config,
             )
             new_clustering = update.clustering
@@ -248,27 +250,21 @@ class OfflineArtifacts:
             )
             reclustered, staleness = True, 0.0
 
-        evicted = 0
-        if evict_superseded:
-            evicted = purge_superseded_artifacts(self.matrix, similarity_config, cache)
-
         artifacts = OfflineArtifacts(
             hub=new_hub,
             suite=self.suite,
             matrix=new_matrix,
             clustering=new_clustering,
             config=self.config,
-            version=new_hub.version,
-            fine_tuner=tuner,
+            fine_tuner=self.fine_tuner,
         )
         return RefreshResult(
             artifacts=artifacts,
-            old_version=old_version,
-            new_version=new_hub.version,
+            old_version=self.version,
+            new_version=artifacts.version,
             added=added_names,
             removed=removed_names,
             reclustered=reclustered,
             staleness=staleness,
-            evicted_entries=evicted,
         )
 

@@ -303,12 +303,11 @@ class EpochScheduler:
 
         tuner = fine_tuner or FineTuner(seed=0)
         recall, fine_selection = build_phase_engines(artifacts, tuner)
-        version = getattr(artifacts, "version", None)
         context = SchedulerContext(
             artifacts=artifacts,
             recall=recall,
             fine_selection=fine_selection,
-            version_key=version.key if version is not None else "v0",
+            version_key=artifacts.version.key,
             fine_tuner=tuner,
         )
         return cls(

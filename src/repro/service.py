@@ -251,12 +251,11 @@ class SelectionService:
         with self._lock:
             artifacts = self.artifacts
             recall, fine_selection = self._recall, self._fine_selection
-        version = artifacts.version
         return SchedulerContext(
             artifacts=artifacts,
             recall=recall,
             fine_selection=fine_selection,
-            version_key=version.key if version is not None else "v0",
+            version_key=artifacts.version.key,
             fine_tuner=self._fine_tuner,
         )
 
@@ -412,12 +411,8 @@ class SelectionService:
         from repro.core.pipeline import purge_superseded_artifacts
 
         with self._refresh_lock:
-            old_matrix = self.artifacts.matrix
-            old_config = self.artifacts.config
-            old_version = self.artifacts.version
-            result = self.artifacts.refresh(
-                added=added, removed=removed, evict_superseded=False
-            )
+            old = self.artifacts
+            result = old.refresh(added=added, removed=removed)
             engines = self._build_engines(result.artifacts)
             with self._lock:
                 self.artifacts = result.artifacts
@@ -425,16 +420,16 @@ class SelectionService:
                 self._refreshes += 1
                 scheduler = self._scheduler
             result.evicted_entries = purge_superseded_artifacts(
-                old_matrix, getattr(old_config, "similarity", None)
+                old.matrix, old.config.similarity
             )
-            if scheduler is not None and old_version is not None:
-                scheduler.pool.evict_version(old_version.key)
-            if self._persist is not None and old_version is not None:
+            if scheduler is not None:
+                scheduler.pool.evict_version(old.version.key)
+            if self._persist is not None:
                 # Journals and snapshots of the superseded version could
                 # never be resumed (recovery checks the version key), so
                 # reclaim their disk space as part of the same sweep.
                 result.evicted_entries += self._persist.evict_version(
-                    old_version.key
+                    old.version.key
                 )
         return result
 
@@ -483,8 +478,7 @@ class SelectionService:
             snapshot["scheduler"] = scheduler.stats() if scheduler is not None else None
         snapshot["uptime_seconds"] = time.monotonic() - self._started_at
         snapshot["num_models"] = len(artifacts.hub)
-        version = artifacts.version
-        snapshot["zoo_version"] = version.key if version is not None else None
+        snapshot["zoo_version"] = artifacts.version.key
         snapshot["similarity_backing"] = (
             "memmap"
             if isinstance(artifacts.clustering.similarity, np.memmap)

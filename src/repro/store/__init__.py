@@ -30,7 +30,6 @@ from repro.store.matrix import (
     MatrixWriter,
     ScratchMatrix,
     StoreLike,
-    configure_store,
     get_store,
     iter_row_blocks,
     peek_store,
@@ -43,7 +42,6 @@ __all__ = [
     "MatrixWriter",
     "ScratchMatrix",
     "StoreLike",
-    "configure_store",
     "get_store",
     "iter_row_blocks",
     "peek_store",

@@ -141,10 +141,6 @@ class CacheStats:
         """Fraction of lookups served from cache (0.0 when never queried)."""
         return self.hits / self.lookups if self.lookups else 0.0
 
-    def reset(self) -> None:
-        """Zero every counter."""
-        self.hits = self.misses = self.puts = self.evictions = 0
-
     def as_dict(self) -> Dict[str, float]:
         """Plain-dict snapshot for logging/reporting."""
         return {
@@ -383,14 +379,6 @@ def get_store() -> MatrixStore:
                 root = tempfile.mkdtemp(prefix="repro-store-")
                 atexit.register(shutil.rmtree, root, ignore_errors=True)
             _default_store = MatrixStore(root)
-        return _default_store
-
-
-def configure_store(root: Union[str, Path]) -> MatrixStore:
-    """Point the process-default store at ``root`` (replacing the old one)."""
-    global _default_store
-    with _default_lock:
-        _default_store = MatrixStore(root)
         return _default_store
 
 

@@ -18,12 +18,10 @@ class TestCacheStats:
         assert stats.lookups == 3
         assert stats.hit_rate == pytest.approx(2 / 3)
 
-    def test_reset_and_as_dict(self):
+    def test_as_dict(self):
         stats = CacheStats(hits=3, misses=1, puts=2, evictions=1)
         snapshot = stats.as_dict()
         assert snapshot["hits"] == 3 and snapshot["evictions"] == 1
-        stats.reset()
-        assert stats.lookups == 0 and stats.puts == 0
 
 
 class TestLRUCache:

@@ -17,21 +17,20 @@ from collections import Counter
 import numpy as np
 import pytest
 
-import repro.cluster.distance as distance_module
 import repro.cluster.incremental as incremental_module
-import repro.cluster.silhouette as silhouette_module
 import repro.core.model_clustering as clustering_module
 from repro.cluster.distance import (
     check_distance_rows,
+    distance_memmap_for,
     distance_rows,
-    offline_matrices,
     similarity_to_distance,
 )
 from repro.cluster.incremental import update_clustering
+from repro.cluster.silhouette import silhouette_samples
 from repro.core.config import ClusteringConfig, SimilarityConfig
 from repro.core.model_clustering import ModelClusterer
 from repro.core.performance import PerformanceMatrix
-from repro.core.similarity import update_similarity_matrix
+from repro.core.similarity import update_similarity_matrix, update_similarity_matrix_ooc
 from repro.utils.exceptions import DataError
 from oracles import eager_silhouette, symmetrised_distance
 
@@ -108,26 +107,24 @@ class TestLazySilhouetteOverAChain:
         )
         matrices = _chain_steps(_zoo(601, 60 + 2 * CHAIN_STEPS), 60, CHAIN_STEPS, 2, 601)
         matrix = next(matrices)
-        similarity, distance, _ = offline_matrices(
-            matrix, top_k=CONFIG.top_k, cache=False, config=spill
-        )
-        clustering = ModelClusterer(CONFIG).cluster(
-            matrix, similarity=similarity, distance=distance, similarity_config=spill
-        )
-        checked = [(clustering, distance)]
+        clustering = ModelClusterer(CONFIG).cluster(matrix, cache=False, similarity_config=spill)
+        checked = [(matrix, clustering)]
         for new_matrix in matrices:
-            similarity, distance, _ = offline_matrices(
-                new_matrix, top_k=CONFIG.top_k, cache=False, config=spill,
-                previous=(matrix, clustering.similarity),
+            similarity = update_similarity_matrix_ooc(
+                matrix, clustering.similarity, new_matrix,
+                top_k=CONFIG.top_k, config=spill, cache=False,
             )
             update = update_clustering(
-                clustering, new_matrix, similarity, config=CONFIG,
-                distance=distance, similarity_config=spill,
+                clustering, new_matrix, similarity, config=CONFIG, similarity_config=spill
             )
             matrix, clustering = new_matrix, update.clustering
-            checked.append((clustering, distance))
-        for clustering, distance in checked:
+            checked.append((matrix, clustering))
+        for matrix, clustering in checked:
             assert isinstance(clustering.similarity, np.memmap)
+            # The out-of-core distance a re-cluster of this step runs on.
+            distance = distance_memmap_for(
+                matrix, clustering.similarity, top_k=CONFIG.top_k, config=spill
+            )
             expected = eager_silhouette(distance, clustering.assignment.labels)
             assert expected is not None
             assert _bits(clustering.silhouette) == _bits(expected)
@@ -187,22 +184,8 @@ class TestLazySilhouetteOverAChain:
 
 
 class TestRefreshReadsOnlyAddedRows:
-    def test_refresh_calls_neither_silhouette_nor_full_conversion(self, monkeypatch):
-        calls = Counter()
-
-        def count(module, name):
-            original = getattr(module, name)
-
-            def counted(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, counted)
-
-        count(silhouette_module, "silhouette_samples")
-        for module in (distance_module, incremental_module, clustering_module):
-            count(module, "similarity_to_distance")
-
+    def test_refresh_calls_neither_silhouette_nor_full_conversion(self, count_calls):
+        calls = count_calls(silhouette_samples, similarity_to_distance)
         matrices = _chain_steps(_zoo(604, 84), 80, 1, 4, 604)
         matrix, new_matrix = next(matrices), next(matrices)
         clustering = ModelClusterer(CONFIG).cluster(matrix, cache=False)
@@ -267,24 +250,49 @@ class TestRefreshChecksWhatItReads:
         with pytest.raises(DataError, match="symmetric"):
             update_clustering(clustering, new_matrix, similarity, config=CONFIG)
 
-    def test_a_callers_distance_does_not_steer_placement(self):
-        clustering, new_matrix, similarity, _ = self._swap(CONFIG, 607)
-        own = update_clustering(clustering, new_matrix, similarity, config=CONFIG)
-        given = update_clustering(
-            clustering, new_matrix, similarity, config=CONFIG,
-            distance=similarity_to_distance(similarity)[::-1, ::-1].copy(),
-        )
-        assert np.array_equal(own.clustering.assignment.labels, given.clustering.assignment.labels)
-
     def test_an_unchecked_distance_is_refused_where_it_is_read(self):
         config = ClusteringConfig(num_clusters=6)  # records no merge threshold
-        clustering, new_matrix, similarity, _ = self._swap(config, 608)
+        clustering, new_matrix, similarity, added = self._swap(config, 608)
         assert "distance_threshold" not in clustering.extras
-        with pytest.raises(DataError, match="negative"):
-            update_clustering(
-                clustering, new_matrix, similarity, config=config,
-                distance=-similarity_to_distance(similarity),
-            )
+        survivors = [i for i in range(len(similarity)) if i not in added]
+        similarity = similarity.copy()
+        # Off every added row: only the quantile's whole-matrix check reads it.
+        similarity[survivors[0], survivors[1]] = np.nan
+        with pytest.raises(DataError, match="symmetric"):
+            update_clustering(clustering, new_matrix, similarity, config=config)
+
+    def test_a_spilled_quantile_reads_an_out_of_core_distance(self, tmp_path, monkeypatch):
+        spill = SimilarityConfig(
+            spill_threshold_bytes=0, max_bytes_in_flight=4096, store_dir=str(tmp_path)
+        )
+        config = ClusteringConfig(num_clusters=6)  # records no merge threshold
+        matrices = _chain_steps(_zoo(609, 44), 40, 1, 4, 609)
+        matrix, new_matrix = next(matrices), next(matrices)
+        clustering = ModelClusterer(config).cluster(matrix, cache=False, similarity_config=spill)
+        assert "distance_threshold" not in clustering.extras
+        similarity = update_similarity_matrix_ooc(
+            matrix, clustering.similarity, new_matrix,
+            top_k=config.top_k, config=spill, cache=False,
+        )
+        checked = []
+        check = incremental_module.check_distance_matrix
+
+        def recording(distance):
+            checked.append(type(distance))
+            return check(distance)
+
+        monkeypatch.setattr(incremental_module, "check_distance_matrix", recording)
+        update = update_clustering(
+            clustering, new_matrix, similarity, config=config, similarity_config=spill
+        )
+        assert not update.reclustered
+        assert checked == [np.memmap]
+        dense = update_clustering(clustering, new_matrix, np.array(similarity), config=config)
+        assert checked == [np.memmap, np.ndarray]
+        assert np.array_equal(
+            update.clustering.assignment.labels, dense.clustering.assignment.labels
+        )
+        assert update.clustering.extras == dense.clustering.extras
 
     def test_rows_check_gives_the_full_check_verdict(self):
         similarity = np.random.default_rng(9).uniform(size=(6, 6))

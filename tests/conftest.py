@@ -8,6 +8,9 @@ keeps the full suite fast while still exercising the real code paths.
 
 from __future__ import annotations
 
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -136,3 +139,31 @@ def test_pipeline_config():
         fine_selection=FineSelectionConfig(total_epochs=TEST_EPOCHS),
         offline_epochs=TEST_EPOCHS,
     )
+
+
+@pytest.fixture()
+def count_calls(monkeypatch):
+    """Count calls of functions by name, wherever a ``repro`` module holds them.
+
+    ``from x import f`` copies the reference, so every module-level name
+    bound to one of the functions is replaced by a counting wrapper for the
+    test.  ``count_calls(f, g)`` returns the live :class:`Counter`.
+    """
+
+    def install(*functions) -> Counter:
+        calls: Counter = Counter()
+        for function in functions:
+
+            def counted(*args, _function=function, **kwargs):
+                calls[_function.__name__] += 1
+                return _function(*args, **kwargs)
+
+            for name, module in list(sys.modules.items()):
+                if module is None or not (name == "repro" or name.startswith("repro.")):
+                    continue
+                for attr, value in list(vars(module).items()):
+                    if value is function:
+                        monkeypatch.setattr(module, attr, counted)
+        return calls
+
+    return install

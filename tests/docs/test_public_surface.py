@@ -43,11 +43,8 @@ ALLOWLIST: Dict[str, str] = {
     "repro.persist.hooks:clear_hooks": (
         "the fault-injection conftest's reset between tests"
     ),
-    "repro.store.matrix:CacheStats.reset": (
-        "zeroes a tier's counters between measurement windows, beside as_dict"
-    ),
-    "repro.store.matrix:configure_store": (
-        "points the process-default store at a deployment path"
+    "repro.service:SelectionService.cluster_summary": (
+        "examples/quickstart.py prints it"
     ),
 }
 

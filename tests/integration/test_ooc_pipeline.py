@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cache import fingerprint_matrix
+from repro.cache import distance_key, fingerprint_matrix, similarity_key
 from repro.core.config import PipelineConfig, SimilarityConfig
 from repro.core.pipeline import OfflineArtifacts
 from repro.data.workloads import DataScale, suite_for_modality
@@ -83,12 +83,30 @@ def test_refresh_evicts_superseded_spilled_artifacts(small_world, tmp_path):
     artifacts = OfflineArtifacts.build(hub, suite, config=spilled_config, cache=False)
     store = MatrixStore(tmp_path / "store")
     old_fragment = fingerprint_matrix(artifacts.matrix)
-    assert store.evict_matching(old_fragment) > 0  # present before refresh
-    # Rebuild (store entry was just evicted by the probe) and refresh with
-    # eviction enabled: the superseded version's files must be gone.
+    # A bare artifacts refresh leaves the superseded files in place.
+    artifacts.refresh(removed=[hub.model_names[0]], cache=False)
+    assert store.evict_matching(old_fragment) > 0
+    # Rebuild (the probe just evicted the files) and refresh through the
+    # service, which purges after its swap: the superseded files are gone.
     artifacts = OfflineArtifacts.build(hub, suite, config=spilled_config, cache=False)
-    artifacts.refresh(removed=[hub.model_names[0]], cache=False, evict_superseded=True)
+    SelectionService(artifacts).refresh(removed=[hub.model_names[0]])
     assert store.evict_matching(old_fragment) == 0
+
+
+def test_refresh_that_keeps_the_clustering_spills_no_distance(small_world, tmp_path):
+    suite, hub = small_world
+    _, spilled_config = _configs(tmp_path)
+    artifacts = OfflineArtifacts.build(hub, suite, config=spilled_config, cache=False)
+    result = artifacts.refresh(removed=[hub.model_names[0]], cache=False)
+    assert not result.reclustered
+    store = MatrixStore(tmp_path / "store")
+    key = similarity_key(
+        result.artifacts.matrix,
+        method="performance",
+        top_k=spilled_config.clustering.top_k,
+    )
+    assert store.get(key) is not None  # the similarity spilled under its key
+    assert store.get(distance_key(key)) is None
 
 
 def test_cluster_keeps_precomputed_memmap_similarity_out_of_core(small_world, tmp_path):
@@ -123,8 +141,6 @@ def test_cluster_keeps_precomputed_memmap_similarity_out_of_core(small_world, tm
         dense.assignment.labels, clustering.assignment.labels
     )
     # The derived distance landed in the store under its canonical key.
-    from repro.cache import distance_key, similarity_key
-
     store = MatrixStore(tmp_path / "store")
     key = distance_key(similarity_key(matrix, method="performance", top_k=5))
     assert store.get(key) is not None

@@ -5,15 +5,21 @@ The acceptance bar of the dynamic-zoo subsystem: a running
 across a :meth:`refresh` (equal to a service built from scratch over the
 updated repository) **without** rebuilding unaffected artifacts — surviving
 checkpoints are not re-fine-tuned, surviving similarity rows are not
-recomputed, and the refreshed artifacts land in the cache under their
-canonical keys while the superseded version's entries are evicted.
+recomputed, and the refreshed similarity lands in the cache under its
+canonical key while the superseded version's entries are evicted.
 """
 
 import numpy as np
 import pytest
 from oracles import serial_select
 
+import repro.cache
 from repro.cache import ArtifactCache, distance_key, similarity_key
+from repro.cluster.distance import (
+    distance_matrix_for,
+    distance_memmap_for,
+    similarity_to_distance,
+)
 from repro.core.pipeline import OfflineArtifacts
 from repro.service import SelectionService
 from repro.utils.exceptions import ConfigurationError
@@ -73,36 +79,53 @@ class TestArtifactRefresh:
         assert {name for name, _ in calls} == {ADDED_MODEL}
         assert len(calls) == len(artifacts.matrix.dataset_names)
 
-    def test_refresh_warms_and_evicts_cache(self, artifacts, test_pipeline_config):
+    def test_refresh_warms_and_evicts_cache(
+        self, artifacts, test_pipeline_config, monkeypatch
+    ):
         cache = ArtifactCache(max_entries=16)
+        # The service refreshes and purges through the process-default cache.
+        monkeypatch.setattr(repro.cache, "_default_cache", cache)
         top_k = test_pipeline_config.clustering.top_k
         old_key = similarity_key(artifacts.matrix, method="performance", top_k=top_k)
         cache.put(old_key, artifacts.clustering.similarity)
 
-        result = artifacts.refresh(added=[ADDED_MODEL], cache=cache)
+        # A bare artifacts refresh evicts nothing: the old epoch may still serve.
+        assert artifacts.refresh(added=[ADDED_MODEL]).evicted_entries == 0
+        assert cache.get(old_key) is not None
+
+        result = SelectionService(artifacts).refresh(added=[ADDED_MODEL])
         new_key = similarity_key(
             result.artifacts.matrix, method="performance", top_k=top_k
         )
-        # The refreshed artifacts are warm under their canonical keys ...
+        # The refreshed similarity is warm under its canonical key; no
+        # distance was derived for a refresh that kept the clustering ...
+        assert not result.reclustered
         assert cache.get(new_key) is not None
-        assert cache.get(distance_key(new_key)) is not None
-        # ... and the superseded version's entries were evicted, not reused.
+        assert cache.get(distance_key(new_key)) is None
+        # ... and the service evicted the superseded version's entries.
         assert result.evicted_entries >= 1
         assert cache.get(old_key) is None
 
     def test_incremental_similarity_row_is_not_recomputed(self, artifacts):
         """The cache hit/miss ledger proves the warm path: clustering the
-        refreshed matrix again resolves from lookups alone."""
+        refreshed matrix again finds its similarity by lookup; only the
+        distance, which the refresh never derived, is a miss."""
         cache = ArtifactCache(max_entries=16)
         result = artifacts.refresh(added=[ADDED_MODEL], cache=cache)
         from repro.core.model_clustering import ModelClusterer
 
-        misses_before = cache.stats.misses
+        new_key = similarity_key(
+            result.artifacts.matrix,
+            method="performance",
+            top_k=artifacts.config.clustering.top_k,
+        )
+        assert distance_key(new_key) not in cache.memory
+        misses_before, hits_before = cache.stats.misses, cache.stats.hits
         clustering = ModelClusterer(artifacts.config.clustering).cluster(
             result.artifacts.matrix, cache=cache
         )
-        assert cache.stats.misses == misses_before  # pure cache hits
-        assert cache.stats.hits >= 1
+        assert cache.stats.misses == misses_before + 1  # the distance key alone
+        assert cache.stats.hits > hits_before
         assert np.array_equal(
             clustering.similarity, result.artifacts.clustering.similarity
         )
@@ -156,6 +179,19 @@ class TestServiceRefresh:
         assert np.array_equal(
             result.artifacts.clustering.similarity, fresh.clustering.similarity
         )
+
+    def test_a_refresh_that_keeps_the_clustering_derives_no_distance(
+        self, artifacts, count_calls
+    ):
+        calls = count_calls(distance_matrix_for, distance_memmap_for, similarity_to_distance)
+        result = SelectionService(artifacts).refresh(
+            removed=[artifacts.hub.model_names[0]]
+        )
+        assert not result.reclustered
+        assert calls == {}
+        # The counters are live: the first silhouette read converts once.
+        assert result.artifacts.clustering.silhouette is not None
+        assert calls == {"similarity_to_distance": 1}
 
     def test_refresh_does_not_rebuild_survivors(self, artifacts, monkeypatch):
         service = SelectionService(artifacts)

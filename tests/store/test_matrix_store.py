@@ -6,7 +6,6 @@ import pytest
 from repro.cache import ArtifactCache
 from repro.store import (
     MatrixStore,
-    configure_store,
     get_store,
     iter_row_blocks,
     peek_store,
@@ -218,8 +217,6 @@ def test_default_store_from_env(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "persistent"))
     assert get_store().root == tmp_path / "persistent"
     assert peek_store() is get_store()
-    replacement = configure_store(tmp_path / "other")
-    assert get_store() is replacement
 
 
 def test_peek_store_never_builds_one(monkeypatch):
