@@ -84,7 +84,7 @@ def assert_bitwise(fresh) -> None:
     fused = fresh()
     for session in serial:
         session.train_epochs(ROUND_EPOCHS)
-    report = FusedSessionGroup(fused).advance(ROUND_EPOCHS, probe=True)
+    report = FusedSessionGroup(fused).advance(ROUND_EPOCHS)
     if report.delegated:
         raise SystemExit(
             f"FAIL: fused probe diverged from the serial oracle: "
@@ -109,7 +109,11 @@ def assert_bitwise(fresh) -> None:
 
 
 def time_rounds(fresh) -> Tuple[float, float]:
-    """Median serial and fused wall-clock of one ``ROUND_EPOCHS`` round."""
+    """Median serial and fused wall-clock of one ``ROUND_EPOCHS`` round.
+
+    Runs after :func:`assert_bitwise`, so the fused rounds train under its
+    pass verdict and time no probe.
+    """
     serial_times: List[float] = []
     fused_times: List[float] = []
     fresh()[0].train_epochs(1)  # warm caches outside the timed region
@@ -124,7 +128,7 @@ def time_rounds(fresh) -> Tuple[float, float]:
         sessions = fresh()
         group = FusedSessionGroup(sessions)
         t0 = time.perf_counter()
-        group.advance(ROUND_EPOCHS, probe=False)
+        group.advance(ROUND_EPOCHS)
         fused_times.append(time.perf_counter() - t0)
     return statistics.median(serial_times), statistics.median(fused_times)
 

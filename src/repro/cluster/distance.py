@@ -447,11 +447,12 @@ def offline_matrices(
         )
     if config is not None and _is_canonical_spill(similarity, matrix, top_k, config):
         distance = distance_memmap_for(matrix, similarity, top_k=top_k, config=config)
-    elif computed and resolve_cache(cache) is not None:
-        # Memoised conversion: a repeat build resolves with one lookup.
-        distance = distance_matrix_for(
-            matrix, method=method, top_k=top_k, model_cards=model_cards, cache=cache
-        )
+    elif computed and method == "performance" and resolve_cache(cache) is not None:
+        # Memoised conversion of the similarity in hand, never re-read.
+        from repro.core.similarity import DEFAULT_CHUNK_BUDGET_BYTES
+
+        sink = ArraySink(resolve_cache(cache), budget_bytes=DEFAULT_CHUNK_BUDGET_BYTES)
+        distance = _eq1_distance(matrix, top_k, sink, lambda: similarity)
     else:
         distance = similarity_to_distance(similarity)
     work_store = None

@@ -156,9 +156,8 @@ class ModelClustering:
 class ModelClusterer:
     """Clusters a model repository from its performance matrix."""
 
-    def __init__(self, config: Optional[ClusteringConfig] = None, *, seed: int = 0) -> None:
+    def __init__(self, config: Optional[ClusteringConfig] = None) -> None:
         self.config = config or ClusteringConfig()
-        self._seed = int(seed)
 
     def cluster(
         self,
@@ -247,7 +246,7 @@ class ModelClusterer:
         # matrix as embedding coordinates (classical MDS-free shortcut that
         # preserves the neighbourhood structure well enough for Table I).
         num_clusters = self.config.num_clusters or max(2, distance.shape[0] // 4)
-        kmeans = KMeans(num_clusters, rng=np.random.default_rng(self._seed))
+        kmeans = KMeans(num_clusters, rng=np.random.default_rng(0))
         return kmeans.fit_predict(distance), None
 
     @staticmethod

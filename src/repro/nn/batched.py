@@ -33,12 +33,13 @@ This module provides that engine:
 Correctness contract — every numpy kernel used here is bitwise-identical
 per slice to its 2-D counterpart (stacked ``matmul`` dispatches the same
 BLAS call per slice; elementwise optimiser updates and last-axis reductions
-are order-identical), and the engine *proves* it per group instead of
-assuming it: the first fused epoch of an unverified geometry runs the
-serial oracle alongside and compares the full float trajectory (parameters,
-optimiser moments, losses, accuracies).  Any slice that diverges delegates
-the whole group to the per-session path — nnchain-style delegation: the
-serial epoch already computed is kept, so a failed probe wastes nothing.
+are order-identical), and the engine *proves* it once per kernel geometry
+per process instead of assuming it: the first fused epoch of an unverified
+geometry runs the serial oracle alongside and compares the full float
+trajectory (parameters, optimiser moments, losses, accuracies).  Any slice
+that diverges delegates the group, and every later one of its geometry, to
+the per-session path — nnchain-style delegation: the serial epoch already
+computed is kept, so a failed probe wastes nothing.
 """
 
 from __future__ import annotations
@@ -70,6 +71,11 @@ __all__ = [
 #: groups.
 FUSED_MIN_GROUP = 2
 
+#: Process-wide probe verdict per kernel geometry (keyed in
+#: :meth:`FusedSessionGroup.advance`), shared by the offline build and
+#: every scheduler: ``True`` = fused proven bitwise-equal to serial.
+_VERDICTS: Dict[Tuple, bool] = {}
+
 
 def _layer_structure(head: MLPClassifier) -> Tuple:
     """Hashable description of a head's layer stack (shapes + activations)."""
@@ -92,11 +98,12 @@ def _layer_structure(head: MLPClassifier) -> Tuple:
     return tuple(parts)
 
 
-def _optimizer_signature(head: MLPClassifier) -> Tuple:
+def _optimizer_signature(head: MLPClassifier, *, clock: bool = True) -> Tuple:
     """Hashable description of a head's optimiser type, hypers and clock."""
     opt = head.optimizer
     if isinstance(opt, Adam):
-        return ("adam", opt.learning_rate, opt.beta1, opt.beta2, opt.epsilon, opt._t)
+        signature = ("adam", opt.learning_rate, opt.beta1, opt.beta2, opt.epsilon)
+        return signature + (opt._t,) if clock else signature
     if isinstance(opt, Momentum):
         return (
             "momentum",
@@ -271,10 +278,6 @@ class StackedHeads:
                 "heads are not fusion-compatible (layer structure, dropout "
                 "or optimizer state mismatch)"
             )
-        self.heads = heads
-        self.size = len(heads)
-        self.input_dim = heads[0].input_dim
-        self.num_classes = heads[0].num_classes
         self._linears = [
             [layer for layer in head.net.layers if isinstance(layer, Linear)]
             for head in heads
@@ -472,7 +475,8 @@ class FusedAdvanceReport:
     ``fused_epochs``/``serial_epochs`` count *session-epochs* (one member
     advancing one epoch), so their sum is always ``S * epochs``.
     ``probe_epochs`` counts the duplicated oracle epochs a verification
-    probe spent on top.
+    probe spent on top.  ``verified``/``delegated``: the geometry's verdict
+    passed (the group trained fused) / failed (it trained serially).
     """
 
     sessions: int = 0
@@ -494,7 +498,7 @@ class FusedSessionGroup:
     ``train_epochs``, ``fusion_signature``) and agree on
     ``fusion_signature()`` and ``epochs_trained``.  The module docstring
     describes the bitwise contract; :meth:`advance` enforces it through
-    the probe gate.
+    the process-wide verdict of the group's kernel geometry.
     """
 
     def __init__(self, sessions: Sequence) -> None:
@@ -515,7 +519,6 @@ class FusedSessionGroup:
                     f"({session.epochs_trained} != {position})"
                 )
         self.sessions = sessions
-        self.signature = signature
         self.batch_size = int(sessions[0].config.batch_size)
 
     # ------------------------------------------------------------------ #
@@ -599,38 +602,40 @@ class FusedSessionGroup:
         return True
 
     # ------------------------------------------------------------------ #
-    def advance(self, epochs: int, *, probe: bool = True) -> FusedAdvanceReport:
+    def advance(self, epochs: int) -> FusedAdvanceReport:
         """Train every member ``epochs`` epochs; fused where proven safe.
 
-        With ``probe=True`` (an unverified geometry) the first epoch runs
-        both stacked and serial from the same RNG state and compares the
-        trajectories bitwise; a match trains the remaining epochs fused, a
-        mismatch delegates the whole group to the serial path — keeping
-        the serial epoch already computed, so the probe never wastes
-        training.  ``probe=False`` trusts a previous verification and
-        runs every epoch fused.
+        A geometry without a verdict is probed: the first epoch runs both
+        stacked and serial from the same RNG state, and whether the
+        trajectories match bitwise becomes the geometry's verdict for the
+        process.  A pass trains the remaining epochs fused; a failure
+        delegates the whole group to the serial path, keeping a probe's
+        serial epoch, so the probe never wastes training.
         """
         if epochs <= 0:
             raise ConfigurationError("epochs must be positive")
-        report = FusedAdvanceReport(sessions=len(self.sessions), epochs=epochs)
         size = len(self.sessions)
-        y = np.asarray(self.sessions[0].train_labels, dtype=int)
-        x = np.stack(
-            [
-                np.asarray(session.train_features, dtype=float)
-                for session in self.sessions
-            ]
+        report = FusedAdvanceReport(sessions=size, epochs=epochs)
+        first = self.sessions[0]
+        # The verdict key: what fixes the kernels' order of operations, not
+        # the task's data.  ``S`` stays in it (a larger stack has slices at
+        # offsets no smaller probe checked); Adam's clock sets scalars only.
+        geometry = (
+            size, first.train_features.shape, first.eval_features().shape,
+            first.eval_split, _layer_structure(first.head),
+            _optimizer_signature(first.head, clock=False), self.batch_size,
         )
-        eval_slab = np.stack(
-            [
-                np.asarray(session.eval_features(), dtype=float)
-                for session in self.sessions
-            ]
-        )
-        stacked = StackedHeads([session.head for session in self.sessions])
+        verdict = _VERDICTS.get(geometry)
         remaining = epochs
+        if verdict is not False:
+            y = np.asarray(first.train_labels, dtype=int)
+            x = np.stack([np.asarray(s.train_features, dtype=float) for s in self.sessions])
+            eval_slab = np.stack(
+                [np.asarray(s.eval_features(), dtype=float) for s in self.sessions]
+            )
+            stacked = StackedHeads([session.head for session in self.sessions])
 
-        if probe:
+        if verdict is None:
             rng_states = [
                 session.head._rng.bit_generator.state for session in self.sessions
             ]
@@ -653,18 +658,22 @@ class FusedSessionGroup:
             report.probe_epochs += size
             report.serial_epochs += size
             remaining -= 1
-            if not self._probe_matches(stacked, staged, report):
-                report.delegated = True
-                if remaining:
-                    for session in self.sessions:
-                        session.train_epochs(remaining)
-                    report.serial_epochs += size * remaining
-                return report
-            report.verified = True
-            # Fused == serial bitwise; the member heads already hold the
-            # epoch's parameters, and the stacked state is identical —
-            # continue in stacked space.
+            verdict = self._probe_matches(stacked, staged, report)
+            if verdict:  # a failure stays final whatever a concurrent probe found
+                _VERDICTS.setdefault(geometry, True)
+            else:
+                _VERDICTS[geometry] = False
 
+        if not verdict:
+            report.delegated = True
+            if remaining:
+                for session in self.sessions:
+                    session.train_epochs(remaining)
+                report.serial_epochs += size * remaining
+            return report
+        # Fused == serial bitwise (after a probe the heads already hold its
+        # epoch, and the stacked state is identical): continue stacked.
+        report.verified = True
         for _ in range(remaining):
             perms = self._draw_permutations()
             losses, train_accs = fused_fit_epoch(

@@ -48,7 +48,7 @@ from repro.core.extrapolation import ExtrapolationConfig, resolve_extrapolation
 from repro.core.plan import SelectionPlan, TrainStep
 from repro.core.results import RecallResult, SelectionResult, TwoPhaseResult
 from repro.data.tasks import ClassificationTask
-from repro.nn.batched import FUSED_MIN_GROUP, FusedSessionGroup
+from repro.nn.batched import FUSED_MIN_GROUP, FusedSessionGroup, _VERDICTS
 from repro.persist.codec import (
     decode_recall,
     decode_result,
@@ -267,10 +267,7 @@ class EpochScheduler:
         self._recover_skipped = 0
         self._arms_pruned = 0
         self._prunes_replayed = 0
-        # Fused-training bookkeeping: per-geometry probe verdicts (True =
-        # stacked kernels proven bitwise-equal to the serial oracle, False
-        # = divergence observed, group delegated) plus round counters.
-        self._fused_verdicts: Dict[Tuple, bool] = {}
+        # Fused-training round counters (verdicts live in repro.nn.batched).
         self._fused_groups = 0
         self._fused_sessions = 0
         self._fused_epochs = 0
@@ -1085,8 +1082,8 @@ class EpochScheduler:
         Ops whose sessions share a fusion signature, current epoch and
         round target form one ``("fused", indices)`` unit (stacked-kernel
         training); everything else — singletons, groups below
-        :data:`~repro.nn.batched.FUSED_MIN_GROUP`, geometries a probe has condemned, sessions
-        without a fusion surface — stays on the per-session path as
+        :data:`~repro.nn.batched.FUSED_MIN_GROUP`, sessions without a fusion
+        surface — stays on the per-session path as
         ``("single", [index])`` units.
         """
         if not self.config.fused_training:
@@ -1101,11 +1098,9 @@ class EpochScheduler:
                 continue
             key = (signature(), session.epochs_trained, target)
             groups.setdefault(key, []).append(index)
-        with self._lock:
-            verdicts = dict(self._fused_verdicts)
         units: List[Tuple[str, List[int]]] = []
-        for key, indices in groups.items():
-            if len(indices) >= FUSED_MIN_GROUP and verdicts.get(key[0], True):
+        for indices in groups.values():
+            if len(indices) >= FUSED_MIN_GROUP:
                 units.append(("fused", indices))
             else:
                 units.extend(("single", [index]) for index in indices)
@@ -1144,9 +1139,7 @@ class EpochScheduler:
             if len(fused_items) >= FUSED_MIN_GROUP:
                 sessions = [view.entry.session for view, _ in fused_items]
                 try:
-                    group = FusedSessionGroup(sessions)
-                    probe = group.signature not in self._fused_verdicts
-                    advance = group.advance(target - start, probe=probe)
+                    advance = FusedSessionGroup(sessions).advance(target - start)
                 except ConfigurationError:
                     # Geometry looked fusable by signature but the stacked
                     # engine refused it (defensive) — per-session path.
@@ -1161,8 +1154,6 @@ class EpochScheduler:
             self._serial_epochs += serial
             if advance is None:
                 return serial
-            if probe:
-                self._fused_verdicts[group.signature] = not advance.delegated
             self._fused_groups += 1
             self._fused_sessions += len(fused_items)
             self._fused_epochs += advance.fused_epochs
@@ -1357,9 +1348,7 @@ class EpochScheduler:
                     "probe_epochs": self._probe_epochs,
                     "delegated_groups": self._delegated_groups,
                     "largest_group": self._fused_largest_group,
-                    "verified_geometries": sum(
-                        1 for verdict in self._fused_verdicts.values() if verdict
-                    ),
+                    "verified_geometries": list(_VERDICTS.values()).count(True),
                 },
             }
             if self._persist is not None:

@@ -323,10 +323,10 @@ class FineTuner:
         The models train in groups of at most :data:`OFFLINE_GROUP`, in
         order.  A group of at least :data:`~repro.nn.batched.FUSED_MIN_GROUP`
         sessions training two or more epochs advances as one
-        :class:`~repro.nn.batched.FusedSessionGroup` (its first epoch is the
-        bitwise probe); otherwise each session trains serially, since with
-        one epoch the probe would only duplicate it.  Either way every curve
-        equals a serial :meth:`fine_tune` bitwise.
+        :class:`~repro.nn.batched.FusedSessionGroup` (the first group of a
+        kernel geometry probes its first epoch); otherwise each session
+        trains serially, since with one epoch a probe would only duplicate
+        it.  Either way every curve equals a serial :meth:`fine_tune` bitwise.
         """
         cfg = config or self.config
         num_epochs = epochs if epochs is not None else cfg.epochs
@@ -347,7 +347,7 @@ class FineTuner:
         """Train one offline group; its sessions die when this returns."""
         sessions = self.start_sessions(models, task, config=config)
         if len(sessions) >= FUSED_MIN_GROUP and epochs >= 2:
-            FusedSessionGroup(sessions).advance(epochs, probe=True)
+            FusedSessionGroup(sessions).advance(epochs)
         else:
             for session in sessions:
                 session.train_epochs(epochs)

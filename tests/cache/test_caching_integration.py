@@ -126,6 +126,15 @@ class TestDistanceCaching:
         assert np.allclose(canonical, expected, atol=1e-12)
         assert not np.allclose(canonical, custom_distance)
 
+    def test_cold_clustering_never_reads_back_what_it_stored(self, nlp_matrix_small):
+        cache = ArtifactCache(max_entries=8)
+        cold = ModelClusterer(ClusteringConfig()).cluster(nlp_matrix_small, cache=cache)
+        # One miss and one put each for the similarity and its distance.
+        assert (cache.stats.hits, cache.stats.misses, cache.stats.puts) == (0, 2, 2)
+        uncached = ModelClusterer(ClusteringConfig()).cluster(nlp_matrix_small, cache=False)
+        assert np.array_equal(cold.similarity, uncached.similarity)
+        assert np.array_equal(cold.assignment.labels, uncached.assignment.labels)
+
     def test_clusterer_reuses_cached_artifacts(self, nlp_matrix_small, nlp_hub_small):
         cache = ArtifactCache(max_entries=8)
         clusterer = ModelClusterer(ClusteringConfig())

@@ -18,6 +18,7 @@ from repro.core.config import ClusteringConfig, FineSelectionConfig, PipelineCon
 from repro.core.model_clustering import ModelClusterer
 from repro.core.performance import build_performance_matrix
 from repro.data.workloads import DataScale, WorkloadSuite
+from repro.nn.batched import _VERDICTS
 from repro.zoo.finetune import FineTuneConfig, FineTuner
 from repro.zoo.hub import ModelHub
 
@@ -139,6 +140,19 @@ def test_pipeline_config():
         fine_selection=FineSelectionConfig(total_epochs=TEST_EPOCHS),
         offline_epochs=TEST_EPOCHS,
     )
+
+
+@pytest.fixture(autouse=True)
+def fresh_fusion_verdicts():
+    """Start and end every test without process-wide fusion verdicts.
+
+    A test that forces a kernel mismatch must neither leak its failed
+    verdict into other tests nor inherit a pass verdict that would let its
+    lying kernel train unprobed.
+    """
+    _VERDICTS.clear()
+    yield
+    _VERDICTS.clear()
 
 
 @pytest.fixture()

@@ -79,7 +79,7 @@ class TestModelClusterer:
 
     def test_kmeans_clustering(self, nlp_matrix_small, nlp_hub_small):
         config = ClusteringConfig(method="kmeans", num_clusters=4)
-        clustering = ModelClusterer(config, seed=0).cluster(
+        clustering = ModelClusterer(config).cluster(
             nlp_matrix_small, model_cards=nlp_hub_small.model_cards()
         )
         assert clustering.assignment.num_clusters == 4

@@ -10,6 +10,7 @@ from repro.core.performance import (
     update_performance_matrix,
 )
 from repro.nn.batched import FusedSessionGroup
+from repro.service import modality_hub
 from repro.utils.exceptions import DataError
 from repro.zoo.finetune import OFFLINE_GROUP, FineTuneConfig, FineTuner, LearningCurve
 
@@ -217,8 +218,8 @@ class TestOfflineGroups:
         calls = []
         original = FusedSessionGroup.advance
 
-        def spy(self, epochs, *, probe=True):
-            report = original(self, epochs, probe=probe)
+        def spy(self, epochs):
+            report = original(self, epochs)
             calls.append(report)
             return report
 
@@ -233,7 +234,18 @@ class TestOfflineGroups:
         )
         assert [report.sessions for report in advances] == [OFFLINE_GROUP, 2] * 2
         assert all(report.verified and not report.delegated for report in advances)
-        assert all(report.probe_epochs == report.sessions for report in advances)
+        # cola and sst2 share every kernel shape: only the first group of
+        # each size probes.
+        assert [report.probe_epochs for report in advances] == [OFFLINE_GROUP, 2, 0, 0]
+
+    @pytest.mark.parametrize("modality, models, most_probes", [("nlp", 40, 6), ("cv", None, 5)])
+    def test_full_build_probes_once_per_geometry(self, advances, modality, models, most_probes):
+        suite, hub = modality_hub(modality, num_models=models)
+        build_performance_matrix(hub, suite, fine_tuner=FineTuner(seed=0))
+        groups_per_task = -(-len(hub) // OFFLINE_GROUP)
+        assert len(advances) == len(suite.benchmark_names) * groups_per_task
+        assert all(report.verified for report in advances)
+        assert sum(report.probe_epochs > 0 for report in advances) <= most_probes
 
     @pytest.mark.parametrize("epochs, models", [(1, 12), (3, 1)])
     def test_one_epoch_or_one_model_makes_no_group(

@@ -191,19 +191,42 @@ class TestStackedOptimizer:
             stacked.step([np.zeros(2)], [])
 
 
-def make_sessions(count, *, optimizer="adam", seed=0):
+def make_sessions(count, *, optimizer="adam", seed=0, task="sst2"):
+    """``count`` fresh sessions; every small-scale task shares its slab shapes."""
     from repro.data.workloads import DataScale, WorkloadSuite
     from repro.zoo.hub import ModelHub
 
     suite = WorkloadSuite(
         "nlp", seed=0, scale=DataScale.small(),
-        benchmark_names=["sst2", "cola"], target_names=["mnli"],
+        benchmark_names=["sst2", "cola", "snli"], target_names=["mnli"],
     )
     hub = ModelHub(suite, seed=0)
     tuner = FineTuner(FineTuneConfig(epochs=5, optimizer=optimizer), seed=seed)
-    task = suite.task("sst2")
-    return [tuner.start_session(hub.get(name), task)
+    return [tuner.start_session(hub.get(name), suite.task(task))
             for name in hub.model_names[:count]]
+
+
+def assert_same_curves(serial, fused):
+    for a, b in zip(serial, fused):
+        assert a.curve.train_loss == b.curve.train_loss
+        assert a.curve.val_accuracy == b.curve.val_accuracy
+        assert a.curve.test_accuracy == b.curve.test_accuracy
+        assert a.head.history.train_accuracy == b.head.history.train_accuracy
+        for pa, pb in zip(a.head.net.params(), b.head.net.params()):
+            assert np.array_equal(pa, pb)
+
+
+def lie_in_fused_kernel(monkeypatch):
+    """Make every fused epoch report losses off by 1e-9 (a diverging kernel)."""
+    import repro.nn.batched as batched
+
+    real = batched.fused_fit_epoch
+
+    def lying_fit_epoch(stacked, x, y, perms, *, batch_size):
+        losses, accuracies = real(stacked, x, y, perms, batch_size=batch_size)
+        return [loss + 1e-9 for loss in losses], accuracies
+
+    monkeypatch.setattr(batched, "fused_fit_epoch", lying_fit_epoch)
 
 
 class TestFusedSessionGroup:
@@ -212,52 +235,94 @@ class TestFusedSessionGroup:
         fused = make_sessions(4)
         for session in serial:
             session.train_epochs(3)
-        report = FusedSessionGroup(fused).advance(3, probe=True)
+        report = FusedSessionGroup(fused).advance(3)
         assert report.verified and not report.delegated
         assert report.fused_epochs + report.serial_epochs == 4 * 3
         assert report.probe_epochs == 4
-        for a, b in zip(serial, fused):
-            assert a.curve.train_loss == b.curve.train_loss
-            assert a.curve.val_accuracy == b.curve.val_accuracy
-            assert a.curve.test_accuracy == b.curve.test_accuracy
-            assert a.head.history.train_accuracy == b.head.history.train_accuracy
+        assert_same_curves(serial, fused)
 
     def test_unprobed_advance_matches_serial(self):
-        serial = make_sessions(3)
-        fused = make_sessions(3)
+        """A second group of a verified geometry trains fused, unprobed."""
+        FusedSessionGroup(make_sessions(3)).advance(2)
+        serial = make_sessions(3, task="cola")
+        fused = make_sessions(3, task="cola")
         for session in serial:
             session.train_epochs(2)
-        report = FusedSessionGroup(fused).advance(2, probe=False)
+        report = FusedSessionGroup(fused).advance(2)
+        assert report.verified and report.probe_epochs == 0
         assert report.fused_epochs == 3 * 2
-        for a, b in zip(serial, fused):
-            assert a.curve.train_loss == b.curve.train_loss
-            assert a.curve.val_accuracy == b.curve.val_accuracy
+        assert_same_curves(serial, fused)
+
+    @pytest.mark.parametrize("count, task", [(2, "sst2"), (3, "snli")])
+    def test_other_size_or_class_count_probes_again(self, count, task):
+        assert FusedSessionGroup(make_sessions(3)).advance(2).probe_epochs == 3
+        report = FusedSessionGroup(make_sessions(count, task=task)).advance(2)
+        assert report.verified and report.probe_epochs == count
 
     def test_injected_divergence_delegates_to_serial(self, monkeypatch):
         """A lying kernel must lose to the oracle, not corrupt results."""
-        import repro.nn.batched as batched
-
         serial = make_sessions(3)
         fused = make_sessions(3)
         for session in serial:
             session.train_epochs(3)
 
-        real = batched.fused_fit_epoch
-
-        def lying_fit_epoch(stacked, x, y, perms, *, batch_size):
-            losses, accuracies = real(stacked, x, y, perms, batch_size=batch_size)
-            return [loss + 1e-9 for loss in losses], accuracies
-
-        monkeypatch.setattr(batched, "fused_fit_epoch", lying_fit_epoch)
-        report = FusedSessionGroup(fused).advance(3, probe=True)
+        lie_in_fused_kernel(monkeypatch)
+        report = FusedSessionGroup(fused).advance(3)
         assert report.delegated and not report.verified
         assert report.mismatches
         assert report.fused_epochs == 0
         assert report.serial_epochs == 3 * 3
         # Delegation kept the serial trajectory: results still exact.
-        for a, b in zip(serial, fused):
-            assert a.curve.train_loss == b.curve.train_loss
-            assert a.curve.val_accuracy == b.curve.val_accuracy
+        assert_same_curves(serial, fused)
+
+    def test_failed_verdict_sends_next_group_serial_unprobed(self, monkeypatch):
+        lie_in_fused_kernel(monkeypatch)
+        assert FusedSessionGroup(make_sessions(3)).advance(2).delegated
+        serial = make_sessions(3, task="cola")
+        fused = make_sessions(3, task="cola")
+        for session in serial:
+            session.train_epochs(3)
+        report = FusedSessionGroup(fused).advance(3)
+        assert report.delegated and not report.verified
+        assert report.probe_epochs == 0 and not report.mismatches
+        assert report.fused_epochs == 0
+        assert report.serial_epochs == 3 * 3
+        assert_same_curves(serial, fused)
+
+    def test_concurrent_groups_share_one_verdict(self):
+        """Threads advancing one geometry at once stay bitwise and agree."""
+        import sys
+        import threading
+
+        from repro.nn.batched import _VERDICTS
+
+        workers = 4
+        groups = [make_sessions(2) for _ in range(workers)]
+        serial = make_sessions(2)
+        for session in serial:
+            session.train_epochs(3)
+        reports = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(
+                    target=lambda g=g: reports.append(FusedSessionGroup(g).advance(3))
+                )
+                for g in groups
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(reports) == workers
+        assert all(report.verified for report in reports)
+        assert list(_VERDICTS.values()) == [True]
+        for fused in groups:
+            assert_same_curves(serial, fused)
 
     def test_group_rejects_mixed_positions(self):
         sessions = make_sessions(2)

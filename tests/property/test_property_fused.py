@@ -140,8 +140,8 @@ class TestEngineGeometryMixes:
             for session in serial:
                 session.train_epochs(sum(epoch_split))
             group = FusedSessionGroup(fused)
-            for index, epochs in enumerate(epoch_split):
-                group.advance(epochs, probe=(index == 0))
+            for epochs in epoch_split:
+                group.advance(epochs)
             for a, b in zip(serial, fused):
                 assert a.curve.train_loss == b.curve.train_loss
                 assert a.curve.val_accuracy == b.curve.val_accuracy
