@@ -57,31 +57,14 @@ STREAM_BLOCK_ROWS = 512
 _HALF_MAX = np.finfo(float).max / 2.0
 
 
-def pairwise_distances(points: np.ndarray, *, metric: str = "euclidean") -> np.ndarray:
-    """Symmetric ``(n, n)`` distance matrix of the rows of ``points``.
-
-    Supported metrics: ``euclidean``, ``sqeuclidean``, ``cosine`` and
-    ``cityblock``.
-    """
+def pairwise_distances(points: np.ndarray) -> np.ndarray:
+    """Symmetric ``(n, n)`` Euclidean distance matrix of the rows of ``points``."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
         raise DataError(f"points must be 2-d, got shape {points.shape}")
-    n = points.shape[0]
-    if metric in ("euclidean", "sqeuclidean"):
-        norms = np.sum(points**2, axis=1)
-        squared = norms[:, None] + norms[None, :] - 2.0 * points @ points.T
-        squared = np.clip(squared, 0.0, None)
-        matrix = squared if metric == "sqeuclidean" else np.sqrt(squared)
-    elif metric == "cosine":
-        norms = np.linalg.norm(points, axis=1)
-        norms = np.where(norms == 0, 1.0, norms)
-        normalised = points / norms[:, None]
-        matrix = 1.0 - normalised @ normalised.T
-        matrix = np.clip(matrix, 0.0, 2.0)
-    elif metric == "cityblock":
-        matrix = np.abs(points[:, None, :] - points[None, :, :]).sum(axis=2)
-    else:
-        raise DataError(f"unknown distance metric {metric!r}")
+    norms = np.sum(points**2, axis=1)
+    squared = norms[:, None] + norms[None, :] - 2.0 * points @ points.T
+    matrix = np.sqrt(np.clip(squared, 0.0, None))
     np.fill_diagonal(matrix, 0.0)
     # Enforce exact symmetry against floating-point drift.
     return (matrix + matrix.T) / 2.0

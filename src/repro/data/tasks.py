@@ -147,13 +147,11 @@ def _sample_labels(
     return labels
 
 
-def generate_task(
-    spec: TaskSpec,
-    space: DomainSpace,
-    rng=None,
-    *,
-    nuisance_scale: float = 0.6,
-) -> ClassificationTask:
+#: Scale of the class-independent offset every task's samples share.
+_NUISANCE_SCALE = 0.6
+
+
+def generate_task(spec: TaskSpec, space: DomainSpace, rng=None) -> ClassificationTask:
     """Materialise a :class:`ClassificationTask` from its spec.
 
     The generative model per sample of class ``c``:
@@ -185,7 +183,7 @@ def generate_task(
         labels = _sample_labels(generator, size, spec.num_classes, spec.class_imbalance)
         concept_signal = prototypes[labels]
         features = space.lift(concept_signal)
-        features += nuisance_scale * generator.normal(size=(size, 1)) * nuisance_direction
+        features += _NUISANCE_SCALE * generator.normal(size=(size, 1)) * nuisance_direction
         features += spec.noise * generator.normal(size=(size, space.feature_dim))
         return DataSplit(features, labels)
 

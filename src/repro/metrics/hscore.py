@@ -24,7 +24,11 @@ from repro.metrics.base import ProxyScorer
 from repro.utils.exceptions import DataError
 
 
-def h_score(features: np.ndarray, labels: np.ndarray, *, ridge: float = 1e-3) -> float:
+#: Ridge added to the feature covariance's diagonal so it stays invertible.
+_RIDGE = 1e-3
+
+
+def h_score(features: np.ndarray, labels: np.ndarray) -> float:
     """H-score of ``features`` w.r.t. ``labels``."""
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels, dtype=int)
@@ -40,7 +44,7 @@ def h_score(features: np.ndarray, labels: np.ndarray, *, ridge: float = 1e-3) ->
 
     centred = features - features.mean(axis=0, keepdims=True)
     cov = (centred.T @ centred) / features.shape[0]
-    cov += ridge * np.eye(cov.shape[0])
+    cov += _RIDGE * np.eye(cov.shape[0])
 
     class_mean_features = np.zeros_like(features)
     for cls in classes:

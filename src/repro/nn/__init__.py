@@ -1,17 +1,17 @@
 """Minimal numpy neural-network substrate used for fine-tuning.
 
 The paper fine-tunes transformer checkpoints on a GPU; this substrate
-provides the same *interface contract* — a trainable classifier head (and
-optionally a trainable encoder) producing epoch-level validation/test
-accuracy curves — implemented as plain numpy multilayer perceptrons so the
-whole reproduction runs on a laptop CPU.
+provides the same *interface contract* — a trainable classifier head
+producing epoch-level validation/test accuracy curves — implemented as a
+plain numpy linear softmax layer trained with Adam, so the whole
+reproduction runs on a laptop CPU.
 
 Public API:
 
-* :class:`~repro.nn.network.MLPClassifier` — dense softmax classifier.
-* Layers (:class:`~repro.nn.layers.Linear`, activations, dropout).
+* :class:`~repro.nn.network.MLPClassifier` — the linear softmax head.
+* The layer (:class:`~repro.nn.layers.Linear`).
 * Losses (:func:`~repro.nn.losses.softmax_cross_entropy`).
-* Optimisers (:class:`~repro.nn.optim.SGD`, :class:`~repro.nn.optim.Adam`).
+* The optimiser (:class:`~repro.nn.optim.Adam`).
 * Metrics (:func:`~repro.nn.metrics.accuracy`, macro-F1 ...).
 * Fused multi-session training (:class:`~repro.nn.batched.StackedHeads`,
   :class:`~repro.nn.batched.FusedSessionGroup`) — stacked-parameter
@@ -28,7 +28,7 @@ from repro.nn.batched import (
     heads_compatible,
     stacked_predictions,
 )
-from repro.nn.layers import Dropout, Linear, Relu, Sequential, Tanh
+from repro.nn.layers import Linear
 from repro.nn.losses import (
     softmax,
     softmax_cross_entropy,
@@ -36,14 +36,10 @@ from repro.nn.losses import (
 )
 from repro.nn.metrics import accuracy, confusion_matrix, macro_f1
 from repro.nn.network import MLPClassifier, TrainingHistory
-from repro.nn.optim import SGD, Adam, Momentum, Optimizer
+from repro.nn.optim import Adam
 
 __all__ = [
-    "Dropout",
     "Linear",
-    "Relu",
-    "Sequential",
-    "Tanh",
     "softmax",
     "softmax_cross_entropy",
     "softmax_cross_entropy_stats",
@@ -52,10 +48,7 @@ __all__ = [
     "macro_f1",
     "MLPClassifier",
     "TrainingHistory",
-    "SGD",
     "Adam",
-    "Momentum",
-    "Optimizer",
     "FusedAdvanceReport",
     "FusedSessionGroup",
     "StackedHeads",

@@ -13,10 +13,10 @@ stacks.
 This module provides that engine:
 
 * :class:`StackedHeads` adopts ``S`` compatible classifier heads into
-  stacked parameter tensors (``(S, d_in, d_out)`` weights, ``(S, d_out)``
-  biases) with a stacked forward/backward through ``np.matmul`` over
+  stacked parameter tensors (an ``(S, d, c)`` weight, an ``(S, c)``
+  bias) with a stacked forward/backward through ``np.matmul`` over
   ``(S, b, d)`` slabs, and a :class:`StackedOptimizer` mirroring the
-  per-head SGD/Momentum/Adam state as ``(S, ...)`` moment tensors.
+  per-head Adam state as ``(S, ...)`` moment tensors.
 * :func:`fused_fit_epoch` replicates ``fit_epoch`` exactly for every slice:
   per-session shuffle permutations are **pre-drawn from each session's own
   RNG in the serial draw order**, the stacked softmax-cross-entropy applies
@@ -49,9 +49,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.nn.layers import Dropout, Linear, Relu, Tanh
 from repro.nn.network import MLPClassifier
-from repro.nn.optim import SGD, Adam, Momentum
+from repro.nn.optim import Adam
 from repro.utils.exceptions import ConfigurationError
 
 __all__ = [
@@ -78,58 +77,28 @@ _VERDICTS: Dict[Tuple, bool] = {}
 
 
 def _layer_structure(head: MLPClassifier) -> Tuple:
-    """Hashable description of a head's layer stack (shapes + activations)."""
-    parts: List[Tuple] = []
-    for layer in head.net.layers:
-        if isinstance(layer, Linear):
-            parts.append(("linear", layer.in_features, layer.out_features, layer.l2))
-        elif isinstance(layer, Relu):
-            parts.append(("relu",))
-        elif isinstance(layer, Tanh):
-            parts.append(("tanh",))
-        elif isinstance(layer, Dropout):
-            # Dropout consumes per-batch RNG draws inside the forward pass;
-            # supporting it would interleave mask draws with the shuffle
-            # stream.  The fine-tuning engine never uses it, so heads with
-            # dropout simply stay on the serial path.
-            parts.append(("dropout", layer.rate))
-        else:  # pragma: no cover - no other layer types exist today
-            parts.append((type(layer).__name__,))
-    return tuple(parts)
+    """Hashable description of a head's layer: ``(in, out, l2)``."""
+    layer = head.net
+    return (layer.in_features, layer.out_features, layer.l2)
 
 
 def _optimizer_signature(head: MLPClassifier, *, clock: bool = True) -> Tuple:
-    """Hashable description of a head's optimiser type, hypers and clock."""
+    """Hashable description of a head's Adam hyper-parameters and clock."""
     opt = head.optimizer
-    if isinstance(opt, Adam):
-        signature = ("adam", opt.learning_rate, opt.beta1, opt.beta2, opt.epsilon)
-        return signature + (opt._t,) if clock else signature
-    if isinstance(opt, Momentum):
-        return (
-            "momentum",
-            opt.learning_rate,
-            opt.momentum,
-            opt._velocity is None,
-        )
-    if isinstance(opt, SGD):
-        return ("sgd", opt.learning_rate)
-    return ("unknown", type(opt).__name__)
+    signature = (opt.learning_rate, opt.beta1, opt.beta2, opt.epsilon)
+    return signature + (opt._t,) if clock else signature
 
 
 def heads_compatible(heads: Sequence[MLPClassifier]) -> bool:
     """Whether ``heads`` can train as one stacked group.
 
-    Requires identical layer structure (shapes, activations, L2), no
-    dropout, and identical optimiser type, hyper-parameters and step
-    count — everything :class:`StackedHeads` broadcasts over.
+    Requires an identical layer (shape and L2) and identical Adam
+    hyper-parameters and step count — everything :class:`StackedHeads`
+    broadcasts over.
     """
     if not heads:
         return False
     structure = _layer_structure(heads[0])
-    if any(part[0] == "dropout" and part[1] > 0.0 for part in structure):
-        return False
-    if any(part[0] == "unknown" for part in (_optimizer_signature(heads[0]),)):
-        return False
     opt = _optimizer_signature(heads[0])
     return all(
         _layer_structure(head) == structure and _optimizer_signature(head) == opt
@@ -137,13 +106,13 @@ def heads_compatible(heads: Sequence[MLPClassifier]) -> bool:
     )
 
 
-class StackedOptimizer:
-    """Stacked SGD/Momentum/Adam state over ``S`` aligned per-head optimisers.
+class StackedOptimizer(Adam):
+    """Adam over ``S`` aligned per-head optimisers, as ``(S, ...)`` moments.
 
-    Mirrors :mod:`repro.nn.optim` exactly, but every parameter, gradient
-    and moment tensor carries a leading stack axis: the update arithmetic
-    is elementwise (or broadcast by scalars), so each slice follows the
-    identical float trajectory the per-head optimiser would.
+    The update is :meth:`Adam.step` itself: its arithmetic is elementwise
+    (or broadcast by scalars), so on tensors carrying a leading stack axis
+    each slice follows the identical float trajectory the per-head
+    optimiser would.
     """
 
     def __init__(self, heads: Sequence[MLPClassifier]) -> None:
@@ -156,117 +125,44 @@ class StackedOptimizer:
                     "optimizer mismatch in fused group: "
                     f"{signature} != {_optimizer_signature(head)}"
                 )
-        self.kind = signature[0]
-        if self.kind == "unknown":
-            raise ConfigurationError(
-                f"cannot stack optimizer type {signature[1]!r}"
-            )
         template = heads[0].optimizer
-        self.learning_rate = template.learning_rate
+        super().__init__(
+            template.learning_rate, template.beta1, template.beta2, template.epsilon
+        )
         self._heads = list(heads)
-        self._momentum = getattr(template, "momentum", 0.0)
-        self._beta1 = getattr(template, "beta1", 0.0)
-        self._beta2 = getattr(template, "beta2", 0.0)
-        self._epsilon = getattr(template, "epsilon", 0.0)
-        self._t = getattr(template, "_t", 0)
-        #: Stacked moment tensors, aligned with the stacked param list.
-        self._velocity: Optional[List[np.ndarray]] = None
-        self._m: Optional[List[np.ndarray]] = None
-        self._v: Optional[List[np.ndarray]] = None
-        self._adopt_state()
+        # A shared clock means every head's moments are set, or none are.
+        self._t = template._t
+        if template._m is not None:
+            self._m = self._stack("_m")
+            self._v = self._stack("_v")
 
-    def _adopt_state(self) -> None:
-        """Stack the per-head moment tensors (zeros where still lazy)."""
-
-        def stack(attribute: str) -> Optional[List[np.ndarray]]:
-            states = [getattr(head.optimizer, attribute) for head in self._heads]
-            if all(state is None for state in states):
-                return None
-            params = [head.net.params() for head in self._heads]
-            return [
-                np.stack(
-                    [
-                        states[s][i]
-                        if states[s] is not None
-                        else np.zeros_like(params[s][i])
-                        for s in range(len(self._heads))
-                    ]
-                )
-                for i in range(len(params[0]))
-            ]
-
-        if self.kind == "momentum":
-            self._velocity = stack("_velocity")
-        elif self.kind == "adam":
-            self._m = stack("_m")
-            self._v = stack("_v")
-
-    def step(self, params: List[np.ndarray], grads: List[np.ndarray]) -> None:
-        """One stacked update, elementwise-identical per slice to the serial one."""
-        if len(params) != len(grads):
-            raise ConfigurationError(
-                f"params and grads must align ({len(params)} != {len(grads)})"
-            )
-        if self.kind == "sgd":
-            for param, grad in zip(params, grads):
-                param -= self.learning_rate * grad
-            return
-        if self.kind == "momentum":
-            if self._velocity is None:
-                self._velocity = [np.zeros_like(p) for p in params]
-            for param, grad, vel in zip(params, grads, self._velocity):
-                vel *= self._momentum
-                vel -= self.learning_rate * grad
-                param += vel
-            return
-        # adam
-        if self._m is None or self._v is None:
-            self._m = [np.zeros_like(p) for p in params]
-            self._v = [np.zeros_like(p) for p in params]
-        self._t += 1
-        bias1 = 1.0 - self._beta1**self._t
-        bias2 = 1.0 - self._beta2**self._t
-        for param, grad, m, v in zip(params, grads, self._m, self._v):
-            m *= self._beta1
-            m += (1.0 - self._beta1) * grad
-            v *= self._beta2
-            v += (1.0 - self._beta2) * grad * grad
-            m_hat = m / bias1
-            v_hat = v / bias2
-            param -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self._epsilon)
+    def _stack(self, attribute: str) -> List[np.ndarray]:
+        states = [getattr(head.optimizer, attribute) for head in self._heads]
+        return [np.stack(moments) for moments in zip(*states)]
 
     def writeback(self) -> None:
-        """Copy the stacked moments (and step clock) back into each head."""
+        """Copy the stacked moments and the step clock back into each head."""
         for s, head in enumerate(self._heads):
             opt = head.optimizer
-            if self.kind == "momentum" and self._velocity is not None:
-                opt._velocity = [vel[s].copy() for vel in self._velocity]
-            elif self.kind == "adam":
-                opt._t = self._t
-                if self._m is not None and self._v is not None:
-                    opt._m = [m[s].copy() for m in self._m]
-                    opt._v = [v[s].copy() for v in self._v]
+            opt._t = self._t
+            if self._m is not None and self._v is not None:
+                opt._m = [m[s].copy() for m in self._m]
+                opt._v = [v[s].copy() for v in self._v]
 
-    def state_slice(self, s: int) -> Dict[str, object]:
-        """Stacked moment slices of member ``s`` (probe comparisons)."""
-        state: Dict[str, object] = {"t": self._t}
-        if self._velocity is not None:
-            state["velocity"] = [vel[s] for vel in self._velocity]
-        if self._m is not None:
-            state["m"] = [m[s] for m in self._m]
-        if self._v is not None:
-            state["v"] = [v[s] for v in self._v]
-        return state
+    def state_slice(self, s: int) -> Tuple[int, List[np.ndarray]]:
+        """The clock and member ``s``'s ``m`` then ``v`` slices (probe)."""
+        moments = (self._m or []) + (self._v or [])
+        return self._t, [moment[s] for moment in moments]
 
 
 class StackedHeads:
     """``S`` compatible classifier heads as one stacked-parameter model.
 
-    Construction copies every head's parameters into ``(S, ...)`` tensors;
-    training then runs entirely in stacked space; :meth:`writeback` copies
-    parameters and optimiser state back into the heads **in place** (the
-    heads' existing arrays are overwritten, so views held by layer objects
-    stay valid).
+    Construction copies every head's parameters into an ``(S, d, c)``
+    weight and an ``(S, c)`` bias; training then runs entirely in stacked
+    space; :meth:`writeback` copies parameters and optimiser state back
+    into the heads **in place** (the heads' existing arrays are
+    overwritten, so views held by layer objects stay valid).
     """
 
     def __init__(self, heads: Sequence[MLPClassifier]) -> None:
@@ -275,110 +171,57 @@ class StackedHeads:
             raise ConfigurationError("cannot stack an empty head group")
         if not heads_compatible(heads):
             raise ConfigurationError(
-                "heads are not fusion-compatible (layer structure, dropout "
-                "or optimizer state mismatch)"
+                "heads are not fusion-compatible (layer shape, L2 or "
+                "optimizer state mismatch)"
             )
-        self._linears = [
-            [layer for layer in head.net.layers if isinstance(layer, Linear)]
-            for head in heads
-        ]
-        self.structure = _layer_structure(heads[0])
-        #: Stacked (S, in, out) weights / (S, out) biases per linear layer.
-        self.weights = [
-            np.stack([linears[i].weight for linears in self._linears])
-            for i in range(len(self._linears[0]))
-        ]
-        self.biases = [
-            np.stack([linears[i].bias for linears in self._linears])
-            for i in range(len(self._linears[0]))
-        ]
-        self._l2 = [linear.l2 for linear in self._linears[0]]
+        self._layers = [head.net for head in heads]
+        self.weight = np.stack([layer.weight for layer in self._layers])
+        self.bias = np.stack([layer.bias for layer in self._layers])
+        self._l2 = self._layers[0].l2
         self.optimizer = StackedOptimizer(heads)
         # Backward caches (training forward only).
-        self._inputs: List[Optional[np.ndarray]] = [None] * len(self.weights)
-        self._masks: List[Optional[np.ndarray]] = []
-        self._grad_weights: List[Optional[np.ndarray]] = [None] * len(self.weights)
-        self._grad_biases: List[Optional[np.ndarray]] = [None] * len(self.weights)
+        self._input: Optional[np.ndarray] = None
+        self._grad_weight: Optional[np.ndarray] = None
+        self._grad_bias: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------ #
     # stacked forward / backward
     # ------------------------------------------------------------------ #
     def forward(self, x: np.ndarray, *, training: bool = False) -> np.ndarray:
-        """Stacked forward pass: ``(S, n, d_in)`` to ``(S, n, c)`` logits."""
-        out = x
-        linear_index = 0
-        self._masks = []
-        for part in self.structure:
-            if part[0] == "linear":
-                if training:
-                    self._inputs[linear_index] = out
-                out = (
-                    np.matmul(out, self.weights[linear_index])
-                    + self.biases[linear_index][:, None, :]
-                )
-                linear_index += 1
-            elif part[0] == "relu":
-                mask = out > 0
-                if training:
-                    self._masks.append(mask)
-                out = out * mask
-            elif part[0] == "tanh":
-                out = np.tanh(out)
-                if training:
-                    self._masks.append(out)
-        return out
+        """Stacked forward pass: ``(S, n, d)`` to ``(S, n, c)`` logits."""
+        if training:
+            self._input = x
+        return np.matmul(x, self.weight) + self.bias[:, None, :]
 
     def backward(self, grad: np.ndarray) -> None:
-        """Stacked backward pass; stores per-layer stacked gradients."""
-        linear_index = len(self.weights) - 1
-        mask_index = len(self._masks) - 1
-        for part in reversed(self.structure):
-            if part[0] == "linear":
-                cached = self._inputs[linear_index]
-                if cached is None:
-                    raise ConfigurationError(
-                        "backward called before a training forward pass"
-                    )
-                grad_weight = np.matmul(cached.transpose(0, 2, 1), grad)
-                if self._l2[linear_index]:
-                    grad_weight += self._l2[linear_index] * self.weights[linear_index]
-                self._grad_weights[linear_index] = grad_weight
-                self._grad_biases[linear_index] = grad.sum(axis=1)
-                grad = np.matmul(grad, self.weights[linear_index].transpose(0, 2, 1))
-                linear_index -= 1
-            elif part[0] == "relu":
-                grad = grad * self._masks[mask_index]
-                mask_index -= 1
-            elif part[0] == "tanh":
-                grad = grad * (1.0 - self._masks[mask_index] ** 2)
-                mask_index -= 1
+        """Stacked backward pass; stores the stacked parameter gradients."""
+        if self._input is None:
+            raise ConfigurationError("backward called before a training forward pass")
+        grad_weight = np.matmul(self._input.transpose(0, 2, 1), grad)
+        if self._l2:
+            grad_weight += self._l2 * self.weight
+        self._grad_weight = grad_weight
+        self._grad_bias = grad.sum(axis=1)
 
     def step(self) -> None:
         """Apply one stacked optimiser update from the cached gradients."""
-        params: List[np.ndarray] = []
-        grads: List[np.ndarray] = []
-        for index in range(len(self.weights)):
-            params.extend((self.weights[index], self.biases[index]))
-            grads.extend((self._grad_weights[index], self._grad_biases[index]))
-        self.optimizer.step(params, grads)
+        self.optimizer.step(
+            [self.weight, self.bias], [self._grad_weight, self._grad_bias]
+        )
 
     # ------------------------------------------------------------------ #
     # adoption back into the member heads
     # ------------------------------------------------------------------ #
     def writeback(self) -> None:
         """Copy stacked parameters and optimiser state back into the heads."""
-        for s, linears in enumerate(self._linears):
-            for index, linear in enumerate(linears):
-                linear.weight[...] = self.weights[index][s]
-                linear.bias[...] = self.biases[index][s]
+        for s, layer in enumerate(self._layers):
+            layer.weight[...] = self.weight[s]
+            layer.bias[...] = self.bias[s]
         self.optimizer.writeback()
 
     def param_slice(self, s: int) -> List[np.ndarray]:
         """The stacked parameter slices of member ``s`` (probe comparisons)."""
-        params: List[np.ndarray] = []
-        for index in range(len(self.weights)):
-            params.extend((self.weights[index][s], self.biases[index][s]))
-        return params
+        return [self.weight[s], self.bias[s]]
 
 
 def _stacked_cross_entropy_stats(
@@ -526,10 +369,9 @@ class FusedSessionGroup:
         """One shuffle permutation per member, from each member's own RNG.
 
         This is the serial draw order: ``fit_epoch`` draws exactly one
-        permutation per epoch from the head's generator (dropout is
-        excluded from fusion), so pulling the epoch's permutation from
-        each session's generator here leaves every RNG in the exact state
-        a serial epoch would.
+        permutation per epoch from the head's generator and nothing else,
+        so pulling the epoch's permutation from each session's generator
+        here leaves every RNG in the exact state a serial epoch would.
         """
         return np.stack(
             [
@@ -587,18 +429,16 @@ class FusedSessionGroup:
             ):
                 report.mismatches.append(f"{name}: val/test accuracy")
                 return False
-            state = stacked.optimizer.state_slice(s)
+            clock, moments = stacked.optimizer.state_slice(s)
             opt = session.head.optimizer
-            if state["t"] != getattr(opt, "_t", state["t"]):
+            if clock != opt._t:
                 report.mismatches.append(f"{name}: optimizer clock")
                 return False
-            for attribute, key in (("_velocity", "velocity"), ("_m", "m"), ("_v", "v")):
-                theirs_state = getattr(opt, attribute, None)
-                if key in state and theirs_state is not None:
-                    for mine, theirs in zip(state[key], theirs_state):
-                        if not np.array_equal(mine, theirs):
-                            report.mismatches.append(f"{name}: optimizer state")
-                            return False
+            # Equal clocks: both sides hold moments, or neither does.
+            for mine, theirs in zip(moments, (opt._m or []) + (opt._v or [])):
+                if not np.array_equal(mine, theirs):
+                    report.mismatches.append(f"{name}: optimizer state")
+                    return False
         return True
 
     # ------------------------------------------------------------------ #

@@ -1,10 +1,8 @@
-"""Weight initialisation schemes for the numpy NN substrate."""
+"""Weight initialisation for the numpy NN substrate."""
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro.utils.exceptions import ConfigurationError
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -13,22 +11,6 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.nd
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def he_normal(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
-    """He normal initialisation, suited to ReLU activations."""
-    std = np.sqrt(2.0 / fan_in)
-    return rng.normal(0.0, std, size=(fan_in, fan_out))
-
-
 def zeros(fan_out: int) -> np.ndarray:
     """Zero bias vector."""
     return np.zeros(fan_out)
-
-
-def get_initializer(name: str):
-    """Look up an initialiser by name (``glorot`` or ``he``)."""
-    table = {"glorot": glorot_uniform, "he": he_normal}
-    if name not in table:
-        raise ConfigurationError(
-            f"unknown initializer {name!r}; expected one of {sorted(table)}"
-        )
-    return table[name]

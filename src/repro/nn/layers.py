@@ -1,45 +1,25 @@
-"""Dense layers and activations with explicit forward/backward passes.
-
-The layers follow a tiny "module" protocol:
+"""The dense layer of the classifier head, with explicit forward/backward.
 
 * ``forward(x, training)`` returns the layer output and caches what the
   backward pass needs;
 * ``backward(grad_output)`` returns the gradient w.r.t. the layer input and
   stores parameter gradients on the layer;
 * ``params()`` / ``grads()`` expose parameter and gradient arrays in the
-  same order, so optimisers can update them generically.
+  same order, so the optimiser can update them generically.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
-from repro.nn.initializers import get_initializer, zeros
+from repro.nn.initializers import glorot_uniform, zeros
 from repro.utils.exceptions import ConfigurationError
 from repro.utils.rng import as_generator
 
 
-class Layer:
-    """Base class of the layer protocol."""
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        raise NotImplementedError
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def params(self) -> List[np.ndarray]:
-        """Trainable parameter arrays (empty for stateless layers)."""
-        return []
-
-    def grads(self) -> List[np.ndarray]:
-        """Gradient arrays aligned with :meth:`params`."""
-        return []
-
-
-class Linear(Layer):
+class Linear:
     """Affine transform ``y = x @ W + b``."""
 
     def __init__(
@@ -47,14 +27,13 @@ class Linear(Layer):
         in_features: int,
         out_features: int,
         *,
-        init: str = "glorot",
         rng=None,
         l2: float = 0.0,
     ) -> None:
         if in_features <= 0 or out_features <= 0:
             raise ConfigurationError("Linear layer dimensions must be positive")
         generator = as_generator(rng)
-        self.weight = get_initializer(init)(generator, in_features, out_features)
+        self.weight = glorot_uniform(generator, in_features, out_features)
         self.bias = zeros(out_features)
         self.l2 = float(l2)
         self.grad_weight = np.zeros_like(self.weight)
@@ -87,94 +66,3 @@ class Linear(Layer):
 
     def grads(self) -> List[np.ndarray]:
         return [self.grad_weight, self.grad_bias]
-
-
-class Relu(Layer):
-    """Rectified linear activation."""
-
-    def __init__(self) -> None:
-        self._mask: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        mask = x > 0
-        if training:
-            self._mask = mask
-        return x * mask
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            raise ConfigurationError("backward called before a training forward pass")
-        return grad_output * self._mask
-
-
-class Tanh(Layer):
-    """Hyperbolic-tangent activation."""
-
-    def __init__(self) -> None:
-        self._output: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        out = np.tanh(x)
-        if training:
-            self._output = out
-        return out
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._output is None:
-            raise ConfigurationError("backward called before a training forward pass")
-        return grad_output * (1.0 - self._output**2)
-
-
-class Dropout(Layer):
-    """Inverted dropout; a no-op at inference time."""
-
-    def __init__(self, rate: float, *, rng=None) -> None:
-        if not 0.0 <= rate < 1.0:
-            raise ConfigurationError(f"dropout rate must be in [0, 1), got {rate}")
-        self.rate = float(rate)
-        self._rng = as_generator(rng)
-        self._mask: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        if not training or self.rate == 0.0:
-            self._mask = None
-            return x
-        keep = 1.0 - self.rate
-        self._mask = (self._rng.random(x.shape) < keep) / keep
-        return x * self._mask
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return grad_output
-        return grad_output * self._mask
-
-
-class Sequential(Layer):
-    """A simple container applying layers in order."""
-
-    def __init__(self, layers: Sequence[Layer]) -> None:
-        self.layers = list(layers)
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        out = x
-        for layer in self.layers:
-            out = layer.forward(out, training=training)
-        return out
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        grad = grad_output
-        for layer in reversed(self.layers):
-            grad = layer.backward(grad)
-        return grad
-
-    def params(self) -> List[np.ndarray]:
-        collected: List[np.ndarray] = []
-        for layer in self.layers:
-            collected.extend(layer.params())
-        return collected
-
-    def grads(self) -> List[np.ndarray]:
-        collected: List[np.ndarray] = []
-        for layer in self.layers:
-            collected.extend(layer.grads())
-        return collected

@@ -1,4 +1,4 @@
-"""MLP classifier with mini-batch training and epoch-level evaluation.
+"""Linear softmax classifier head with mini-batch Adam training.
 
 This is the workhorse used by :mod:`repro.zoo.finetune` to attach a new
 classification head on top of a pre-trained encoder and fine-tune it on a
@@ -9,14 +9,14 @@ target dataset, recording a per-epoch validation/test curve (the paper's
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List
 
 import numpy as np
 
-from repro.nn.layers import Dropout, Linear, Relu, Sequential, Tanh
+from repro.nn.layers import Linear
 from repro.nn.losses import softmax, softmax_cross_entropy_stats
 from repro.nn.metrics import accuracy
-from repro.nn.optim import Optimizer, build_optimizer
+from repro.nn.optim import Adam
 from repro.utils.exceptions import ConfigurationError, DataError
 from repro.utils.rng import as_generator
 
@@ -27,7 +27,6 @@ class TrainingHistory:
 
     train_loss: List[float] = field(default_factory=list)
     train_accuracy: List[float] = field(default_factory=list)
-    val_accuracy: List[float] = field(default_factory=list)
 
     @property
     def epochs(self) -> int:
@@ -36,7 +35,7 @@ class TrainingHistory:
 
 
 class MLPClassifier:
-    """Multi-layer perceptron with a softmax output layer.
+    """One linear layer with a softmax output, trained with Adam.
 
     Parameters
     ----------
@@ -44,18 +43,12 @@ class MLPClassifier:
         Dimensionality of the input features.
     num_classes:
         Number of output classes.
-    hidden_dims:
-        Sizes of hidden layers (empty tuple gives a linear/softmax model).
-    activation:
-        ``"relu"`` or ``"tanh"``.
-    dropout:
-        Dropout rate applied after each hidden activation.
     l2:
-        L2 penalty applied to linear-layer weights.
-    optimizer / learning_rate:
-        Optimiser name (``sgd``/``momentum``/``adam``) and step size.
+        L2 penalty applied to the layer's weights.
+    learning_rate:
+        Adam's step size.
     rng:
-        Seed or generator controlling initialisation, shuffling and dropout.
+        Seed or generator controlling initialisation and shuffling.
     """
 
     def __init__(
@@ -63,11 +56,7 @@ class MLPClassifier:
         input_dim: int,
         num_classes: int,
         *,
-        hidden_dims: Sequence[int] = (),
-        activation: str = "relu",
-        dropout: float = 0.0,
         l2: float = 0.0,
-        optimizer: str = "adam",
         learning_rate: float = 1e-2,
         rng=None,
     ) -> None:
@@ -78,26 +67,9 @@ class MLPClassifier:
         self.input_dim = int(input_dim)
         self.num_classes = int(num_classes)
         self._rng = as_generator(rng)
-        layers = []
-        previous = input_dim
-        for width in hidden_dims:
-            layers.append(Linear(previous, int(width), rng=self._rng, l2=l2))
-            layers.append(self._make_activation(activation))
-            if dropout:
-                layers.append(Dropout(dropout, rng=self._rng))
-            previous = int(width)
-        layers.append(Linear(previous, num_classes, rng=self._rng, l2=l2))
-        self.net = Sequential(layers)
-        self.optimizer: Optimizer = build_optimizer(optimizer, learning_rate)
+        self.net = Linear(input_dim, num_classes, rng=self._rng, l2=l2)
+        self.optimizer = Adam(learning_rate)
         self.history = TrainingHistory()
-
-    @staticmethod
-    def _make_activation(name: str):
-        if name == "relu":
-            return Relu()
-        if name == "tanh":
-            return Tanh()
-        raise ConfigurationError(f"unknown activation {name!r}")
 
     # ------------------------------------------------------------------ #
     # inference
@@ -128,15 +100,8 @@ class MLPClassifier:
         y: np.ndarray,
         *,
         batch_size: int = 32,
-        x_val: Optional[np.ndarray] = None,
-        y_val: Optional[np.ndarray] = None,
     ) -> float:
-        """Train for a single epoch; returns the mean batch loss.
-
-        Validation accuracy is appended to :attr:`history` when a
-        validation split is supplied, which is what the fine-tuning engine
-        uses to build convergence processes.
-        """
+        """Train for a single epoch; returns the mean batch loss."""
         x = self._check_features(x)
         y = np.asarray(y, dtype=int)
         if y.shape[0] != x.shape[0]:
@@ -158,8 +123,6 @@ class MLPClassifier:
         mean_loss = float(np.mean(losses))
         self.history.train_loss.append(mean_loss)
         self.history.train_accuracy.append(correct / x.shape[0])
-        if x_val is not None and y_val is not None:
-            self.history.val_accuracy.append(self.score(x_val, y_val))
         return mean_loss
 
     def fit(
@@ -169,16 +132,12 @@ class MLPClassifier:
         *,
         epochs: int = 10,
         batch_size: int = 32,
-        x_val: Optional[np.ndarray] = None,
-        y_val: Optional[np.ndarray] = None,
     ) -> TrainingHistory:
         """Train for ``epochs`` epochs and return the accumulated history."""
         if epochs <= 0:
             raise ConfigurationError("epochs must be positive")
         for _ in range(epochs):
-            self.fit_epoch(
-                x, y, batch_size=batch_size, x_val=x_val, y_val=y_val
-            )
+            self.fit_epoch(x, y, batch_size=batch_size)
         return self.history
 
     # ------------------------------------------------------------------ #

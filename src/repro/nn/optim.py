@@ -1,4 +1,4 @@
-"""First-order optimisers operating on lists of parameter arrays in place."""
+"""The Adam optimiser, operating on lists of parameter arrays in place."""
 
 from __future__ import annotations
 
@@ -10,54 +10,7 @@ from repro.utils.exceptions import ConfigurationError
 from repro.utils.validation import check_positive
 
 
-class Optimizer:
-    """Base class: subclasses implement :meth:`step`."""
-
-    def __init__(self, learning_rate: float) -> None:
-        check_positive("learning_rate", learning_rate)
-        self.learning_rate = float(learning_rate)
-
-    def step(self, params: List[np.ndarray], grads: List[np.ndarray]) -> None:
-        """Update ``params`` in place from ``grads`` (aligned lists)."""
-        raise NotImplementedError
-
-    def _check_aligned(self, params: List[np.ndarray], grads: List[np.ndarray]) -> None:
-        if len(params) != len(grads):
-            raise ConfigurationError(
-                f"params and grads must align ({len(params)} != {len(grads)})"
-            )
-
-
-class SGD(Optimizer):
-    """Plain stochastic gradient descent."""
-
-    def step(self, params: List[np.ndarray], grads: List[np.ndarray]) -> None:
-        self._check_aligned(params, grads)
-        for param, grad in zip(params, grads):
-            param -= self.learning_rate * grad
-
-
-class Momentum(Optimizer):
-    """SGD with classical momentum."""
-
-    def __init__(self, learning_rate: float, momentum: float = 0.9) -> None:
-        super().__init__(learning_rate)
-        if not 0.0 <= momentum < 1.0:
-            raise ConfigurationError(f"momentum must be in [0, 1), got {momentum}")
-        self.momentum = float(momentum)
-        self._velocity: Optional[List[np.ndarray]] = None
-
-    def step(self, params: List[np.ndarray], grads: List[np.ndarray]) -> None:
-        self._check_aligned(params, grads)
-        if self._velocity is None:
-            self._velocity = [np.zeros_like(p) for p in params]
-        for param, grad, vel in zip(params, grads, self._velocity):
-            vel *= self.momentum
-            vel -= self.learning_rate * grad
-            param += vel
-
-
-class Adam(Optimizer):
+class Adam:
     """Adam optimiser (Kingma & Ba, 2015)."""
 
     def __init__(
@@ -67,11 +20,12 @@ class Adam(Optimizer):
         beta2: float = 0.999,
         epsilon: float = 1e-8,
     ) -> None:
-        super().__init__(learning_rate)
+        check_positive("learning_rate", learning_rate)
         for name, value in (("beta1", beta1), ("beta2", beta2)):
             if not 0.0 <= value < 1.0:
                 raise ConfigurationError(f"{name} must be in [0, 1), got {value}")
         check_positive("epsilon", epsilon)
+        self.learning_rate = float(learning_rate)
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
         self.epsilon = float(epsilon)
@@ -80,7 +34,11 @@ class Adam(Optimizer):
         self._t = 0
 
     def step(self, params: List[np.ndarray], grads: List[np.ndarray]) -> None:
-        self._check_aligned(params, grads)
+        """Update ``params`` in place from ``grads`` (aligned lists)."""
+        if len(params) != len(grads):
+            raise ConfigurationError(
+                f"params and grads must align ({len(params)} != {len(grads)})"
+            )
         if self._m is None or self._v is None:
             self._m = [np.zeros_like(p) for p in params]
             self._v = [np.zeros_like(p) for p in params]
@@ -95,13 +53,3 @@ class Adam(Optimizer):
             m_hat = m / bias1
             v_hat = v / bias2
             param -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
-
-
-def build_optimizer(name: str, learning_rate: float) -> Optimizer:
-    """Construct an optimiser by name (``sgd``, ``momentum`` or ``adam``)."""
-    table = {"sgd": SGD, "momentum": Momentum, "adam": Adam}
-    if name not in table:
-        raise ConfigurationError(
-            f"unknown optimizer {name!r}; expected one of {sorted(table)}"
-        )
-    return table[name](learning_rate)

@@ -15,19 +15,19 @@ _STOPWORDS: Set[str] = {
 }
 
 
-def tokenize(text: str, *, remove_stopwords: bool = True, min_length: int = 2) -> List[str]:
-    """Lower-case word/number tokens of ``text``.
+#: Shortest token kept; single characters carry no signal.
+_MIN_LENGTH = 2
+
+
+def tokenize(text: str) -> List[str]:
+    """Lower-case word/number tokens of ``text``, stopwords removed.
 
     Model names like ``bert_ft_qqp-68`` split into their informative pieces
     (``bert``, ``ft``, ``qqp``, ``68``), which is what lets the text baseline
     group checkpoints with similar names.
     """
-    tokens = _TOKEN_PATTERN.findall(text.lower())
-    filtered = []
-    for token in tokens:
-        if len(token) < min_length:
-            continue
-        if remove_stopwords and token in _STOPWORDS:
-            continue
-        filtered.append(token)
-    return filtered
+    return [
+        token
+        for token in _TOKEN_PATTERN.findall(text.lower())
+        if len(token) >= _MIN_LENGTH and token not in _STOPWORDS
+    ]

@@ -12,12 +12,10 @@ import numpy as np
 from repro.utils.exceptions import ConfigurationError, DataError
 
 
-def check_positive(name: str, value: float, *, strict: bool = True) -> float:
-    """Ensure ``value`` is positive (strictly by default)."""
-    if strict and value <= 0:
+def check_positive(name: str, value: float) -> float:
+    """Ensure ``value`` is strictly positive."""
+    if value <= 0:
         raise ConfigurationError(f"{name} must be > 0, got {value!r}")
-    if not strict and value < 0:
-        raise ConfigurationError(f"{name} must be >= 0, got {value!r}")
     return value
 
 

@@ -7,7 +7,7 @@ and the convergence processes mined for the fine-selection phase (online).
 
 :class:`FineTuner` reproduces that contract: it attaches a fresh classifier
 head to a :class:`~repro.zoo.models.PretrainedModel`'s encoder and trains it
-with mini-batch SGD/Adam, returning a :class:`LearningCurve`.  Stage-wise
+with mini-batch Adam, returning a :class:`LearningCurve`.  Stage-wise
 training (needed by successive halving and by Algorithm 1) goes through
 :class:`FineTuneSession`, which can be advanced epoch by epoch while the
 selection algorithm decides which models survive.
@@ -47,10 +47,7 @@ class FineTuneConfig:
     epochs: int = 5
     learning_rate: float = 5e-2
     batch_size: int = 32
-    hidden_dims: Tuple[int, ...] = ()
     weight_decay: float = 1e-4
-    optimizer: str = "adam"
-    activation: str = "relu"
 
     def __post_init__(self) -> None:
         if self.epochs <= 0:
@@ -133,10 +130,7 @@ class FineTuneSession:
         self.head = MLPClassifier(
             input_dim=model.hidden_dim,
             num_classes=task.num_classes,
-            hidden_dims=config.hidden_dims,
-            activation=config.activation,
             l2=config.weight_decay,
-            optimizer=config.optimizer,
             learning_rate=config.learning_rate,
             rng=rng,
         )
@@ -215,10 +209,10 @@ class FineTuneSession:
 
         Two sessions with equal signatures share every shape and
         hyper-parameter the stacked kernels broadcast over — task data
-        (and hence labels and split sizes), encoder width, head
-        architecture, optimiser and learning rate, batch size and weight
-        decay — so their mini-batch trajectories can advance in lockstep
-        as slices of one ``(S, n, d)`` slab.
+        (and hence labels and split sizes), encoder width, class count,
+        learning rate, batch size and weight decay — so their mini-batch
+        trajectories can advance in lockstep as slices of one ``(S, n, d)``
+        slab.
         """
         from repro.cache import fingerprint_task
 
@@ -226,9 +220,6 @@ class FineTuneSession:
             fingerprint_task(self.task, split="all"),
             int(self.model.hidden_dim),
             int(self.task.num_classes),
-            tuple(int(w) for w in self.config.hidden_dims),
-            self.config.activation,
-            self.config.optimizer,
             float(self.config.learning_rate),
             int(self.config.batch_size),
             float(self.config.weight_decay),

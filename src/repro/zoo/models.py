@@ -169,7 +169,6 @@ class PretrainedModel:
         head = MLPClassifier(
             input_dim=self.hidden_dim,
             num_classes=self.num_source_classes,
-            optimizer="adam",
             learning_rate=5e-2,
             rng=self._rng,
         )

@@ -25,22 +25,6 @@ class TestPairwiseDistances:
         assert np.allclose(distances, distances.T)
         assert np.allclose(np.diag(distances), 0.0)
 
-    def test_sqeuclidean(self):
-        points = np.array([[0.0], [2.0]])
-        assert pairwise_distances(points, metric="sqeuclidean")[0, 1] == 4.0
-
-    def test_cosine_orthogonal_vectors(self):
-        points = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert np.isclose(pairwise_distances(points, metric="cosine")[0, 1], 1.0)
-
-    def test_cityblock(self):
-        points = np.array([[0.0, 0.0], [1.0, 2.0]])
-        assert pairwise_distances(points, metric="cityblock")[0, 1] == 3.0
-
-    def test_unknown_metric(self):
-        with pytest.raises(DataError):
-            pairwise_distances(np.ones((2, 2)), metric="mahalanobis")
-
     def test_rejects_1d(self):
         with pytest.raises(DataError):
             pairwise_distances(np.ones(4))

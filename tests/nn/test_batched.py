@@ -16,17 +16,14 @@ from repro.utils.exceptions import ConfigurationError
 from repro.zoo.finetune import FineTuneConfig, FineTuner
 
 
-def make_heads(count, *, optimizer="adam", hidden_dims=(), activation="relu",
-               input_dim=12, num_classes=3, l2=1e-4, seed=0):
+def make_heads(count, *, input_dim=12, num_classes=3, l2=1e-4,
+               learning_rate=5e-2, seed=0):
     return [
         MLPClassifier(
             input_dim=input_dim,
             num_classes=num_classes,
-            hidden_dims=hidden_dims,
-            activation=activation,
             l2=l2,
-            optimizer=optimizer,
-            learning_rate=5e-2,
+            learning_rate=learning_rate,
             rng=np.random.default_rng(seed + index),
         )
         for index in range(count)
@@ -75,21 +72,14 @@ class TestHeadsCompatible:
         assert not heads_compatible([])
 
     def test_mixed_optimizers_are_not(self):
-        a = make_heads(1, optimizer="adam")[0]
-        b = make_heads(1, optimizer="sgd")[0]
+        a = make_heads(1, learning_rate=5e-2)[0]
+        b = make_heads(1, learning_rate=1e-2)[0]
         assert not heads_compatible([a, b])
 
     def test_mixed_shapes_are_not(self):
-        a = make_heads(1, hidden_dims=())[0]
-        b = make_heads(1, hidden_dims=(8,))[0]
-        assert not heads_compatible([a, b])
-
-    def test_dropout_heads_are_not(self):
-        head = MLPClassifier(
-            input_dim=12, num_classes=3, hidden_dims=(8,), dropout=0.5,
-            rng=np.random.default_rng(0),
-        )
-        assert not heads_compatible([head, head])
+        a = make_heads(1)[0]
+        for other in ({"num_classes": 2}, {"input_dim": 8}, {"l2": 0.0}):
+            assert not heads_compatible([a, make_heads(1, **other)[0]])
 
     def test_mixed_adam_clock_is_not(self):
         a, b = make_heads(2)
@@ -97,8 +87,8 @@ class TestHeadsCompatible:
         assert not heads_compatible([a, b])
 
     def test_stacked_heads_rejects_incompatible(self):
-        a = make_heads(1, optimizer="adam")[0]
-        b = make_heads(1, optimizer="sgd")[0]
+        a = make_heads(1, learning_rate=5e-2)[0]
+        b = make_heads(1, learning_rate=1e-2)[0]
         with pytest.raises(ConfigurationError):
             StackedHeads([a, b])
         with pytest.raises(ConfigurationError):
@@ -106,19 +96,21 @@ class TestHeadsCompatible:
 
 
 class TestStackedKernelsBitwise:
-    @pytest.mark.parametrize("optimizer", ["sgd", "momentum", "adam"])
-    @pytest.mark.parametrize("hidden_dims,activation", [
-        ((), "relu"),
-        ((8,), "relu"),
-        ((10, 6), "tanh"),
-    ])
-    def test_training_matches_serial(self, problem, optimizer, hidden_dims, activation):
+    @pytest.mark.parametrize("count", [2, 4])
+    @pytest.mark.parametrize("num_classes", [2, 3])
+    @pytest.mark.parametrize("learning_rate", [5e-2, 1e-2])
+    @pytest.mark.parametrize("l2", [0.0, 1e-4])
+    @pytest.mark.parametrize("batch_size", [16, 25])  # 50 rows: a final batch of 2, or none
+    def test_training_matches_serial(
+        self, problem, count, num_classes, learning_rate, l2, batch_size
+    ):
         x, y = problem
+        y = y % num_classes
         serial, fused = make_clones(
-            4, optimizer=optimizer, hidden_dims=hidden_dims, activation=activation
+            count, num_classes=num_classes, learning_rate=learning_rate, l2=l2
         )
-        train_serial(serial, x, y, epochs=3, batch_size=16)
-        losses, accuracies = train_fused(fused, x, y, epochs=3, batch_size=16)
+        train_serial(serial, x, y, epochs=3, batch_size=batch_size)
+        losses, accuracies = train_fused(fused, x, y, epochs=3, batch_size=batch_size)
         for s, (a, b) in enumerate(zip(serial, fused)):
             assert a.history.train_loss == [losses[e][s] for e in range(3)]
             assert a.history.train_accuracy == [accuracies[e][s] for e in range(3)]
@@ -145,7 +137,7 @@ class TestStackedKernelsBitwise:
     def test_continuation_after_writeback_matches_serial(self, problem):
         """Serial epochs after fused epochs equal an all-serial run."""
         x, y = problem
-        serial, fused = make_clones(3, optimizer="momentum")
+        serial, fused = make_clones(3)
         train_serial(serial, x, y, epochs=3, batch_size=16)
         train_fused(fused, x, y, epochs=2, batch_size=16)
         for head in fused:
@@ -156,7 +148,7 @@ class TestStackedKernelsBitwise:
 
     def test_stacked_predictions_match_per_head_predict(self, problem):
         x, y = problem
-        heads = make_heads(3, hidden_dims=(8,))
+        heads = make_heads(3)
         train_serial(heads, x, y, epochs=1, batch_size=16)
         stacked = StackedHeads(heads)
         batch = np.stack([x] * 3)
@@ -168,30 +160,32 @@ class TestStackedKernelsBitwise:
 class TestStackedOptimizer:
     def test_adopts_existing_moments(self, problem):
         x, y = problem
-        serial, fused = make_clones(2, optimizer="adam")
-        train_serial(serial, x, y, epochs=1, batch_size=16)
-        train_serial(fused, x, y, epochs=1, batch_size=16)
-        stacked = StackedOptimizer(fused)
-        assert stacked._t == fused[0].optimizer._t
-        for s, head in enumerate(fused):
-            for mine, theirs in zip(stacked._m, head.optimizer._m):
+        heads = make_heads(2)
+        train_serial(heads, x, y, epochs=1, batch_size=16)
+        stacked = StackedOptimizer(heads)
+        assert stacked._t == heads[0].optimizer._t
+        for s, head in enumerate(heads):
+            for mine, theirs in zip(stacked._m + stacked._v, head.optimizer._m + head.optimizer._v):
                 assert np.array_equal(mine[s], theirs)
 
     def test_rejects_mixed_groups(self):
-        a = make_heads(1, optimizer="adam")[0]
-        b = make_heads(1, optimizer="momentum")[0]
+        a, b = make_heads(2)
+        c = make_heads(1, learning_rate=1e-2)[0]
+        with pytest.raises(ConfigurationError):
+            StackedOptimizer([a, c])
+        b.fit(np.zeros((4, 12)), np.array([0, 1, 2, 0]), epochs=1, batch_size=4)
         with pytest.raises(ConfigurationError):
             StackedOptimizer([a, b])
         with pytest.raises(ConfigurationError):
             StackedOptimizer([])
 
     def test_rejects_misaligned_step(self):
-        stacked = StackedOptimizer(make_heads(2, optimizer="sgd"))
+        stacked = StackedOptimizer(make_heads(2))
         with pytest.raises(ConfigurationError):
             stacked.step([np.zeros(2)], [])
 
 
-def make_sessions(count, *, optimizer="adam", seed=0, task="sst2"):
+def make_sessions(count, *, learning_rate=5e-2, seed=0, task="sst2"):
     """``count`` fresh sessions; every small-scale task shares its slab shapes."""
     from repro.data.workloads import DataScale, WorkloadSuite
     from repro.zoo.hub import ModelHub
@@ -201,7 +195,7 @@ def make_sessions(count, *, optimizer="adam", seed=0, task="sst2"):
         benchmark_names=["sst2", "cola", "snli"], target_names=["mnli"],
     )
     hub = ModelHub(suite, seed=0)
-    tuner = FineTuner(FineTuneConfig(epochs=5, optimizer=optimizer), seed=seed)
+    tuner = FineTuner(FineTuneConfig(epochs=5, learning_rate=learning_rate), seed=seed)
     return [tuner.start_session(hub.get(name), suite.task(task))
             for name in hub.model_names[:count]]
 
@@ -331,8 +325,8 @@ class TestFusedSessionGroup:
             FusedSessionGroup(sessions)
 
     def test_group_rejects_mixed_signatures(self):
-        a = make_sessions(1, optimizer="adam")
-        b = make_sessions(1, optimizer="sgd")
+        a = make_sessions(1, learning_rate=5e-2)
+        b = make_sessions(1, learning_rate=1e-2)
         with pytest.raises(ConfigurationError):
             FusedSessionGroup(a + b)
 

@@ -1,10 +1,8 @@
 """Tests for repro.nn.initializers."""
 
 import numpy as np
-import pytest
 
-from repro.nn.initializers import get_initializer, glorot_uniform, he_normal, zeros
-from repro.utils.exceptions import ConfigurationError
+from repro.nn.initializers import glorot_uniform, zeros
 
 
 def test_glorot_uniform_within_limit():
@@ -15,22 +13,5 @@ def test_glorot_uniform_within_limit():
     assert np.all(np.abs(weight) <= limit)
 
 
-def test_he_normal_scale():
-    rng = np.random.default_rng(0)
-    weight = he_normal(rng, 400, 100)
-    assert weight.shape == (400, 100)
-    assert np.isclose(weight.std(), np.sqrt(2.0 / 400), rtol=0.1)
-
-
 def test_zeros_bias():
     assert np.array_equal(zeros(4), np.zeros(4))
-
-
-def test_get_initializer_lookup():
-    assert get_initializer("glorot") is glorot_uniform
-    assert get_initializer("he") is he_normal
-
-
-def test_get_initializer_unknown():
-    with pytest.raises(ConfigurationError):
-        get_initializer("orthogonal")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.layers import Dropout, Linear, Relu, Sequential, Tanh
+from repro.nn.layers import Linear
 from repro.utils.exceptions import ConfigurationError
 
 
@@ -95,77 +95,3 @@ class TestLinear:
         assert len(params) == len(grads) == 2
         for param, grad in zip(params, grads):
             assert param.shape == grad.shape
-
-
-class TestActivations:
-    def test_relu_zeros_negative(self):
-        layer = Relu()
-        out = layer.forward(np.array([[-1.0, 2.0]]))
-        assert np.array_equal(out, np.array([[0.0, 2.0]]))
-
-    def test_relu_backward_masks(self):
-        layer = Relu()
-        layer.forward(np.array([[-1.0, 2.0]]), training=True)
-        grad = layer.backward(np.array([[5.0, 5.0]]))
-        assert np.array_equal(grad, np.array([[0.0, 5.0]]))
-
-    def test_tanh_range(self):
-        layer = Tanh()
-        out = layer.forward(np.array([[-10.0, 0.0, 10.0]]))
-        assert np.all(np.abs(out) <= 1.0)
-
-    def test_tanh_gradient_matches_numerical(self):
-        layer = Tanh()
-        x = np.array([[0.3, -0.7, 1.2]])
-        grad_out = np.array([[1.0, 2.0, -1.0]])
-        layer.forward(x, training=True)
-        grad = layer.backward(grad_out)
-        expected = grad_out * (1 - np.tanh(x) ** 2)
-        assert np.allclose(grad, expected)
-
-    def test_backward_before_forward_raises(self):
-        with pytest.raises(ConfigurationError):
-            Relu().backward(np.ones((1, 2)))
-        with pytest.raises(ConfigurationError):
-            Tanh().backward(np.ones((1, 2)))
-
-
-class TestDropout:
-    def test_inference_is_identity(self):
-        layer = Dropout(0.5, rng=0)
-        x = np.ones((4, 4))
-        assert np.array_equal(layer.forward(x, training=False), x)
-
-    def test_training_scales_kept_units(self):
-        layer = Dropout(0.5, rng=0)
-        x = np.ones((1000, 1))
-        out = layer.forward(x, training=True)
-        kept = out[out > 0]
-        assert np.allclose(kept, 2.0)
-        assert 300 < kept.size < 700
-
-    def test_invalid_rate_rejected(self):
-        with pytest.raises(ConfigurationError):
-            Dropout(1.0)
-
-    def test_zero_rate_is_identity_in_training(self):
-        layer = Dropout(0.0)
-        x = np.ones((3, 3))
-        assert np.array_equal(layer.forward(x, training=True), x)
-
-
-class TestSequential:
-    def test_forward_composes_layers(self):
-        net = Sequential([Linear(4, 8, rng=0), Relu(), Linear(8, 2, rng=1)])
-        out = net.forward(np.ones((3, 4)))
-        assert out.shape == (3, 2)
-
-    def test_params_collects_all_layers(self):
-        net = Sequential([Linear(4, 8, rng=0), Relu(), Linear(8, 2, rng=1)])
-        assert len(net.params()) == 4
-
-    def test_backward_shape(self):
-        net = Sequential([Linear(4, 8, rng=0), Tanh(), Linear(8, 2, rng=1)])
-        net.forward(np.ones((3, 4)), training=True)
-        grad = net.backward(np.ones((3, 2)))
-        assert grad.shape == (3, 4)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.optim import SGD, Adam, Momentum, build_optimizer
+from repro.nn.optim import Adam
 from repro.utils.exceptions import ConfigurationError
 
 
@@ -15,68 +15,6 @@ def quadratic_descent(optimizer, steps=200):
         grads = [x.copy()]
         optimizer.step(params, grads)
     return params[0]
-
-
-class TestSGD:
-    def test_single_step(self):
-        x = np.array([1.0, 2.0])
-        SGD(0.1).step([x], [np.array([1.0, 1.0])])
-        assert np.allclose(x, [0.9, 1.9])
-
-    def test_converges_on_quadratic(self):
-        assert np.linalg.norm(quadratic_descent(SGD(0.1))) < 1e-3
-
-    def test_rejects_misaligned_lists(self):
-        with pytest.raises(ConfigurationError):
-            SGD(0.1).step([np.zeros(2)], [])
-
-    def test_rejects_non_positive_lr(self):
-        with pytest.raises(ConfigurationError):
-            SGD(0.0)
-
-
-class TestMomentum:
-    def test_converges_on_quadratic(self):
-        assert np.linalg.norm(quadratic_descent(Momentum(0.05, 0.9))) < 1e-3
-
-    def test_invalid_momentum(self):
-        with pytest.raises(ConfigurationError):
-            Momentum(0.1, momentum=1.0)
-
-    def test_velocity_recursion_matches_closed_form(self):
-        """v_t = mu * v_{t-1} - lr * g_t, applied in place, from v_0 = 0."""
-        rng = np.random.default_rng(7)
-        optimizer = Momentum(0.05, momentum=0.9)
-        param = rng.normal(size=(4, 3))
-        expected_param = param.copy()
-        expected_velocity = np.zeros_like(param)
-        for _ in range(5):
-            grad = rng.normal(size=(4, 3))
-            optimizer.step([param], [grad.copy()])
-            expected_velocity = expected_velocity * 0.9 - 0.05 * grad
-            expected_param = expected_param + expected_velocity
-            assert np.array_equal(optimizer._velocity[0], expected_velocity)
-            assert np.array_equal(param, expected_param)
-
-    def test_lazy_velocity_init(self):
-        optimizer = Momentum(0.1, momentum=0.5)
-        assert optimizer._velocity is None
-        param = np.ones(3)
-        optimizer.step([param], [np.ones(3)])
-        assert optimizer._velocity[0].shape == (3,)
-
-    def test_rejects_misaligned_lists(self):
-        with pytest.raises(ConfigurationError):
-            Momentum(0.1).step([np.zeros(2)], [np.zeros(2), np.zeros(2)])
-
-    def test_momentum_accelerates_early_progress(self):
-        def run(optimizer, steps=10):
-            x = np.array([10.0])
-            for _ in range(steps):
-                optimizer.step([x], [x.copy()])
-            return abs(float(x[0]))
-
-        assert run(Momentum(0.05, 0.9)) < run(SGD(0.05))
 
 
 class TestAdam:
@@ -136,12 +74,6 @@ class TestAdam:
         with pytest.raises(ConfigurationError):
             Adam(0.1).step([], [np.zeros(2)])
 
-
-class TestBuildOptimizer:
-    @pytest.mark.parametrize("name,cls", [("sgd", SGD), ("momentum", Momentum), ("adam", Adam)])
-    def test_builds_by_name(self, name, cls):
-        assert isinstance(build_optimizer(name, 0.1), cls)
-
-    def test_unknown_name(self):
+    def test_rejects_non_positive_lr(self):
         with pytest.raises(ConfigurationError):
-            build_optimizer("lbfgs", 0.1)
+            Adam(0.0)

@@ -41,7 +41,7 @@ class TestDistanceProperties:
     @given(point_sets(min_points=3, max_points=12))
     @settings(max_examples=30, deadline=None)
     def test_triangle_inequality_euclidean(self, points):
-        distances = pairwise_distances(points, metric="euclidean")
+        distances = pairwise_distances(points)
         n = distances.shape[0]
         for i in range(n):
             for j in range(n):

@@ -4,10 +4,10 @@ The stacked-kernel engine of :mod:`repro.nn.batched` claims bitwise
 equivalence with the per-session serial path.  Hypothesis drives that
 claim across the surfaces where it could break:
 
-* **Engine level** — random geometry mixes (optimizer, architecture,
-  activation, group size, epoch splits) trained fused must reproduce the
-  serial per-head trajectories exactly: curves, training histories,
-  parameters, optimiser state.
+* **Engine level** — random geometry mixes (group size, class count,
+  learning rate, weight decay, batch size, epoch splits) trained fused
+  must reproduce the serial per-head trajectories exactly: curves,
+  training histories, parameters, optimiser state.
 * **Scheduler level** — random request mixes and epoch budgets with
   fusion on must answer bitwise-identically to recall plus the
   blocking stage loop of ``oracles.serial_stage_loop``, with charged-epoch accounting intact (charged = trained +
@@ -93,10 +93,11 @@ def assert_bitwise_equal(result, serial):
 
 geometry = st.fixed_dictionaries(
     {
-        "optimizer": st.sampled_from(["sgd", "momentum", "adam"]),
-        "activation": st.sampled_from(["relu", "tanh"]),
-        "hidden_dims": st.sampled_from([(), (8,), (12, 6)]),
+        "task": st.sampled_from(["sst2", "snli"]),  # 2 and 3 classes
         "learning_rate": st.sampled_from([5e-2, 1e-2]),
+        "weight_decay": st.sampled_from([0.0, 1e-4]),
+        # 60 training rows: a partial final batch of 28, or one full batch.
+        "batch_size": st.sampled_from([32, 60]),
         "count": st.integers(min_value=2, max_value=4),
     }
 )
@@ -117,16 +118,15 @@ class TestEngineGeometryMixes:
     ):
         """Every drawn geometry trains fused == serial, bitwise, even when
         the fused advance is split into several staged calls."""
-        task = nlp_suite_small.task("sst2")
         names = nlp_hub_small.model_names
 
         for spec in geometries:
+            task = nlp_suite_small.task(spec["task"])
             config = FineTuneConfig(
                 epochs=5,
-                optimizer=spec["optimizer"],
-                activation=spec["activation"],
-                hidden_dims=spec["hidden_dims"],
                 learning_rate=spec["learning_rate"],
+                batch_size=spec["batch_size"],
+                weight_decay=spec["weight_decay"],
             )
             chosen = names[: spec["count"]]
             serial = [
@@ -141,7 +141,8 @@ class TestEngineGeometryMixes:
                 session.train_epochs(sum(epoch_split))
             group = FusedSessionGroup(fused)
             for epochs in epoch_split:
-                group.advance(epochs)
+                # Trained fused, not rescued by a failed probe's delegation.
+                assert group.advance(epochs).verified
             for a, b in zip(serial, fused):
                 assert a.curve.train_loss == b.curve.train_loss
                 assert a.curve.val_accuracy == b.curve.val_accuracy
@@ -152,6 +153,10 @@ class TestEngineGeometryMixes:
                 )
                 for pa, pb in zip(a.head.net.params(), b.head.net.params()):
                     assert np.array_equal(pa, pb)
+                opt_a, opt_b = a.head.optimizer, b.head.optimizer
+                assert opt_a._t == opt_b._t
+                for ma, mb in zip(opt_a._m + opt_a._v, opt_b._m + opt_b._v):
+                    assert np.array_equal(ma, mb)
 
 
 # --------------------------------------------------------------------------- #

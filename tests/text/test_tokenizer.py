@@ -18,12 +18,8 @@ class TestTokenize:
         assert "the" not in tokens
         assert "model" in tokens
 
-    def test_keeps_stopwords_when_disabled(self):
-        tokens = tokenize("the model", remove_stopwords=False)
-        assert "the" in tokens
-
     def test_min_length_filter(self):
-        assert tokenize("a b cd", min_length=2) == ["cd"]
+        assert tokenize("a b cd") == ["cd"]
 
     def test_empty_string(self):
         assert tokenize("") == []

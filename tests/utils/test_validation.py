@@ -15,12 +15,9 @@ class TestCheckPositive:
         with pytest.raises(ConfigurationError, match="x"):
             check_positive("x", 0)
 
-    def test_accepts_zero_when_not_strict(self):
-        assert check_positive("x", 0, strict=False) == 0
-
-    def test_rejects_negative_even_when_not_strict(self):
+    def test_rejects_negative(self):
         with pytest.raises(ConfigurationError):
-            check_positive("x", -1, strict=False)
+            check_positive("x", -1)
 
 
 class TestCheckProbabilityMatrix:

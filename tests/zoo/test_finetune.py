@@ -1,5 +1,7 @@
 """Tests for repro.zoo.finetune."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,24 @@ class TestFineTuneConfig:
     def test_invalid_values(self, kwargs):
         with pytest.raises(ConfigurationError):
             FineTuneConfig(**kwargs)
+
+    def test_every_field_but_epochs_splits_fused_groups(
+        self, nlp_hub_small, nlp_suite_small
+    ):
+        """A knob that changes training must reach ``fusion_signature()``;
+        otherwise sessions that differ in it would share stacked kernels."""
+        model = nlp_hub_small.get("bert-base-uncased")
+        task = nlp_suite_small.task("sst2")
+        base = FineTuneConfig()
+        signature = FineTuner(base).start_session(model, task).fusion_signature()
+        for field in dataclasses.fields(FineTuneConfig):
+            if field.name == "epochs":  # the budget, not a kernel parameter
+                continue
+            value = getattr(base, field.name)
+            assert isinstance(value, (int, float)), f"give {field.name} a changed value"
+            changed = dataclasses.replace(base, **{field.name: value * 2})
+            session = FineTuner(changed).start_session(model, task)
+            assert session.fusion_signature() != signature, field.name
 
 
 class TestLearningCurve:
