@@ -2,7 +2,8 @@
 
 PY := PYTHONPATH=src python
 
-.PHONY: test test-fast test-offline-property test-fused-property test-fault test-distrib \
+.PHONY: test test-fast test-offline-property test-fused-property test-sched-property \
+        test-fault test-distrib \
         test-extrapolation test-all \
         ci ci-full \
         docs-check docs-api docs-api-check bench-incremental \
@@ -36,6 +37,13 @@ test-offline-property:
 test-fused-property:
 	$(PY) -m pytest -x -q tests/property/test_property_fused.py
 
+# Scheduler property suite: the randomized bitwise gate that a scheduled
+# request equals the serial stage loop for any policy, budget or
+# concurrency (seconds).  Also skipped by the fast tier's `not property`
+# filter, so `ci` runs it here.
+test-sched-property:
+	$(PY) -m pytest -x -q tests/property/test_property_scheduler.py
+
 # Fault tier: the crash/fault-injection suite (kill at every durability
 # boundary, corrupt journals, SIGKILL real serve processes) plus the
 # randomized resume properties.  Its own CI job with a hard timeout — a
@@ -62,8 +70,10 @@ test-all:
 
 # CI entry points: `ci` on every change, `ci-full` on main.  The fast path
 # also runs the offline property suites (test-offline-property: the bitwise
-# gates of the zoo refresh, clustering and out-of-core paths) and the fused
-# property suite (test-fused-property: the stacked kernels), smoke-runs
+# gates of the zoo refresh, clustering and out-of-core paths), the fused
+# property suite (test-fused-property: the stacked kernels) and the
+# scheduler property suite (test-sched-property: scheduled == serial),
+# smoke-runs
 # the out-of-core kernels (equivalence gate at tiny n), the
 # concurrent-selection scheduler (serial==scheduled equivalence plus a
 # relaxed throughput gate at small n), the four end-to-end workloads
@@ -72,7 +82,8 @@ test-all:
 # Python block in README/docs (docs-check) and runs the three examples
 # (examples) — seconds each, and the README quickstart and the examples are
 # what a new user runs first.
-ci: test-fast test-offline-property test-fused-property bench-smoke bench-concurrent-smoke bench-distrib-smoke \
+ci: test-fast test-offline-property test-fused-property test-sched-property \
+    bench-smoke bench-concurrent-smoke bench-distrib-smoke \
     bench-cluster-smoke bench-extrapolation-smoke bench-fused-smoke \
     bench-e2e-smoke docs-api-check docs-check examples
 

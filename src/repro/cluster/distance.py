@@ -278,7 +278,7 @@ def _symmetric(block: np.ndarray, mirror: np.ndarray) -> bool:
     return np.array_equal(block, mirror) or np.allclose(block, mirror, atol=1e-8)
 
 
-def upper_triangle_values(matrix: np.ndarray, *, block_rows: int = STREAM_BLOCK_ROWS) -> np.ndarray:
+def upper_triangle_values(matrix: np.ndarray) -> np.ndarray:
     """Off-diagonal upper-triangle values of a square matrix, row-major.
 
     Exactly the values (in exactly the order) of
@@ -293,7 +293,7 @@ def upper_triangle_values(matrix: np.ndarray, *, block_rows: int = STREAM_BLOCK_
     n = matrix.shape[0]
     out = np.empty(n * (n - 1) // 2, dtype=float)
     position = 0
-    for start, stop in iter_row_blocks(n, block_rows):
+    for start, stop in iter_row_blocks(n, STREAM_BLOCK_ROWS):
         # Copy straight into the preallocated result: holding per-row views
         # would pin every source block in memory until the final concat.
         block = np.asarray(matrix[start:stop])

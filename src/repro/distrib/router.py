@@ -67,6 +67,10 @@ _DRAIN_POLL = 0.05
 #: (the single-process emitter's per-handle drain timeout too).
 _DRAIN_TIMEOUT = 60.0
 
+#: Seconds the router waits for a worker (or a dead worker's replacement)
+#: to come up before failing the requests routed to it.
+_RESUBMIT_TIMEOUT = 120.0
+
 
 # --------------------------------------------------------------------------- #
 # multi-tenant admission
@@ -283,12 +287,10 @@ class RouterFrontEnd(JsonLinesFrontEnd):
         *,
         policy: Optional[TenantPolicy] = None,
         replicas: int = 64,
-        resubmit_timeout: float = 120.0,
     ) -> None:
         self._supervisor = supervisor
         self._admission = AdmissionController(policy or TenantPolicy())
         self._ring = HashRing(supervisor.names, replicas=replicas)
-        self._resubmit_timeout = float(resubmit_timeout)
         self._lock = threading.RLock()
         self._links: Dict[str, _WorkerLink] = {}
         self._link_locks: Dict[str, threading.Lock] = {}
@@ -335,9 +337,7 @@ class RouterFrontEnd(JsonLinesFrontEnd):
                 link = self._links.get(name)
                 if link is not None and not link.dead:
                     return link
-            handle = self._supervisor.ensure_alive(
-                name, timeout=self._resubmit_timeout
-            )
+            handle = self._supervisor.ensure_alive(name, timeout=_RESUBMIT_TIMEOUT)
             if handle is None:
                 raise WorkerLostError(f"worker {name!r} is not available")
             conn = JsonLinesConnection("127.0.0.1", handle.port, timeout=30.0)
@@ -491,7 +491,7 @@ class RouterFrontEnd(JsonLinesFrontEnd):
         if not affected:
             return
         replacement = self._supervisor.await_replacement(
-            link.name, link.generation, timeout=self._resubmit_timeout
+            link.name, link.generation, timeout=_RESUBMIT_TIMEOUT
         )
         lost = WorkerLostError(
             f"worker {link.name!r} died and no replacement came up"

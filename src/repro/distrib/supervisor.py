@@ -50,6 +50,15 @@ _FAILPOINT_EXIT_CODE = 137
 #: Environment variables of the crash failpoint, stripped from restarts.
 _FAILPOINT_ENV = ("REPRO_CRASH_SITE", "REPRO_CRASH_AT")
 
+#: Seconds a heartbeat ping waits for a worker's answer.
+_PING_TIMEOUT = 5.0
+
+#: Seconds a spawned worker has to print its serving banner.
+_STARTUP_TIMEOUT = 120.0
+
+#: Restarts after which a worker name is marked failed instead of respawned.
+_MAX_RESTARTS = 8
+
 
 class WorkerHandle:
     """One live worker process: its Popen, bound port and banner."""
@@ -110,9 +119,6 @@ class WorkerSupervisor:
         log_dir: Optional[str] = None,
         heartbeat_interval: float = 0.5,
         ping_every: int = 4,
-        ping_timeout: float = 5.0,
-        startup_timeout: float = 120.0,
-        max_restarts: int = 8,
     ) -> None:
         if not names:
             raise ConfigurationError("supervisor needs at least one worker name")
@@ -122,9 +128,6 @@ class WorkerSupervisor:
         self._log_dir = Path(log_dir) if log_dir is not None else None
         self.heartbeat_interval = float(heartbeat_interval)
         self._ping_every = max(1, int(ping_every))
-        self._ping_timeout = float(ping_timeout)
-        self._startup_timeout = float(startup_timeout)
-        self._max_restarts = int(max_restarts)
         self._lock = threading.RLock()
         self._changed = threading.Condition(self._lock)
         self._states: Dict[str, _WorkerState] = {
@@ -159,7 +162,7 @@ class WorkerSupervisor:
     def _read_banner(self, proc, name: str) -> Dict[str, object]:
         import json
 
-        deadline = time.monotonic() + self._startup_timeout
+        deadline = time.monotonic() + _STARTUP_TIMEOUT
         while time.monotonic() < deadline:
             remaining = max(0.0, deadline - time.monotonic())
             ready, _, _ = select.select([proc.stdout], [], [], min(remaining, 1.0))
@@ -216,7 +219,7 @@ class WorkerSupervisor:
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join(timeout=self._startup_timeout + 10)
+            thread.join(timeout=_STARTUP_TIMEOUT + 10)
         if errors:
             self.stop()
             name, error = next(iter(errors.items()))
@@ -264,7 +267,7 @@ class WorkerSupervisor:
             return
         if ping_beat:
             try:
-                ping("127.0.0.1", handle.port, timeout=self._ping_timeout)
+                ping("127.0.0.1", handle.port, timeout=_PING_TIMEOUT)
             except (OSError, TimeoutError):
                 with self._lock:
                     state.ping_strikes += 1
@@ -282,7 +285,7 @@ class WorkerSupervisor:
         with self._lock:
             if self._stopped or state.failed:
                 return
-            if state.restarts >= self._max_restarts:
+            if state.restarts >= _MAX_RESTARTS:
                 state.failed = True
                 state.handle = None
                 self._changed.notify_all()

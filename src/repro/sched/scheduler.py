@@ -5,11 +5,14 @@ The online phase of one request is a :class:`~repro.core.plan.SelectionPlan`
 ``(request, model, epoch-interval)`` training step.  :class:`EpochScheduler`
 multiplexes many such plans over one shared training budget: each
 *scheduling round* it picks up to ``epoch_budget`` epochs worth of runnable
-steps across the active requests (fair-share or deadline order), deduplicates
-steps that resolve to the same pooled session, trains the round, and
-advances every plan whose stage completed.  Admission control (bounded
-queue, ``max_concurrent``), per-request epoch quotas and deadlines bound the
-work any request can consume.
+steps across the active requests (fair-share or deadline order), then
+*dedups and partitions* them (steps on one pooled session become one op; the
+ops split into training units, each a fusable same-geometry group or one op
+alone), *trains* every unit on one path, and *commits*: the units' counters
+fold into ``stats()["train"]`` at one point, then each step is snapshotted,
+completed and journaled, in that durability order.  Admission control
+(bounded queue, ``max_concurrent``), per-request epoch quotas and deadlines
+bound the work any request can consume.
 
 Correctness does not depend on scheduling: every training step draws from
 the per-``(model, task)`` named random stream of its session and every read
@@ -201,6 +204,33 @@ class SelectionRequest:
                 self._on_listener_error()
 
 
+#: A round's training op ``(view, target epoch)``; a unit trains together.
+_Op = Tuple[PooledSessionView, int]
+_Unit = List[_Op]
+
+
+@dataclass
+class _TrainCounters:
+    """The ``stats()["train"]`` counters (in session-epochs and groups)."""
+
+    fused_groups: int = 0
+    fused_sessions: int = 0
+    fused_epochs: int = 0
+    serial_epochs: int = 0
+    probe_epochs: int = 0
+    delegated_groups: int = 0
+    largest_group: int = 0
+
+    def add(self, other: "_TrainCounters") -> None:
+        self.fused_groups += other.fused_groups
+        self.fused_sessions += other.fused_sessions
+        self.fused_epochs += other.fused_epochs
+        self.serial_epochs += other.serial_epochs
+        self.probe_epochs += other.probe_epochs
+        self.delegated_groups += other.delegated_groups
+        self.largest_group = max(self.largest_group, other.largest_group)
+
+
 def _resolve_task(context: SchedulerContext, target) -> ClassificationTask:
     from repro.core.batch import resolve_target_task
 
@@ -267,14 +297,8 @@ class EpochScheduler:
         self._recover_skipped = 0
         self._arms_pruned = 0
         self._prunes_replayed = 0
-        # Fused-training round counters (verdicts live in repro.nn.batched).
-        self._fused_groups = 0
-        self._fused_sessions = 0
-        self._fused_epochs = 0
-        self._serial_epochs = 0
-        self._probe_epochs = 0
-        self._delegated_groups = 0
-        self._fused_largest_group = 0
+        # Training counters (fusion verdicts live in repro.nn.batched).
+        self._train = _TrainCounters()
 
     # ------------------------------------------------------------------ #
     # construction helpers
@@ -625,12 +649,9 @@ class EpochScheduler:
                 request for request in self._active if request.plan and request.plan.done
             ]
         for request in finished:
-            # Stays active until finished, so a raising _finish leaves it
-            # (and every later one) for the round guard to fail.
+            # Stays active until its terminal claim, so a raising _finish
+            # leaves it (and every later one) for the round guard to fail.
             self._finish(request)
-            with self._lock:
-                if request in self._active:
-                    self._active.remove(request)
 
     def _admit(self) -> None:
         """Move queued requests into the active set and run their recalls.
@@ -678,8 +699,6 @@ class EpochScheduler:
         outcomes = [recall_one(request) for request in live]
         for request, (ok, outcome) in zip(live, outcomes):
             if not ok:
-                with self._lock:
-                    self._active.remove(request)
                 self._fail(request, outcome)
                 continue
             self._journal_append(request, "recall", encode_recall(outcome))
@@ -692,9 +711,6 @@ class EpochScheduler:
             self._start_plan(request, recall_result)
             request.state = TRAINING
         except Exception as error:  # noqa: BLE001 — failures land on the handle
-            with self._lock:
-                if request in self._active:
-                    self._active.remove(request)
             self._fail(request, error)
 
     def _admit_from_journal(
@@ -743,10 +759,8 @@ class EpochScheduler:
                 if list(record["payload"].get("schedule", [])) == schedule:
                     result = decode_result(record["payload"])
                     with self._lock:
-                        if request in self._active:
-                            self._active.remove(request)
                         self._results_restored += 1
-                    self._finish_with(request, result)
+                    self._finish(request, restored=result)
                     return "result", None
             recall_record = journal.last_of_type("recall")
             if recall_record is not None:
@@ -802,19 +816,20 @@ class EpochScheduler:
         Walks the journal's ``step`` records in append order, claiming each
         one from the freshly built plan (:meth:`SelectionPlan.claim_step`)
         and completing it against the pooled session — which, having been
-        restored from its snapshot, already holds the trained epochs, so
-        ``ensure_epochs`` is a no-op and nothing retrains.  Steps whose
-        ``(stage, epochs)`` don't match the current schedule position are
-        skipped: they belong to an earlier submission under a different
-        (since-raised) budget, and their training still flows in for free
-        through the session snapshots.
+        restored from its snapshot, usually already holds the trained
+        epochs, so nothing retrains.  A session whose snapshot is missing
+        or unreadable trains as a one-op unit, counted like a round's.
+        Steps whose ``(stage, epochs)`` don't match the current schedule
+        position are skipped: they belong to an earlier submission under a
+        different (since-raised) budget, and their training still flows in
+        for free through the session snapshots.
         """
         if request.journal is None:
             return
         plan = request.plan
         schedule = plan.stage_schedule
         charged = 0
-        trained = 0
+        outcomes = []
         for record in request.journal.of_type("step"):
             if plan.done:
                 break
@@ -827,13 +842,14 @@ class EpochScheduler:
             if step is None:
                 continue  # filtered out / not recalled under this schedule
             view = plan.views[step.model]
-            trained += view.entry.ensure_epochs(view.position + step.epochs)
+            outcomes.append(self._train_unit([(view, view.position + step.epochs)]))
             view.adopt(view.entry.session, advance=step.epochs)
             plan.complete(step)
             charged += step.epochs
         if charged:
             request.epochs_charged += charged
             request.epochs_replayed = charged
+            trained = self._commit_training(outcomes)
             self._pool.record_round(charged=charged, trained=trained)
             with self._lock:
                 self._epochs_replayed += charged
@@ -871,11 +887,6 @@ class EpochScheduler:
                 for request in self._queue + self._active
                 if request.deadline is not None and now > request.deadline
             ]
-            for request in expired:
-                if request in self._queue:
-                    self._queue.remove(request)
-                if request in self._active:
-                    self._active.remove(request)
         for request in expired:
             self._fail(
                 request,
@@ -975,9 +986,6 @@ class EpochScheduler:
                     if not drain_request:
                         break
         for request in exhausted:
-            with self._lock:
-                if request in self._active:
-                    self._active.remove(request)
             self._fail(
                 request,
                 BudgetExhaustedError(
@@ -988,40 +996,25 @@ class EpochScheduler:
         return chosen
 
     def _execute(self, batch: Sequence[Tuple[SelectionRequest, TrainStep]]) -> None:
-        """Run one round's training ops, deduplicated by pooled session.
+        """Run one round: dedup and partition, train every unit, commit.
 
         Steps of different requests can resolve to the same shared session;
         each underlying session is trained **once per round**, to the
         furthest epoch any step needs, and every step then completes
-        against the recorded curve.  Ops with the same geometry (fusion
-        signature, epoch position, round target) train as one
-        stacked-kernel group when ``fused_training`` is on (see
-        :mod:`repro.nn.batched`); the rest train one session at a time.
+        against the recorded curve.  A unit that raises fails the round
+        before any step is committed.
         """
-        # Group steps by session entry: one training op per shared session.
-        ops: Dict[int, Tuple[PooledSessionView, int]] = {}
+        ops: Dict[int, _Op] = {}
         for request, step in batch:
             view = request.plan.views[step.model]
-            entry_id = id(view.entry)
             target = view.position + step.epochs
-            current = ops.get(entry_id)
+            current = ops.get(id(view.entry))
             if current is None or target > current[1]:
-                ops[entry_id] = (view, target)
-
-        op_list = list(ops.values())
-        trained_total = 0
-        serial_singles = 0
-        for kind, indices in self._partition_ops(op_list):
-            if kind == "fused":
-                trained_total += self._train_fused([op_list[i] for i in indices])
-                continue
-            view, target = op_list[indices[0]]
-            trained = view.entry.ensure_epochs(target)
-            trained_total += trained
-            serial_singles += trained
-        if serial_singles:
-            with self._lock:
-                self._serial_epochs += serial_singles
+                ops[id(view.entry)] = (view, target)
+        outcomes = [
+            self._train_unit(unit) for unit in self._partition_ops(list(ops.values()))
+        ]
+        trained_total = self._commit_training(outcomes)
 
         charged_total = 0
         for request, step in batch:
@@ -1072,157 +1065,161 @@ class EpochScheduler:
         self._pool.record_round(charged=charged_total, trained=trained_total)
 
     # ------------------------------------------------------------------ #
-    # fused training
+    # training units
     # ------------------------------------------------------------------ #
-    def _partition_ops(
-        self, op_list: Sequence[Tuple[PooledSessionView, int]]
-    ) -> List[Tuple[str, List[int]]]:
-        """Split a round's deduplicated ops into fused stacks and singles.
+    def _partition_ops(self, ops: Sequence[_Op]) -> List[_Unit]:
+        """Split a round's deduplicated ops into training units.
 
         Ops whose sessions share a fusion signature, current epoch and
-        round target form one ``("fused", indices)`` unit (stacked-kernel
-        training); everything else — singletons, groups below
-        :data:`~repro.nn.batched.FUSED_MIN_GROUP`, sessions without a fusion
-        surface — stays on the per-session path as
-        ``("single", [index])`` units.
+        round target form one unit when there are at least
+        :data:`~repro.nn.batched.FUSED_MIN_GROUP` of them (stacked-kernel
+        training); every other op — smaller groups, sessions without a
+        fusion surface or already at their target — is a unit alone.
         """
         if not self.config.fused_training:
-            return [("single", [index]) for index in range(len(op_list))]
-        groups: Dict[Tuple, List[int]] = {}
-        singles: List[int] = []
-        for index, (view, target) in enumerate(op_list):
+            return [[op] for op in ops]
+        groups: Dict[Tuple, _Unit] = {}
+        alone: List[_Unit] = []
+        for view, target in ops:
             session = view.entry.session
             signature = getattr(session, "fusion_signature", None)
             if signature is None or target <= session.epochs_trained:
-                singles.append(index)
+                alone.append([(view, target)])
                 continue
             key = (signature(), session.epochs_trained, target)
-            groups.setdefault(key, []).append(index)
-        units: List[Tuple[str, List[int]]] = []
-        for indices in groups.values():
-            if len(indices) >= FUSED_MIN_GROUP:
-                units.append(("fused", indices))
+            groups.setdefault(key, []).append((view, target))
+        units: List[_Unit] = []
+        for group in groups.values():
+            if len(group) >= FUSED_MIN_GROUP:
+                units.append(group)
             else:
-                units.extend(("single", [index]) for index in indices)
-        units.extend(("single", [index]) for index in singles)
-        return units
+                units.extend([op] for op in group)
+        return units + alone
 
-    def _train_fused(self, items: Sequence[Tuple[PooledSessionView, int]]) -> int:
-        """Train one same-geometry unit with the stacked kernels.
+    def _train_unit(self, unit: _Unit) -> Tuple[int, _TrainCounters]:
+        """Train one unit; return its trained session-epochs and counters.
 
-        Takes ``(view, target)`` items and holds every member's entry lock
-        (sorted by pool key, so concurrent fused units cannot deadlock)
-        while the stacked engine advances the sessions.  Returns the epochs
-        trained and updates the fused-training counters under
-        ``self._lock``.
-
-        Members that no longer align under the locks (another thread
-        advanced their session since partitioning) fall back to
-        ``ensure_epochs`` after the locks are released.
+        Holds every member's entry lock (sorted by pool key, so concurrent
+        units cannot deadlock) while the aligned members — still at the
+        unit's common epoch and behind its target — advance as one
+        :class:`~repro.nn.batched.FusedSessionGroup`, when there are at
+        least ``FUSED_MIN_GROUP`` of them.  A one-op unit, and members
+        another thread advanced since partitioning, train with
+        ``ensure_epochs`` outside those locks.
         """
-        items = sorted(items, key=lambda item: item[0].entry.key)
-        target = items[0][1]
-        entries = [view.entry for view, _ in items]
-        fallback = list(items)
-        fused_items: List[Tuple[PooledSessionView, int]] = []
-        advance = None
+        if len(unit) < FUSED_MIN_GROUP:  # one op: nothing to align or lock
+            serial = sum(view.entry.ensure_epochs(goal) for view, goal in unit)
+            return serial, _TrainCounters(serial_epochs=serial)
+        unit = sorted(unit, key=lambda op: op[0].entry.key)
+        target = unit[0][1]
+        entries = [view.entry for view, _ in unit]
+        counters = _TrainCounters()
+        rest = unit
+        fused = 0
         for entry in entries:
             entry.lock.acquire()
         try:
             positions = [entry.session.epochs_trained for entry in entries]
             start = min(positions)
-            fused_items = [
-                item
-                for item, position in zip(items, positions)
+            members = [
+                op
+                for op, position in zip(unit, positions)
                 if position == start and start < target
             ]
-            if len(fused_items) >= FUSED_MIN_GROUP:
-                sessions = [view.entry.session for view, _ in fused_items]
+            if len(members) >= FUSED_MIN_GROUP:
+                sessions = [view.entry.session for view, _ in members]
                 try:
-                    advance = FusedSessionGroup(sessions).advance(target - start)
+                    report = FusedSessionGroup(sessions).advance(target - start)
                 except ConfigurationError:
                     # Geometry looked fusable by signature but the stacked
                     # engine refused it (defensive) — per-session path.
-                    advance = None
+                    pass
                 else:
-                    fallback = [item for item in items if item not in fused_items]
+                    rest = [op for op in unit if op not in members]
+                    fused = (target - start) * len(members)
+                    counters = _TrainCounters(
+                        fused_groups=1,
+                        fused_sessions=len(members),
+                        fused_epochs=report.fused_epochs,
+                        serial_epochs=report.serial_epochs,
+                        probe_epochs=report.probe_epochs,
+                        delegated_groups=int(report.delegated),
+                        largest_group=len(members),
+                    )
         finally:
             for entry in reversed(entries):
                 entry.lock.release()
-        serial = sum(view.entry.ensure_epochs(goal) for view, goal in fallback)
+        serial = sum(view.entry.ensure_epochs(goal) for view, goal in rest)
+        counters.serial_epochs += serial
+        return fused + serial, counters
+
+    def _commit_training(self, outcomes: Sequence[Tuple[int, _TrainCounters]]) -> int:
+        """Fold trained units into ``stats()["train"]``; return epochs trained.
+
+        The one place the train counters are written: a round's units and
+        a resumed plan's replay both land here, so ``fused_epochs +
+        serial_epochs`` equals the session pool's ``epochs_trained``.
+        """
         with self._lock:
-            self._serial_epochs += serial
-            if advance is None:
-                return serial
-            self._fused_groups += 1
-            self._fused_sessions += len(fused_items)
-            self._fused_epochs += advance.fused_epochs
-            self._serial_epochs += advance.serial_epochs
-            self._probe_epochs += advance.probe_epochs
-            self._delegated_groups += int(advance.delegated)
-            self._fused_largest_group = max(self._fused_largest_group, len(fused_items))
-        return serial + (target - start) * len(fused_items)
+            for _, counters in outcomes:
+                self._train.add(counters)
+        return sum(trained for trained, _ in outcomes)
 
     # ------------------------------------------------------------------ #
     # completion
     # ------------------------------------------------------------------ #
     def _make_terminal(self, request: SelectionRequest) -> bool:
-        """Atomically claim the right to finish/fail ``request`` (once)."""
+        """Atomically claim the right to finish/fail ``request`` (once); won
+        or lost, the claim takes it off the queue and the active set."""
         with self._lock:
+            if request in self._queue:
+                self._queue.remove(request)
+            if request in self._active:
+                self._active.remove(request)
             if request._terminal:
                 return False
             request._terminal = True
             return True
 
-    def _finish(self, request: SelectionRequest) -> None:
+    def _finish(
+        self, request: SelectionRequest, restored: Optional[TwoPhaseResult] = None
+    ) -> None:
+        """Finish ``request`` with its plan's result (journaled unless it has
+        fixed candidates) or with a result ``restored`` from its journal."""
         plan = request.plan
-        if request.candidates is not None:
-            result = plan.result
-        else:
-            result = plan.two_phase_result()
+        result = restored
+        if result is None:
+            result = plan.result if request.candidates is not None else plan.two_phase_result()
         if not self._make_terminal(request):
             return
         request.result = result
-        if request.journal is not None:  # fixed-candidates runs never journal
+        if restored is None and request.journal is not None:
             self._journal_append(
                 request, "result", encode_result(result, schedule=plan.stage_schedule)
             )
-        request.state = DONE
-        request.finished_at = time.monotonic()
-        self._release_views(request)
-        with self._lock:
-            self._completed += 1
-        self._complete(request)
-
-    def _finish_with(self, request: SelectionRequest, result: TwoPhaseResult) -> None:
-        """Finish a request from a journaled result (no plan, no training)."""
-        if not self._make_terminal(request):
-            return
-        request.result = result
-        request.state = DONE
-        request.finished_at = time.monotonic()
-        self._release_views(request)
-        with self._lock:
-            self._completed += 1
-        self._complete(request)
+        self._complete(request, DONE)
 
     def _fail(self, request: SelectionRequest, error: Exception) -> None:
         if not self._make_terminal(request):
             return
         request.error = error
-        request.state = FAILED
-        request.finished_at = time.monotonic()
-        self._release_views(request)
-        with self._lock:
-            self._failed += 1
-        self._complete(request)
+        self._complete(request, FAILED)
 
-    def _complete(self, request: SelectionRequest) -> None:
-        """Run ``on_complete``, wake waiters, then call the listeners last.
+    def _complete(self, request: SelectionRequest, state: str) -> None:
+        """Settle ``request`` in ``state``: count it, run ``on_complete``,
+        wake waiters, then call the listeners last.
 
         Accounting comes first, so neither a ``wait``/``result`` caller nor
         a stream's terminal event can overtake the service's counters.
         """
+        request.state = state
+        request.finished_at = time.monotonic()
+        self._release_views(request)
+        with self._lock:
+            if state == DONE:
+                self._completed += 1
+            else:
+                self._failed += 1
         try:
             if self._on_complete is not None:
                 self._on_complete(request)
@@ -1341,13 +1338,7 @@ class EpochScheduler:
                 "session_pool": self._pool.stats(),
                 "train": {
                     "fused_training": self.config.fused_training,
-                    "fused_groups": self._fused_groups,
-                    "fused_sessions": self._fused_sessions,
-                    "fused_epochs": self._fused_epochs,
-                    "serial_epochs": self._serial_epochs,
-                    "probe_epochs": self._probe_epochs,
-                    "delegated_groups": self._delegated_groups,
-                    "largest_group": self._fused_largest_group,
+                    **dataclasses.asdict(self._train),
                     "verified_geometries": list(_VERDICTS.values()).count(True),
                 },
             }

@@ -12,6 +12,7 @@ their count) and kills at each one in turn.
 """
 
 import dataclasses
+import shutil
 
 import pytest
 
@@ -138,6 +139,37 @@ class TestKillAtOtherDurabilityBoundaries:
         assert state.crashed
         assert journaled_step_epochs(root) > first_replayable
         resume_and_check(artifacts, root, fine_tuner, oracle)
+
+
+class TestReplayWithoutSnapshots:
+    def test_retrained_replay_counts_in_the_train_counters(
+        self, artifacts, serial_oracle, fine_tuner, tmp_path
+    ):
+        """Lost snapshots make replay retrain; the counters must see it.
+
+        Deleting ``sessions/`` stands for any snapshot ``load_session``
+        cannot use (unreadable, or written under another config): the
+        resumed request retrains its journaled epochs while replaying, and
+        ``fused_epochs + serial_epochs`` must still equal the pool's
+        ``epochs_trained``.
+        """
+        root = tmp_path / "store"
+        run_and_crash(artifacts, root, fine_tuner, "plan.step", 6)
+        shutil.rmtree(root / "sessions")
+        scheduler = make_scheduler(artifacts, PlanStore(root), fine_tuner)
+        recovered = scheduler.recover()
+        assert len(recovered) == 1
+        scheduler.run_until_idle()
+        result = scheduler.result(recovered[0], timeout=10)
+        assert_bitwise_equal(result, serial_oracle[(TARGET, TOP_K)])
+
+        stats = scheduler.stats()
+        train, pool = stats["train"], stats["session_pool"]
+        # Nothing was restorable, so every replayed epoch trained again.
+        assert stats["persist"]["epochs_replayed"] > 0
+        assert pool["epochs_reused"] == 0
+        assert pool["epochs_trained"] == result.selection.runtime_epochs
+        assert train["fused_epochs"] + train["serial_epochs"] == pool["epochs_trained"]
 
 
 class TestBudgetRaise:
